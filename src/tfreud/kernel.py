@@ -75,12 +75,6 @@ def context_for(n_max: int, bits: int | None = None) -> PrecisionContext:
     return PrecisionContext(bits if bits is not None else default_bits(n_max))
 
 
-def mpf_at(x, bits: int) -> mp.mpf:
-    """Convert x (int/float/str/mpf) to mpf rounded at `bits` precision."""
-    with mp.workprec(bits):
-        return +mp.mpf(x)
-
-
 # ---------------------------------------------------------------------------
 # scalar special functions
 # ---------------------------------------------------------------------------
@@ -179,17 +173,8 @@ def poly_eval(p: list, x) -> mp.mpf:
     return acc
 
 
-def poly_shift_x(p: list) -> list:
-    """Multiply by x."""
-    return [mp.mpf(0)] + list(p)
-
-
 def poly_max_abs(p: list) -> mp.mpf:
     return max((abs(c) for c in p), default=mp.mpf(0))
-
-
-def poly_degree(p: list) -> int:
-    return len(poly_trim(p)) - 1
 
 
 @dataclass(frozen=True)

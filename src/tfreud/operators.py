@@ -32,8 +32,6 @@ from .kernel import (
     RationalFn,
     poly_add,
     poly_diff,
-    poly_eval,
-    poly_max_abs,
     poly_mul,
     poly_scale,
     poly_sub,
@@ -135,21 +133,38 @@ class BetaRow:
         return row
 
 
-def _beta_terms(tbl: RecurrenceTable, n: int) -> dict:
-    a, b = tbl.a, tbl.b
-    R, T = tbl.R, tbl.T
+def _guards(tbl: RecurrenceTable) -> tuple:
+    """(A, Tt, Rr): a_i, T_i and R_i read as zero below their range.  a_0 = 0
+    and T_0 = 0 hold anyway; R_{-1}, R_{-2} and negative a, T indices only
+    ever appear multiplied by vanishing factors."""
+    a, R, T = tbl.a, tbl.R, tbl.T
 
     def A(i):
-        # a_i with a_0 = 0; negative index only ever multiplies a zero
         return a[i] if i >= 1 else mp.mpf(0)
 
     def Tt(i):
         return T(i) if i >= 1 else mp.mpf(0)
 
     def Rr(i):
-        # R_{-1}, R_{-2} only appear multiplied by vanishing factors
         return R(i) if i >= 0 else mp.mpf(0)
 
+    return A, Tt, Rr
+
+
+def _beta_lower_terms(tbl: RecurrenceTable, m: int) -> dict:
+    """beta_{m,m-1}..beta_{m,m-4}, negative keys included."""
+    A, Tt, Rr = _guards(tbl)
+    return {
+        m - 1: A(m) * (Tt(m + 1) + Tt(m - 1)) + Tt(m) * (Rr(m) + Rr(m - 1)),
+        m - 2: A(m) * A(m - 1) * (Rr(m) + Rr(m - 2)) + Tt(m) * Tt(m - 1),
+        m - 3: A(m - 1) * A(m - 2) * Tt(m) + A(m) * A(m - 1) * Tt(m - 2),
+        m - 4: A(m) * A(m - 1) * A(m - 2) * A(m - 3),
+    }
+
+
+def _beta_terms(tbl: RecurrenceTable, n: int) -> dict:
+    b, R, T = tbl.b, tbl.R, tbl.T
+    A, _, _ = _guards(tbl)
     out = {
         n + 3: b[n] + b[n + 1] + b[n + 2] + b[n + 3],
         n + 2: R(n + 2) + (b[n + 1] + b[n]) * (b[n + 2] + b[n + 1]) + R(n),
@@ -158,13 +173,7 @@ def _beta_terms(tbl: RecurrenceTable, n: int) -> dict:
             + ((b[n - 1] + b[n]) * T(n) if n >= 1 else mp.mpf(0))
             + A(n) * A(n - 1)),
     }
-    lower = {
-        n - 1: A(n) * (Tt(n + 1) + Tt(n - 1)) + Tt(n) * (Rr(n) + Rr(n - 1)),
-        n - 2: A(n) * A(n - 1) * (Rr(n) + Rr(n - 2)) + Tt(n) * Tt(n - 1),
-        n - 3: A(n - 1) * A(n - 2) * Tt(n) + A(n) * A(n - 1) * Tt(n - 2),
-        n - 4: A(n) * A(n - 1) * A(n - 2) * A(n - 3),
-    }
-    for k, v in lower.items():
+    for k, v in _beta_lower_terms(tbl, n).items():
         if k >= 0:
             out[k] = v
     return out
@@ -185,25 +194,8 @@ def beta_lower(tbl: RecurrenceTable, m: int) -> dict:
     carry exact zeros through the a_0 = 0 convention."""
     if m < 1 or m > tbl.n_max - 1:
         raise IndexError(f"need 1 <= m <= {tbl.n_max - 1}, got {m}")
-    a, b = tbl.a, tbl.b
-    R, T = tbl.R, tbl.T
-
-    def A(i):
-        return a[i] if i >= 1 else mp.mpf(0)
-
-    def Tt(i):
-        return T(i) if i >= 1 else mp.mpf(0)
-
-    def Rr(i):
-        return R(i) if i >= 0 else mp.mpf(0)
-
     with mp.workprec(mp.mp.prec + 32):
-        return {
-            m - 1: A(m) * (Tt(m + 1) + Tt(m - 1)) + Tt(m) * (Rr(m) + Rr(m - 1)),
-            m - 2: A(m) * A(m - 1) * (Rr(m) + Rr(m - 2)) + Tt(m) * Tt(m - 1),
-            m - 3: A(m - 1) * A(m - 2) * Tt(m) + A(m) * A(m - 1) * Tt(m - 2),
-            m - 4: A(m) * A(m - 1) * A(m - 2) * A(m - 3),
-        }
+        return _beta_lower_terms(tbl, m)
 
 
 def jacobi_matrix(tbl: RecurrenceTable, size: int) -> list:
@@ -256,18 +248,8 @@ def structure_coeffs_explicit(tbl: RecurrenceTable, n: int) -> tuple:
     going through the beta formulas (used to cross-check them)."""
     if n < 0 or n > tbl.n_max - 2:
         raise IndexError(f"need 0 <= n <= {tbl.n_max - 2}, got {n}")
-    a = tbl.a
     R, T = tbl.R, tbl.T
-
-    def A(i):
-        return a[i] if i >= 1 else mp.mpf(0)
-
-    def Tt(i):
-        return T(i) if i >= 1 else mp.mpf(0)
-
-    def Rr(i):
-        return R(i) if i >= 0 else mp.mpf(0)
-
+    A, Tt, Rr = _guards(tbl)
     with mp.workprec(mp.mp.prec + 32):
         f = 4 * tbl.z
         c0 = f * (A(n + 1) * (T(n + 2) + Tt(n)) + T(n + 1) * (R(n + 1) + R(n)))
@@ -311,16 +293,15 @@ class LadderPair:
 def ladder_pair(tbl: RecurrenceTable, polys: tuple, n: int) -> LadderPair:
     if n < 1 or n > tbl.n_max - 1:
         raise IndexError(f"need 1 <= n <= {tbl.n_max - 1}, got {n}")
+    # _cal_A sets its own working precision; calling it outside the block
+    # below keeps calA_n at the same precision as calB_n
+    cal_a = _cal_A(tbl, polys, n)
     with mp.workprec(mp.mp.prec + 32):
         f = 4 * tbl.z
-        pn0 = polys[n].at_zero
-        pm0 = polys[n - 1].at_zero
-        num_a = (pn0 ** 2 / tbl.h[n], f * tbl.R(n), f * tbl.b[n], f)
-        num_b = (pn0 * pm0 / tbl.h[n - 1],
+        num_b = (polys[n].at_zero * polys[n - 1].at_zero / tbl.h[n - 1],
                  f * tbl.a[n] * (tbl.b[n] + tbl.b[n - 1]),
                  f * tbl.a[n])
-        x = (mp.mpf(0), mp.mpf(1))
-        return LadderPair(n, RationalFn(num_a, x), RationalFn(num_b, x))
+        return LadderPair(n, cal_a, RationalFn(num_b, (mp.mpf(0), mp.mpf(1))))
 
 
 def _cal_A(tbl: RecurrenceTable, polys: tuple, n: int) -> RationalFn:

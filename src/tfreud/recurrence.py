@@ -316,10 +316,10 @@ def scaling_check(tbl_z: RecurrenceTable, tbl_1: RecurrenceTable, n: int):
         return da, db
 
 
-def h_scaling_check(z, n: int, ctx: PrecisionContext) -> mp.mpf:
+def h_scaling_check(tbl_z: RecurrenceTable, tbl_1: RecurrenceTable, n: int,
+                    ctx: PrecisionContext) -> mp.mpf:
     """Relative residual of h_n(z) = z^(-(2n+1)/4) * h_n(1)."""
-    tbl_z = chebyshev_coeffs(z, n, ctx)
-    tbl_1 = chebyshev_coeffs(1, n, ctx)
+    if n < 0 or n > min(tbl_z.n_max, tbl_1.n_max):
+        raise IndexError(f"n outside both tables, got {n}")
     with mp.workprec(ctx.bits + 32):
-        zv = mp.mpf(z)
-        return tbl_z.h[n] * zv ** (mp.mpf(2 * n + 1) / 4) / tbl_1.h[n] - 1
+        return tbl_z.h[n] * tbl_z.z ** (mp.mpf(2 * n + 1) / 4) / tbl_1.h[n] - 1

@@ -15,6 +15,9 @@
   other, F collapses to the elementary closed form
       F(w) = V^7 + (21/5) w V^5 + 7 w^2 V^3 + 7 w^3 V,   V = sqrt(1-w),
   which integrates to an incomplete-beta CDF with total mass exactly 1.
+  density() evaluates that closed form; the Gauss series
+  (kernel.hyp2f1_series) and the integral form below are kept as
+  independent cross-checks of it.
 * The integral form of the density is (1/(pi t)) int ds/(sqrt(4 c s^(1/4)
   - x) sqrt(x)) taken over s where the radicand is positive, i.e. from
   s_0 = (x/(4c))^4 up to t; substituting s = s_0 + v^2 removes the
@@ -30,20 +33,9 @@ from dataclasses import dataclass
 
 import mpmath as mp
 
-from .kernel import (
-    DomainError,
-    PrecisionContext,
-    hyp2f1_series,
-    tridiag_eigenvalues,
-)
+from .kernel import DomainError, PrecisionContext, tridiag_eigenvalues
 from .operators import ladder_pair, ttrr_eval_d2
 from .recurrence import RecurrenceTable, chebyshev_coeffs
-
-# Width of the band next to w = 1 where density() switches to the integral
-# form.  The plain Gauss series needs about ln(1/tol)/(1-w) terms, so close
-# to the support edge it stalls (6e7 terms by w = 1 - 1e-6); the integral
-# form is exact on the whole support and cheap, so it takes over early.
-SERIES_CUTOFF = mp.mpf("0.05")
 
 
 @dataclass(frozen=True)
@@ -120,16 +112,14 @@ def interlacing_margin(outer: ZeroSet, inner: ZeroSet) -> mp.mpf:
     return margin
 
 
-def zero_scaling_check(n: int, z, ctx: PrecisionContext) -> mp.mpf:
-    """max_k |x_{n,k}(z) * z^(1/4) - x_{n,k}(1)|."""
+def zero_scaling_check(zs_z: ZeroSet, zs_1: ZeroSet, ctx: PrecisionContext) -> mp.mpf:
+    """max_k |x_{n,k}(z) * z^(1/4) - x_{n,k}(1)| for the zeros of one degree
+    at z and at z = 1."""
+    if zs_z.n != zs_1.n:
+        raise DomainError(f"need one degree, got {zs_z.n} and {zs_1.n}")
     with ctx.workprec(32):
-        zv = mp.mpf(z)
-        t_z = chebyshev_coeffs(zv, n, ctx)
-        t_1 = chebyshev_coeffs(mp.mpf(1), n, ctx)
-        zs = zeros(t_z, n, ctx)
-        os = zeros(t_1, n, ctx)
-        f = zv ** mp.mpf("0.25")
-        return max(abs(zs[k] * f - os[k]) for k in range(n))
+        f = zs_z.z ** mp.mpf("0.25")
+        return max(abs(zs_z[k] * f - zs_1[k]) for k in range(zs_z.n))
 
 
 # ---------------------------------------------------------------------------
@@ -202,17 +192,13 @@ def _density_prefactor(x, t):
 
 
 def density(x, t, ctx: PrecisionContext) -> mp.mpf:
-    """omega(x, t) by the Gauss series; switches to the integral form when
-    the argument w = x/(4 c t^(1/4)) is within SERIES_CUTOFF of 1."""
+    """omega(x, t) through the closed form of F at w = x/(4 c t^(1/4))."""
     with ctx.workprec(32):
         xv, tv = mp.mpf(x), mp.mpf(t)
         model = DensityModel.for_t(tv, ctx)
         if not 0 < xv < model.beta_t:
             raise DomainError(f"x must lie in (0, {mp.nstr(model.beta_t, 8)})")
-        w = xv / model.beta_t
-        if w >= 1 - SERIES_CUTOFF:
-            return density_integral(xv, tv, ctx)
-        f = hyp2f1_series(mp.mpf("0.5"), mp.mpf("-3.5"), mp.mpf("-2.5"), w, ctx)
+        f = density_closed_form(xv / model.beta_t, ctx)
         return ctx.round(_density_prefactor(xv, tv) * f)
 
 
@@ -394,16 +380,14 @@ def electro_energy(positions, n: int, z, tbl: RecurrenceTable,
     return ElectroSystem(tuple(pts), n, mp.mpf(z), energy, tuple(grad))
 
 
-def stationarity_check(tbl: RecurrenceTable, polys: tuple, n: int,
-                       ctx: PrecisionContext) -> mp.mpf:
-    """max |gradient at the computed zeros| divided by the gradient scale at
+def stationarity_check(tbl: RecurrenceTable, polys: tuple, zs: ZeroSet) -> mp.mpf:
+    """max |gradient at the zeros zs of P_n| divided by the gradient scale at
     the same configuration stretched by 1%: small iff the zeros really are
     the equilibrium."""
-    zs = zeros(tbl, n, ctx)
-    sys0 = electro_energy(zs.values, n, tbl.z, tbl, polys)
+    sys0 = electro_energy(zs.values, zs.n, tbl.z, tbl, polys)
     bumped = [v * (1 + mp.mpf("0.01") * (1 if k % 2 else -1))
               for k, v in enumerate(zs.values)]
-    sysp = electro_energy(bumped, n, tbl.z, tbl, polys)
+    sysp = electro_energy(bumped, zs.n, tbl.z, tbl, polys)
     scale = max(abs(g) for g in sysp.gradient)
     return max(abs(g) for g in sys0.gradient) / scale
 

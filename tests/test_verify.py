@@ -4,9 +4,11 @@ from __future__ import annotations
 import pytest
 from mpmath import mp
 
+from tfreud import verify
 from tfreud.kernel import DomainError, PrecisionContext, default_bits
 from tfreud.recurrence import chebyshev_coeffs
-from tfreud.verify import inject_fault, parse_fault, run_verification
+from tfreud.verify import SCALE_Z, inject_fault, parse_fault, run_verification
+from tfreud.zeros import zeros
 
 LF_NAMES = {"lf-eq1", "lf-eq12", "lf-nonlinear"}
 
@@ -40,6 +42,34 @@ def test_fault_injection_fails():
     passed = {r.name for r in rep.records if r.passed}
     assert "moment-recurrence" in passed
     assert "interlacing" in passed
+
+
+def test_negative_residual_fails():
+    # this fault drives the identity-ii residual negative; it must still fail
+    rep = run_verification(z_values=(1,), n_max=8, fault="b:5:-1e-40")
+    rec = next(r for r in rep.records if r.name == "identity-ii")
+    assert not rec.passed
+    assert not rep.overall
+
+
+def test_tables_and_zero_sets_built_once(monkeypatch):
+    builds, solves = [], []
+
+    def counted_build(z, n_max, ctx, *rest):
+        builds.append(mp.mpf(z))
+        return chebyshev_coeffs(z, n_max, ctx, *rest)
+
+    def counted_zeros(tbl, n, ctx, *rest):
+        solves.append((tbl, n))
+        return zeros(tbl, n, ctx, *rest)
+
+    monkeypatch.setattr(verify, "chebyshev_coeffs", counted_build)
+    monkeypatch.setattr(verify, "zeros", counted_zeros)
+    run_verification(n_max=8)
+    assert len(solves) == len(set(solves))
+    # one table per z of the default triple and of SCALE_Z, plus the two
+    # builds of the precision-doubling check
+    assert len(builds) == len({mp.mpf(1) / 4, mp.mpf(1), mp.mpf(4), *SCALE_Z}) + 2
 
 
 def test_policy_gate_flags_low_bits():

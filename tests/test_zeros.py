@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from tfreud.kernel import DomainError, PrecisionContext
+from tfreud.cli import REF_ERRATA, REF_LARGEST, REF_SMALLEST
+from tfreud.kernel import DomainError, PrecisionContext, hyp2f1_series
 from tfreud.operators import poly_table, ttrr_eval_d2
 from tfreud.recurrence import chebyshev_coeffs
 from tfreud.zeros import (
@@ -35,26 +36,6 @@ from tfreud.zeros import (
 )
 
 CTX = PrecisionContext(256)
-
-# Reference values for the smallest and largest zero at z = 1, rounded to
-# 4 decimals.  Three tail entries (marked) disagree with the recomputed
-# zeros at every working precision; the recomputed digits are what the
-# suite asserts, and the divergence is checked explicitly below.
-REF_SMALLEST = {
-    1: "0.4889", 2: "0.2363", 3: "0.1372", 4: "0.0901", 5: "0.0640",
-    6: "0.0480", 7: "0.0375", 8: "0.0302", 9: "0.0249", 10: "0.0209",
-    11: "0.0178", 12: "0.0154", 13: "0.0135", 14: "0.0115",
-}
-REF_LARGEST = {
-    1: "0.4889", 2: "0.8808", 3: "1.1103", 4: "1.2740", 5: "1.4024",
-    6: "1.5088", 7: "1.6002", 8: "1.6804", 9: "1.7522", 10: "1.8174",
-    11: "1.8771", 12: "1.9323", 13: "1.9843", 14: "2.0393",
-}
-DIVERGENT = {
-    ("smallest", 14): "0.0119",
-    ("largest", 13): "1.9837",
-    ("largest", 14): "2.0318",
-}
 
 
 def round4(x) -> int:
@@ -112,10 +93,10 @@ def test_reference_table_4dp(zsets):
         got_small = round4(zsets[n][0])
         got_large = round4(zsets[n][n - 1])
         for kind, got in (("smallest", got_small), ("largest", got_large)):
-            ref = ref4(REF_SMALLEST[n] if kind == "smallest" else REF_LARGEST[n])
-            if (kind, n) in DIVERGENT:
+            ref = ref4((REF_SMALLEST if kind == "smallest" else REF_LARGEST)[n - 1])
+            if (kind, n) in REF_ERRATA:
                 assert got != ref
-                assert got == ref4(DIVERGENT[(kind, n)])
+                assert got == ref4(REF_ERRATA[(kind, n)])
             else:
                 assert got == ref
 
@@ -161,9 +142,13 @@ def test_interlacing_property(zsets, n):
 
 
 def test_zero_scaling():
-    assert zero_scaling_check(5, 16, CTX) <= mp.mpf("1e-12")
-    assert zero_scaling_check(10, mp.mpf(1) / 16, CTX) <= mp.mpf("1e-12")
-    assert zero_scaling_check(7, 1, CTX) == 0
+    def zero_set(z, n):
+        return zeros(chebyshev_coeffs(z, n, CTX), n, CTX)
+
+    assert zero_scaling_check(zero_set(16, 5), zero_set(1, 5), CTX) <= mp.mpf("1e-12")
+    assert (zero_scaling_check(zero_set(mp.mpf(1) / 16, 10), zero_set(1, 10), CTX)
+            <= mp.mpf("1e-12"))
+    assert zero_scaling_check(zero_set(1, 7), zero_set(1, 7), CTX) == 0
 
 
 def test_scaling_is_exact_halving():
@@ -254,24 +239,20 @@ def test_density_domain():
 
 
 def test_density_closed_form_matches_series():
-    model = DensityModel.for_t(1, CTX)
-    c = mp.mpf(140) ** mp.mpf("-0.25")
-    pref = 4 / (7 * mp.pi * mp.sqrt(c))
     for wq in ("0.05", "0.3", "0.6", "0.9"):
         w = mp.mpf(wq)
-        x = w * model.beta_t
-        via_closed = pref * density_closed_form(w, CTX) / mp.sqrt(x)
-        got = density(x, 1, CTX)
-        assert abs(got - via_closed) <= CTX.verify_tol(got)
+        series = hyp2f1_series(mp.mpf("0.5"), mp.mpf("-3.5"), mp.mpf("-2.5"), w, CTX)
+        assert abs(density_closed_form(w, CTX) - series) <= CTX.verify_tol(series)
 
 
 def test_density_series_vs_integral():
     model = DensityModel.for_t(1, CTX)
-    for wq in ("0.05", "0.2", "0.5", "0.7", "0.9"):
+    # 0.97 and 0.999 lie in the band next to the support edge
+    for wq in ("0.05", "0.2", "0.5", "0.7", "0.9", "0.97", "0.999"):
         x = mp.mpf(wq) * model.beta_t
-        series = density(x, 1, CTX)
+        closed = density(x, 1, CTX)
         integral = density_integral(x, 1, CTX)
-        assert abs(series - integral) / series <= mp.mpf("1e-8")
+        assert abs(closed - integral) / closed <= mp.mpf("1e-8")
 
 
 def test_density_small_x_limit():
@@ -322,10 +303,10 @@ def test_empirical_distance_trend():
 # electrostatics
 # ---------------------------------------------------------------------------
 
-def test_stationarity(t14):
+def test_stationarity(t14, zsets):
     tbl, polys = t14
-    assert stationarity_check(tbl, polys, 6, CTX) <= mp.mpf("1e-10")
-    assert stationarity_check(tbl, polys, 12, CTX) <= mp.mpf("1e-8")
+    assert stationarity_check(tbl, polys, zsets[6]) <= mp.mpf("1e-10")
+    assert stationarity_check(tbl, polys, zsets[12]) <= mp.mpf("1e-8")
 
 
 def test_energy_permutation_invariance(t14, zsets):
