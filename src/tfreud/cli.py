@@ -79,22 +79,23 @@ class RunConfig:
 
     @property
     def dps(self) -> int:
-        return int(self.bits * mp.mpf("0.30103")) + 2
+        return self.bits * 30103 // 100000 + 2
 
     @classmethod
     def from_args(cls, args) -> "RunConfig":
-        z = mp.mpf(args.z) if args.z is not None else mp.mpf(1)
-        if not z > 0:
-            raise DomainError(f"--z must be positive, got {args.z}")
         if args.n_max < 1:
             raise DomainError(f"--n-max must be >= 1, got {args.n_max}")
         bits = args.bits if args.bits is not None else default_bits(args.n_max)
         if bits < 64:
             raise DomainError(f"--bits must be >= 64, got {bits}")
+        with PrecisionContext(bits).workprec():
+            z = mp.mpf(args.z) if args.z is not None else mp.mpf(1)
+            ts = tuple(mp.mpf(t) for t in (args.t or ["1"]))
+        if not z > 0:
+            raise DomainError(f"--z must be positive, got {args.z}")
         epsilon = mp.mpf(args.epsilon)
         if not epsilon > 0:
             raise DomainError(f"--epsilon must be positive, got {args.epsilon}")
-        ts = tuple(mp.mpf(t) for t in (args.t or ["1"]))
         if any(not t > 0 for t in ts):
             raise DomainError("--t values must be positive")
         if args.round is not None and args.round < 0:
@@ -106,7 +107,7 @@ class RunConfig:
 
 def round_half_away(x, digits: int) -> str:
     """Decimal string with exactly `digits` places, ties away from zero."""
-    with mp.workprec(max(mp.mp.prec, 256)):
+    with mp.workprec(256):
         xv = mp.mpf(x)
         q = int(mp.floor(abs(xv) * mp.mpf(10) ** digits + mp.mpf("0.5")))
         negative = xv < 0 and q > 0
@@ -160,7 +161,7 @@ def write_table(cfg: RunConfig, columns: list, rows: list, out_path=None) -> Non
 
 def cmd_moments(cfg: RunConfig) -> int:
     ctx = PrecisionContext(cfg.bits)
-    with mp.workprec(ctx.bits + 64):
+    with ctx.workprec(64):
         mseq = MomentSequence.build(cfg.z, 2 * cfg.n_max + 1, ctx)
         rows = [{"n": n, "mu_n": mseq[n]} for n in range(2 * cfg.n_max + 2)]
     write_table(cfg, ["n", "mu_n"], rows)
@@ -169,7 +170,7 @@ def cmd_moments(cfg: RunConfig) -> int:
 
 def cmd_coeffs(cfg: RunConfig) -> int:
     ctx = PrecisionContext(cfg.bits)
-    with mp.workprec(ctx.bits + 64):
+    with ctx.workprec(64):
         tbl = chebyshev_coeffs(cfg.z, cfg.n_max, ctx)
         rows = []
         for n in range(cfg.n_max + 1):
@@ -186,7 +187,7 @@ def cmd_zeros(cfg: RunConfig) -> int:
         if cfg.z != 1:
             raise DomainError("--table-check compares z = 1 values; do not pass --z")
         return _table_check(cfg, ctx)
-    with mp.workprec(ctx.bits + 64):
+    with ctx.workprec(64):
         tbl = chebyshev_coeffs(cfg.z, cfg.n_max, ctx)
         rows = []
         if cfg.all_zeros:
@@ -207,7 +208,7 @@ def _table_check(cfg: RunConfig, ctx: PrecisionContext) -> int:
     n_top = 14
     if cfg.n_max < n_top:
         raise DomainError(f"--table-check needs --n-max >= {n_top}")
-    with mp.workprec(ctx.bits + 64):
+    with ctx.workprec(64):
         tbl = chebyshev_coeffs(1, n_top, ctx)
         rows = []
         mismatches = 0
@@ -236,9 +237,9 @@ def cmd_density(cfg: RunConfig) -> int:
     ctx = PrecisionContext(cfg.bits)
     multi = len(cfg.ts) > 1
     for t in cfg.ts:
-        with mp.workprec(ctx.bits + 64):
+        with ctx.workprec(64):
             model = DensityModel.for_t(t, ctx)
-            total = density_normalization(t, ctx)
+            total = density_normalization(t)
             rows = []
             for j in range(DENSITY_POINTS):
                 x = model.beta_t * (2 * j + 1) / (2 * DENSITY_POINTS)
@@ -283,7 +284,7 @@ def cmd_figures(cfg: RunConfig) -> int:
         write_table(cfg, columns, rows, out_path=path)
         written.append(path)
 
-    with mp.workprec(ctx.bits + 64):
+    with ctx.workprec(64):
         rows = []
         for t in (mp.mpf("0.5"), mp.mpf(1), mp.mpf(2)):
             model = DensityModel.for_t(t, ctx)

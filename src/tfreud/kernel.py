@@ -13,6 +13,8 @@ import mpmath as mp
 
 # Fixed slack absorbing benign rounding accumulation across O(n^2) arithmetic.
 SLACK_BITS = 12
+# Guard bits over a table's precision for every evaluation on the table.
+RESIDUAL_GUARD_BITS = 96
 
 
 class DomainError(ValueError):
@@ -58,11 +60,6 @@ class PrecisionContext:
         """Round x to this context's precision (exact binary value)."""
         with mp.workprec(self.bits):
             return +mp.mpf(x)
-
-    @property
-    def dps(self) -> int:
-        # decimal digits carried by `bits` binary digits, plus a guard digit
-        return int(self.bits / 3.3219280948873626) + 1
 
 
 def default_bits(n_max: int) -> int:

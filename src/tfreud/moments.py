@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import mpmath as mp
 
-from .kernel import DomainError, PrecisionContext, gamma
+from .kernel import RESIDUAL_GUARD_BITS, DomainError, PrecisionContext, gamma
 
 
 def moment(n: int, z, ctx: PrecisionContext) -> mp.mpf:
@@ -32,10 +32,12 @@ def moment(n: int, z, ctx: PrecisionContext) -> mp.mpf:
 
 @dataclass(frozen=True)
 class MomentSequence:
-    """mu_0..mu_N at a fixed z, generated from the closed form."""
+    """mu_0..mu_N at a fixed z, generated from the closed form at the
+    precision of `ctx`."""
 
     z: mp.mpf
     values: tuple
+    ctx: PrecisionContext
 
     @classmethod
     def build(cls, z, N: int, ctx: PrecisionContext) -> "MomentSequence":
@@ -43,7 +45,7 @@ class MomentSequence:
             raise DomainError(f"N must be >= 0, got {N}")
         with ctx.workprec(16):
             zv = +mp.mpf(z)
-        return cls(zv, tuple(moment(n, zv, ctx) for n in range(N + 1)))
+        return cls(zv, tuple(moment(n, zv, ctx) for n in range(N + 1)), ctx)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -56,7 +58,7 @@ def moment_recurrence_residual(mseq: MomentSequence, n: int) -> mp.mpf:
     """4z*mu_{n+4} - (n+1)*mu_n; zero in exact arithmetic."""
     if n < 0 or n + 4 >= len(mseq.values):
         raise IndexError(f"need indices n={n} and n+4 inside 0..{len(mseq.values) - 1}")
-    with mp.workprec(mp.mp.prec + 32):
+    with mseq.ctx.workprec(RESIDUAL_GUARD_BITS):
         return 4 * mseq.z * mseq.values[n + 4] - (n + 1) * mseq.values[n]
 
 
@@ -89,8 +91,8 @@ def pearson_product(z, ctx: PrecisionContext) -> mp.mpf:
 def pearson_data(z, ctx: PrecisionContext) -> PearsonData:
     with ctx.workprec(16):
         zv = +mp.mpf(z)
+        psi = (mp.mpf(-1), mp.mpf(0), mp.mpf(0), mp.mpf(0), 4 * zv)
     phi = (mp.mpf(0), mp.mpf(1))
-    psi = (mp.mpf(-1), mp.mpf(0), mp.mpf(0), mp.mpf(0), 4 * zv)
     # class reduces below max(deg phi - 2, deg psi - 1) only if the product
     # over roots of phi vanishes; here it is 1, so no reduction
     cls = max(len(phi) - 1 - 2, len(psi) - 1 - 1) if pearson_product(zv, ctx) > 0 else -1

@@ -37,16 +37,13 @@ from .kernel import (
     poly_sub,
     poly_trim,
 )
-from .recurrence import RecurrenceTable, chebyshev_coeffs
-
-POLY_GUARD_PER_DEGREE = 2
+from .recurrence import RecurrenceTable
 
 
-def sample_grid(n: int, z, count: int = 16, lo=None, ctx: PrecisionContext | None = None):
+def sample_grid(n: int, z, ctx: PrecisionContext, count: int = 16, lo=None):
     """Log-spaced sample points in (0.01, 4*(n/(140z))^(1/4) + 1): covers the
     oscillatory region of P_n and a margin of tail."""
-    prec = ctx.bits + 16 if ctx is not None else mp.mp.prec
-    with mp.workprec(prec):
+    with ctx.workprec(64):
         zv = mp.mpf(z)
         lov = mp.mpf(lo) if lo is not None else mp.mpf("0.01")
         hiv = 4 * (mp.mpf(max(n, 1)) / (140 * zv)) ** mp.mpf("0.25") + 1
@@ -54,17 +51,15 @@ def sample_grid(n: int, z, count: int = 16, lo=None, ctx: PrecisionContext | Non
         return [mp.exp(llo + (lhi - llo) * k / (count - 1)) for k in range(count)]
 
 
-def poly_table(z, n_max: int, ctx: PrecisionContext,
-               tbl: RecurrenceTable | None = None) -> tuple:
-    """P_0..P_{n_max} as MonicPoly, built by the recurrence
-    P_{k+1} = (x - b_k) P_k - a_k P_{k-1} from the given (or computed) table."""
+def poly_table(tbl: RecurrenceTable, n_max: int) -> tuple:
+    """P_0..P_{n_max} as MonicPoly at the table's precision, built by the
+    recurrence P_{k+1} = (x - b_k) P_k - a_k P_{k-1}."""
     if n_max < 0:
         raise DomainError(f"n_max must be >= 0, got {n_max}")
-    if tbl is None:
-        tbl = chebyshev_coeffs(z, n_max, ctx)
     if tbl.n_max < n_max:
         raise DomainError(f"table holds n <= {tbl.n_max}, need {n_max}")
-    with mp.workprec(ctx.bits + 32):
+    ctx = tbl.ctx
+    with ctx.workprec(32):
         polys = [[mp.mpf(1)]]
         if n_max >= 1:
             polys.append([-tbl.b[0], mp.mpf(1)])
@@ -97,16 +92,17 @@ def ttrr_eval_d2(tbl: RecurrenceTable, n: int, x) -> tuple:
     """
     if n < 0 or n > tbl.n_max + 1:
         raise IndexError(f"need 0 <= n <= {tbl.n_max + 1}, got {n}")
-    xv = mp.mpf(x)
-    p_prev, p = mp.mpf(0), mp.mpf(1)
-    d_prev, d = mp.mpf(0), mp.mpf(0)
-    s_prev, s = mp.mpf(0), mp.mpf(0)
-    for k in range(n):
-        w = xv - tbl.b[k]
-        ak = tbl.a[k]
-        p, p_prev = w * p - ak * p_prev, p
-        d, d_prev = p_prev + w * d - ak * d_prev, d
-        s, s_prev = 2 * d_prev + w * s - ak * s_prev, s
+    with tbl.workprec():
+        xv = mp.mpf(x)
+        p_prev, p = mp.mpf(0), mp.mpf(1)
+        d_prev, d = mp.mpf(0), mp.mpf(0)
+        s_prev, s = mp.mpf(0), mp.mpf(0)
+        for k in range(n):
+            w = xv - tbl.b[k]
+            ak = tbl.a[k]
+            p, p_prev = w * p - ak * p_prev, p
+            d, d_prev = p_prev + w * d - ak * d_prev, d
+            s, s_prev = 2 * d_prev + w * s - ak * s_prev, s
     return p, d, s
 
 
@@ -184,7 +180,7 @@ def beta_row(tbl: RecurrenceTable, n: int) -> BetaRow:
     (their formulas vanish through a_0 = 0 in exact arithmetic)."""
     if n < 0 or n > tbl.n_max - 3:
         raise IndexError(f"beta row needs 0 <= n <= {tbl.n_max - 3}, got {n}")
-    with mp.workprec(mp.mp.prec + 32):
+    with tbl.workprec():
         return BetaRow(n, _beta_terms(tbl, n))
 
 
@@ -194,7 +190,7 @@ def beta_lower(tbl: RecurrenceTable, m: int) -> dict:
     carry exact zeros through the a_0 = 0 convention."""
     if m < 1 or m > tbl.n_max - 1:
         raise IndexError(f"need 1 <= m <= {tbl.n_max - 1}, got {m}")
-    with mp.workprec(mp.mp.prec + 32):
+    with tbl.workprec():
         return _beta_lower_terms(tbl, m)
 
 
@@ -239,7 +235,7 @@ def structure_coeffs(tbl: RecurrenceTable, n: int) -> tuple:
     if n < 0 or n > tbl.n_max - 2:
         raise IndexError(f"need 0 <= n <= {tbl.n_max - 2}, got {n}")
     lower = beta_lower(tbl, n + 1)
-    with mp.workprec(mp.mp.prec + 32):
+    with tbl.workprec():
         return tuple(4 * tbl.z * lower[n - j] for j in range(4))
 
 
@@ -250,7 +246,7 @@ def structure_coeffs_explicit(tbl: RecurrenceTable, n: int) -> tuple:
         raise IndexError(f"need 0 <= n <= {tbl.n_max - 2}, got {n}")
     R, T = tbl.R, tbl.T
     A, Tt, Rr = _guards(tbl)
-    with mp.workprec(mp.mp.prec + 32):
+    with tbl.workprec():
         f = 4 * tbl.z
         c0 = f * (A(n + 1) * (T(n + 2) + Tt(n)) + T(n + 1) * (R(n + 1) + R(n)))
         c1 = f * (A(n + 1) * A(n) * (R(n + 1) + Rr(n - 1)) + T(n + 1) * Tt(n))
@@ -265,7 +261,7 @@ def structure_residual(tbl: RecurrenceTable, polys: tuple, n: int) -> list:
     if n + 1 > len(polys) - 1:
         raise IndexError(f"polys holds degrees <= {len(polys) - 1}, need {n + 1}")
     coeffs = structure_coeffs(tbl, n)
-    with mp.workprec(mp.mp.prec + 32):
+    with tbl.workprec():
         p = list(polys[n + 1].coeffs)
         res = [mp.mpf(0)] + poly_diff(p)          # x * P'
         res = poly_sub(res, poly_scale(p, mp.mpf(n + 1)))
@@ -293,15 +289,12 @@ class LadderPair:
 def ladder_pair(tbl: RecurrenceTable, polys: tuple, n: int) -> LadderPair:
     if n < 1 or n > tbl.n_max - 1:
         raise IndexError(f"need 1 <= n <= {tbl.n_max - 1}, got {n}")
-    # _cal_A sets its own working precision; calling it outside the block
-    # below keeps calA_n at the same precision as calB_n
-    cal_a = _cal_A(tbl, polys, n)
-    with mp.workprec(mp.mp.prec + 32):
+    with tbl.workprec():
         f = 4 * tbl.z
         num_b = (polys[n].at_zero * polys[n - 1].at_zero / tbl.h[n - 1],
                  f * tbl.a[n] * (tbl.b[n] + tbl.b[n - 1]),
                  f * tbl.a[n])
-        return LadderPair(n, cal_a, RationalFn(num_b, (mp.mpf(0), mp.mpf(1))))
+        return LadderPair(n, _cal_A(tbl, polys, n), RationalFn(num_b, (mp.mpf(0), mp.mpf(1))))
 
 
 def _cal_A(tbl: RecurrenceTable, polys: tuple, n: int) -> RationalFn:
@@ -309,7 +302,7 @@ def _cal_A(tbl: RecurrenceTable, polys: tuple, n: int) -> RationalFn:
     (calB_0 would need b_{-1}, but calA_0 is perfectly defined)."""
     if n < 0 or n > tbl.n_max - 1:
         raise IndexError(f"need 0 <= n <= {tbl.n_max - 1}, got {n}")
-    with mp.workprec(mp.mp.prec + 32):
+    with tbl.workprec():
         f = 4 * tbl.z
         pn0 = polys[n].at_zero
         return RationalFn((pn0 ** 2 / tbl.h[n], f * tbl.R(n), f * tbl.b[n], f),
@@ -321,7 +314,7 @@ def identity_i_residual(tbl: RecurrenceTable, polys: tuple, n: int) -> tuple:
     matching side (for tolerance scaling)."""
     if n < 0 or n > tbl.n_max - 1:
         raise IndexError(f"need 0 <= n <= {tbl.n_max - 1}, got {n}")
-    with mp.workprec(mp.mp.prec + 32):
+    with tbl.workprec():
         lhs = 4 * tbl.z * (tbl.T(n + 1) + tbl.b[n] * tbl.R(n) + tbl.T(n))
         rhs = polys[n].at_zero ** 2 / tbl.h[n]
         return lhs - rhs, max(abs(lhs), abs(rhs))
@@ -332,7 +325,7 @@ def identity_ii_residual(tbl: RecurrenceTable, polys: tuple, n: int) -> tuple:
     - [1 + P_n(0)(P_{n+1}(0) - a_n P_{n-1}(0))/h_n], plus the scale."""
     if n < 1 or n > tbl.n_max - 2:
         raise IndexError(f"need 1 <= n <= {tbl.n_max - 2}, got {n}")
-    with mp.workprec(mp.mp.prec + 32):
+    with tbl.workprec():
         lhs = 4 * tbl.z * (tbl.a[n + 1] * tbl.R(n + 1) - tbl.a[n] * tbl.R(n - 1)
                            + tbl.b[n] * (tbl.T(n + 1) - tbl.T(n)))
         rhs = 1 + polys[n].at_zero * (polys[n + 1].at_zero
@@ -357,7 +350,7 @@ def compat_residuals(tbl: RecurrenceTable, polys: tuple, n: int, x_samples) -> t
     B_up = ladder_pair(tbl, polys, n + 1).B
     r1 = mp.mpf(0)
     r2 = mp.mpf(0)
-    with mp.workprec(mp.mp.prec + 32):
+    with tbl.workprec():
         f = 4 * tbl.z
         for x in x_samples:
             if x == 0:
@@ -401,7 +394,7 @@ def lowering_data(tbl: RecurrenceTable, n: int) -> LoweringData:
         raise IndexError(f"need 2 <= n <= {tbl.n_max - 2}, got {n}")
     c0, c1, c2, c3 = structure_coeffs(tbl, n)
     a, b = tbl.a, tbl.b
-    with mp.workprec(mp.mp.prec + 32):
+    with tbl.workprec():
         # P_{n-1} = q1*P_n - (1/a_n)*P_{n+1}, q1 = (x-b_n)/a_n
         # P_{n-2} = q2*P_n - ((x-b_{n-1})/(a_n a_{n-1}))*P_{n+1}
         # P_{n-3} = q3*P_n - (((x-b_{n-2})(x-b_{n-1})-a_{n-1})/(a_n a_{n-1} a_{n-2}))*P_{n+1}
@@ -441,7 +434,7 @@ def lowering_C_via_beta(tbl: RecurrenceTable, n: int, x) -> mp.mpf:
         raise IndexError(f"need 2 <= n <= {tbl.n_max - 2}, got {n}")
     lower = beta_lower(tbl, n + 1)
     a, b = tbl.a, tbl.b
-    with mp.workprec(mp.mp.prec + 32):
+    with tbl.workprec():
         xv = mp.mpf(x)
         inner = (xv - b[n - 1]) * (xv - b[n]) - a[n]
         val = (lower[n]
@@ -453,11 +446,11 @@ def lowering_C_via_beta(tbl: RecurrenceTable, n: int, x) -> mp.mpf:
         return 4 * tbl.z * val
 
 
-def lowering_apply(polys: tuple, data: LoweringData, n: int) -> list:
+def lowering_apply(polys: tuple, data: LoweringData, tbl: RecurrenceTable, n: int) -> list:
     """x P'_{n+1} + D_n P_{n+1} - C_n P_n as a dense polynomial (zero)."""
     if n != data.n:
         raise DomainError(f"data built for n={data.n}, asked to apply at {n}")
-    with mp.workprec(mp.mp.prec + 32):
+    with tbl.workprec():
         p_up = list(polys[n + 1].coeffs)
         res = [mp.mpf(0)] + poly_diff(p_up)
         res = poly_add(res, poly_mul(list(data.D), p_up))
@@ -472,7 +465,7 @@ def raising_apply(polys: tuple, data: LoweringData, tbl: RecurrenceTable, n: int
         raise DomainError(f"data built for n={data.n}, asked to apply at {n}")
     if n + 2 > len(polys) - 1:
         raise IndexError(f"polys holds degrees <= {len(polys) - 1}, need {n + 2}")
-    with mp.workprec(mp.mp.prec + 32):
+    with tbl.workprec():
         p_up = list(polys[n + 1].coeffs)
         core = [mp.mpf(0)] + poly_diff(p_up)
         core = poly_add(core, poly_mul(list(data.D), p_up))
@@ -500,9 +493,9 @@ def holonomic_residual_Dn(polys: tuple, data: LoweringData, tbl: RecurrenceTable
     prev = lowering_data(tbl, n - 1)
     A_n, B_n = data.A, data.B
     A_p, B_p = prev.A, prev.B
-    dA = A_n.derivative()
-    dB = B_n.derivative()
-    with mp.workprec(mp.mp.prec + 32):
+    with tbl.workprec():
+        dA = A_n.derivative()
+        dB = B_n.derivative()
         an, bn = tbl.a[n], tbl.b[n]
         worst = mp.mpf(0)
         for x in x_samples:
@@ -540,9 +533,9 @@ def holonomic_residual_chen(tbl: RecurrenceTable, polys: tuple, n: int,
     A_n = _cal_A(tbl, polys, n)
     A_dn = _cal_A(tbl, polys, n - 1)
     B_n = ladder_pair(tbl, polys, n).B
-    dA = A_n.derivative()
-    dB = B_n.derivative()
-    with mp.workprec(mp.mp.prec + 32):
+    with tbl.workprec():
+        dA = A_n.derivative()
+        dB = B_n.derivative()
         f = 4 * tbl.z
         worst = mp.mpf(0)
         for x in x_samples:
@@ -567,7 +560,7 @@ def confluent_check(polys: tuple, tbl: RecurrenceTable, n: int, x_samples) -> mp
     per sample produces every P_k(x) and the two derivatives at the top."""
     if n + 1 > len(polys) - 1 or n > tbl.n_max:
         raise IndexError(f"need n+1 <= {len(polys) - 1}, got n={n}")
-    with mp.workprec(mp.mp.prec + 32):
+    with tbl.workprec():
         worst = mp.mpf(0)
         for x in x_samples:
             xv = mp.mpf(x)
@@ -593,7 +586,7 @@ def lax_block_check(tbl: RecurrenceTable, M: int) -> mp.mpf:
         raise DomainError(f"M must be >= 10, got {M}")
     if M > tbl.n_max + 1:
         raise DomainError(f"table too small: M={M} needs n_max >= {M - 1}")
-    with mp.workprec(mp.mp.prec + 32):
+    with tbl.workprec():
         J = jacobi_matrix(tbl, M)
         J2 = mat_mul(J, J)
         J4 = mat_mul(J2, J2)

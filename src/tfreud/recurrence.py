@@ -2,10 +2,12 @@
 
 The monic orthogonal family satisfies x*P_n = P_{n+1} + b_n*P_n + a_n*P_{n-1}
 with a_0 = 0.  Coefficients are produced from moments by the modified-moment
-(Chebyshev) algorithm run at a boosted internal precision: the map from
-moments to coefficients loses roughly 3.1 bits per degree, so the boost grows
-linearly with n_max and the final values are rounded back to the caller's
-precision.
+(Chebyshev) algorithm at a boosted internal precision: a reserve of
+LOSS_BITS_PER_DEGREE = 3.5 bits per degree, although the map from moments to
+coefficients measurably loses 4.1-4.2, so past degree ~90 the top entries
+carry fewer correct bits than the context claims.  Final values are rounded
+to the caller's context, which the table keeps: every evaluation on a table
+runs at RecurrenceTable.workprec(), whatever mpmath's global precision is.
 
 The combinations R_n = a_{n+1} + b_n^2 + a_n and T_n = a_n*(b_n + b_{n-1})
 close the Laguerre-Freud system:
@@ -34,6 +36,7 @@ from fractions import Fraction
 import mpmath as mp
 
 from .kernel import (
+    RESIDUAL_GUARD_BITS,
     ConvergenceError,
     DomainError,
     PrecisionContext,
@@ -41,19 +44,22 @@ from .kernel import (
 )
 from .moments import moment
 
-# measured precision loss of the moment map, bits per degree, plus headroom
+# reserve for the moment map's precision loss, bits per degree (measured: 4.1-4.2)
 LOSS_BITS_PER_DEGREE = 3.5
 BASE_GUARD_BITS = 64
 
 
 @dataclass(frozen=True)
 class RecurrenceTable:
-    """a_0..a_{n_max}, b_0..b_{n_max}, h_0..h_{n_max} at a fixed z; a_0 = 0."""
+    """a_0..a_{n_max}, b_0..b_{n_max}, h_0..h_{n_max} at a fixed z and at the
+    precision of `ctx`; a_0 = 0.  R, T and sigma run at their caller's
+    precision, inside workprec()."""
 
     z: mp.mpf
     a: tuple
     b: tuple
     h: tuple
+    ctx: PrecisionContext
 
     def __post_init__(self):
         if not (len(self.a) == len(self.b) == len(self.h)):
@@ -64,6 +70,10 @@ class RecurrenceTable:
     @property
     def n_max(self) -> int:
         return len(self.b) - 1
+
+    def workprec(self):
+        """The working precision of every evaluation on this table."""
+        return self.ctx.workprec(RESIDUAL_GUARD_BITS)
 
     def R(self, n: int) -> mp.mpf:
         """R_n = a_{n+1} + b_n^2 + a_n; defined for 0 <= n <= n_max - 1."""
@@ -105,7 +115,7 @@ def chebyshev_coeffs(z, n_max: int, ctx: PrecisionContext,
         raise DomainError(f"n_max must be >= 0, got {n_max}")
     work = _internal_bits if _internal_bits is not None else internal_bits_for(ctx, n_max)
     ictx = PrecisionContext(max(64, work))
-    with mp.workprec(ictx.bits + 16):
+    with ictx.workprec(16):
         zv = mp.mpf(z)
         if not zv > 0:
             raise DomainError(f"z must be positive, got {z}")
@@ -140,7 +150,7 @@ def chebyshev_coeffs(z, n_max: int, ctx: PrecisionContext,
         return RecurrenceTable(ctx.round(zv),
                                tuple(ctx.round(v) for v in a),
                                tuple(ctx.round(v) for v in b),
-                               tuple(ctx.round(v) for v in h))
+                               tuple(ctx.round(v) for v in h), ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +167,7 @@ def lf_residual_1(tbl: RecurrenceTable, n: int) -> mp.mpf:
     + a_n a_{n-1}] - (2n+1).  n = 0 uses the a_0 = T_0 = 0 conventions."""
     _check_lf_range(tbl, n, 0)
     a, b = tbl.a, tbl.b
-    with mp.workprec(mp.mp.prec + 32):
+    with tbl.workprec():
         bracket = a[n + 2] * a[n + 1] + tbl.T(n + 1) * (b[n + 1] + b[n]) + tbl.R(n) ** 2
         if n >= 1:
             bracket += tbl.T(n) * (b[n] + b[n - 1]) + a[n] * a[n - 1]
@@ -169,7 +179,7 @@ def lf_residual_2(tbl: RecurrenceTable, n: int) -> mp.mpf:
     + T_{n+1}(R_{n+1}+R_n)] - b_n."""
     _check_lf_range(tbl, n, 1)
     a = tbl.a
-    with mp.workprec(mp.mp.prec + 32):
+    with tbl.workprec():
         bracket = (a[n + 1] * (tbl.T(n + 2) + tbl.T(n))
                    - a[n] * (tbl.T(n + 1) + tbl.T(n - 1))
                    - tbl.T(n) * (tbl.R(n) + tbl.R(n - 1))
@@ -190,7 +200,7 @@ def _lf_I_sides(tbl: RecurrenceTable, n: int):
 def lf_residual_I(tbl: RecurrenceTable, n: int) -> mp.mpf:
     """Nonlinear difference identity: product form minus squared form."""
     _check_lf_range(tbl, n, 0)
-    with mp.workprec(mp.mp.prec + 32):
+    with tbl.workprec():
         lhs, rhs = _lf_I_sides(tbl, n)
         return lhs - rhs
 
@@ -198,17 +208,16 @@ def lf_residual_I(tbl: RecurrenceTable, n: int) -> mp.mpf:
 def lf_scale_I(tbl: RecurrenceTable, n: int) -> mp.mpf:
     """Magnitude of the larger side of the nonlinear identity, for tolerances."""
     _check_lf_range(tbl, n, 0)
-    with mp.workprec(mp.mp.prec + 32):
+    with tbl.workprec():
         lhs, rhs = _lf_I_sides(tbl, n)
         return max(abs(lhs), abs(rhs))
 
 
-def lf_forward(seed, z, n_max: int, ctx: PrecisionContext,
-               reference: RecurrenceTable | None = None):
+def lf_forward(seed, n_max: int, reference: RecurrenceTable):
     """Generate (a, b) forward from seed = (b_0, a_1, b_1) using the two
-    Laguerre-Freud equations as a recursion.  Diagnostic only: the recursion
-    is unstable and the result is compared elementwise against the
-    moment-route table.
+    Laguerre-Freud equations as a recursion, at the z and precision of
+    `reference`.  Diagnostic only: the recursion is unstable and the result
+    is compared elementwise against the moment-route table `reference`.
 
     Returns (table, divergence_index); divergence_index is the first n where
     the forward value drifts from the reference by more than 1000x the
@@ -217,12 +226,8 @@ def lf_forward(seed, z, n_max: int, ctx: PrecisionContext,
     if n_max < 2:
         raise DomainError(f"n_max must be >= 2, got {n_max}")
     b0, a1, b1 = seed
-    if reference is None:
-        reference = chebyshev_coeffs(z, n_max, ctx)
-    with mp.workprec(ctx.bits + 32):
-        zv = mp.mpf(z)
-        if not zv > 0:
-            raise DomainError(f"z must be positive, got {z}")
+    ctx, zv = reference.ctx, reference.z
+    with ctx.workprec(32):
         a = [mp.mpf(0), mp.mpf(a1)]
         b = [mp.mpf(b0), mp.mpf(b1)]
 
@@ -256,15 +261,13 @@ def lf_forward(seed, z, n_max: int, ctx: PrecisionContext,
         tbl = RecurrenceTable(ctx.round(zv),
                               tuple(ctx.round(v) for v in a),
                               tuple(ctx.round(v) for v in b),
-                              tuple(ctx.round(v) for v in h))
-    div = None
-    for n in range(n_max + 1):
-        tol_a = 1000 * ctx.verify_tol(reference.a[n] if reference.a[n] != 0 else 1)
-        tol_b = 1000 * ctx.verify_tol(reference.b[n])
-        if abs(tbl.a[n] - reference.a[n]) > tol_a or abs(tbl.b[n] - reference.b[n]) > tol_b:
-            div = n
-            break
-    return tbl, div
+                              tuple(ctx.round(v) for v in h), ctx)
+        for n in range(n_max + 1):
+            tol_a = 1000 * ctx.verify_tol(reference.a[n] if reference.a[n] != 0 else 1)
+            tol_b = 1000 * ctx.verify_tol(reference.b[n])
+            if abs(tbl.a[n] - reference.a[n]) > tol_a or abs(tbl.b[n] - reference.b[n]) > tol_b:
+                return tbl, n
+    return tbl, None
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +278,7 @@ def asymptotic_ratio(tbl: RecurrenceTable, n: int):
     """(a_n / sqrt(n/(140z)), b_n / (2*(n/(140z))^(1/4))); both tend to 1."""
     if n < 1 or n > tbl.n_max:
         raise IndexError(f"n must satisfy 1 <= n <= {tbl.n_max}, got {n}")
-    with mp.workprec(mp.mp.prec + 32):
+    with tbl.workprec():
         base = mp.mpf(n) / (140 * tbl.z)
         return tbl.a[n] / mp.sqrt(base), tbl.b[n] / (2 * base ** mp.mpf("0.25"))
 
@@ -309,17 +312,16 @@ def scaling_check(tbl_z: RecurrenceTable, tbl_1: RecurrenceTable, n: int):
     """(a_n(z)*z^(1/2)/a_n(1) - 1, b_n(z)*z^(1/4)/b_n(1) - 1)."""
     if n < 0 or n > min(tbl_z.n_max, tbl_1.n_max):
         raise IndexError(f"n outside both tables, got {n}")
-    with mp.workprec(mp.mp.prec + 32):
+    with tbl_z.workprec():
         z = tbl_z.z
         da = (tbl_z.a[n] * mp.sqrt(z) / tbl_1.a[n] - 1) if n >= 1 else mp.mpf(0)
         db = tbl_z.b[n] * z ** mp.mpf("0.25") / tbl_1.b[n] - 1
         return da, db
 
 
-def h_scaling_check(tbl_z: RecurrenceTable, tbl_1: RecurrenceTable, n: int,
-                    ctx: PrecisionContext) -> mp.mpf:
+def h_scaling_check(tbl_z: RecurrenceTable, tbl_1: RecurrenceTable, n: int) -> mp.mpf:
     """Relative residual of h_n(z) = z^(-(2n+1)/4) * h_n(1)."""
     if n < 0 or n > min(tbl_z.n_max, tbl_1.n_max):
         raise IndexError(f"n outside both tables, got {n}")
-    with mp.workprec(ctx.bits + 32):
+    with tbl_z.ctx.workprec(32):
         return tbl_z.h[n] * tbl_z.z ** (mp.mpf(2 * n + 1) / 4) / tbl_1.h[n] - 1

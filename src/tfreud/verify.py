@@ -117,7 +117,8 @@ def inject_fault(tbl: RecurrenceTable, fault) -> RecurrenceTable:
     values = list(getattr(tbl, field))
     if idx >= len(values):
         raise DomainError(f"fault index {idx} outside table 0..{len(values) - 1}")
-    values[idx] = values[idx] + delta
+    with tbl.workprec():
+        values[idx] = values[idx] + delta
     return replace(tbl, **{field: tuple(values)})
 
 
@@ -135,9 +136,9 @@ def _algebraic_verdicts(z, n_max: int, bits: int) -> tuple:
     """Pass/fail pattern of the core identity families at one precision;
     used to confirm the verdicts are stable when the precision is doubled."""
     ctx = PrecisionContext(bits)
-    with mp.workprec(ctx.bits + 64):
+    with ctx.workprec(64):
         tbl = chebyshev_coeffs(z, n_max + 2, ctx)
-        polys = poly_table(z, n_max + 2, ctx, tbl=tbl)
+        polys = poly_table(tbl, n_max + 2)
         tol = ctx.verify_tol(1)
         flags = []
         for n in range(1, n_max + 1):
@@ -145,7 +146,7 @@ def _algebraic_verdicts(z, n_max: int, bits: int) -> tuple:
             flags.append(abs(lf_residual_I(tbl, n)) <= ctx.verify_tol(lf_scale_I(tbl, n)))
             res_i, scale_i = identity_i_residual(tbl, polys, n)
             flags.append(abs(res_i) <= ctx.verify_tol(scale_i))
-        xs = sample_grid(min(5, n_max), z, count=8)
+        xs = sample_grid(min(5, n_max), z, ctx, count=8)
         flags.append(holonomic_residual_chen(tbl, polys, min(5, n_max), xs) <= tol)
         return tuple(flags)
 
@@ -165,11 +166,11 @@ def run_verification(z_values=(mp.mpf(1) / 4, 1, 4), n_max: int = 14,
     if bits is None:
         bits = default_bits(n_max)
     ctx = PrecisionContext(bits)
-    fault_parsed = parse_fault(fault) if fault else None
-    zs = [mp.mpf(z) for z in z_values]
     records = []
 
-    with mp.workprec(ctx.bits + 64):
+    with ctx.workprec(64):
+        fault_parsed = parse_fault(fault) if fault else None
+        zs = [mp.mpf(z) for z in z_values]
         tol1 = ctx.verify_tol(1)
         n_tbl = n_max + 2
 
@@ -178,7 +179,7 @@ def run_verification(z_values=(mp.mpf(1) / 4, 1, 4), n_max: int = 14,
         tbl_one = clean[mp.mpf(1)]
         tables = {z: inject_fault(clean[z], fault_parsed) if fault_parsed else clean[z]
                   for z in zs}
-        ptables = {z: poly_table(z, n_tbl, ctx, tbl=tables[z]) for z in zs}
+        ptables = {z: poly_table(tables[z], n_tbl) for z in zs}
         solved = {}
 
         def zero_set(tbl, n):
@@ -244,7 +245,7 @@ def run_verification(z_values=(mp.mpf(1) / 4, 1, 4), n_max: int = 14,
         worst1 = worst2 = mp.mpf(0)
         for z in zs:
             for n in range(1, n_max + 1):
-                xs = sample_grid(n, z, count=8)
+                xs = sample_grid(n, z, ctx, count=8)
                 r1, r2 = compat_residuals(tables[z], ptables[z], n, xs)
                 worst1, worst2 = max(worst1, r1), max(worst2, r2)
         records.append(_rec("compat-first", nrange, zdesc, worst1, tol1))
@@ -265,7 +266,7 @@ def run_verification(z_values=(mp.mpf(1) / 4, 1, 4), n_max: int = 14,
             for n in range(2, n_max + 1):
                 data = lowering_data(tbl, n)
                 scale = poly_max_abs(poly_mul(list(data.C), list(polys[n].coeffs)))
-                worst_lo = max(worst_lo, poly_max_abs(lowering_apply(polys, data, n)) / scale)
+                worst_lo = max(worst_lo, poly_max_abs(lowering_apply(polys, data, tbl, n)) / scale)
                 worst_hi = max(worst_hi, poly_max_abs(raising_apply(polys, data, tbl, n))
                                / (tbl.a[n + 1] * scale))
         records.append(_rec("lowering", f"2..{n_max}", zdesc, worst_lo, tol1))
@@ -276,11 +277,11 @@ def run_verification(z_values=(mp.mpf(1) / 4, 1, 4), n_max: int = 14,
         for z in zs:
             tbl, polys = tables[z], ptables[z]
             for n in range(3, n_max + 1):
-                xs = sample_grid(n, z, count=8)
+                xs = sample_grid(n, z, ctx, count=8)
                 data = lowering_data(tbl, n)
                 worst_tri = max(worst_tri, holonomic_residual_Dn(polys, data, tbl, n, xs))
             for n in range(1, n_max + 1):
-                xs = sample_grid(n, z, count=8)
+                xs = sample_grid(n, z, ctx, count=8)
                 worst_lad = max(worst_lad, holonomic_residual_chen(tbl, polys, n, xs))
         records.append(_rec("ode-composed", f"3..{n_max}", zdesc, worst_tri, tol1))
         records.append(_rec("ode-eliminated", nrange, zdesc, worst_lad, tol1))
@@ -289,7 +290,7 @@ def run_verification(z_values=(mp.mpf(1) / 4, 1, 4), n_max: int = 14,
         worst = mp.mpf(0)
         for z in zs:
             for n in (0, n_max // 2, n_max):
-                xs = sample_grid(max(n, 1), z, count=8)
+                xs = sample_grid(max(n, 1), z, ctx, count=8)
                 worst = max(worst, confluent_check(ptables[z], tables[z], n, xs))
         records.append(_rec("confluent-kernel", f"0..{n_max}", zdesc, worst, tol1))
 
@@ -330,7 +331,7 @@ def run_verification(z_values=(mp.mpf(1) / 4, 1, 4), n_max: int = 14,
                 worst_ab = max(worst_ab, abs(da), abs(db))
         records.append(_rec("scaling-coefficients", f"0..{n_max}", sdesc, worst_ab, tol1))
 
-        worst = max(abs(h_scaling_check(clean[z], tbl_one, n_max, ctx)) for z in SCALE_Z)
+        worst = max(abs(h_scaling_check(clean[z], tbl_one, n_max)) for z in SCALE_Z)
         records.append(_rec("scaling-h", f"n={n_max}", sdesc, worst, tol1))
 
         worst = mp.mpf(0)
@@ -364,7 +365,7 @@ def run_verification(z_values=(mp.mpf(1) / 4, 1, 4), n_max: int = 14,
         if mp.mpf(1) in tables:
             tbl1, polys1 = tables[mp.mpf(1)], ptables[mp.mpf(1)]
         else:
-            tbl1, polys1 = tbl_one, poly_table(1, n_tbl, ctx, tbl=tbl_one)
+            tbl1, polys1 = tbl_one, poly_table(tbl_one, n_tbl)
         worst = mp.mpf(0)
         for n in (6, min(12, n_max)):
             worst = max(worst, stationarity_check(tbl1, polys1, zero_set(tbl1, n)))
@@ -386,7 +387,7 @@ def run_verification(z_values=(mp.mpf(1) / 4, 1, 4), n_max: int = 14,
             worst = max(worst, abs(closed - density_integral(x, 1, ctx)) / closed)
         records.append(_rec("density-consistency", "w=0.05..0.9", "t=1", worst, mp.mpf("1e-8")))
 
-        worst = abs(density_normalization(1, ctx) - 1)
+        worst = abs(density_normalization(1) - 1)
         records.append(_rec("density-normalization", "-", "t=1", worst, mp.mpf("1e-6")))
 
         # precision policy and verdict stability under doubling

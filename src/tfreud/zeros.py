@@ -133,7 +133,7 @@ def gamma_chain(polys: tuple, tbl: RecurrenceTable, n_max: int) -> tuple:
     positive (P_k(0) alternates in sign); a violation is raised."""
     if n_max < 1 or n_max > min(len(polys) - 1, tbl.n_max):
         raise IndexError(f"need 1 <= n_max <= {min(len(polys) - 1, tbl.n_max)}")
-    with mp.workprec(mp.mp.prec + 32):
+    with tbl.workprec():
         out = []
         for i in range(1, 2 * n_max):
             if i % 2:
@@ -154,10 +154,10 @@ def largest_zero_bound(polys: tuple, tbl: RecurrenceTable, n: int,
     an upper bound for the largest zero x_{n,n}."""
     if n < 2:
         raise DomainError(f"need n >= 2, got {n}")
-    ev = mp.mpf(eps)
-    if not ev > 0:
-        raise DomainError("eps must be positive")
-    with mp.workprec(mp.mp.prec + 32):
+    with tbl.workprec():
+        ev = mp.mpf(eps)
+        if not ev > 0:
+            raise DomainError("eps must be positive")
         chain = gamma_chain(polys, tbl, n)
         c2n = 4 * mp.cos(mp.pi / (2 * n + 1)) ** 2 + ev
         return c2n * max(chain)
@@ -177,10 +177,10 @@ class DensityModel:
 
     @classmethod
     def for_t(cls, t, ctx: PrecisionContext) -> "DensityModel":
-        tv = mp.mpf(t)
-        if not tv > 0:
-            raise DomainError("t must be positive")
         with ctx.workprec(32):
+            tv = mp.mpf(t)
+            if not tv > 0:
+                raise DomainError("t must be positive")
             c = mp.mpf(140) ** mp.mpf("-0.25")
             beta = 4 * c * tv ** mp.mpf("0.25")
         return cls(ctx.round(tv), ctx.round(c), ctx.round(beta))
@@ -262,13 +262,13 @@ def density_cdf(w, ctx: PrecisionContext) -> mp.mpf:
         return ctx.round(8 / (7 * mp.pi) * acc)
 
 
-def density_normalization(t, ctx: PrecisionContext) -> mp.mpf:
+def density_normalization(t) -> mp.mpf:
     """int_0^{beta_t} omega(x, t) dx by quadrature of density() itself, with
     x = beta_t u^2 on the left half and x = beta_t (1 - v^2) on the right to
     strip the endpoint singularities.  Runs at a fixed moderate precision:
     the contract on the result is 1e-6."""
     qctx = PrecisionContext(96)
-    with mp.workprec(qctx.bits):
+    with qctx.workprec():
         tv = mp.mpf(t)
         model = DensityModel.for_t(tv, qctx)
         beta = model.beta_t
@@ -320,27 +320,23 @@ class ElectroSystem:
     gradient: tuple
 
 
-def _field_pieces(x, n: int, tbl: RecurrenceTable):
-    """(cubic, cubic') of the shifted log argument
-    x(x^2 + b_n x + R_n) + P_n(0)^2/(4 z h_n), the P-part supplied by caller."""
-    b = tbl.b[n]
-    R = tbl.R(n)
-    cubic = x * (x * x + b * x + R)
-    dcubic = 3 * x * x + 2 * b * x + R
-    return cubic, dcubic
+def _field_pieces(x, n: int, z, tbl: RecurrenceTable, polys: tuple):
+    """(x, A, A') with A = x(x^2 + b_n x + R_n) + P_n(0)^2/(4 z h_n), the
+    shifted log argument of the external field, at the caller's precision."""
+    if n + 1 > tbl.n_max or n > len(polys) - 1:
+        raise IndexError(f"need n + 1 <= {tbl.n_max}, got n={n}")
+    xv = mp.mpf(x)
+    if xv == 0:
+        raise DomainError("x = 0 is a pole of the potential")
+    b, R = tbl.b[n], tbl.R(n)
+    shift = polys[n].at_zero ** 2 / (4 * mp.mpf(z) * tbl.h[n])
+    return xv, xv * (xv * xv + b * xv + R) + shift, 3 * xv * xv + 2 * b * xv + R
 
 
 def potential_eval(x, n: int, z, tbl: RecurrenceTable, polys: tuple) -> mp.mpf:
     """V_n(x) = z x^4 + ln|x(x^2+b_n x+R_n) + P_n(0)^2/(4 z h_n)| - ln|x|."""
-    if n + 1 > tbl.n_max or n > len(polys) - 1:
-        raise IndexError(f"need n + 1 <= {tbl.n_max}, got n={n}")
-    with mp.workprec(mp.mp.prec + 32):
-        xv = mp.mpf(x)
-        if xv == 0:
-            raise DomainError("x = 0 is a pole of the potential")
-        shift = polys[n].at_zero ** 2 / (4 * mp.mpf(z) * tbl.h[n])
-        cubic, _ = _field_pieces(xv, n, tbl)
-        arg = cubic + shift
+    with tbl.workprec():
+        xv, arg, _ = _field_pieces(x, n, z, tbl, polys)
         if arg == 0:
             raise DomainError("log argument vanishes")
         return mp.mpf(z) * xv ** 4 + mp.log(abs(arg)) - mp.log(abs(xv))
@@ -348,27 +344,21 @@ def potential_eval(x, n: int, z, tbl: RecurrenceTable, polys: tuple) -> mp.mpf:
 
 def potential_deriv(x, n: int, z, tbl: RecurrenceTable, polys: tuple) -> mp.mpf:
     """V_n'(x) = 4 z x^3 + (3x^2 + 2 b_n x + R_n)/(cubic + shift) - 1/x."""
-    if n + 1 > tbl.n_max or n > len(polys) - 1:
-        raise IndexError(f"need n + 1 <= {tbl.n_max}, got n={n}")
-    with mp.workprec(mp.mp.prec + 32):
-        xv = mp.mpf(x)
-        if xv == 0:
-            raise DomainError("x = 0 is a pole of the potential")
-        shift = polys[n].at_zero ** 2 / (4 * mp.mpf(z) * tbl.h[n])
-        cubic, dcubic = _field_pieces(xv, n, tbl)
-        return 4 * mp.mpf(z) * xv ** 3 + dcubic / (cubic + shift) - 1 / xv
+    with tbl.workprec():
+        xv, arg, darg = _field_pieces(x, n, z, tbl, polys)
+        return 4 * mp.mpf(z) * xv ** 3 + darg / arg - 1 / xv
 
 
 def electro_energy(positions, n: int, z, tbl: RecurrenceTable,
                    polys: tuple) -> ElectroSystem:
     """Total energy E_n = -2 sum_{j<k} ln|x_k - x_j| + sum_k V_n(x_k) and its
     analytic gradient."""
-    pts = [mp.mpf(p) for p in positions]
-    if len(pts) != n:
-        raise DomainError(f"expected {n} positions, got {len(pts)}")
-    if len(set(pts)) != n:
-        raise DomainError("positions must be distinct")
-    with mp.workprec(mp.mp.prec + 32):
+    with tbl.workprec():
+        pts = [mp.mpf(p) for p in positions]
+        if len(pts) != n:
+            raise DomainError(f"expected {n} positions, got {len(pts)}")
+        if len(set(pts)) != n:
+            raise DomainError("positions must be distinct")
         pair = mp.fsum(mp.log(abs(pts[k] - pts[j]))
                        for k in range(n) for j in range(k))
         ext = mp.fsum(potential_eval(p, n, z, tbl, polys) for p in pts)
@@ -377,35 +367,35 @@ def electro_energy(positions, n: int, z, tbl: RecurrenceTable,
         for k in range(n):
             coul = mp.fsum(1 / (pts[k] - pts[j]) for j in range(n) if j != k)
             grad.append(-2 * coul + potential_deriv(pts[k], n, z, tbl, polys))
-    return ElectroSystem(tuple(pts), n, mp.mpf(z), energy, tuple(grad))
+        return ElectroSystem(tuple(pts), n, mp.mpf(z), energy, tuple(grad))
 
 
 def stationarity_check(tbl: RecurrenceTable, polys: tuple, zs: ZeroSet) -> mp.mpf:
     """max |gradient at the zeros zs of P_n| divided by the gradient scale at
     the same configuration stretched by 1%: small iff the zeros really are
     the equilibrium."""
-    sys0 = electro_energy(zs.values, zs.n, tbl.z, tbl, polys)
-    bumped = [v * (1 + mp.mpf("0.01") * (1 if k % 2 else -1))
-              for k, v in enumerate(zs.values)]
-    sysp = electro_energy(bumped, zs.n, tbl.z, tbl, polys)
-    scale = max(abs(g) for g in sysp.gradient)
-    return max(abs(g) for g in sys0.gradient) / scale
+    with tbl.workprec():
+        sys0 = electro_energy(zs.values, zs.n, tbl.z, tbl, polys)
+        bumped = [v * (1 + mp.mpf("0.01") * (1 if k % 2 else -1))
+                  for k, v in enumerate(zs.values)]
+        sysp = electro_energy(bumped, zs.n, tbl.z, tbl, polys)
+        scale = max(abs(g) for g in sysp.gradient)
+        return max(abs(g) for g in sys0.gradient) / scale
 
 
 # ---------------------------------------------------------------------------
 # holonomic identity at the zeros
 # ---------------------------------------------------------------------------
 
-def ode_at_zeros_check(tbl: RecurrenceTable, polys: tuple, n: int,
-                       ctx: PrecisionContext) -> mp.mpf:
+def ode_at_zeros_check(tbl: RecurrenceTable, polys: tuple, n: int) -> mp.mpf:
     """max over zeros of the scaled residual of
     P_n''(x)/P_n'(x) = 4 z x^3 + (ln calA_n)'(x)."""
     if n < 1:
         raise IndexError(f"need n >= 1, got {n}")
-    zs = zeros(tbl, n, ctx)
+    zs = zeros(tbl, n, tbl.ctx)
     A_n = ladder_pair(tbl, polys, n).A
-    dA = A_n.derivative()
-    with ctx.workprec(32):
+    with tbl.ctx.workprec(32):
+        dA = A_n.derivative()
         worst = mp.mpf(0)
         for x in zs.values:
             _, d1, d2 = ttrr_eval_d2(tbl, n, x)
@@ -420,7 +410,8 @@ def ode_at_zeros_check(tbl: RecurrenceTable, polys: tuple, n: int,
 # ---------------------------------------------------------------------------
 
 def comparison_beta(ctx: PrecisionContext) -> mp.mpf:
-    return 2 * mp.mpf(140) ** mp.mpf("-0.25")
+    with ctx.workprec(32):
+        return 2 * mp.mpf(140) ** mp.mpf("-0.25")
 
 
 def chebyshev_comparison(n: int, ctx: PrecisionContext) -> tuple:

@@ -5,9 +5,12 @@ import pytest
 
 from tfreud.kernel import PrecisionContext
 
-# Tests parse decimal strings and compare values from different working
-# precisions; a high ambient precision keeps that test-side arithmetic from
-# polluting the comparisons.  Library code always sets its own precision.
+# The pin sets the precision of the tests' own arithmetic: parsing decimal
+# strings, differences between values from different contexts, and the
+# independent references (mp.quad, mp.gamma) some tests compute.
+# At the default 53 bits that arithmetic is far coarser than the tolerances
+# it is compared against.  The library ignores the pin: every function takes
+# its precision from a PrecisionContext, which test_precision.py checks.
 mp.mp.prec = 1200
 
 

@@ -140,7 +140,7 @@ def test_criterion_03_laguerre_freud_suite():
     worst = mp.mpf(0)
     for z in (mp.mpf(1) / 4, mp.mpf(1), mp.mpf(4)):
         tbl = chebyshev_coeffs(z, n_top + 2, ctx)
-        polys = poly_table(z, n_top + 2, ctx, tbl=tbl)
+        polys = poly_table(tbl, n_top + 2)
         for n in range(1, n_top + 1):
             worst = max(worst, abs(lf_residual_1(tbl, n)) / (2 * n + 1))
             scale2 = max(abs(tbl.b[n]),
@@ -166,7 +166,7 @@ def test_criterion_04_operator_identities():
     tol = ctx.verify_tol(1)
     z = mp.mpf(1)
     tbl = chebyshev_coeffs(z, 32, ctx)
-    polys = poly_table(z, 32, ctx, tbl=tbl)
+    polys = poly_table(tbl, 32)
 
     poly_ok = True
     for n in range(0, 31):
@@ -176,13 +176,14 @@ def test_criterion_04_operator_identities():
     for n in range(2, 31):
         data = lowering_data(tbl, n)
         scale = poly_max_abs(poly_mul(list(data.C), list(polys[n].coeffs)))
-        poly_ok = poly_ok and poly_max_abs(lowering_apply(polys, data, n)) <= ctx.verify_tol(scale)
+        poly_ok = poly_ok and (poly_max_abs(lowering_apply(polys, data, tbl, n))
+                               <= ctx.verify_tol(scale))
         poly_ok = poly_ok and (poly_max_abs(raising_apply(polys, data, tbl, n))
                                <= ctx.verify_tol(tbl.a[n + 1] * scale))
 
     ode_worst = mp.mpf(0)
     for n in range(1, 21):
-        xs = sample_grid(n, z, count=12)
+        xs = sample_grid(n, z, ctx, count=12)
         ode_worst = max(ode_worst, holonomic_residual_chen(tbl, polys, n, xs))
         if n >= 3:
             data = lowering_data(tbl, n)
@@ -223,7 +224,7 @@ def test_criterion_05_scaling_laws():
             if n >= 1:
                 sig = tbl_z.sigma(n) * z ** mp.mpf("0.25") / tbl_one.sigma(n)
                 worst = max(worst, abs(sig - 1))
-        worst = max(worst, abs(h_scaling_check(tbl_z, tbl_one, n_top, ctx)))
+        worst = max(worst, abs(h_scaling_check(tbl_z, tbl_one, n_top)))
         zero_sets[z] = zeros(tbl_z, 10, ctx)
     laws_ok = worst <= tol
 
@@ -263,7 +264,7 @@ def test_criterion_06_asymptotics():
 
 def test_criterion_07_density():
     ctx = PrecisionContext(256)
-    norm_err = abs(density_normalization(1, ctx) - 1)
+    norm_err = abs(density_normalization(1) - 1)
     norm_ok = norm_err <= mp.mpf("1e-6")
 
     model = DensityModel.for_t(1, ctx)
@@ -287,7 +288,7 @@ def test_criterion_07_density():
 def test_criterion_08_electrostatics():
     ctx = PrecisionContext(default_bits(14))
     tbl = chebyshev_coeffs(1, 15, ctx)
-    polys = poly_table(1, 15, ctx, tbl=tbl)
+    polys = poly_table(tbl, 15)
     worst = mp.mpf(0)
     for n in range(2, 13):
         worst = max(worst, stationarity_check(tbl, polys, zeros(tbl, n, ctx)))
@@ -317,7 +318,7 @@ def test_criterion_08_electrostatics():
 def test_criterion_09_bound_check():
     ctx = PrecisionContext(default_bits(14))
     tbl = chebyshev_coeffs(1, 15, ctx)
-    polys = poly_table(1, 15, ctx, tbl=tbl)
+    polys = poly_table(tbl, 15)
     ok = True
     for n in range(2, 15):
         bound = largest_zero_bound(polys, tbl, n, eps=mp.mpf("1e-3"))
@@ -329,7 +330,7 @@ def _verdict_vector(bits: int):
     ctx = PrecisionContext(bits)
     tol = ctx.verify_tol(1)
     tbl = chebyshev_coeffs(1, 16, ctx)
-    polys = poly_table(1, 16, ctx, tbl=tbl)
+    polys = poly_table(tbl, 16)
     # criterion 1 surrogate: rounded table values, smallest and largest zero
     rounded = tuple(round_half_away(zeros(tbl, n, ctx)[k], 4)
                     for n in range(1, 15) for k in (0, n - 1))
@@ -339,7 +340,7 @@ def _verdict_vector(bits: int):
         flags.append(abs(lf_residual_1(tbl, n)) / (2 * n + 1) <= tol)
         r_i, s_i = identity_i_residual(tbl, polys, n)
         flags.append(abs(r_i) / s_i <= tol)
-    xs = sample_grid(12, 1, count=8)
+    xs = sample_grid(12, 1, ctx, count=8)
     flags.append(holonomic_residual_chen(tbl, polys, 12, xs) <= tol)
     tbl16 = chebyshev_coeffs(16, 8, ctx)
     tbl1 = chebyshev_coeffs(1, 8, ctx)

@@ -7,6 +7,7 @@ import pytest
 from mpmath import mp
 
 from tfreud.cli import main, round_half_away
+from tfreud.kernel import PrecisionContext, default_bits
 
 
 def run_cli(capsys, *argv):
@@ -139,6 +140,24 @@ def test_density_multiple_t_files(tmp_path, capsys):
     assert code == 0
     made = sorted(p.name for p in tmp_path.iterdir())
     assert made == ["dens_t0.5.csv", "dens_t1.csv", "dens_t2.csv"]
+
+
+def test_decimal_arguments_parsed_at_run_precision(capsys):
+    # a fresh interpreter runs at 53 bits: --z and --t must be read at the
+    # run's precision, not rounded to that
+    ctx = PrecisionContext(default_bits(1))
+    with mp.workprec(53):
+        code, out, _ = run_cli(capsys, "moments", "--z", "0.1", "--n-max", "1")
+    assert code == 0
+    mu_0 = mp.mpf(csv_rows(out)[1][0]["mu_n"])
+    exact = mp.mpf("0.1") ** mp.mpf("-0.25") * mp.gamma(mp.mpf("0.25")) / 4
+    assert abs(mu_0 - exact) <= ctx.verify_tol(exact)
+    with mp.workprec(53):
+        code, out, _ = run_cli(capsys, "density", "--t", "0.3", "--n-max", "1")
+    assert code == 0
+    beta_t = mp.mpf(csv_rows(out)[1][0]["beta_t"])
+    exact = 4 * mp.mpf(140) ** mp.mpf("-0.25") * mp.mpf("0.3") ** mp.mpf("0.25")
+    assert abs(beta_t - exact) <= ctx.verify_tol(exact)
 
 
 def test_verify_passes_and_writes(tmp_path, capsys):

@@ -47,7 +47,7 @@ CTX = PrecisionContext(256)
 @pytest.fixture(scope="module")
 def t16():
     tbl = chebyshev_coeffs(1, 16, CTX)
-    return tbl, poly_table(1, 16, CTX, tbl=tbl)
+    return tbl, poly_table(tbl, 16)
 
 
 @pytest.fixture(scope="module")
@@ -58,7 +58,7 @@ def t24():
 @pytest.fixture(scope="module")
 def t16z9():
     tbl = chebyshev_coeffs(9, 16, CTX)
-    return tbl, poly_table(9, 16, CTX, tbl=tbl)
+    return tbl, poly_table(tbl, 16)
 
 
 def log_grid(lo, hi, count):
@@ -299,7 +299,7 @@ def test_lowering_raising_zero_polys(t16):
     for n in (2, 5, 9):
         data = lowering_data(tbl, n)
         scale = poly_max_abs(poly_mul(list(data.C), list(polys[n].coeffs)))
-        assert poly_max_abs(lowering_apply(polys, data, n)) <= CTX.verify_tol(scale)
+        assert poly_max_abs(lowering_apply(polys, data, tbl, n)) <= CTX.verify_tol(scale)
         scale_r = tbl.a[n + 1] * scale
         assert poly_max_abs(raising_apply(polys, data, tbl, n)) \
             <= CTX.verify_tol(scale_r)
@@ -332,7 +332,7 @@ def test_lowering_guards(t16):
         lowering_data(tbl, 1)
     data = lowering_data(tbl, 5)
     with pytest.raises(DomainError):
-        lowering_apply(polys, data, 6)
+        lowering_apply(polys, data, tbl, 6)
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +436,7 @@ def test_residuals_stable_at_doubled_precision():
         for bits in (256, 512):
             ctx = PrecisionContext(bits)
             tbl = chebyshev_coeffs(z, 8, ctx)
-            polys = poly_table(z, 8, ctx, tbl=tbl)
+            polys = poly_table(tbl, 8)
             xs = sample_grid(5, z, count=8, ctx=ctx)
             assert holonomic_residual_chen(tbl, polys, 5, xs) <= ctx.verify_tol(1)
             data = lowering_data(tbl, 5)

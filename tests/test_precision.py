@@ -1,0 +1,211 @@
+"""Results do not depend on mpmath's global precision.
+
+Every library function that reads a RecurrenceTable, a MomentSequence or a
+PrecisionContext takes its working precision from that context.  Each one is
+evaluated here with the global precision at 53 and at 1200 bits and must
+return the same bits both times."""
+from __future__ import annotations
+
+import dataclasses
+import pathlib
+import re
+
+import mpmath as mp
+import pytest
+
+import tfreud
+from tfreud.kernel import (
+    PrecisionContext,
+    gamma,
+    hyp2f1_series,
+    tridiag_eigenvalues,
+)
+from tfreud.moments import (
+    MomentSequence,
+    moment,
+    moment_recurrence_residual,
+    pearson_data,
+    pearson_product,
+    stieltjes_ode_residual,
+    stieltjes_partial,
+    stieltjes_tail,
+)
+from tfreud.operators import (
+    beta_lower,
+    beta_row,
+    compat_residuals,
+    confluent_check,
+    holonomic_residual_Dn,
+    holonomic_residual_chen,
+    identity_i_residual,
+    identity_ii_residual,
+    ladder_pair,
+    lax_block_check,
+    lowering_C_via_beta,
+    lowering_apply,
+    lowering_data,
+    poly_table,
+    raising_apply,
+    sample_grid,
+    structure_coeffs,
+    structure_coeffs_explicit,
+    structure_residual,
+    ttrr_eval,
+    ttrr_eval_d2,
+)
+from tfreud.recurrence import (
+    asymptotic_constants,
+    asymptotic_ratio,
+    chebyshev_coeffs,
+    h_scaling_check,
+    lf_forward,
+    lf_residual_1,
+    lf_residual_2,
+    lf_residual_I,
+    lf_scale_I,
+    scaling_check,
+)
+from tfreud.verify import inject_fault, run_verification
+from tfreud.zeros import (
+    DensityModel,
+    chebyshev_comparison,
+    comparison_beta,
+    comparison_smallest_ratio,
+    density,
+    density_cdf,
+    density_closed_form,
+    density_integral,
+    density_normalization,
+    electro_energy,
+    empirical_density_distance,
+    gamma_chain,
+    largest_zero_bound,
+    ode_at_zeros_check,
+    potential_deriv,
+    potential_eval,
+    ptilde_zeros,
+    stationarity_check,
+    zero_scaling_check,
+    zeros,
+)
+
+CTX = PrecisionContext(192)
+TBL = chebyshev_coeffs(1, 12, CTX)
+TBL4 = chebyshev_coeffs(4, 12, CTX)
+POLYS = poly_table(TBL, 12)
+MSEQ = MomentSequence.build("0.3", 12, CTX)
+XS = sample_grid(6, 1, CTX, count=5)
+LOW = lowering_data(TBL, 6)
+ZS = zeros(TBL, 6, CTX)
+FAULT = ("a", 3, mp.mpf(2) ** -200 / 3)
+
+# Decimal strings are passed where a function accepts them, so the parse
+# itself has to happen at the function's own precision.
+CASES = {
+    "gamma": lambda: gamma("0.3", CTX),
+    "hyp2f1_series": lambda: hyp2f1_series("0.5", "-3.5", "-2.5", "0.3", CTX),
+    "tridiag_eigenvalues": lambda: tridiag_eigenvalues(TBL.b[:4], TBL.a[1:4], CTX),
+    "moment": lambda: moment(5, "0.3", CTX),
+    "MomentSequence.build": lambda: MomentSequence.build("0.3", 8, CTX),
+    "moment_recurrence_residual": lambda: moment_recurrence_residual(MSEQ, 3),
+    "pearson_product": lambda: pearson_product("0.3", CTX),
+    "pearson_data": lambda: pearson_data("0.3", CTX),
+    "stieltjes_partial": lambda: stieltjes_partial("2.5", "0.3", 9, CTX),
+    "stieltjes_ode_residual": lambda: stieltjes_ode_residual("2.5", "0.3", 9, CTX),
+    "stieltjes_tail": lambda: stieltjes_tail("2.5", "0.3", 9, CTX),
+    "chebyshev_coeffs": lambda: chebyshev_coeffs("0.3", 6, CTX),
+    "lf_residual_1": lambda: [lf_residual_1(TBL, n) for n in range(1, 11)],
+    "lf_residual_2": lambda: [lf_residual_2(TBL, n) for n in range(1, 11)],
+    "lf_residual_I": lambda: [lf_residual_I(TBL, n) for n in range(1, 11)],
+    "lf_scale_I": lambda: lf_scale_I(TBL, 5),
+    "lf_forward": lambda: lf_forward((TBL.b[0], TBL.a[1], TBL.b[1]), 8, TBL),
+    "asymptotic_ratio": lambda: asymptotic_ratio(TBL, 7),
+    "asymptotic_constants": lambda: asymptotic_constants(CTX),
+    "scaling_check": lambda: scaling_check(TBL4, TBL, 7),
+    "h_scaling_check": lambda: h_scaling_check(TBL4, TBL, 7),
+    "poly_table": lambda: poly_table(TBL, 8),
+    "sample_grid": lambda: sample_grid(6, "0.3", CTX, count=5, lo="0.02"),
+    "ttrr_eval": lambda: ttrr_eval(TBL, 9, "0.7"),
+    "ttrr_eval_d2": lambda: ttrr_eval_d2(TBL, 9, "0.7"),
+    "beta_row": lambda: beta_row(TBL, 5),
+    "beta_lower": lambda: beta_lower(TBL, 5),
+    "structure_coeffs": lambda: structure_coeffs(TBL, 5),
+    "structure_coeffs_explicit": lambda: structure_coeffs_explicit(TBL, 5),
+    "structure_residual": lambda: structure_residual(TBL, POLYS, 5),
+    "ladder_pair": lambda: ladder_pair(TBL, POLYS, 5),
+    "identity_i_residual": lambda: [identity_i_residual(TBL, POLYS, n) for n in range(1, 11)],
+    "identity_ii_residual": lambda: [identity_ii_residual(TBL, POLYS, n) for n in range(1, 11)],
+    "compat_residuals": lambda: compat_residuals(TBL, POLYS, 5, XS),
+    "lowering_data": lambda: lowering_data(TBL, 6),
+    "lowering_C_via_beta": lambda: lowering_C_via_beta(TBL, 6, "0.7"),
+    "lowering_apply": lambda: lowering_apply(POLYS, LOW, TBL, 6),
+    "raising_apply": lambda: raising_apply(POLYS, LOW, TBL, 6),
+    "holonomic_residual_Dn": lambda: holonomic_residual_Dn(POLYS, LOW, TBL, 6, XS),
+    "holonomic_residual_chen": lambda: holonomic_residual_chen(TBL, POLYS, 5, XS),
+    "confluent_check": lambda: confluent_check(POLYS, TBL, 6, XS),
+    "lax_block_check": lambda: lax_block_check(TBL, 10),
+    "zeros": lambda: zeros(TBL, 6, CTX),
+    "zero_scaling_check": lambda: zero_scaling_check(zeros(TBL4, 6, CTX), ZS, CTX),
+    "gamma_chain": lambda: gamma_chain(POLYS, TBL, 8),
+    "largest_zero_bound": lambda: largest_zero_bound(POLYS, TBL, 8, eps="1e-3"),
+    "potential_eval": lambda: potential_eval("0.7", 6, TBL.z, TBL, POLYS),
+    "potential_deriv": lambda: potential_deriv("0.7", 6, TBL.z, TBL, POLYS),
+    "electro_energy": lambda: electro_energy(("0.3", "0.7", "1.1"), 3, TBL.z, TBL, POLYS),
+    "stationarity_check": lambda: stationarity_check(TBL, POLYS, ZS),
+    "ode_at_zeros_check": lambda: ode_at_zeros_check(TBL, POLYS, 6),
+    "inject_fault": lambda: inject_fault(TBL, FAULT),
+    "DensityModel.for_t": lambda: DensityModel.for_t("0.3", CTX),
+    "density": lambda: density("0.4", "0.3", CTX),
+    "density_integral": lambda: density_integral("0.4", "0.3", CTX),
+    "density_closed_form": lambda: density_closed_form("0.3", CTX),
+    "density_cdf": lambda: density_cdf("0.3", CTX),
+    "density_normalization": lambda: density_normalization("0.3"),
+    "empirical_density_distance": lambda: empirical_density_distance(4, 4, "0.3", CTX),
+    "comparison_beta": lambda: comparison_beta(CTX),
+    "chebyshev_comparison": lambda: chebyshev_comparison(5, CTX),
+    "comparison_smallest_ratio": lambda: comparison_smallest_ratio(5, CTX),
+    "ptilde_zeros": lambda: ptilde_zeros(5, CTX),
+}
+
+
+def exact_bits(v):
+    """The value with every mpf replaced by its exact (sign, man, exp, bc)."""
+    if isinstance(v, mp.mpf):
+        return v._mpf_
+    if isinstance(v, (tuple, list)):
+        return tuple(exact_bits(x) for x in v)
+    if isinstance(v, dict):
+        return tuple(sorted((k, exact_bits(x)) for k, x in v.items()))
+    if dataclasses.is_dataclass(v):
+        return (type(v).__name__,) + tuple(exact_bits(getattr(v, f.name))
+                                           for f in dataclasses.fields(v))
+    return v
+
+
+def at_both_precisions(fn):
+    with mp.workprec(53):
+        low = exact_bits(fn())
+    with mp.workprec(1200):
+        high = exact_bits(fn())
+    return low, high
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_result_independent_of_global_precision(name):
+    low, high = at_both_precisions(CASES[name])
+    assert low == high
+
+
+def test_verification_records_independent_of_global_precision():
+    low, high = at_both_precisions(lambda: run_verification(n_max=8).records)
+    assert low == high
+
+
+def test_library_never_reads_global_precision():
+    pattern = re.compile(r"mp\.mp\.(prec|dps)|mp\.(prec|dps)\s*=")
+    src = pathlib.Path(tfreud.__file__).parent
+    hits = [f"{path.relative_to(src)}:{i}"
+            for path in sorted(src.rglob("*.py"))
+            for i, line in enumerate(path.read_text().splitlines(), 1)
+            if pattern.search(line)]
+    assert hits == []

@@ -103,7 +103,7 @@ def test_accessor_guards():
         tbl.sigma(6)
     assert tbl.sigma(0) == 0
     with pytest.raises(DomainError):
-        RecurrenceTable(mp.mpf(1), (mp.mpf(1),), (mp.mpf(1),), (mp.mpf(1),))
+        RecurrenceTable(mp.mpf(1), (mp.mpf(1),), (mp.mpf(1),), (mp.mpf(1),), ctx)
 
 
 def test_against_gram_schmidt_oracle():
@@ -141,7 +141,7 @@ def test_lf_index_guards():
 def test_lf_forward_matches_then_diverges():
     ctx = PrecisionContext(256)
     ref = chebyshev_coeffs(1, 12, ctx)
-    fwd, div = lf_forward((ref.b[0], ref.a[1], ref.b[1]), 1, 12, ctx, reference=ref)
+    fwd, div = lf_forward((ref.b[0], ref.a[1], ref.b[1]), 12, ref)
     assert div is not None and div >= 4
     for n in range(div):
         assert abs(fwd.a[n] - ref.a[n]) <= 1000 * ctx.verify_tol(max(1, ref.a[n]))
@@ -151,11 +151,10 @@ def test_lf_forward_matches_then_diverges():
 def test_lf_forward_perturbed_seed_diverges_earlier():
     ctx = PrecisionContext(256)
     ref = chebyshev_coeffs(1, 12, ctx)
-    _, div_clean = lf_forward((ref.b[0], ref.a[1], ref.b[1]), 1, 12, ctx, reference=ref)
+    _, div_clean = lf_forward((ref.b[0], ref.a[1], ref.b[1]), 12, ref)
     # the perturbed run collapses (a_n <= 0) past n = 7, so keep it short;
     # its divergence index is hit long before that
-    _, div_pert = lf_forward((ref.b[0], ref.a[1] + mp.mpf(10) ** -10, ref.b[1]),
-                             1, 5, ctx, reference=ref)
+    _, div_pert = lf_forward((ref.b[0], ref.a[1] + mp.mpf(10) ** -10, ref.b[1]), 5, ref)
     assert div_pert is not None and div_pert < div_clean
 
 
@@ -164,9 +163,8 @@ def test_lf_forward_scaled_seed():
     ctx = PrecisionContext(256)
     ref1 = chebyshev_coeffs(1, 10, ctx)
     ref16 = chebyshev_coeffs(16, 10, ctx)
-    fwd16, div16 = lf_forward((ref16.b[0], ref16.a[1], ref16.b[1]), 16, 10, ctx,
-                              reference=ref16)
-    fwd1, _ = lf_forward((ref1.b[0], ref1.a[1], ref1.b[1]), 1, 10, ctx, reference=ref1)
+    fwd16, div16 = lf_forward((ref16.b[0], ref16.a[1], ref16.b[1]), 10, ref16)
+    fwd1, _ = lf_forward((ref1.b[0], ref1.a[1], ref1.b[1]), 10, ref1)
     upto = div16 if div16 is not None else 11
     for n in range(min(upto, 8)):
         assert abs(fwd16.a[n] - fwd1.a[n] / 4) <= 2000 * ctx.verify_tol(max(1, fwd1.a[n]))
@@ -176,8 +174,7 @@ def test_lf_forward_scaled_seed():
 def test_lf_forward_instability_error():
     ctx = PrecisionContext(128)
     with pytest.raises(ConvergenceError):
-        lf_forward((mp.mpf(10), mp.mpf("1e-5"), mp.mpf(10)), 1, 8, ctx,
-                   reference=chebyshev_coeffs(1, 8, ctx))
+        lf_forward((mp.mpf(10), mp.mpf("1e-5"), mp.mpf(10)), 8, chebyshev_coeffs(1, 8, ctx))
 
 
 def test_asymptotic_constants_exact():
@@ -237,7 +234,7 @@ def test_h_scaling(z, n):
     ctx = PrecisionContext(192)
     tbl_z = chebyshev_coeffs(mp.mpf(z), n, ctx)
     tbl_1 = chebyshev_coeffs(1, n, ctx)
-    assert abs(h_scaling_check(tbl_z, tbl_1, n, ctx)) <= ctx.verify_tol(1)
+    assert abs(h_scaling_check(tbl_z, tbl_1, n)) <= ctx.verify_tol(1)
 
 
 def test_sigma_difference_is_b():

@@ -50,7 +50,7 @@ def ref4(s: str) -> int:
 @pytest.fixture(scope="module")
 def t14():
     tbl = chebyshev_coeffs(1, 15, CTX)
-    return tbl, poly_table(1, 15, CTX, tbl=tbl)
+    return tbl, poly_table(tbl, 15)
 
 
 @pytest.fixture(scope="module")
@@ -270,7 +270,7 @@ def test_density_positive_on_support():
 
 @pytest.mark.parametrize("t", [1, 4])
 def test_density_normalization(t):
-    total = density_normalization(t, CTX)
+    total = density_normalization(t)
     assert abs(total - 1) <= mp.mpf("1e-6")
 
 
@@ -391,7 +391,7 @@ def test_potential_guards(t14):
 def test_ode_holds_at_zeros(t14):
     tbl, polys = t14
     for n in (4, 10):
-        assert ode_at_zeros_check(tbl, polys, n, CTX) <= CTX.verify_tol(1)
+        assert ode_at_zeros_check(tbl, polys, n) <= CTX.verify_tol(1)
 
 
 # ---------------------------------------------------------------------------
