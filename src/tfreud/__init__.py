@@ -9,7 +9,6 @@ from .kernel import (
     PrecisionContext,
     PrecisionExhaustionError,
     RationalFn,
-    context_for,
     default_bits,
 )
 
@@ -22,7 +21,6 @@ __all__ = [
     "PrecisionContext",
     "PrecisionExhaustionError",
     "RationalFn",
-    "context_for",
     "default_bits",
     "__version__",
 ]

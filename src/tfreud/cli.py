@@ -91,9 +91,9 @@ class RunConfig:
         with PrecisionContext(bits).workprec():
             z = mp.mpf(args.z) if args.z is not None else mp.mpf(1)
             ts = tuple(mp.mpf(t) for t in (args.t or ["1"]))
+            epsilon = mp.mpf(args.epsilon)
         if not z > 0:
             raise DomainError(f"--z must be positive, got {args.z}")
-        epsilon = mp.mpf(args.epsilon)
         if not epsilon > 0:
             raise DomainError(f"--epsilon must be positive, got {args.epsilon}")
         if any(not t > 0 for t in ts):

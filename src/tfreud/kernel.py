@@ -68,10 +68,6 @@ def default_bits(n_max: int) -> int:
     return 128 + 16 * max(0, int(n_max))
 
 
-def context_for(n_max: int, bits: int | None = None) -> PrecisionContext:
-    return PrecisionContext(bits if bits is not None else default_bits(n_max))
-
-
 # ---------------------------------------------------------------------------
 # scalar special functions
 # ---------------------------------------------------------------------------
@@ -250,8 +246,30 @@ class RationalFn:
 
 
 # ---------------------------------------------------------------------------
-# symmetric tridiagonal eigenvalues: Sturm-count bisection + Newton polish
+# the monic three-term recurrence and the eigenvalues of its Jacobi matrix:
+# Sturm-count bisection + Newton polish
 # ---------------------------------------------------------------------------
+
+def ttrr_d2(b, a, n: int, x) -> tuple:
+    """(P_n(x), P_n'(x), P_n''(x)) at the caller's precision, by running the
+    recurrence and its first two formal derivatives side by side:
+
+        P_{k+1}   = (x - b_k) P_k   - a_k P_{k-1}
+        P'_{k+1}  = P_k + (x - b_k) P'_k  - a_k P'_{k-1}
+        P''_{k+1} = 2 P'_k + (x - b_k) P''_k - a_k P''_{k-1}
+
+    Reads b_0..b_{n-1} and a_0..a_{n-1}; a_0 multiplies P_{-1} = 0."""
+    p_prev, p = mp.mpf(0), mp.mpf(1)
+    d_prev, d = mp.mpf(0), mp.mpf(0)
+    s_prev, s = mp.mpf(0), mp.mpf(0)
+    for k in range(n):
+        w = x - b[k]
+        ak = a[k]
+        p, p_prev = w * p - ak * p_prev, p
+        d, d_prev = p_prev + w * d - ak * d_prev, d
+        s, s_prev = 2 * d_prev + w * s - ak * s_prev, s
+    return p, d, s
+
 
 def _sturm_count(diag, off2, x, pivmin):
     """Number of eigenvalues strictly below x (negative LDL pivots)."""
@@ -270,44 +288,34 @@ def _sturm_count(diag, off2, x, pivmin):
     return count
 
 
-def _charpoly_and_diff(diag, off2, x):
-    """Characteristic polynomial of the leading principal minors and its
-    x-derivative via the three-term determinant recurrence."""
-    pm1, p = mp.mpf(0), mp.mpf(1)
-    dm1, d = mp.mpf(0), mp.mpf(0)
-    for i in range(len(diag)):
-        t = diag[i] - x
-        e2 = off2[i - 1] if i > 0 else mp.mpf(0)
-        pn = t * p - e2 * pm1
-        dn = -p + t * d - e2 * dm1
-        pm1, p = p, pn
-        dm1, d = d, dn
-    return p, d
-
-
-def tridiag_eigenvalues(diag, offdiag, ctx: PrecisionContext) -> list:
+def tridiag_eigenvalues(diag, off2, ctx: PrecisionContext) -> list:
     """All eigenvalues of the symmetric tridiagonal matrix, ascending.
 
-    Off-diagonal entries must be strictly positive, which guarantees the
-    eigenvalues are simple.  Bisection on the Sturm count isolates each
-    eigenvalue, then a guarded Newton iteration on the characteristic
-    polynomial polishes it to full context precision.
+    `off2` holds the products of the off-diagonal pairs, i.e. the squared
+    off-diagonal entries: with b_k = diag[k] and a_k = off2[k - 1] these are
+    the coefficients of the monic recurrence, and the eigenvalues are the
+    zeros of P_n, n = len(diag).  The off2 entries must be strictly
+    positive, which guarantees the eigenvalues are simple.  Bisection on the
+    Sturm count isolates each eigenvalue, then a guarded Newton iteration on
+    P_n through ttrr_d2 polishes it to full context precision.
     """
     n = len(diag)
-    if len(offdiag) != max(0, n - 1):
-        raise DomainError("offdiag must have length len(diag) - 1")
-    for e in offdiag:
-        if not e > 0:
-            raise DomainError("off-diagonal entries must be strictly positive")
+    if len(off2) != max(0, n - 1):
+        raise DomainError("off2 must have length len(diag) - 1")
+    for e2 in off2:
+        if not e2 > 0:
+            raise DomainError("off2 entries must be strictly positive")
     if n == 0:
         return []
     work = ctx.bits + 32
     with mp.workprec(work):
         d = [mp.mpf(v) for v in diag]
-        e = [mp.mpf(v) for v in offdiag]
+        off2 = [mp.mpf(v) for v in off2]
         if n == 1:
             return [ctx.round(d[0])]
-        off2 = [ei * ei for ei in e]
+        a_rec = [mp.mpf(0)] + off2
+        # square roots only for the Gershgorin bracket
+        e = [mp.sqrt(v) for v in off2]
 
         lo = min(d[i] - ((e[i - 1] if i > 0 else 0) + (e[i] if i < n - 1 else 0))
                  for i in range(n))
@@ -340,7 +348,7 @@ def tridiag_eigenvalues(diag, offdiag, ctx: PrecisionContext) -> list:
             # iterate within a few bracket widths and fall back to a Sturm
             # bisection step whenever Newton wanders further
             for _ in range(ctx.bits):
-                f, fp = _charpoly_and_diff(d, off2, x)
+                f, fp = ttrr_d2(d, a_rec, n, x)[:2]
                 if f == 0 or fp == 0:
                     break
                 dx = f / fp

@@ -36,6 +36,7 @@ from .kernel import (
     poly_scale,
     poly_sub,
     poly_trim,
+    ttrr_d2,
 )
 from .recurrence import RecurrenceTable
 
@@ -75,35 +76,15 @@ def poly_table(tbl: RecurrenceTable, n_max: int) -> tuple:
     return tuple(out)
 
 
-def ttrr_eval(tbl: RecurrenceTable, n: int, x) -> mp.mpf:
-    """P_n(x) straight from the recurrence.  Near the top of the zero range
-    this is much better conditioned than Horner on the monomial coefficients,
-    whose alternating signs cancel heavily there."""
-    return ttrr_eval_d2(tbl, n, x)[0]
-
-
 def ttrr_eval_d2(tbl: RecurrenceTable, n: int, x) -> tuple:
-    """(P_n(x), P_n'(x), P_n''(x)) by running the recurrence and its first
-    two formal derivatives side by side:
-
-        P_{k+1}   = (x - b_k) P_k   - a_k P_{k-1}
-        P'_{k+1}  = P_k + (x - b_k) P'_k  - a_k P'_{k-1}
-        P''_{k+1} = 2 P'_k + (x - b_k) P''_k - a_k P''_{k-1}
-    """
+    """(P_n(x), P_n'(x), P_n''(x)) straight from the recurrence (kernel.ttrr_d2)
+    at the table's working precision.  Near the top of the zero range this
+    is much better conditioned than Horner on the monomial coefficients,
+    whose alternating signs cancel heavily there."""
     if n < 0 or n > tbl.n_max + 1:
         raise IndexError(f"need 0 <= n <= {tbl.n_max + 1}, got {n}")
     with tbl.workprec():
-        xv = mp.mpf(x)
-        p_prev, p = mp.mpf(0), mp.mpf(1)
-        d_prev, d = mp.mpf(0), mp.mpf(0)
-        s_prev, s = mp.mpf(0), mp.mpf(0)
-        for k in range(n):
-            w = xv - tbl.b[k]
-            ak = tbl.a[k]
-            p, p_prev = w * p - ak * p_prev, p
-            d, d_prev = p_prev + w * d - ak * d_prev, d
-            s, s_prev = 2 * d_prev + w * s - ak * s_prev, s
-    return p, d, s
+        return ttrr_d2(tbl.b, tbl.a, n, mp.mpf(x))
 
 
 # ---------------------------------------------------------------------------

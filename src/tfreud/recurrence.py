@@ -52,8 +52,8 @@ BASE_GUARD_BITS = 64
 @dataclass(frozen=True)
 class RecurrenceTable:
     """a_0..a_{n_max}, b_0..b_{n_max}, h_0..h_{n_max} at a fixed z and at the
-    precision of `ctx`; a_0 = 0.  R, T and sigma run at their caller's
-    precision, inside workprec()."""
+    precision of `ctx`; a_0 = 0.  R and T run at their caller's precision,
+    inside workprec(); sigma runs there itself."""
 
     z: mp.mpf
     a: tuple
@@ -93,7 +93,8 @@ class RecurrenceTable:
         """sigma_n = sum_{k<n} b_k: minus the subleading monic coefficient."""
         if n < 0 or n > self.n_max + 1:
             raise IndexError(f"sigma_{n} outside 0..{self.n_max + 1}")
-        return mp.fsum(self.b[:n]) if n else mp.mpf(0)
+        with self.workprec():
+            return mp.fsum(self.b[:n]) if n else mp.mpf(0)
 
 
 def internal_bits_for(ctx: PrecisionContext, n_max: int) -> int:

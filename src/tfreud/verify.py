@@ -132,12 +132,12 @@ def _zdesc(z_values) -> str:
     return ",".join(mp.nstr(mp.mpf(z), 6) for z in z_values)
 
 
-def _algebraic_verdicts(z, n_max: int, bits: int) -> tuple:
-    """Pass/fail pattern of the core identity families at one precision;
-    used to confirm the verdicts are stable when the precision is doubled."""
-    ctx = PrecisionContext(bits)
+def _algebraic_verdicts(tbl: RecurrenceTable, n_max: int) -> tuple:
+    """Pass/fail pattern of the core identity families on one table, up to
+    n_max (the table must reach n_max + 2); used to confirm the verdicts are
+    stable when the precision is doubled."""
+    ctx = tbl.ctx
     with ctx.workprec(64):
-        tbl = chebyshev_coeffs(z, n_max + 2, ctx)
         polys = poly_table(tbl, n_max + 2)
         tol = ctx.verify_tol(1)
         flags = []
@@ -146,13 +146,13 @@ def _algebraic_verdicts(z, n_max: int, bits: int) -> tuple:
             flags.append(abs(lf_residual_I(tbl, n)) <= ctx.verify_tol(lf_scale_I(tbl, n)))
             res_i, scale_i = identity_i_residual(tbl, polys, n)
             flags.append(abs(res_i) <= ctx.verify_tol(scale_i))
-        xs = sample_grid(min(5, n_max), z, ctx, count=8)
+        xs = sample_grid(min(5, n_max), tbl.z, ctx, count=8)
         flags.append(holonomic_residual_chen(tbl, polys, min(5, n_max), xs) <= tol)
         return tuple(flags)
 
 
 def run_verification(z_values=(mp.mpf(1) / 4, 1, 4), n_max: int = 14,
-                     bits: int | None = None, epsilon=mp.mpf("1e-3"),
+                     bits: int | None = None, epsilon="1e-3",
                      fault: str | None = None) -> VerificationReport:
     """Run every residual family and return the collected records.
 
@@ -393,8 +393,9 @@ def run_verification(z_values=(mp.mpf(1) / 4, 1, 4), n_max: int = 14,
         # precision policy and verdict stability under doubling
         policy_ok = bits >= default_bits(n_max)
         n_snap = min(n_max, 8)
-        stable = (_algebraic_verdicts(mp.mpf(1), n_snap, bits)
-                  == _algebraic_verdicts(mp.mpf(1), n_snap, 2 * bits))
+        doubled = chebyshev_coeffs(mp.mpf(1), n_snap + 2, PrecisionContext(2 * bits))
+        stable = (_algebraic_verdicts(tbl_one, n_snap)
+                  == _algebraic_verdicts(doubled, n_snap))
         records.append(CheckRecord(
             "self-consistency", f"1..{n_snap}", "1",
             mp.mpf(0 if (policy_ok and stable) else 1), mp.mpf(0),

@@ -1,8 +1,9 @@
 """Zeros of P_n and everything built on top of them.
 
-* Zeros come from the symmetric tridiagonal form of the Jacobi matrix
-  (diagonal b_0..b_{n-1}, off-diagonal sqrt(a_1)..sqrt(a_{n-1})), then one
-  guarded Newton step on P_n through the recurrence.
+* Zeros are the eigenvalues of the Jacobi matrix, read straight from the
+  table (diagonal b_0..b_{n-1}, off-diagonal products a_1..a_{n-1}); the
+  eigensolver polishes each one by a guarded Newton iteration on P_n
+  through the recurrence.
 * The weight |y| exp(-z y^8) on the whole line has even moments equal to the
   moments of exp(-z x^4) on (0, inf), so its monic family satisfies
   S_{2n}(y) = P_n(y^2) and a chain gamma_1, gamma_2, ... with
@@ -62,51 +63,24 @@ class ZeroSet:
         return self.values[k]
 
 
-def zeros(tbl: RecurrenceTable, n: int, ctx: PrecisionContext,
-          refine: bool = True) -> ZeroSet:
-    """Zeros of P_n as eigenvalues of the symmetrized Jacobi matrix, then
-    (optionally) one Newton step each through ttrr_eval_d2, accepted only
-    when it stays inside the midpoint bracket and shrinks |P_n|."""
+def zeros(tbl: RecurrenceTable, n: int, ctx: PrecisionContext) -> ZeroSet:
+    """Zeros of P_n as eigenvalues of the Jacobi matrix of b_0..b_{n-1} and
+    a_1..a_{n-1}, polished by the eigensolver's Newton iteration."""
     if n < 1 or n > tbl.n_max:
         raise IndexError(f"need 1 <= n <= {tbl.n_max}, got {n}")
-    with ctx.workprec(32):
-        diag = [tbl.b[k] for k in range(n)]
-        off = [mp.sqrt(tbl.a[k]) for k in range(1, n)]
-        eig = tridiag_eigenvalues(diag, off, ctx)
-        if refine:
-            eig = _newton_polish(tbl, n, eig)
-        vals = tuple(ctx.round(v) for v in eig)
-    return ZeroSet(n, ctx.round(tbl.z), vals)
-
-
-def _newton_polish(tbl: RecurrenceTable, n: int, eig: list) -> list:
-    out = []
-    for k, x in enumerate(eig):
-        lo = (eig[k - 1] + x) / 2 if k > 0 else x / 2
-        hi = (eig[k + 1] + x) / 2 if k + 1 < len(eig) else x * 2
-        p, dp, _ = ttrr_eval_d2(tbl, n, x)
-        if dp == 0:
-            out.append(x)
-            continue
-        cand = x - p / dp
-        if lo < cand < hi:
-            p2, _, _ = ttrr_eval_d2(tbl, n, cand)
-            if abs(p2) <= abs(p):
-                out.append(cand)
-                continue
-        out.append(x)
-    return out
+    eig = tridiag_eigenvalues(tbl.b[:n], tbl.a[1:n], ctx)
+    return ZeroSet(n, ctx.round(tbl.z), tuple(eig))
 
 
 def interlacing_margin(outer: ZeroSet, inner: ZeroSet) -> mp.mpf:
-    """Smallest gap in x_{n,k} < x_{n-1,k} < x_{n,k+1}; positive means the
-    interlacing is strict."""
+    """Smallest gap in x_{n,k} < x_{n-1,k} < x_{n,k+1}, each gap an exact
+    difference; positive means the interlacing is strict."""
     if outer.n != inner.n + 1:
         raise DomainError(f"need degrees n and n-1, got {outer.n}, {inner.n}")
     margin = None
     for k in range(inner.n):
-        left = inner[k] - outer[k]
-        right = outer[k + 1] - inner[k]
+        left = mp.fsub(inner[k], outer[k], exact=True)
+        right = mp.fsub(outer[k + 1], inner[k], exact=True)
         small = min(left, right)
         margin = small if margin is None else min(margin, small)
     return margin
@@ -149,7 +123,7 @@ def gamma_chain(polys: tuple, tbl: RecurrenceTable, n_max: int) -> tuple:
 
 
 def largest_zero_bound(polys: tuple, tbl: RecurrenceTable, n: int,
-                       eps=mp.mpf("1e-3")) -> mp.mpf:
+                       eps="1e-3") -> mp.mpf:
     """max_k c_{2n} gamma_k over k = 1..2n-1, c_{2n} = 4 cos^2(pi/(2n+1)) + eps;
     an upper bound for the largest zero x_{n,n}."""
     if n < 2:
@@ -425,8 +399,8 @@ def chebyshev_comparison(n: int, ctx: PrecisionContext) -> tuple:
         closed = tuple(beta * (mp.cos(mp.pi * (n - k + 1) / (n + 1)) + 1)
                        for k in range(1, n + 1))
         diag = [beta] * n
-        off = [beta / 2] * (n - 1)
-        eig = tuple(tridiag_eigenvalues(diag, off, ctx))
+        off2 = [beta ** 2 / 4] * (n - 1)
+        eig = tuple(tridiag_eigenvalues(diag, off2, ctx))
     return closed, eig
 
 
@@ -448,7 +422,7 @@ def ptilde_zeros(n: int, ctx: PrecisionContext) -> tuple:
         beta = comparison_beta(ctx)
         quarter = mp.mpf("0.25")
         diag = [mp.mpf(0)] + [mp.mpf(k) ** quarter * beta for k in range(1, n)]
-        off = [mp.mpf(k) ** quarter * beta / 2 for k in range(1, n)]
+        off2 = [mp.sqrt(k) * beta ** 2 / 4 for k in range(1, n)]
         if n == 1:
             return (mp.mpf(0),)
-        return tuple(tridiag_eigenvalues(diag, off, ctx))
+        return tuple(tridiag_eigenvalues(diag, off2, ctx))

@@ -1,12 +1,13 @@
 """Command-line behavior: schemas, exit codes, determinism, error paths."""
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
 from mpmath import mp
 
-from tfreud.cli import main, round_half_away
+from tfreud.cli import RunConfig, build_parser, main, round_half_away
 from tfreud.kernel import PrecisionContext, default_bits
 
 
@@ -160,6 +161,13 @@ def test_decimal_arguments_parsed_at_run_precision(capsys):
     assert abs(beta_t - exact) <= ctx.verify_tol(exact)
 
 
+def test_epsilon_parsed_at_run_precision():
+    with mp.workprec(53):
+        cfg = RunConfig.from_args(build_parser().parse_args(["verify"]))
+    ctx = PrecisionContext(cfg.bits)
+    assert abs(cfg.epsilon - mp.mpf("1e-3")) <= ctx.verify_tol(mp.mpf("1e-3"))
+
+
 def test_verify_passes_and_writes(tmp_path, capsys):
     out = tmp_path / "report.json"
     code, stdout, _ = run_cli(capsys, "verify", "--n-max", "8", "--format", "json",
@@ -214,6 +222,20 @@ def test_output_determinism(tmp_path, capsys):
     run_cli(capsys, "coeffs", "--n-max", "6", "--out", str(a))
     run_cli(capsys, "coeffs", "--n-max", "6", "--out", str(b))
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("argv, exit_code, sha256", [
+    (("zeros", "--all-zeros", "--n-max", "12"), 0,
+     "a7c45b5fb1379ad54a2534b2aa9d07c94caf44a97f328e2b10df8d658604bc2a"),
+    (("zeros", "--table-check"), 1,
+     "0237b2140481b4b9bf066e0ef7e3aa82d12e61f62b3a3d80a0e472e06347140d"),
+])
+def test_zeros_output_bits_pinned(capsys, argv, exit_code, sha256):
+    # byte-identical output is a contract: any change to these digests must
+    # be a deliberate, documented change of the computed zeros
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == exit_code
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
 def test_config_errors(capsys):

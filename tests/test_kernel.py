@@ -205,9 +205,10 @@ def test_tridiag_two_by_two():
 
 @pytest.mark.parametrize("n", [3, 5, 8, 12])
 def test_tridiag_chebyshev_closed_form(n):
-    # diag 0, offdiag 1/2: eigenvalues are cos(k*pi/(n+1)), k = n..1 ascending
+    # diag 0, offdiag 1/2 (products 1/4): eigenvalues are cos(k*pi/(n+1)),
+    # k = n..1 ascending
     ctx = PrecisionContext(192)
-    ev = tridiag_eigenvalues([mp.mpf(0)] * n, [mp.mpf(1) / 2] * (n - 1), ctx)
+    ev = tridiag_eigenvalues([mp.mpf(0)] * n, [mp.mpf(1) / 4] * (n - 1), ctx)
     with mp.workprec(260):
         ref = sorted(mp.cos(mp.pi * k / (n + 1)) for k in range(1, n + 1))
     for got, want in zip(ev, ref):
@@ -220,7 +221,7 @@ def test_tridiag_charpoly_roots_oracle():
     ctx = PrecisionContext(128)
     diag = [mp.mpf(v) for v in ("0.3", "-1.2", "2.5", "0.9", "-0.4")]
     off = [mp.mpf(v) for v in ("0.7", "1.1", "0.2", "0.6")]
-    ev = tridiag_eigenvalues(diag, off, ctx)
+    ev = tridiag_eigenvalues(diag, [e ** 2 for e in off], ctx)
     with mp.workprec(256):
         # det(xI - J) by the minor recurrence, coefficients in x
         pm1 = [mp.mpf(1)]

@@ -50,7 +50,6 @@ from tfreud.operators import (
     structure_coeffs,
     structure_coeffs_explicit,
     structure_residual,
-    ttrr_eval,
     ttrr_eval_d2,
 )
 from tfreud.recurrence import (
@@ -79,6 +78,7 @@ from tfreud.zeros import (
     electro_energy,
     empirical_density_distance,
     gamma_chain,
+    interlacing_margin,
     largest_zero_bound,
     ode_at_zeros_check,
     potential_deriv,
@@ -118,6 +118,7 @@ CASES = {
     "lf_residual_2": lambda: [lf_residual_2(TBL, n) for n in range(1, 11)],
     "lf_residual_I": lambda: [lf_residual_I(TBL, n) for n in range(1, 11)],
     "lf_scale_I": lambda: lf_scale_I(TBL, 5),
+    "RecurrenceTable.sigma": lambda: [TBL.sigma(n) for n in range(14)],
     "lf_forward": lambda: lf_forward((TBL.b[0], TBL.a[1], TBL.b[1]), 8, TBL),
     "asymptotic_ratio": lambda: asymptotic_ratio(TBL, 7),
     "asymptotic_constants": lambda: asymptotic_constants(CTX),
@@ -125,7 +126,6 @@ CASES = {
     "h_scaling_check": lambda: h_scaling_check(TBL4, TBL, 7),
     "poly_table": lambda: poly_table(TBL, 8),
     "sample_grid": lambda: sample_grid(6, "0.3", CTX, count=5, lo="0.02"),
-    "ttrr_eval": lambda: ttrr_eval(TBL, 9, "0.7"),
     "ttrr_eval_d2": lambda: ttrr_eval_d2(TBL, 9, "0.7"),
     "beta_row": lambda: beta_row(TBL, 5),
     "beta_lower": lambda: beta_lower(TBL, 5),
@@ -145,6 +145,7 @@ CASES = {
     "confluent_check": lambda: confluent_check(POLYS, TBL, 6, XS),
     "lax_block_check": lambda: lax_block_check(TBL, 10),
     "zeros": lambda: zeros(TBL, 6, CTX),
+    "interlacing_margin": lambda: interlacing_margin(ZS, zeros(TBL, 5, CTX)),
     "zero_scaling_check": lambda: zero_scaling_check(zeros(TBL4, 6, CTX), ZS, CTX),
     "gamma_chain": lambda: gamma_chain(POLYS, TBL, 8),
     "largest_zero_bound": lambda: largest_zero_bound(POLYS, TBL, 8, eps="1e-3"),

@@ -67,9 +67,9 @@ def test_tables_and_zero_sets_built_once(monkeypatch):
     monkeypatch.setattr(verify, "zeros", counted_zeros)
     run_verification(n_max=8)
     assert len(solves) == len(set(solves))
-    # one table per z of the default triple and of SCALE_Z, plus the two
-    # builds of the precision-doubling check
-    assert len(builds) == len({mp.mpf(1) / 4, mp.mpf(1), mp.mpf(4), *SCALE_Z}) + 2
+    # one table per z of the default triple and of SCALE_Z, plus the
+    # doubled-precision table of the precision-doubling check
+    assert len(builds) == len({mp.mpf(1) / 4, mp.mpf(1), mp.mpf(4), *SCALE_Z}) + 1
 
 
 def test_policy_gate_flags_low_bits():

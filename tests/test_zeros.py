@@ -111,14 +111,6 @@ def test_zeros_vanish_on_polynomial(t14, zsets):
             assert abs(val) <= CTX.verify_tol(majorant)
 
 
-def test_refinement_is_stable(t14):
-    tbl, _ = t14
-    raw = zeros(tbl, 9, CTX, refine=False)
-    ref = zeros(tbl, 9, CTX, refine=True)
-    for a, b in zip(raw.values, ref.values):
-        assert abs(a - b) <= CTX.verify_tol(b) * 16
-
-
 @pytest.mark.parametrize("zq", ["0.25", "1", "4"])
 def test_interlacing(zq):
     z = mp.mpf(zq)
