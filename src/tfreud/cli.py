@@ -25,7 +25,7 @@ from .recurrence import asymptotic_ratio, chebyshev_coeffs
 from .verify import run_verification
 from .zeros import (
     DensityModel,
-    chebyshev_comparison,
+    chebyshev_zeros,
     comparison_beta,
     density,
     density_normalization,
@@ -309,7 +309,7 @@ def cmd_figures(cfg: RunConfig) -> int:
 
         beta = comparison_beta(ctx)
         emit("figure4_chebyshev", ["n", "y_n1", "smallest", "w_n"],
-             [{"n": n, "y_n1": chebyshev_comparison(n, ctx)[0][0], "smallest": lo,
+             [{"n": n, "y_n1": chebyshev_zeros(n, ctx)[0], "smallest": lo,
                "w_n": beta * mp.pi ** 2 / (2 * (n + 1) ** 2)}
               for n, lo, _ in extremes])
 

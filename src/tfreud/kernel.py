@@ -72,16 +72,6 @@ def default_bits(n_max: int) -> int:
 # scalar special functions
 # ---------------------------------------------------------------------------
 
-def gamma(x, ctx: PrecisionContext) -> mp.mpf:
-    """Gamma(x) for x > 0 at context precision."""
-    with ctx.workprec(16):
-        xv = mp.mpf(x)
-        if not xv > 0:
-            raise DomainError(f"gamma requires a positive argument, got {x}")
-        val = mp.gamma(xv)
-    return ctx.round(val)
-
-
 def hyp2f1_series(a, b, c, w, ctx: PrecisionContext, max_terms: int = 200_000) -> mp.mpf:
     """Gauss series sum_k (a)_k (b)_k / ((c)_k k!) w^k for |w| < 1.
 
@@ -210,10 +200,6 @@ class RationalFn:
         if all(c == 0 for c in self.den):
             raise DomainError("RationalFn denominator is identically zero")
 
-    @staticmethod
-    def from_poly(p: list) -> "RationalFn":
-        return RationalFn(tuple(poly_trim(list(p))), (mp.mpf(1),))
-
     def eval(self, x) -> mp.mpf:
         d = poly_eval(list(self.den), x)
         if d == 0:
@@ -225,24 +211,6 @@ class RationalFn:
         n, d = list(self.num), list(self.den)
         num = poly_sub(poly_mul(poly_diff(n), d), poly_mul(n, poly_diff(d)))
         return RationalFn(tuple(num), tuple(poly_mul(d, d)))
-
-    def __add__(self, other: "RationalFn") -> "RationalFn":
-        n = poly_add(poly_mul(list(self.num), list(other.den)),
-                     poly_mul(list(other.num), list(self.den)))
-        return RationalFn(tuple(n), tuple(poly_mul(list(self.den), list(other.den))))
-
-    def __sub__(self, other: "RationalFn") -> "RationalFn":
-        return self + (-other)
-
-    def __neg__(self) -> "RationalFn":
-        return RationalFn(tuple(-c for c in self.num), self.den)
-
-    def __mul__(self, other: "RationalFn") -> "RationalFn":
-        return RationalFn(tuple(poly_mul(list(self.num), list(other.num))),
-                          tuple(poly_mul(list(self.den), list(other.den))))
-
-    def scale(self, c) -> "RationalFn":
-        return RationalFn(tuple(poly_scale(list(self.num), c)), self.den)
 
 
 # ---------------------------------------------------------------------------

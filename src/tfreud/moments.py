@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import mpmath as mp
 
-from .kernel import RESIDUAL_GUARD_BITS, DomainError, PrecisionContext, gamma
+from .kernel import RESIDUAL_GUARD_BITS, DomainError, PrecisionContext
 
 
 def moment(n: int, z, ctx: PrecisionContext) -> mp.mpf:
@@ -97,10 +97,6 @@ def pearson_data(z, ctx: PrecisionContext) -> PearsonData:
     # over roots of phi vanishes; here it is 1, so no reduction
     cls = max(len(phi) - 1 - 2, len(psi) - 1 - 1) if pearson_product(zv, ctx) > 0 else -1
     return PearsonData(phi, psi, cls)
-
-
-def class_check(z, ctx: PrecisionContext) -> int:
-    return pearson_data(z, ctx).class_
 
 
 def stieltjes_partial(t, z, N: int, ctx: PrecisionContext) -> mp.mpf:

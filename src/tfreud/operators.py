@@ -38,7 +38,7 @@ from .kernel import (
     poly_trim,
     ttrr_d2,
 )
-from .recurrence import RecurrenceTable
+from .recurrence import RecurrenceTable, band_lower, band_readers, band_row, bracket_i
 
 
 def sample_grid(n: int, z, ctx: PrecisionContext, count: int = 16, lo=None):
@@ -110,59 +110,13 @@ class BetaRow:
         return row
 
 
-def _guards(tbl: RecurrenceTable) -> tuple:
-    """(A, Tt, Rr): a_i, T_i and R_i read as zero below their range.  a_0 = 0
-    and T_0 = 0 hold anyway; R_{-1}, R_{-2} and negative a, T indices only
-    ever appear multiplied by vanishing factors."""
-    a, R, T = tbl.a, tbl.R, tbl.T
-
-    def A(i):
-        return a[i] if i >= 1 else mp.mpf(0)
-
-    def Tt(i):
-        return T(i) if i >= 1 else mp.mpf(0)
-
-    def Rr(i):
-        return R(i) if i >= 0 else mp.mpf(0)
-
-    return A, Tt, Rr
-
-
-def _beta_lower_terms(tbl: RecurrenceTable, m: int) -> dict:
-    """beta_{m,m-1}..beta_{m,m-4}, negative keys included."""
-    A, Tt, Rr = _guards(tbl)
-    return {
-        m - 1: A(m) * (Tt(m + 1) + Tt(m - 1)) + Tt(m) * (Rr(m) + Rr(m - 1)),
-        m - 2: A(m) * A(m - 1) * (Rr(m) + Rr(m - 2)) + Tt(m) * Tt(m - 1),
-        m - 3: A(m - 1) * A(m - 2) * Tt(m) + A(m) * A(m - 1) * Tt(m - 2),
-        m - 4: A(m) * A(m - 1) * A(m - 2) * A(m - 3),
-    }
-
-
-def _beta_terms(tbl: RecurrenceTable, n: int) -> dict:
-    b, R, T = tbl.b, tbl.R, tbl.T
-    A, _, _ = _guards(tbl)
-    out = {
-        n + 3: b[n] + b[n + 1] + b[n + 2] + b[n + 3],
-        n + 2: R(n + 2) + (b[n + 1] + b[n]) * (b[n + 2] + b[n + 1]) + R(n),
-        n + 1: T(n + 2) + (b[n + 1] + b[n]) * (R(n + 1) + R(n)) + T(n),
-        n: (A(n + 2) * A(n + 1) + (b[n + 1] + b[n]) * T(n + 1) + R(n) ** 2
-            + ((b[n - 1] + b[n]) * T(n) if n >= 1 else mp.mpf(0))
-            + A(n) * A(n - 1)),
-    }
-    for k, v in _beta_lower_terms(tbl, n).items():
-        if k >= 0:
-            out[k] = v
-    return out
-
-
 def beta_row(tbl: RecurrenceTable, n: int) -> BetaRow:
     """The eight explicit coefficients; rows with n < 4 drop the k < 0 slots
     (their formulas vanish through a_0 = 0 in exact arithmetic)."""
     if n < 0 or n > tbl.n_max - 3:
         raise IndexError(f"beta row needs 0 <= n <= {tbl.n_max - 3}, got {n}")
     with tbl.workprec():
-        return BetaRow(n, _beta_terms(tbl, n))
+        return BetaRow(n, band_row(tbl.a, tbl.b, n))
 
 
 def beta_lower(tbl: RecurrenceTable, m: int) -> dict:
@@ -172,7 +126,7 @@ def beta_lower(tbl: RecurrenceTable, m: int) -> dict:
     if m < 1 or m > tbl.n_max - 1:
         raise IndexError(f"need 1 <= m <= {tbl.n_max - 1}, got {m}")
     with tbl.workprec():
-        return _beta_lower_terms(tbl, m)
+        return band_lower(tbl.a, tbl.b, m)
 
 
 def jacobi_matrix(tbl: RecurrenceTable, size: int) -> list:
@@ -225,13 +179,12 @@ def structure_coeffs_explicit(tbl: RecurrenceTable, n: int) -> tuple:
     going through the beta formulas (used to cross-check them)."""
     if n < 0 or n > tbl.n_max - 2:
         raise IndexError(f"need 0 <= n <= {tbl.n_max - 2}, got {n}")
-    R, T = tbl.R, tbl.T
-    A, Tt, Rr = _guards(tbl)
+    A, R, T = band_readers(tbl.a, tbl.b)
     with tbl.workprec():
         f = 4 * tbl.z
-        c0 = f * (A(n + 1) * (T(n + 2) + Tt(n)) + T(n + 1) * (R(n + 1) + R(n)))
-        c1 = f * (A(n + 1) * A(n) * (R(n + 1) + Rr(n - 1)) + T(n + 1) * Tt(n))
-        c2 = f * A(n) * (A(n - 1) * T(n + 1) + A(n + 1) * Tt(n - 1))
+        c0 = f * (A(n + 1) * (T(n + 2) + T(n)) + T(n + 1) * (R(n + 1) + R(n)))
+        c1 = f * (A(n + 1) * A(n) * (R(n + 1) + R(n - 1)) + T(n + 1) * T(n))
+        c2 = f * A(n) * (A(n - 1) * T(n + 1) + A(n + 1) * T(n - 1))
         c3 = f * A(n + 1) * A(n) * A(n - 1) * A(n - 2)
         return (c0, c1, c2, c3)
 
@@ -256,31 +209,9 @@ def structure_residual(tbl: RecurrenceTable, polys: tuple, n: int) -> list:
 # ladder functions calA_n, calB_n and their compatibility identities
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LadderPair:
-    """calA_n = 4z(x^2 + b_n x + R_n) + P_n(0)^2/(h_n x);
-    calB_n = 4z a_n (x + b_n + b_{n-1}) + P_n(0) P_{n-1}(0)/(h_{n-1} x).
-    Both stored over the common denominator x."""
-
-    n: int
-    A: RationalFn
-    B: RationalFn
-
-
-def ladder_pair(tbl: RecurrenceTable, polys: tuple, n: int) -> LadderPair:
-    if n < 1 or n > tbl.n_max - 1:
-        raise IndexError(f"need 1 <= n <= {tbl.n_max - 1}, got {n}")
-    with tbl.workprec():
-        f = 4 * tbl.z
-        num_b = (polys[n].at_zero * polys[n - 1].at_zero / tbl.h[n - 1],
-                 f * tbl.a[n] * (tbl.b[n] + tbl.b[n - 1]),
-                 f * tbl.a[n])
-        return LadderPair(n, _cal_A(tbl, polys, n), RationalFn(num_b, (mp.mpf(0), mp.mpf(1))))
-
-
-def _cal_A(tbl: RecurrenceTable, polys: tuple, n: int) -> RationalFn:
-    """calA_n as a RationalFn; unlike ladder_pair this also admits n = 0
-    (calB_0 would need b_{-1}, but calA_0 is perfectly defined)."""
+def ladder_A(tbl: RecurrenceTable, polys: tuple, n: int) -> RationalFn:
+    """calA_n = 4z(x^2 + b_n x + R_n) + P_n(0)^2/(h_n x), stored over the
+    denominator x; defined for 0 <= n <= n_max - 1."""
     if n < 0 or n > tbl.n_max - 1:
         raise IndexError(f"need 0 <= n <= {tbl.n_max - 1}, got {n}")
     with tbl.workprec():
@@ -290,13 +221,25 @@ def _cal_A(tbl: RecurrenceTable, polys: tuple, n: int) -> RationalFn:
                           (mp.mpf(0), mp.mpf(1)))
 
 
+def ladder_B(tbl: RecurrenceTable, polys: tuple, n: int) -> RationalFn:
+    """calB_n = 4z a_n (x + b_n + b_{n-1}) + P_n(0) P_{n-1}(0)/(h_{n-1} x),
+    stored over the denominator x; defined for 1 <= n <= n_max - 1."""
+    if n < 1 or n > tbl.n_max - 1:
+        raise IndexError(f"need 1 <= n <= {tbl.n_max - 1}, got {n}")
+    with tbl.workprec():
+        f = 4 * tbl.z
+        return RationalFn((polys[n].at_zero * polys[n - 1].at_zero / tbl.h[n - 1],
+                           f * tbl.T(n), f * tbl.a[n]),
+                          (mp.mpf(0), mp.mpf(1)))
+
+
 def identity_i_residual(tbl: RecurrenceTable, polys: tuple, n: int) -> tuple:
     """4z(T_{n+1} + b_n R_n + T_n) - P_n(0)^2/h_n and the magnitude of the
     matching side (for tolerance scaling)."""
     if n < 0 or n > tbl.n_max - 1:
         raise IndexError(f"need 0 <= n <= {tbl.n_max - 1}, got {n}")
     with tbl.workprec():
-        lhs = 4 * tbl.z * (tbl.T(n + 1) + tbl.b[n] * tbl.R(n) + tbl.T(n))
+        lhs = 4 * tbl.z * bracket_i(tbl.a, tbl.b, n)
         rhs = polys[n].at_zero ** 2 / tbl.h[n]
         return lhs - rhs, max(abs(lhs), abs(rhs))
 
@@ -324,11 +267,11 @@ def compat_residuals(tbl: RecurrenceTable, polys: tuple, n: int, x_samples) -> t
     both returned values compare against verify_tol(1)."""
     if n < 1 or n > tbl.n_max - 2:
         raise IndexError(f"need 1 <= n <= {tbl.n_max - 2}, got {n}")
-    A_n = _cal_A(tbl, polys, n)
-    A_up = _cal_A(tbl, polys, n + 1)
-    A_dn = _cal_A(tbl, polys, n - 1)
-    B_n = ladder_pair(tbl, polys, n).B
-    B_up = ladder_pair(tbl, polys, n + 1).B
+    A_n = ladder_A(tbl, polys, n)
+    A_up = ladder_A(tbl, polys, n + 1)
+    A_dn = ladder_A(tbl, polys, n - 1)
+    B_n = ladder_B(tbl, polys, n)
+    B_up = ladder_B(tbl, polys, n + 1)
     r1 = mp.mpf(0)
     r2 = mp.mpf(0)
     with tbl.workprec():
@@ -511,9 +454,9 @@ def holonomic_residual_chen(tbl: RecurrenceTable, polys: tuple, n: int,
     for the same conditioning reason as in holonomic_residual_Dn."""
     if n < 1 or n > tbl.n_max - 1:
         raise IndexError(f"need 1 <= n <= {tbl.n_max - 1}, got {n}")
-    A_n = _cal_A(tbl, polys, n)
-    A_dn = _cal_A(tbl, polys, n - 1)
-    B_n = ladder_pair(tbl, polys, n).B
+    A_n = ladder_A(tbl, polys, n)
+    A_dn = ladder_A(tbl, polys, n - 1)
+    B_n = ladder_B(tbl, polys, n)
     with tbl.workprec():
         dA = A_n.derivative()
         dB = B_n.derivative()

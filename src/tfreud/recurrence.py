@@ -10,16 +10,17 @@ to the caller's context, which the table keeps: every evaluation on a table
 runs at RecurrenceTable.workprec(), whatever mpmath's global precision is.
 
 The combinations R_n = a_{n+1} + b_n^2 + a_n and T_n = a_n*(b_n + b_{n-1})
-close the Laguerre-Freud system:
+build the band of x^4 P_n = sum_k beta_{n,k} P_k (the fourth power of the
+Jacobi matrix).  Reading the structure relation on that band gives the
+Laguerre-Freud system as two band identities,
 
-    4z*[a_{n+2}a_{n+1} + T_{n+1}(b_{n+1}+b_n) + R_n^2 + T_n(b_n+b_{n-1})
-        + a_n a_{n-1}] = 2n+1
-    4z*[a_{n+1}(T_{n+2}+T_n) - a_n(T_{n+1}+T_{n-1}) - T_n(R_n+R_{n-1})
-        + T_{n+1}(R_{n+1}+R_n)] = b_n
+    4z*beta_{n,n} = 2n+1,    4z*(beta_{n+1,n} - beta_{n,n-1}) = b_n,
 
-plus one nonlinear difference identity quadratic in the same data.  Forward
-generation from a seed is supported as a diagnostic only: it amplifies seed
-error at a rate of a few bits per step.
+plus one nonlinear difference identity quadratic in the same data.  R, T,
+the band entries and the bracket T_{n+1} + b_n R_n + T_n are functions of
+the coefficient sequences (a, b), so they evaluate on a table and on trial
+sequences alike.  Forward generation from a seed is supported as a
+diagnostic only: it amplifies seed error at a rate of a few bits per step.
 
 Large-n behaviour: a_n ~ sqrt(n/(140z)) and b_n ~ 2*(n/(140z))^(1/4).  The
 constants A = 140^(-1/2), B = 2*140^(-1/4) satisfy exact rational relations
@@ -32,6 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 import mpmath as mp
 
@@ -49,11 +51,77 @@ LOSS_BITS_PER_DEGREE = 3.5
 BASE_GUARD_BITS = 64
 
 
+# ---------------------------------------------------------------------------
+# R, T and the x^4 band as functions of the coefficient sequences (a, b)
+# ---------------------------------------------------------------------------
+# Each runs at its caller's precision.  a_i and T_i read as zero for i < 1
+# and R_i for i < 0: a_0 = T_0 = 0 hold anyway, and the negative indices only
+# ever appear multiplied by a vanishing factor.
+
+def _a_i(a, i: int):
+    """a_i, read as 0 for i < 1."""
+    return a[i] if i >= 1 else mp.mpf(0)
+
+
+def _R_i(a, b, i: int):
+    """R_i = a_{i+1} + b_i^2 + a_i, read as 0 for i < 0."""
+    return a[i + 1] + b[i] ** 2 + a[i] if i >= 0 else mp.mpf(0)
+
+
+def _T_i(a, b, i: int):
+    """T_i = a_i (b_i + b_{i-1}), read as 0 for i < 1."""
+    return a[i] * (b[i] + b[i - 1]) if i >= 1 else mp.mpf(0)
+
+
+def band_readers(a, b) -> tuple:
+    """(A, R, T): a_i, R_i and T_i of these sequences as functions of i."""
+    return partial(_a_i, a), partial(_R_i, a, b), partial(_T_i, a, b)
+
+
+def band_diagonal(a, b, n: int):
+    """beta_{n,n}; reads a up to a_{n+2} and b up to b_{n+1}."""
+    A, R, T = band_readers(a, b)
+    return (A(n + 2) * A(n + 1) + (b[n + 1] + b[n]) * T(n + 1) + R(n) ** 2
+            + ((b[n - 1] + b[n]) * T(n) if n >= 1 else mp.mpf(0))
+            + A(n) * A(n - 1))
+
+
+def band_lower(a, b, m: int) -> dict:
+    """beta_{m,m-1}..beta_{m,m-4}, negative keys included (they hold exact
+    zeros); reads a and b up to index m + 1."""
+    A, R, T = band_readers(a, b)
+    return {
+        m - 1: A(m) * (T(m + 1) + T(m - 1)) + T(m) * (R(m) + R(m - 1)),
+        m - 2: A(m) * A(m - 1) * (R(m) + R(m - 2)) + T(m) * T(m - 1),
+        m - 3: A(m - 1) * A(m - 2) * T(m) + A(m) * A(m - 1) * T(m - 2),
+        m - 4: A(m) * A(m - 1) * A(m - 2) * A(m - 3),
+    }
+
+
+def band_row(a, b, n: int) -> dict:
+    """beta_{n,k} for k = max(0, n-4)..n+3, where x^4 P_n = P_{n+4}
+    + sum_k beta_{n,k} P_k; reads a and b up to index n + 3."""
+    _, R, T = band_readers(a, b)
+    row = {
+        n + 3: b[n] + b[n + 1] + b[n + 2] + b[n + 3],
+        n + 2: R(n + 2) + (b[n + 1] + b[n]) * (b[n + 2] + b[n + 1]) + R(n),
+        n + 1: T(n + 2) + (b[n + 1] + b[n]) * (R(n + 1) + R(n)) + T(n),
+        n: band_diagonal(a, b, n),
+    }
+    row.update((k, v) for k, v in band_lower(a, b, n).items() if k >= 0)
+    return row
+
+
+def bracket_i(a, b, n: int):
+    """T_{n+1} + b_n R_n + T_n: 4z times it is P_n(0)^2/h_n (identity i)."""
+    _, R, T = band_readers(a, b)
+    return T(n + 1) + b[n] * R(n) + T(n)
+
+
 @dataclass(frozen=True)
 class RecurrenceTable:
     """a_0..a_{n_max}, b_0..b_{n_max}, h_0..h_{n_max} at a fixed z and at the
-    precision of `ctx`; a_0 = 0.  R and T run at their caller's precision,
-    inside workprec(); sigma runs there itself."""
+    precision of `ctx`; a_0 = 0.  R, T and sigma run at workprec()."""
 
     z: mp.mpf
     a: tuple
@@ -79,15 +147,15 @@ class RecurrenceTable:
         """R_n = a_{n+1} + b_n^2 + a_n; defined for 0 <= n <= n_max - 1."""
         if n < 0 or n + 1 > self.n_max:
             raise IndexError(f"R_{n} needs a_{n + 1}, table holds 0..{self.n_max}")
-        return self.a[n + 1] + self.b[n] ** 2 + self.a[n]
+        with self.workprec():
+            return _R_i(self.a, self.b, n)
 
     def T(self, n: int) -> mp.mpf:
         """T_n = a_n*(b_n + b_{n-1}); T_0 = 0, so b_{-1} is never read."""
         if n < 0 or n > self.n_max:
             raise IndexError(f"T_{n} outside table range 0..{self.n_max}")
-        if n == 0:
-            return mp.mpf(0)
-        return self.a[n] * (self.b[n] + self.b[n - 1])
+        with self.workprec():
+            return _T_i(self.a, self.b, n)
 
     def sigma(self, n: int) -> mp.mpf:
         """sigma_n = sum_{k<n} b_k: minus the subleading monic coefficient."""
@@ -163,55 +231,40 @@ def _check_lf_range(tbl: RecurrenceTable, n: int, lo: int):
         raise IndexError(f"n must satisfy {lo} <= n <= {tbl.n_max - 2}, got {n}")
 
 
-def lf_residual_1(tbl: RecurrenceTable, n: int) -> mp.mpf:
-    """4z*[a_{n+2}a_{n+1} + T_{n+1}(b_{n+1}+b_n) + R_n^2 + T_n(b_n+b_{n-1})
-    + a_n a_{n-1}] - (2n+1).  n = 0 uses the a_0 = T_0 = 0 conventions."""
+def lf_residual_1(tbl: RecurrenceTable, n: int) -> tuple:
+    """4z*beta_{n,n} - (2n+1) and the scale 2n+1 of the right-hand side."""
     _check_lf_range(tbl, n, 0)
-    a, b = tbl.a, tbl.b
     with tbl.workprec():
-        bracket = a[n + 2] * a[n + 1] + tbl.T(n + 1) * (b[n + 1] + b[n]) + tbl.R(n) ** 2
-        if n >= 1:
-            bracket += tbl.T(n) * (b[n] + b[n - 1]) + a[n] * a[n - 1]
-        return 4 * tbl.z * bracket - (2 * n + 1)
+        return 4 * tbl.z * band_diagonal(tbl.a, tbl.b, n) - (2 * n + 1), mp.mpf(2 * n + 1)
 
 
-def lf_residual_2(tbl: RecurrenceTable, n: int) -> mp.mpf:
-    """4z*[a_{n+1}(T_{n+2}+T_n) - a_n(T_{n+1}+T_{n-1}) - T_n(R_n+R_{n-1})
-    + T_{n+1}(R_{n+1}+R_n)] - b_n."""
+def lf_residual_2(tbl: RecurrenceTable, n: int) -> tuple:
+    """4z*(beta_{n+1,n} - beta_{n,n-1}) - b_n and its scale: the larger of
+    |b_n| and 4z a_{n+1}|T_{n+2} + T_n|, the leading term of 4z*beta_{n+1,n}."""
     _check_lf_range(tbl, n, 1)
-    a = tbl.a
-    with tbl.workprec():
-        bracket = (a[n + 1] * (tbl.T(n + 2) + tbl.T(n))
-                   - a[n] * (tbl.T(n + 1) + tbl.T(n - 1))
-                   - tbl.T(n) * (tbl.R(n) + tbl.R(n - 1))
-                   + tbl.T(n + 1) * (tbl.R(n + 1) + tbl.R(n)))
-        return 4 * tbl.z * bracket - tbl.b[n]
-
-
-def _lf_I_sides(tbl: RecurrenceTable, n: int):
     a, b = tbl.a, tbl.b
-    lhs = (a[n + 1]
-           * (tbl.T(n + 2) + b[n + 1] * tbl.R(n + 1) + tbl.T(n + 1))
-           * (tbl.T(n + 1) + b[n] * tbl.R(n) + tbl.T(n)))
-    rhs = (a[n + 1] * tbl.R(n + 1) + b[n] * tbl.T(n + 1) + a[n + 1] * a[n]
-           - mp.mpf(n + 1) / (4 * tbl.z)) ** 2
-    return lhs, rhs
-
-
-def lf_residual_I(tbl: RecurrenceTable, n: int) -> mp.mpf:
-    """Nonlinear difference identity: product form minus squared form."""
-    _check_lf_range(tbl, n, 0)
+    _, _, T = band_readers(a, b)
     with tbl.workprec():
-        lhs, rhs = _lf_I_sides(tbl, n)
-        return lhs - rhs
+        up, down = band_lower(a, b, n + 1)[n], band_lower(a, b, n)[n - 1]
+        scale = max(abs(b[n]), 4 * tbl.z * a[n + 1] * abs(T(n + 2) + T(n)))
+        return 4 * tbl.z * (up - down) - b[n], scale
 
 
-def lf_scale_I(tbl: RecurrenceTable, n: int) -> mp.mpf:
-    """Magnitude of the larger side of the nonlinear identity, for tolerances."""
+def lf_residual_I(tbl: RecurrenceTable, n: int) -> tuple:
+    """Nonlinear difference identity, product form minus squared form:
+
+        a_{n+1} [T_{n+2} + b_{n+1} R_{n+1} + T_{n+1}] [T_{n+1} + b_n R_n + T_n]
+        - (a_{n+1} R_{n+1} + b_n T_{n+1} + a_{n+1} a_n - (n+1)/(4z))^2,
+
+    and the magnitude of the larger side as its scale."""
     _check_lf_range(tbl, n, 0)
+    a, b = tbl.a, tbl.b
+    _, R, T = band_readers(a, b)
     with tbl.workprec():
-        lhs, rhs = _lf_I_sides(tbl, n)
-        return max(abs(lhs), abs(rhs))
+        lhs = a[n + 1] * bracket_i(a, b, n + 1) * bracket_i(a, b, n)
+        rhs = (a[n + 1] * R(n + 1) + b[n] * T(n + 1) + a[n + 1] * a[n]
+               - mp.mpf(n + 1) / (4 * tbl.z)) ** 2
+        return lhs - rhs, max(abs(lhs), abs(rhs))
 
 
 def lf_forward(seed, n_max: int, reference: RecurrenceTable):
@@ -231,30 +284,23 @@ def lf_forward(seed, n_max: int, reference: RecurrenceTable):
     with ctx.workprec(32):
         a = [mp.mpf(0), mp.mpf(a1)]
         b = [mp.mpf(b0), mp.mpf(b1)]
-
-        def T(i):
-            return a[i] * (b[i] + b[i - 1]) if i >= 1 else mp.mpf(0)
-
-        def R(i):
-            return a[i + 1] + b[i] ** 2 + a[i]
-
         for n in range(n_max - 1):
             if a[n + 1] == 0:
                 raise ConvergenceError(f"forward recursion hit a_{n + 1} = 0 at step {n}")
-            bracket = T(n + 1) * (b[n + 1] + b[n]) + R(n) ** 2
-            if n >= 1:
-                bracket += T(n) * (b[n] + b[n - 1]) + a[n] * a[n - 1]
-            a_next = (mp.mpf(2 * n + 1) / (4 * zv) - bracket) / a[n + 1]
+            # a_{n+2} enters beta_{n,n} only through a_{n+2} a_{n+1}, so the
+            # placeholder a_{n+2} = 0 leaves the known part of the entry
+            a.append(mp.mpf(0))
+            a_next = (mp.mpf(2 * n + 1) / (4 * zv) - band_diagonal(a, b, n)) / a[n + 1]
             if a_next <= 0:
                 raise ConvergenceError(
                     f"forward recursion produced a_{n + 2} = {mp.nstr(a_next, 8)} <= 0 at step {n}")
-            a.append(a_next)
-            # T_{n+2} from the b-equation, then b_{n+2} = T_{n+2}/a_{n+2} - b_{n+1}
-            r_prev = R(n - 1) if n >= 1 else mp.mpf(0)  # multiplied by T_0 = 0 at n = 0
-            t_next = ((b[n] / (4 * zv) + a[n] * (T(n + 1) + T(n - 1))
-                       + T(n) * (R(n) + r_prev)
-                       - T(n + 1) * (R(n + 1) + R(n))) / a[n + 1]) - T(n)
-            b.append(t_next / a_next - b[n + 1])
+            a[n + 2] = a_next
+            # b_{n+2} enters beta_{n+1,n} only through a_{n+1} T_{n+2}; the
+            # placeholder b_{n+2} = -b_{n+1} makes T_{n+2} = 0
+            b.append(-b[n + 1])
+            known = band_lower(a, b, n + 1)[n]
+            t_next = (b[n] / (4 * zv) + band_lower(a, b, n)[n - 1] - known) / a[n + 1]
+            b[n + 2] = t_next / a_next - b[n + 1]
 
         h = [moment(0, zv, ctx)]
         for i in range(1, n_max + 1):

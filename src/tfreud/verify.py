@@ -45,7 +45,6 @@ from .recurrence import (
     lf_residual_1,
     lf_residual_2,
     lf_residual_I,
-    lf_scale_I,
     scaling_check,
 )
 from .zeros import (
@@ -142,8 +141,10 @@ def _algebraic_verdicts(tbl: RecurrenceTable, n_max: int) -> tuple:
         tol = ctx.verify_tol(1)
         flags = []
         for n in range(1, n_max + 1):
-            flags.append(abs(lf_residual_1(tbl, n)) / (2 * n + 1) <= tol)
-            flags.append(abs(lf_residual_I(tbl, n)) <= ctx.verify_tol(lf_scale_I(tbl, n)))
+            res_1, scale_1 = lf_residual_1(tbl, n)
+            flags.append(abs(res_1) / scale_1 <= tol)
+            res_nl, scale_nl = lf_residual_I(tbl, n)
+            flags.append(abs(res_nl) <= ctx.verify_tol(scale_nl))
             res_i, scale_i = identity_i_residual(tbl, polys, n)
             flags.append(abs(res_i) <= ctx.verify_tol(scale_i))
         xs = sample_grid(min(5, n_max), tbl.z, ctx, count=8)
@@ -211,26 +212,14 @@ def run_verification(z_values=(mp.mpf(1) / 4, 1, 4), n_max: int = 14,
         records.append(_rec("stieltjes-ode-tail", f"N={2 * n_max + 1}", zdesc, worst, tol1))
 
         # Laguerre-Freud family
-        worst = mp.mpf(0)
-        for z in zs:
-            for n in range(1, n_max + 1):
-                worst = max(worst, abs(lf_residual_1(tables[z], n)) / (2 * n + 1))
-        records.append(_rec("lf-eq1", nrange, zdesc, worst, tol1))
-
-        worst = mp.mpf(0)
-        for z in zs:
-            tbl = tables[z]
-            for n in range(1, n_max + 1):
-                scale = max(abs(tbl.b[n]), 4 * tbl.z * tbl.a[n + 1] * abs(tbl.T(n + 2) + tbl.T(n)))
-                worst = max(worst, abs(lf_residual_2(tbl, n)) / scale)
-        records.append(_rec("lf-eq12", nrange, zdesc, worst, tol1))
-
-        worst = mp.mpf(0)
-        for z in zs:
-            for n in range(1, n_max + 1):
-                scale = lf_scale_I(tables[z], n)
-                worst = max(worst, abs(lf_residual_I(tables[z], n)) / scale)
-        records.append(_rec("lf-nonlinear", nrange, zdesc, worst, tol1))
+        for name, fn in (("lf-eq1", lf_residual_1), ("lf-eq12", lf_residual_2),
+                         ("lf-nonlinear", lf_residual_I)):
+            worst = mp.mpf(0)
+            for z in zs:
+                for n in range(1, n_max + 1):
+                    res, scale = fn(tables[z], n)
+                    worst = max(worst, abs(res) / scale)
+            records.append(_rec(name, nrange, zdesc, worst, tol1))
 
         # ladder identities and compatibility
         for name, fn in (("identity-i", identity_i_residual),

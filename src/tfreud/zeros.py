@@ -25,8 +25,9 @@
   inverse-square-root singularity at the lower end.
 * Each zero configuration minimizes
   E_n = -2 sum_{j<k} ln|x_k - x_j| + sum_k V_n(x_k) with the external field
-  V_n(x) = z x^4 + ln|x (x^2 + b_n x + R_n) + P_n(0)^2/(4 z h_n)| - ln|x|,
-  so the analytic gradient vanishes at the computed zeros.
+  V_n(x) = z x^4 + ln|calA_n(x)/(4z)|, calA_n the ladder function
+  4z(x^2 + b_n x + R_n) + P_n(0)^2/(h_n x), so the analytic gradient
+  vanishes at the computed zeros.
 """
 from __future__ import annotations
 
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 import mpmath as mp
 
 from .kernel import DomainError, PrecisionContext, tridiag_eigenvalues
-from .operators import ladder_pair, ttrr_eval_d2
+from .operators import ladder_A, ttrr_eval_d2
 from .recurrence import RecurrenceTable, chebyshev_coeffs
 
 
@@ -294,33 +295,27 @@ class ElectroSystem:
     gradient: tuple
 
 
-def _field_pieces(x, n: int, z, tbl: RecurrenceTable, polys: tuple):
-    """(x, A, A') with A = x(x^2 + b_n x + R_n) + P_n(0)^2/(4 z h_n), the
-    shifted log argument of the external field, at the caller's precision."""
-    if n + 1 > tbl.n_max or n > len(polys) - 1:
-        raise IndexError(f"need n + 1 <= {tbl.n_max}, got n={n}")
-    xv = mp.mpf(x)
-    if xv == 0:
-        raise DomainError("x = 0 is a pole of the potential")
-    b, R = tbl.b[n], tbl.R(n)
-    shift = polys[n].at_zero ** 2 / (4 * mp.mpf(z) * tbl.h[n])
-    return xv, xv * (xv * xv + b * xv + R) + shift, 3 * xv * xv + 2 * b * xv + R
-
-
 def potential_eval(x, n: int, z, tbl: RecurrenceTable, polys: tuple) -> mp.mpf:
-    """V_n(x) = z x^4 + ln|x(x^2+b_n x+R_n) + P_n(0)^2/(4 z h_n)| - ln|x|."""
+    """V_n(x) = z x^4 + ln|calA_n(x)/(4z)|."""
+    A_n = ladder_A(tbl, polys, n)
     with tbl.workprec():
-        xv, arg, _ = _field_pieces(x, n, z, tbl, polys)
+        xv, zv = mp.mpf(x), mp.mpf(z)
+        if xv == 0:
+            raise DomainError("x = 0 is a pole of the potential")
+        arg = A_n.eval(xv) / (4 * zv)
         if arg == 0:
             raise DomainError("log argument vanishes")
-        return mp.mpf(z) * xv ** 4 + mp.log(abs(arg)) - mp.log(abs(xv))
+        return zv * xv ** 4 + mp.log(abs(arg))
 
 
 def potential_deriv(x, n: int, z, tbl: RecurrenceTable, polys: tuple) -> mp.mpf:
-    """V_n'(x) = 4 z x^3 + (3x^2 + 2 b_n x + R_n)/(cubic + shift) - 1/x."""
+    """V_n'(x) = 4 z x^3 + calA_n'(x)/calA_n(x)."""
+    A_n = ladder_A(tbl, polys, n)
     with tbl.workprec():
-        xv, arg, darg = _field_pieces(x, n, z, tbl, polys)
-        return 4 * mp.mpf(z) * xv ** 3 + darg / arg - 1 / xv
+        xv = mp.mpf(x)
+        if xv == 0:
+            raise DomainError("x = 0 is a pole of the potential")
+        return 4 * mp.mpf(z) * xv ** 3 + A_n.derivative().eval(xv) / A_n.eval(xv)
 
 
 def electro_energy(positions, n: int, z, tbl: RecurrenceTable,
@@ -362,19 +357,17 @@ def stationarity_check(tbl: RecurrenceTable, polys: tuple, zs: ZeroSet) -> mp.mp
 # ---------------------------------------------------------------------------
 
 def ode_at_zeros_check(tbl: RecurrenceTable, polys: tuple, n: int) -> mp.mpf:
-    """max over zeros of the scaled residual of
-    P_n''(x)/P_n'(x) = 4 z x^3 + (ln calA_n)'(x)."""
+    """max over zeros of the scaled residual of P_n''(x)/P_n'(x) = V_n'(x),
+    i.e. 4 z x^3 + (ln calA_n)'(x)."""
     if n < 1:
         raise IndexError(f"need n >= 1, got {n}")
     zs = zeros(tbl, n, tbl.ctx)
-    A_n = ladder_pair(tbl, polys, n).A
-    with tbl.ctx.workprec(32):
-        dA = A_n.derivative()
+    with tbl.workprec():
         worst = mp.mpf(0)
         for x in zs.values:
             _, d1, d2 = ttrr_eval_d2(tbl, n, x)
             lhs = d2 / d1
-            rhs = 4 * tbl.z * x ** 3 + dA.eval(x) / A_n.eval(x)
+            rhs = potential_deriv(x, n, tbl.z, tbl, polys)
             worst = max(worst, abs(lhs - rhs) / (abs(lhs) + abs(rhs) + 1))
         return worst
 
@@ -388,16 +381,24 @@ def comparison_beta(ctx: PrecisionContext) -> mp.mpf:
         return 2 * mp.mpf(140) ** mp.mpf("-0.25")
 
 
-def chebyshev_comparison(n: int, ctx: PrecisionContext) -> tuple:
-    """(closed-form zeros, eigenvalue-route zeros) of the shifted Chebyshev
-    family Q_n with constant recurrence x Q_n = Q_{n+1} + beta Q_n
-    + (beta^2/4) Q_{n-1}: y_{n,k} = beta (cos((n-k+1) pi/(n+1)) + 1)."""
+def chebyshev_zeros(n: int, ctx: PrecisionContext) -> tuple:
+    """Closed-form zeros y_{n,k} = beta (cos((n-k+1) pi/(n+1)) + 1), k = 1..n,
+    of the shifted Chebyshev family Q_n with constant recurrence
+    x Q_n = Q_{n+1} + beta Q_n + (beta^2/4) Q_{n-1}."""
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
     with ctx.workprec(32):
         beta = comparison_beta(ctx)
-        closed = tuple(beta * (mp.cos(mp.pi * (n - k + 1) / (n + 1)) + 1)
-                       for k in range(1, n + 1))
+        return tuple(beta * (mp.cos(mp.pi * (n - k + 1) / (n + 1)) + 1)
+                     for k in range(1, n + 1))
+
+
+def chebyshev_comparison(n: int, ctx: PrecisionContext) -> tuple:
+    """(closed-form zeros, eigenvalue-route zeros) of the shifted Chebyshev
+    family of chebyshev_zeros."""
+    closed = chebyshev_zeros(n, ctx)
+    with ctx.workprec(32):
+        beta = comparison_beta(ctx)
         diag = [beta] * n
         off2 = [beta ** 2 / 4] * (n - 1)
         eig = tuple(tridiag_eigenvalues(diag, off2, ctx))

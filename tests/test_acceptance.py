@@ -48,7 +48,6 @@ from tfreud.recurrence import (
     lf_residual_1,
     lf_residual_2,
     lf_residual_I,
-    lf_scale_I,
     scaling_check,
 )
 from tfreud.verify import run_verification
@@ -142,11 +141,9 @@ def test_criterion_03_laguerre_freud_suite():
         tbl = chebyshev_coeffs(z, n_top + 2, ctx)
         polys = poly_table(tbl, n_top + 2)
         for n in range(1, n_top + 1):
-            worst = max(worst, abs(lf_residual_1(tbl, n)) / (2 * n + 1))
-            scale2 = max(abs(tbl.b[n]),
-                         4 * z * tbl.a[n + 1] * abs(tbl.T(n + 2) + tbl.T(n)))
-            worst = max(worst, abs(lf_residual_2(tbl, n)) / scale2)
-            worst = max(worst, abs(lf_residual_I(tbl, n)) / lf_scale_I(tbl, n))
+            for lf_residual in (lf_residual_1, lf_residual_2, lf_residual_I):
+                res, scale = lf_residual(tbl, n)
+                worst = max(worst, abs(res) / scale)
             r_i, s_i = identity_i_residual(tbl, polys, n)
             r_ii, s_ii = identity_ii_residual(tbl, polys, n)
             worst = max(worst, abs(r_i) / s_i, abs(r_ii) / s_ii)
@@ -337,7 +334,8 @@ def _verdict_vector(bits: int):
     flags = [abs(zeros(tbl, 1, ctx)[0]
                  - mp.gamma(mp.mpf("0.5")) / mp.gamma(mp.mpf("0.25"))) <= mp.mpf("1e-12")]
     for n in (4, 9, 14):
-        flags.append(abs(lf_residual_1(tbl, n)) / (2 * n + 1) <= tol)
+        r_1, s_1 = lf_residual_1(tbl, n)
+        flags.append(abs(r_1) / s_1 <= tol)
         r_i, s_i = identity_i_residual(tbl, polys, n)
         flags.append(abs(r_i) / s_i <= tol)
     xs = sample_grid(12, 1, ctx, count=8)

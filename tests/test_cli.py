@@ -229,10 +229,12 @@ def test_output_determinism(tmp_path, capsys):
      "a7c45b5fb1379ad54a2534b2aa9d07c94caf44a97f328e2b10df8d658604bc2a"),
     (("zeros", "--table-check"), 1,
      "0237b2140481b4b9bf066e0ef7e3aa82d12e61f62b3a3d80a0e472e06347140d"),
+    (("verify", "--n-max", "8"), 0,
+     "1e44569dc9df33709f714efa19fe7a813ab2a03fe07cae75cfccb9bb932d2b1d"),
 ])
 def test_zeros_output_bits_pinned(capsys, argv, exit_code, sha256):
     # byte-identical output is a contract: any change to these digests must
-    # be a deliberate, documented change of the computed zeros
+    # be a deliberate, documented change of the computed zeros or records
     code, out, _ = run_cli(capsys, *argv)
     assert code == exit_code
     assert hashlib.sha256(out.encode()).hexdigest() == sha256

@@ -12,7 +12,6 @@ from tfreud.kernel import (
     PrecisionContext,
     RationalFn,
     default_bits,
-    gamma,
     hyp2f1_series,
     poly_add,
     poly_diff,
@@ -49,39 +48,6 @@ def test_round_is_idempotent():
     r = ctx.round(x)
     assert ctx.round(r) == r
     assert r != x
-
-
-# --- gamma ------------------------------------------------------------------
-
-def quad_gamma(x, dps=80):
-    """Independent oracle: Euler integral after t = u^4, which removes the
-    endpoint singularity for every x >= 1/4 used here."""
-    with mp.workdps(dps):
-        xv = mp.mpf(x)
-        return mp.quad(lambda u: 4 * u ** (4 * xv - 1) * mp.exp(-u ** 4), [0, mp.inf])
-
-
-@pytest.mark.parametrize("x", ["0.25", "0.5", "0.75", "1.25", "3.5"])
-def test_gamma_matches_quadrature(x):
-    ctx = PrecisionContext(128)
-    got = gamma(mp.mpf(x), ctx)
-    ref = quad_gamma(x)
-    assert abs(got - ref) <= abs(ref) * mp.mpf(10) ** -36
-
-
-def test_gamma_known_values():
-    ctx = PrecisionContext(256)
-    with mp.workprec(300):
-        assert abs(gamma(mp.mpf("0.5"), ctx) - mp.sqrt(mp.pi)) <= ctx.verify_tol(2)
-        assert gamma(5, ctx) == 24
-
-
-def test_gamma_domain():
-    ctx = PrecisionContext(64)
-    with pytest.raises(DomainError):
-        gamma(0, ctx)
-    with pytest.raises(DomainError):
-        gamma(-2.5, ctx)
 
 
 # --- 2F1 series --------------------------------------------------------------
@@ -182,12 +148,6 @@ def test_rational_fn_eval_and_derivative():
 
 def test_rational_fn_algebra():
     one_over_x = RationalFn((mp.mpf(1),), (mp.mpf(0), mp.mpf(1)))
-    x_poly = RationalFn.from_poly([mp.mpf(0), mp.mpf(1)])
-    s = one_over_x + x_poly
-    x = mp.mpf(2)
-    assert s.eval(x) == 1 / x + x
-    p = one_over_x * x_poly
-    assert p.eval(mp.mpf(5)) == 1
     with pytest.raises(ZeroDivisionError):
         one_over_x.eval(0)
     with pytest.raises(DomainError):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from tfreud.kernel import DomainError, PrecisionContext
 from tfreud.moments import (
     MomentSequence,
-    class_check,
     moment,
     moment_recurrence_residual,
     pearson_data,
@@ -156,7 +155,7 @@ def test_hankel_determinants_positive():
 def test_class_check_and_product():
     ctx = PrecisionContext(128)
     for z in ("0.25", "1", "7"):
-        assert class_check(mp.mpf(z), ctx) == 3
+        assert pearson_data(mp.mpf(z), ctx).class_ == 3
         p = pearson_product(mp.mpf(z), ctx)
         assert abs(p - 1) <= ctx.verify_tol(1)
 

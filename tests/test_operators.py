@@ -24,7 +24,8 @@ from tfreud.operators import (
     identity_i_residual,
     identity_ii_residual,
     jacobi_matrix,
-    ladder_pair,
+    ladder_A,
+    ladder_B,
     lax_block_check,
     lowering_C_via_beta,
     lowering_apply,
@@ -243,17 +244,17 @@ def test_ttrr_guard(t16):
 def test_ladder_shapes(t16):
     tbl, polys = t16
     for n in (1, 4, 9):
-        pair = ladder_pair(tbl, polys, n)
+        cal_A, cal_B = ladder_A(tbl, polys, n), ladder_B(tbl, polys, n)
         # both stored over denominator x
-        assert pair.A.den == (mp.mpf(0), mp.mpf(1))
-        assert pair.B.den == (mp.mpf(0), mp.mpf(1))
+        assert cal_A.den == (mp.mpf(0), mp.mpf(1))
+        assert cal_B.den == (mp.mpf(0), mp.mpf(1))
         # x*calA_n is a cubic with leading 4z, x*calB_n a quadratic with
         # leading 4 z a_n
-        assert len(pair.A.num) == 4
-        assert abs(pair.A.num[3] - 4 * tbl.z) <= CTX.verify_tol(tbl.z)
-        assert len(pair.B.num) == 3
+        assert len(cal_A.num) == 4
+        assert abs(cal_A.num[3] - 4 * tbl.z) <= CTX.verify_tol(tbl.z)
+        assert len(cal_B.num) == 3
         want = 4 * tbl.z * tbl.a[n]
-        assert abs(pair.B.num[2] - want) <= CTX.verify_tol(want)
+        assert abs(cal_B.num[2] - want) <= CTX.verify_tol(want)
 
 
 def test_identity_i(t16):

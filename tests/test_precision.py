@@ -16,7 +16,6 @@ import pytest
 import tfreud
 from tfreud.kernel import (
     PrecisionContext,
-    gamma,
     hyp2f1_series,
     tridiag_eigenvalues,
 )
@@ -39,7 +38,8 @@ from tfreud.operators import (
     holonomic_residual_chen,
     identity_i_residual,
     identity_ii_residual,
-    ladder_pair,
+    ladder_A,
+    ladder_B,
     lax_block_check,
     lowering_C_via_beta,
     lowering_apply,
@@ -61,13 +61,13 @@ from tfreud.recurrence import (
     lf_residual_1,
     lf_residual_2,
     lf_residual_I,
-    lf_scale_I,
     scaling_check,
 )
 from tfreud.verify import inject_fault, run_verification
 from tfreud.zeros import (
     DensityModel,
     chebyshev_comparison,
+    chebyshev_zeros,
     comparison_beta,
     comparison_smallest_ratio,
     density,
@@ -102,7 +102,6 @@ FAULT = ("a", 3, mp.mpf(2) ** -200 / 3)
 # Decimal strings are passed where a function accepts them, so the parse
 # itself has to happen at the function's own precision.
 CASES = {
-    "gamma": lambda: gamma("0.3", CTX),
     "hyp2f1_series": lambda: hyp2f1_series("0.5", "-3.5", "-2.5", "0.3", CTX),
     "tridiag_eigenvalues": lambda: tridiag_eigenvalues(TBL.b[:4], TBL.a[1:4], CTX),
     "moment": lambda: moment(5, "0.3", CTX),
@@ -117,7 +116,8 @@ CASES = {
     "lf_residual_1": lambda: [lf_residual_1(TBL, n) for n in range(1, 11)],
     "lf_residual_2": lambda: [lf_residual_2(TBL, n) for n in range(1, 11)],
     "lf_residual_I": lambda: [lf_residual_I(TBL, n) for n in range(1, 11)],
-    "lf_scale_I": lambda: lf_scale_I(TBL, 5),
+    "RecurrenceTable.R": lambda: [TBL.R(n) for n in range(10)],
+    "RecurrenceTable.T": lambda: [TBL.T(n) for n in range(10)],
     "RecurrenceTable.sigma": lambda: [TBL.sigma(n) for n in range(14)],
     "lf_forward": lambda: lf_forward((TBL.b[0], TBL.a[1], TBL.b[1]), 8, TBL),
     "asymptotic_ratio": lambda: asymptotic_ratio(TBL, 7),
@@ -132,7 +132,8 @@ CASES = {
     "structure_coeffs": lambda: structure_coeffs(TBL, 5),
     "structure_coeffs_explicit": lambda: structure_coeffs_explicit(TBL, 5),
     "structure_residual": lambda: structure_residual(TBL, POLYS, 5),
-    "ladder_pair": lambda: ladder_pair(TBL, POLYS, 5),
+    "ladder_A": lambda: ladder_A(TBL, POLYS, 5),
+    "ladder_B": lambda: ladder_B(TBL, POLYS, 5),
     "identity_i_residual": lambda: [identity_i_residual(TBL, POLYS, n) for n in range(1, 11)],
     "identity_ii_residual": lambda: [identity_ii_residual(TBL, POLYS, n) for n in range(1, 11)],
     "compat_residuals": lambda: compat_residuals(TBL, POLYS, 5, XS),
@@ -164,6 +165,7 @@ CASES = {
     "empirical_density_distance": lambda: empirical_density_distance(4, 4, "0.3", CTX),
     "comparison_beta": lambda: comparison_beta(CTX),
     "chebyshev_comparison": lambda: chebyshev_comparison(5, CTX),
+    "chebyshev_zeros": lambda: chebyshev_zeros(5, CTX),
     "comparison_smallest_ratio": lambda: comparison_smallest_ratio(5, CTX),
     "ptilde_zeros": lambda: ptilde_zeros(5, CTX),
 }
