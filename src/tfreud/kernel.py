@@ -177,17 +177,6 @@ class MonicPoly:
     def eval(self, x) -> mp.mpf:
         return poly_eval(list(self.coeffs), x)
 
-    @property
-    def at_zero(self) -> mp.mpf:
-        return self.coeffs[0]
-
-    @property
-    def subleading(self) -> mp.mpf:
-        """Coefficient of x^(n-1); zero for the constant polynomial."""
-        if self.degree == 0:
-            return mp.mpf(0)
-        return self.coeffs[-2]
-
 
 @dataclass(frozen=True)
 class RationalFn:

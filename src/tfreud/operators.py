@@ -38,7 +38,7 @@ from .kernel import (
     poly_trim,
     ttrr_d2,
 )
-from .recurrence import RecurrenceTable, band_lower, band_readers, band_row, bracket_i
+from .recurrence import RecurrenceTable, band_lower, band_row, bracket_i
 
 
 def sample_grid(n: int, z, ctx: PrecisionContext, count: int = 16, lo=None):
@@ -174,21 +174,6 @@ def structure_coeffs(tbl: RecurrenceTable, n: int) -> tuple:
         return tuple(4 * tbl.z * lower[n - j] for j in range(4))
 
 
-def structure_coeffs_explicit(tbl: RecurrenceTable, n: int) -> tuple:
-    """The same four coefficients written out in R/T form, computed without
-    going through the beta formulas (used to cross-check them)."""
-    if n < 0 or n > tbl.n_max - 2:
-        raise IndexError(f"need 0 <= n <= {tbl.n_max - 2}, got {n}")
-    A, R, T = band_readers(tbl.a, tbl.b)
-    with tbl.workprec():
-        f = 4 * tbl.z
-        c0 = f * (A(n + 1) * (T(n + 2) + T(n)) + T(n + 1) * (R(n + 1) + R(n)))
-        c1 = f * (A(n + 1) * A(n) * (R(n + 1) + R(n - 1)) + T(n + 1) * T(n))
-        c2 = f * A(n) * (A(n - 1) * T(n + 1) + A(n + 1) * T(n - 1))
-        c3 = f * A(n + 1) * A(n) * A(n - 1) * A(n - 2)
-        return (c0, c1, c2, c3)
-
-
 def structure_residual(tbl: RecurrenceTable, polys: tuple, n: int) -> list:
     """x*P'_{n+1} - (n+1)*P_{n+1} - sum_j c_{n-j} P_{n-j} as a dense
     polynomial; the zero polynomial up to roundoff."""
@@ -209,55 +194,55 @@ def structure_residual(tbl: RecurrenceTable, polys: tuple, n: int) -> list:
 # ladder functions calA_n, calB_n and their compatibility identities
 # ---------------------------------------------------------------------------
 
-def ladder_A(tbl: RecurrenceTable, polys: tuple, n: int) -> RationalFn:
+def ladder_A(tbl: RecurrenceTable, n: int) -> RationalFn:
     """calA_n = 4z(x^2 + b_n x + R_n) + P_n(0)^2/(h_n x), stored over the
     denominator x; defined for 0 <= n <= n_max - 1."""
     if n < 0 or n > tbl.n_max - 1:
         raise IndexError(f"need 0 <= n <= {tbl.n_max - 1}, got {n}")
     with tbl.workprec():
         f = 4 * tbl.z
-        pn0 = polys[n].at_zero
-        return RationalFn((pn0 ** 2 / tbl.h[n], f * tbl.R(n), f * tbl.b[n], f),
+        return RationalFn((tbl.at_zero[n] ** 2 / tbl.h[n], f * tbl.R(n), f * tbl.b[n], f),
                           (mp.mpf(0), mp.mpf(1)))
 
 
-def ladder_B(tbl: RecurrenceTable, polys: tuple, n: int) -> RationalFn:
+def ladder_B(tbl: RecurrenceTable, n: int) -> RationalFn:
     """calB_n = 4z a_n (x + b_n + b_{n-1}) + P_n(0) P_{n-1}(0)/(h_{n-1} x),
     stored over the denominator x; defined for 1 <= n <= n_max - 1."""
     if n < 1 or n > tbl.n_max - 1:
         raise IndexError(f"need 1 <= n <= {tbl.n_max - 1}, got {n}")
+    p0 = tbl.at_zero
     with tbl.workprec():
         f = 4 * tbl.z
-        return RationalFn((polys[n].at_zero * polys[n - 1].at_zero / tbl.h[n - 1],
+        return RationalFn((p0[n] * p0[n - 1] / tbl.h[n - 1],
                            f * tbl.T(n), f * tbl.a[n]),
                           (mp.mpf(0), mp.mpf(1)))
 
 
-def identity_i_residual(tbl: RecurrenceTable, polys: tuple, n: int) -> tuple:
+def identity_i_residual(tbl: RecurrenceTable, n: int) -> tuple:
     """4z(T_{n+1} + b_n R_n + T_n) - P_n(0)^2/h_n and the magnitude of the
     matching side (for tolerance scaling)."""
     if n < 0 or n > tbl.n_max - 1:
         raise IndexError(f"need 0 <= n <= {tbl.n_max - 1}, got {n}")
     with tbl.workprec():
         lhs = 4 * tbl.z * bracket_i(tbl.a, tbl.b, n)
-        rhs = polys[n].at_zero ** 2 / tbl.h[n]
+        rhs = tbl.at_zero[n] ** 2 / tbl.h[n]
         return lhs - rhs, max(abs(lhs), abs(rhs))
 
 
-def identity_ii_residual(tbl: RecurrenceTable, polys: tuple, n: int) -> tuple:
+def identity_ii_residual(tbl: RecurrenceTable, n: int) -> tuple:
     """4z(a_{n+1}R_{n+1} - a_n R_{n-1} + b_n(T_{n+1} - T_n))
     - [1 + P_n(0)(P_{n+1}(0) - a_n P_{n-1}(0))/h_n], plus the scale."""
     if n < 1 or n > tbl.n_max - 2:
         raise IndexError(f"need 1 <= n <= {tbl.n_max - 2}, got {n}")
+    p0 = tbl.at_zero
     with tbl.workprec():
         lhs = 4 * tbl.z * (tbl.a[n + 1] * tbl.R(n + 1) - tbl.a[n] * tbl.R(n - 1)
                            + tbl.b[n] * (tbl.T(n + 1) - tbl.T(n)))
-        rhs = 1 + polys[n].at_zero * (polys[n + 1].at_zero
-                                      - tbl.a[n] * polys[n - 1].at_zero) / tbl.h[n]
+        rhs = 1 + p0[n] * (p0[n + 1] - tbl.a[n] * p0[n - 1]) / tbl.h[n]
         return lhs - rhs, max(abs(lhs), abs(rhs))
 
 
-def compat_residuals(tbl: RecurrenceTable, polys: tuple, n: int, x_samples) -> tuple:
+def compat_residuals(tbl: RecurrenceTable, n: int, x_samples) -> tuple:
     """Scaled max residuals of the two ladder compatibility identities:
 
         calB_{n+1} + calB_n = (x - b_n) calA_n - v'
@@ -267,11 +252,11 @@ def compat_residuals(tbl: RecurrenceTable, polys: tuple, n: int, x_samples) -> t
     both returned values compare against verify_tol(1)."""
     if n < 1 or n > tbl.n_max - 2:
         raise IndexError(f"need 1 <= n <= {tbl.n_max - 2}, got {n}")
-    A_n = ladder_A(tbl, polys, n)
-    A_up = ladder_A(tbl, polys, n + 1)
-    A_dn = ladder_A(tbl, polys, n - 1)
-    B_n = ladder_B(tbl, polys, n)
-    B_up = ladder_B(tbl, polys, n + 1)
+    A_n = ladder_A(tbl, n)
+    A_up = ladder_A(tbl, n + 1)
+    A_dn = ladder_A(tbl, n - 1)
+    B_n = ladder_B(tbl, n)
+    B_up = ladder_B(tbl, n + 1)
     r1 = mp.mpf(0)
     r2 = mp.mpf(0)
     with tbl.workprec():
@@ -370,10 +355,10 @@ def lowering_C_via_beta(tbl: RecurrenceTable, n: int, x) -> mp.mpf:
         return 4 * tbl.z * val
 
 
-def lowering_apply(polys: tuple, data: LoweringData, tbl: RecurrenceTable, n: int) -> list:
-    """x P'_{n+1} + D_n P_{n+1} - C_n P_n as a dense polynomial (zero)."""
-    if n != data.n:
-        raise DomainError(f"data built for n={data.n}, asked to apply at {n}")
+def lowering_apply(tbl: RecurrenceTable, polys: tuple, data: LoweringData) -> list:
+    """x P'_{n+1} + D_n P_{n+1} - C_n P_n as a dense polynomial (zero),
+    n = data.n."""
+    n = data.n
     with tbl.workprec():
         p_up = list(polys[n + 1].coeffs)
         res = [mp.mpf(0)] + poly_diff(p_up)
@@ -382,11 +367,10 @@ def lowering_apply(polys: tuple, data: LoweringData, tbl: RecurrenceTable, n: in
         return res
 
 
-def raising_apply(polys: tuple, data: LoweringData, tbl: RecurrenceTable, n: int) -> list:
+def raising_apply(tbl: RecurrenceTable, polys: tuple, data: LoweringData) -> list:
     """-a_{n+1}[x P'_{n+1} + D_n P_{n+1}] + (x - b_{n+1}) C_n P_{n+1}
-    - C_n P_{n+2} as a dense polynomial (zero)."""
-    if n != data.n:
-        raise DomainError(f"data built for n={data.n}, asked to apply at {n}")
+    - C_n P_{n+2} as a dense polynomial (zero), n = data.n."""
+    n = data.n
     if n + 2 > len(polys) - 1:
         raise IndexError(f"polys holds degrees <= {len(polys) - 1}, need {n + 2}")
     with tbl.workprec():
@@ -400,20 +384,18 @@ def raising_apply(polys: tuple, data: LoweringData, tbl: RecurrenceTable, n: int
         return res
 
 
-def holonomic_residual_Dn(polys: tuple, data: LoweringData, tbl: RecurrenceTable,
-                          n: int, x_samples) -> mp.mpf:
+def holonomic_residual_Dn(tbl: RecurrenceTable, data: LoweringData, x_samples) -> mp.mpf:
     """Scaled max residual of the composed second-order operator
 
         a_n A_n A_{n-1} y'' + [A_n(a_n B_{n-1} - x + b_n) + a_n A_{n-1}(A_n' + B_n)] y'
         + [a_n B_n' A_{n-1} + B_n(a_n B_{n-1} - x + b_n) + 1] y
 
-    applied to y = P_{n+1}.  A', B' are symbolic rational derivatives.
+    applied to y = P_{n+1}, n = data.n.  A', B' are symbolic rational derivatives.
     y, y', y'' are evaluated through the recurrence (ttrr_eval_d2), which
     keeps the residual floor near unit roundoff of the table entries."""
+    n = data.n
     if n < 3:
         raise IndexError(f"need n >= 3 (A_{n - 1} requires lowering data), got {n}")
-    if n != data.n:
-        raise DomainError(f"data built for n={data.n}, asked to apply at {n}")
     prev = lowering_data(tbl, n - 1)
     A_n, B_n = data.A, data.B
     A_p, B_p = prev.A, prev.B
@@ -436,8 +418,7 @@ def holonomic_residual_Dn(polys: tuple, data: LoweringData, tbl: RecurrenceTable
         return worst
 
 
-def holonomic_residual_chen(tbl: RecurrenceTable, polys: tuple, n: int,
-                            x_samples) -> mp.mpf:
+def holonomic_residual_chen(tbl: RecurrenceTable, n: int, x_samples) -> mp.mpf:
     """Scaled max residual of P_n'' + S P_n' + Q P_n = 0 with
 
         S = -v' - calA_n'/calA_n
@@ -454,9 +435,9 @@ def holonomic_residual_chen(tbl: RecurrenceTable, polys: tuple, n: int,
     for the same conditioning reason as in holonomic_residual_Dn."""
     if n < 1 or n > tbl.n_max - 1:
         raise IndexError(f"need 1 <= n <= {tbl.n_max - 1}, got {n}")
-    A_n = ladder_A(tbl, polys, n)
-    A_dn = ladder_A(tbl, polys, n - 1)
-    B_n = ladder_B(tbl, polys, n)
+    A_n = ladder_A(tbl, n)
+    A_dn = ladder_A(tbl, n - 1)
+    B_n = ladder_B(tbl, n)
     with tbl.workprec():
         dA = A_n.derivative()
         dB = B_n.derivative()
@@ -478,12 +459,12 @@ def holonomic_residual_chen(tbl: RecurrenceTable, polys: tuple, n: int,
         return worst
 
 
-def confluent_check(polys: tuple, tbl: RecurrenceTable, n: int, x_samples) -> mp.mpf:
+def confluent_check(tbl: RecurrenceTable, n: int, x_samples) -> mp.mpf:
     """Max relative deviation between sum_{k<=n} P_k(x)^2/h_k and
     (P'_{n+1} P_n - P'_n P_{n+1})/h_n over the samples.  One recurrence pass
     per sample produces every P_k(x) and the two derivatives at the top."""
-    if n + 1 > len(polys) - 1 or n > tbl.n_max:
-        raise IndexError(f"need n+1 <= {len(polys) - 1}, got n={n}")
+    if n < 0 or n > tbl.n_max:
+        raise IndexError(f"need 0 <= n <= {tbl.n_max}, got {n}")
     with tbl.workprec():
         worst = mp.mpf(0)
         for x in x_samples:

@@ -8,6 +8,9 @@ coefficients measurably loses 4.1-4.2, so past degree ~90 the top entries
 carry fewer correct bits than the context claims.  Final values are rounded
 to the caller's context, which the table keeps: every evaluation on a table
 runs at RecurrenceTable.workprec(), whatever mpmath's global precision is.
+The table also carries P_n(0), the value at the truncation point x = 0,
+from one scalar pass of the recurrence: the ladder functions, identities
+i/ii, the external field and the largest-zero chain read only that.
 
 The combinations R_n = a_{n+1} + b_n^2 + a_n and T_n = a_n*(b_n + b_{n-1})
 build the band of x^4 P_n = sum_k beta_{n,k} P_k (the fourth power of the
@@ -33,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 
 import mpmath as mp
 
@@ -121,7 +124,8 @@ def bracket_i(a, b, n: int):
 @dataclass(frozen=True)
 class RecurrenceTable:
     """a_0..a_{n_max}, b_0..b_{n_max}, h_0..h_{n_max} at a fixed z and at the
-    precision of `ctx`; a_0 = 0.  R, T and sigma run at workprec()."""
+    precision of `ctx`; a_0 = 0.  R, T and sigma run at workprec(); at_zero
+    holds P_0(0)..P_{n_max}(0)."""
 
     z: mp.mpf
     a: tuple
@@ -142,6 +146,20 @@ class RecurrenceTable:
     def workprec(self):
         """The working precision of every evaluation on this table."""
         return self.ctx.workprec(RESIDUAL_GUARD_BITS)
+
+    @cached_property
+    def at_zero(self) -> tuple:
+        """P_0(0)..P_{n_max}(0) by p_{k+1} = -b_k p_k - a_k p_{k-1}: the
+        constant-coefficient arithmetic of operators.poly_table, so the bits
+        match.  Derived on first use, never stored as a field, so a table
+        built with dataclasses.replace derives its own."""
+        with self.ctx.workprec(32):
+            p_prev, p = mp.mpf(0), mp.mpf(1)
+            out = [p]
+            for k in range(self.n_max):
+                p, p_prev = -self.b[k] * p - self.a[k] * p_prev, p
+                out.append(p)
+        return tuple(self.ctx.round(v) for v in out)
 
     def R(self, n: int) -> mp.mpf:
         """R_n = a_{n+1} + b_n^2 + a_n; defined for 0 <= n <= n_max - 1."""
@@ -169,21 +187,18 @@ def internal_bits_for(ctx: PrecisionContext, n_max: int) -> int:
     return ctx.bits + math.ceil(LOSS_BITS_PER_DEGREE * n_max) + BASE_GUARD_BITS
 
 
-def chebyshev_coeffs(z, n_max: int, ctx: PrecisionContext,
-                     _internal_bits: int | None = None) -> RecurrenceTable:
+def chebyshev_coeffs(z, n_max: int, ctx: PrecisionContext) -> RecurrenceTable:
     """Recurrence coefficients from the moments mu_0..mu_{2*n_max+1}.
 
     Runs the modified-moment table sigma_{k,l} = <u, P_k x^l> with two-row
     storage; h_k = sigma_{k,k}, a_{k+1} = h_{k+1}/h_k.  Raises
     PrecisionExhaustionError (with the failing index) when a diagonal entry
     has lost all significant bits, which is the k at which every digit of
-    h_k is roundoff.  `_internal_bits` overrides the precision boost; it
-    exists so tests can force exhaustion cheaply.
+    h_k is roundoff.  The internal precision is internal_bits_for(ctx, n_max).
     """
     if n_max < 0:
         raise DomainError(f"n_max must be >= 0, got {n_max}")
-    work = _internal_bits if _internal_bits is not None else internal_bits_for(ctx, n_max)
-    ictx = PrecisionContext(max(64, work))
+    ictx = PrecisionContext(max(64, internal_bits_for(ctx, n_max)))
     with ictx.workprec(16):
         zv = mp.mpf(z)
         if not zv > 0:

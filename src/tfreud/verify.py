@@ -137,7 +137,6 @@ def _algebraic_verdicts(tbl: RecurrenceTable, n_max: int) -> tuple:
     stable when the precision is doubled."""
     ctx = tbl.ctx
     with ctx.workprec(64):
-        polys = poly_table(tbl, n_max + 2)
         tol = ctx.verify_tol(1)
         flags = []
         for n in range(1, n_max + 1):
@@ -145,10 +144,10 @@ def _algebraic_verdicts(tbl: RecurrenceTable, n_max: int) -> tuple:
             flags.append(abs(res_1) / scale_1 <= tol)
             res_nl, scale_nl = lf_residual_I(tbl, n)
             flags.append(abs(res_nl) <= ctx.verify_tol(scale_nl))
-            res_i, scale_i = identity_i_residual(tbl, polys, n)
+            res_i, scale_i = identity_i_residual(tbl, n)
             flags.append(abs(res_i) <= ctx.verify_tol(scale_i))
         xs = sample_grid(min(5, n_max), tbl.z, ctx, count=8)
-        flags.append(holonomic_residual_chen(tbl, polys, min(5, n_max), xs) <= tol)
+        flags.append(holonomic_residual_chen(tbl, min(5, n_max), xs) <= tol)
         return tuple(flags)
 
 
@@ -227,7 +226,7 @@ def run_verification(z_values=(mp.mpf(1) / 4, 1, 4), n_max: int = 14,
             worst = mp.mpf(0)
             for z in zs:
                 for n in range(1, n_max + 1):
-                    res, scale = fn(tables[z], ptables[z], n)
+                    res, scale = fn(tables[z], n)
                     worst = max(worst, abs(res) / scale)
             records.append(_rec(name, nrange, zdesc, worst, tol1))
 
@@ -235,7 +234,7 @@ def run_verification(z_values=(mp.mpf(1) / 4, 1, 4), n_max: int = 14,
         for z in zs:
             for n in range(1, n_max + 1):
                 xs = sample_grid(n, z, ctx, count=8)
-                r1, r2 = compat_residuals(tables[z], ptables[z], n, xs)
+                r1, r2 = compat_residuals(tables[z], n, xs)
                 worst1, worst2 = max(worst1, r1), max(worst2, r2)
         records.append(_rec("compat-first", nrange, zdesc, worst1, tol1))
         records.append(_rec("compat-second", nrange, zdesc, worst2, tol1))
@@ -255,8 +254,8 @@ def run_verification(z_values=(mp.mpf(1) / 4, 1, 4), n_max: int = 14,
             for n in range(2, n_max + 1):
                 data = lowering_data(tbl, n)
                 scale = poly_max_abs(poly_mul(list(data.C), list(polys[n].coeffs)))
-                worst_lo = max(worst_lo, poly_max_abs(lowering_apply(polys, data, tbl, n)) / scale)
-                worst_hi = max(worst_hi, poly_max_abs(raising_apply(polys, data, tbl, n))
+                worst_lo = max(worst_lo, poly_max_abs(lowering_apply(tbl, polys, data)) / scale)
+                worst_hi = max(worst_hi, poly_max_abs(raising_apply(tbl, polys, data))
                                / (tbl.a[n + 1] * scale))
         records.append(_rec("lowering", f"2..{n_max}", zdesc, worst_lo, tol1))
         records.append(_rec("raising", f"2..{n_max}", zdesc, worst_hi, tol1))
@@ -264,14 +263,13 @@ def run_verification(z_values=(mp.mpf(1) / 4, 1, 4), n_max: int = 14,
         # holonomic second-order equations
         worst_tri = worst_lad = mp.mpf(0)
         for z in zs:
-            tbl, polys = tables[z], ptables[z]
+            tbl = tables[z]
             for n in range(3, n_max + 1):
                 xs = sample_grid(n, z, ctx, count=8)
-                data = lowering_data(tbl, n)
-                worst_tri = max(worst_tri, holonomic_residual_Dn(polys, data, tbl, n, xs))
+                worst_tri = max(worst_tri, holonomic_residual_Dn(tbl, lowering_data(tbl, n), xs))
             for n in range(1, n_max + 1):
                 xs = sample_grid(n, z, ctx, count=8)
-                worst_lad = max(worst_lad, holonomic_residual_chen(tbl, polys, n, xs))
+                worst_lad = max(worst_lad, holonomic_residual_chen(tbl, n, xs))
         records.append(_rec("ode-composed", f"3..{n_max}", zdesc, worst_tri, tol1))
         records.append(_rec("ode-eliminated", nrange, zdesc, worst_lad, tol1))
 
@@ -280,7 +278,7 @@ def run_verification(z_values=(mp.mpf(1) / 4, 1, 4), n_max: int = 14,
         for z in zs:
             for n in (0, n_max // 2, n_max):
                 xs = sample_grid(max(n, 1), z, ctx, count=8)
-                worst = max(worst, confluent_check(ptables[z], tables[z], n, xs))
+                worst = max(worst, confluent_check(tables[z], n, xs))
         records.append(_rec("confluent-kernel", f"0..{n_max}", zdesc, worst, tol1))
 
         # Lax block and the quartic-power rows
@@ -351,18 +349,15 @@ def run_verification(z_values=(mp.mpf(1) / 4, 1, 4), n_max: int = 14,
                                    worst_margin, mp.mpf(0),
                                    bool(worst_margin > 0)))
 
-        if mp.mpf(1) in tables:
-            tbl1, polys1 = tables[mp.mpf(1)], ptables[mp.mpf(1)]
-        else:
-            tbl1, polys1 = tbl_one, poly_table(tbl_one, n_tbl)
+        tbl1 = tables.get(mp.mpf(1), tbl_one)
         worst = mp.mpf(0)
         for n in (6, min(12, n_max)):
-            worst = max(worst, stationarity_check(tbl1, polys1, zero_set(tbl1, n)))
+            worst = max(worst, stationarity_check(tbl1, zero_set(tbl1, n)))
         records.append(_rec("stationarity", f"6,{min(12, n_max)}", "1", worst, mp.mpf("1e-8")))
 
         worst_ratio = mp.mpf(0)
         for n in range(2, min(n_max, 14) + 1):
-            bound = largest_zero_bound(polys1, tbl1, n, eps=epsilon)
+            bound = largest_zero_bound(tbl1, n, eps=epsilon)
             worst_ratio = max(worst_ratio, zero_set(tbl1, n)[n - 1] / bound)
         records.append(CheckRecord("largest-zero-bound", f"2..{min(n_max, 14)}", "1",
                                    worst_ratio, mp.mpf(1), bool(worst_ratio < 1)))

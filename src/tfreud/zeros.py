@@ -101,30 +101,30 @@ def zero_scaling_check(zs_z: ZeroSet, zs_1: ZeroSet, ctx: PrecisionContext) -> m
 # largest-zero bound through the symmetrized chain
 # ---------------------------------------------------------------------------
 
-def gamma_chain(polys: tuple, tbl: RecurrenceTable, n_max: int) -> tuple:
+def gamma_chain(tbl: RecurrenceTable, n_max: int) -> tuple:
     """gamma_1 .. gamma_{2 n_max - 1} with
     gamma_{2k+1} = -P_{k+1}(0)/P_k(0) and gamma_{2k} = -a_k P_{k-1}(0)/P_k(0).
     Element i of the result is gamma_{i+1}.  All entries must come out
     positive (P_k(0) alternates in sign); a violation is raised."""
-    if n_max < 1 or n_max > min(len(polys) - 1, tbl.n_max):
-        raise IndexError(f"need 1 <= n_max <= {min(len(polys) - 1, tbl.n_max)}")
+    if n_max < 1 or n_max > tbl.n_max:
+        raise IndexError(f"need 1 <= n_max <= {tbl.n_max}")
+    p0 = tbl.at_zero
     with tbl.workprec():
         out = []
         for i in range(1, 2 * n_max):
             if i % 2:
                 k = (i - 1) // 2
-                g = -polys[k + 1].at_zero / polys[k].at_zero
+                g = -p0[k + 1] / p0[k]
             else:
                 k = i // 2
-                g = -tbl.a[k] * polys[k - 1].at_zero / polys[k].at_zero
+                g = -tbl.a[k] * p0[k - 1] / p0[k]
             if not g > 0:
                 raise DomainError(f"gamma_{i} = {mp.nstr(g, 8)} not positive")
             out.append(g)
         return tuple(out)
 
 
-def largest_zero_bound(polys: tuple, tbl: RecurrenceTable, n: int,
-                       eps="1e-3") -> mp.mpf:
+def largest_zero_bound(tbl: RecurrenceTable, n: int, eps="1e-3") -> mp.mpf:
     """max_k c_{2n} gamma_k over k = 1..2n-1, c_{2n} = 4 cos^2(pi/(2n+1)) + eps;
     an upper bound for the largest zero x_{n,n}."""
     if n < 2:
@@ -133,7 +133,7 @@ def largest_zero_bound(polys: tuple, tbl: RecurrenceTable, n: int,
         ev = mp.mpf(eps)
         if not ev > 0:
             raise DomainError("eps must be positive")
-        chain = gamma_chain(polys, tbl, n)
+        chain = gamma_chain(tbl, n)
         c2n = 4 * mp.cos(mp.pi / (2 * n + 1)) ** 2 + ev
         return c2n * max(chain)
 
@@ -295,11 +295,11 @@ class ElectroSystem:
     gradient: tuple
 
 
-def potential_eval(x, n: int, z, tbl: RecurrenceTable, polys: tuple) -> mp.mpf:
+def potential_eval(tbl: RecurrenceTable, n: int, x) -> mp.mpf:
     """V_n(x) = z x^4 + ln|calA_n(x)/(4z)|."""
-    A_n = ladder_A(tbl, polys, n)
+    A_n = ladder_A(tbl, n)
     with tbl.workprec():
-        xv, zv = mp.mpf(x), mp.mpf(z)
+        xv, zv = mp.mpf(x), tbl.z
         if xv == 0:
             raise DomainError("x = 0 is a pole of the potential")
         arg = A_n.eval(xv) / (4 * zv)
@@ -308,46 +308,44 @@ def potential_eval(x, n: int, z, tbl: RecurrenceTable, polys: tuple) -> mp.mpf:
         return zv * xv ** 4 + mp.log(abs(arg))
 
 
-def potential_deriv(x, n: int, z, tbl: RecurrenceTable, polys: tuple) -> mp.mpf:
+def potential_deriv(tbl: RecurrenceTable, n: int, x) -> mp.mpf:
     """V_n'(x) = 4 z x^3 + calA_n'(x)/calA_n(x)."""
-    A_n = ladder_A(tbl, polys, n)
+    A_n = ladder_A(tbl, n)
     with tbl.workprec():
         xv = mp.mpf(x)
         if xv == 0:
             raise DomainError("x = 0 is a pole of the potential")
-        return 4 * mp.mpf(z) * xv ** 3 + A_n.derivative().eval(xv) / A_n.eval(xv)
+        return 4 * tbl.z * xv ** 3 + A_n.derivative().eval(xv) / A_n.eval(xv)
 
 
-def electro_energy(positions, n: int, z, tbl: RecurrenceTable,
-                   polys: tuple) -> ElectroSystem:
-    """Total energy E_n = -2 sum_{j<k} ln|x_k - x_j| + sum_k V_n(x_k) and its
-    analytic gradient."""
+def electro_energy(tbl: RecurrenceTable, positions) -> ElectroSystem:
+    """Total energy E_n = -2 sum_{j<k} ln|x_k - x_j| + sum_k V_n(x_k) of
+    n = len(positions) charges and its analytic gradient."""
     with tbl.workprec():
         pts = [mp.mpf(p) for p in positions]
-        if len(pts) != n:
-            raise DomainError(f"expected {n} positions, got {len(pts)}")
+        n = len(pts)
         if len(set(pts)) != n:
             raise DomainError("positions must be distinct")
         pair = mp.fsum(mp.log(abs(pts[k] - pts[j]))
                        for k in range(n) for j in range(k))
-        ext = mp.fsum(potential_eval(p, n, z, tbl, polys) for p in pts)
+        ext = mp.fsum(potential_eval(tbl, n, p) for p in pts)
         energy = -2 * pair + ext
         grad = []
         for k in range(n):
             coul = mp.fsum(1 / (pts[k] - pts[j]) for j in range(n) if j != k)
-            grad.append(-2 * coul + potential_deriv(pts[k], n, z, tbl, polys))
-        return ElectroSystem(tuple(pts), n, mp.mpf(z), energy, tuple(grad))
+            grad.append(-2 * coul + potential_deriv(tbl, n, pts[k]))
+        return ElectroSystem(tuple(pts), n, tbl.z, energy, tuple(grad))
 
 
-def stationarity_check(tbl: RecurrenceTable, polys: tuple, zs: ZeroSet) -> mp.mpf:
+def stationarity_check(tbl: RecurrenceTable, zs: ZeroSet) -> mp.mpf:
     """max |gradient at the zeros zs of P_n| divided by the gradient scale at
     the same configuration stretched by 1%: small iff the zeros really are
     the equilibrium."""
     with tbl.workprec():
-        sys0 = electro_energy(zs.values, zs.n, tbl.z, tbl, polys)
+        sys0 = electro_energy(tbl, zs.values)
         bumped = [v * (1 + mp.mpf("0.01") * (1 if k % 2 else -1))
                   for k, v in enumerate(zs.values)]
-        sysp = electro_energy(bumped, zs.n, tbl.z, tbl, polys)
+        sysp = electro_energy(tbl, bumped)
         scale = max(abs(g) for g in sysp.gradient)
         return max(abs(g) for g in sys0.gradient) / scale
 
@@ -356,7 +354,7 @@ def stationarity_check(tbl: RecurrenceTable, polys: tuple, zs: ZeroSet) -> mp.mp
 # holonomic identity at the zeros
 # ---------------------------------------------------------------------------
 
-def ode_at_zeros_check(tbl: RecurrenceTable, polys: tuple, n: int) -> mp.mpf:
+def ode_at_zeros_check(tbl: RecurrenceTable, n: int) -> mp.mpf:
     """max over zeros of the scaled residual of P_n''(x)/P_n'(x) = V_n'(x),
     i.e. 4 z x^3 + (ln calA_n)'(x)."""
     if n < 1:
@@ -367,7 +365,7 @@ def ode_at_zeros_check(tbl: RecurrenceTable, polys: tuple, n: int) -> mp.mpf:
         for x in zs.values:
             _, d1, d2 = ttrr_eval_d2(tbl, n, x)
             lhs = d2 / d1
-            rhs = potential_deriv(x, n, tbl.z, tbl, polys)
+            rhs = potential_deriv(tbl, n, x)
             worst = max(worst, abs(lhs - rhs) / (abs(lhs) + abs(rhs) + 1))
         return worst
 

@@ -139,13 +139,12 @@ def test_criterion_03_laguerre_freud_suite():
     worst = mp.mpf(0)
     for z in (mp.mpf(1) / 4, mp.mpf(1), mp.mpf(4)):
         tbl = chebyshev_coeffs(z, n_top + 2, ctx)
-        polys = poly_table(tbl, n_top + 2)
         for n in range(1, n_top + 1):
             for lf_residual in (lf_residual_1, lf_residual_2, lf_residual_I):
                 res, scale = lf_residual(tbl, n)
                 worst = max(worst, abs(res) / scale)
-            r_i, s_i = identity_i_residual(tbl, polys, n)
-            r_ii, s_ii = identity_ii_residual(tbl, polys, n)
+            r_i, s_i = identity_i_residual(tbl, n)
+            r_ii, s_ii = identity_ii_residual(tbl, n)
             worst = max(worst, abs(r_i) / s_i, abs(r_ii) / s_ii)
     residuals_ok = worst <= tol
 
@@ -173,18 +172,18 @@ def test_criterion_04_operator_identities():
     for n in range(2, 31):
         data = lowering_data(tbl, n)
         scale = poly_max_abs(poly_mul(list(data.C), list(polys[n].coeffs)))
-        poly_ok = poly_ok and (poly_max_abs(lowering_apply(polys, data, tbl, n))
+        poly_ok = poly_ok and (poly_max_abs(lowering_apply(tbl, polys, data))
                                <= ctx.verify_tol(scale))
-        poly_ok = poly_ok and (poly_max_abs(raising_apply(polys, data, tbl, n))
+        poly_ok = poly_ok and (poly_max_abs(raising_apply(tbl, polys, data))
                                <= ctx.verify_tol(tbl.a[n + 1] * scale))
 
     ode_worst = mp.mpf(0)
     for n in range(1, 21):
         xs = sample_grid(n, z, ctx, count=12)
-        ode_worst = max(ode_worst, holonomic_residual_chen(tbl, polys, n, xs))
+        ode_worst = max(ode_worst, holonomic_residual_chen(tbl, n, xs))
         if n >= 3:
             data = lowering_data(tbl, n)
-            ode_worst = max(ode_worst, holonomic_residual_Dn(polys, data, tbl, n, xs))
+            ode_worst = max(ode_worst, holonomic_residual_Dn(tbl, data, xs))
     ode_ok = ode_worst <= tol
 
     M = 20
@@ -285,14 +284,13 @@ def test_criterion_07_density():
 def test_criterion_08_electrostatics():
     ctx = PrecisionContext(default_bits(14))
     tbl = chebyshev_coeffs(1, 15, ctx)
-    polys = poly_table(tbl, 15)
     worst = mp.mpf(0)
     for n in range(2, 13):
-        worst = max(worst, stationarity_check(tbl, polys, zeros(tbl, n, ctx)))
+        worst = max(worst, stationarity_check(tbl, zeros(tbl, n, ctx)))
     grad_ok = worst <= mp.mpf("1e-8")
 
     pos = [mp.mpf(q) for q in ("0.3", "0.7", "1.1", "1.6", "2.2")]
-    grad = electro_energy(pos, 5, 1, tbl, polys).gradient
+    grad = electro_energy(tbl, pos).gradient
     errs = []
     for h in (mp.mpf("1e-4"), mp.mpf("5e-5")):
         worst_fd = mp.mpf(0)
@@ -301,8 +299,8 @@ def test_criterion_08_electrostatics():
             up[k] = pos[k] + h
             dn = list(pos)
             dn[k] = pos[k] - h
-            fd = (electro_energy(up, 5, 1, tbl, polys).energy
-                  - electro_energy(dn, 5, 1, tbl, polys).energy) / (2 * h)
+            fd = (electro_energy(tbl, up).energy
+                  - electro_energy(tbl, dn).energy) / (2 * h)
             worst_fd = max(worst_fd, abs(fd - grad[k]))
         errs.append(worst_fd)
     ratio = errs[0] / errs[1]
@@ -315,10 +313,9 @@ def test_criterion_08_electrostatics():
 def test_criterion_09_bound_check():
     ctx = PrecisionContext(default_bits(14))
     tbl = chebyshev_coeffs(1, 15, ctx)
-    polys = poly_table(tbl, 15)
     ok = True
     for n in range(2, 15):
-        bound = largest_zero_bound(polys, tbl, n, eps=mp.mpf("1e-3"))
+        bound = largest_zero_bound(tbl, n, eps=mp.mpf("1e-3"))
         ok = ok and zeros(tbl, n, ctx)[n - 1] < bound
     report(9, "bound-check", bool(ok), "computed largest zeros vs chain bound, eps 1e-3")
 
@@ -327,7 +324,6 @@ def _verdict_vector(bits: int):
     ctx = PrecisionContext(bits)
     tol = ctx.verify_tol(1)
     tbl = chebyshev_coeffs(1, 16, ctx)
-    polys = poly_table(tbl, 16)
     # criterion 1 surrogate: rounded table values, smallest and largest zero
     rounded = tuple(round_half_away(zeros(tbl, n, ctx)[k], 4)
                     for n in range(1, 15) for k in (0, n - 1))
@@ -336,16 +332,16 @@ def _verdict_vector(bits: int):
     for n in (4, 9, 14):
         r_1, s_1 = lf_residual_1(tbl, n)
         flags.append(abs(r_1) / s_1 <= tol)
-        r_i, s_i = identity_i_residual(tbl, polys, n)
+        r_i, s_i = identity_i_residual(tbl, n)
         flags.append(abs(r_i) / s_i <= tol)
     xs = sample_grid(12, 1, ctx, count=8)
-    flags.append(holonomic_residual_chen(tbl, polys, 12, xs) <= tol)
+    flags.append(holonomic_residual_chen(tbl, 12, xs) <= tol)
     tbl16 = chebyshev_coeffs(16, 8, ctx)
     tbl1 = chebyshev_coeffs(1, 8, ctx)
     halving = max(abs(2 * a - b) for a, b in
                   zip(zeros(tbl16, 8, ctx).values, zeros(tbl1, 8, ctx).values))
     flags.append(halving <= mp.mpf("1e-12"))
-    chain = gamma_chain(polys, tbl, 14)
+    chain = gamma_chain(tbl, 14)
     flags.append(all(g > 0 for g in chain))
     return rounded, tuple(flags)
 

@@ -131,8 +131,6 @@ def test_monic_poly_guard():
         MonicPoly((mp.mpf(1), mp.mpf(2)))
     p = MonicPoly((mp.mpf(-3), mp.mpf(2), mp.mpf(1)))
     assert p.degree == 2
-    assert p.at_zero == -3
-    assert p.subleading == 2
     assert p.eval(1) == 0
 
 

@@ -35,7 +35,6 @@ from tfreud.operators import (
     raising_apply,
     sample_grid,
     structure_coeffs,
-    structure_coeffs_explicit,
     structure_residual,
     ttrr_eval_d2,
 )
@@ -143,16 +142,6 @@ def test_structure_c0_forced_at_n0(t16, t16z9):
         assert c[1] == 0 and c[2] == 0 and c[3] == 0
 
 
-@given(st.integers(min_value=0, max_value=14))
-@settings(max_examples=15, deadline=None)
-def test_structure_coeff_routes_agree(n):
-    tbl = chebyshev_coeffs(1, 16, CTX)
-    via_beta = structure_coeffs(tbl, n)
-    explicit = structure_coeffs_explicit(tbl, n)
-    for u, v in zip(via_beta, explicit):
-        assert abs(u - v) <= CTX.verify_tol(abs(u) + 1)
-
-
 def test_structure_guards(t16):
     tbl, polys = t16
     with pytest.raises(IndexError):
@@ -181,10 +170,22 @@ def test_orthogonality_from_moments(t16):
             assert abs(got - want) <= CTX.verify_tol(h_max)
 
 
+@pytest.mark.parametrize("z, n_max, bits", [
+    (mp.mpf(1) / 16, 16, 128), (mp.mpf("0.3"), 40, 192), (mp.mpf(1), 64, 256),
+    (mp.mpf(9), 24, 320)])
+def test_at_zero_matches_poly_table_bits(z, n_max, bits):
+    # the table's scalar pass and the dense polynomial recurrence run the
+    # same constant-coefficient arithmetic, so the bits agree exactly
+    tbl = chebyshev_coeffs(z, n_max, PrecisionContext(bits))
+    polys = poly_table(tbl, n_max)
+    assert len(tbl.at_zero) == n_max + 1
+    assert [v._mpf_ for v in tbl.at_zero] == [p.coeffs[0]._mpf_ for p in polys]
+
+
 def test_p2_at_zero_closed_form(t16):
-    tbl, polys = t16
+    tbl, _ = t16
     want = tbl.b[0] * tbl.b[1] - tbl.a[1]
-    assert abs(polys[2].at_zero - want) <= CTX.verify_tol(1)
+    assert abs(tbl.at_zero[2] - want) <= CTX.verify_tol(1)
 
 
 def test_p3_p1_inner_product_vanishes(t16):
@@ -199,8 +200,8 @@ def test_subleading_coefficient_relations(t16):
     # b_n = lambda_{n,n-1} - lambda_{n+1,n}
     tbl, polys = t16
     for n in range(1, 11):
-        assert abs(tbl.sigma(n) + polys[n].subleading) <= CTX.verify_tol(tbl.sigma(n))
-        got = polys[n].subleading - polys[n + 1].subleading
+        assert abs(tbl.sigma(n) + polys[n].coeffs[-2]) <= CTX.verify_tol(tbl.sigma(n))
+        got = polys[n].coeffs[-2] - polys[n + 1].coeffs[-2]
         assert abs(tbl.b[n] - got) <= CTX.verify_tol(tbl.b[n] + 1)
 
 
@@ -242,9 +243,9 @@ def test_ttrr_guard(t16):
 # ---------------------------------------------------------------------------
 
 def test_ladder_shapes(t16):
-    tbl, polys = t16
+    tbl, _ = t16
     for n in (1, 4, 9):
-        cal_A, cal_B = ladder_A(tbl, polys, n), ladder_B(tbl, polys, n)
+        cal_A, cal_B = ladder_A(tbl, n), ladder_B(tbl, n)
         # both stored over denominator x
         assert cal_A.den == (mp.mpf(0), mp.mpf(1))
         assert cal_B.den == (mp.mpf(0), mp.mpf(1))
@@ -258,36 +259,36 @@ def test_ladder_shapes(t16):
 
 
 def test_identity_i(t16):
-    tbl, polys = t16
-    res, scale = identity_i_residual(tbl, polys, 2)
+    tbl, _ = t16
+    res, scale = identity_i_residual(tbl, 2)
     assert abs(res) <= CTX.verify_tol(scale)
     for n in range(15):
-        res, scale = identity_i_residual(tbl, polys, n)
+        res, scale = identity_i_residual(tbl, n)
         assert abs(res) <= CTX.verify_tol(scale)
 
 
 def test_identity_ii(t16):
-    tbl, polys = t16
-    res, scale = identity_ii_residual(tbl, polys, 3)
+    tbl, _ = t16
+    res, scale = identity_ii_residual(tbl, 3)
     assert abs(res) <= CTX.verify_tol(scale)
     for n in range(1, 15):
-        res, scale = identity_ii_residual(tbl, polys, n)
+        res, scale = identity_ii_residual(tbl, n)
         assert abs(res) <= CTX.verify_tol(scale)
 
 
 def test_compat_residuals(t16):
-    tbl, polys = t16
+    tbl, _ = t16
     xs = log_grid("0.01", 4, 16)
     for n in (1, 2, 8):
-        r1, r2 = compat_residuals(tbl, polys, n, xs)
+        r1, r2 = compat_residuals(tbl, n, xs)
         assert r1 <= CTX.verify_tol(1)
         assert r2 <= CTX.verify_tol(1)
 
 
 def test_compat_pole_guard(t16):
-    tbl, polys = t16
+    tbl, _ = t16
     with pytest.raises(DomainError):
-        compat_residuals(tbl, polys, 2, [mp.mpf(0)])
+        compat_residuals(tbl, 2, [mp.mpf(0)])
 
 
 # ---------------------------------------------------------------------------
@@ -299,9 +300,9 @@ def test_lowering_raising_zero_polys(t16):
     for n in (2, 5, 9):
         data = lowering_data(tbl, n)
         scale = poly_max_abs(poly_mul(list(data.C), list(polys[n].coeffs)))
-        assert poly_max_abs(lowering_apply(polys, data, tbl, n)) <= CTX.verify_tol(scale)
+        assert poly_max_abs(lowering_apply(tbl, polys, data)) <= CTX.verify_tol(scale)
         scale_r = tbl.a[n + 1] * scale
-        assert poly_max_abs(raising_apply(polys, data, tbl, n)) \
+        assert poly_max_abs(raising_apply(tbl, polys, data)) \
             <= CTX.verify_tol(scale_r)
 
 
@@ -327,12 +328,9 @@ def test_lowering_C_routes_agree(t16):
 
 
 def test_lowering_guards(t16):
-    tbl, polys = t16
+    tbl, _ = t16
     with pytest.raises(IndexError):
         lowering_data(tbl, 1)
-    data = lowering_data(tbl, 5)
-    with pytest.raises(DomainError):
-        lowering_apply(polys, data, tbl, 6)
 
 
 # ---------------------------------------------------------------------------
@@ -340,48 +338,45 @@ def test_lowering_guards(t16):
 # ---------------------------------------------------------------------------
 
 def test_holonomic_Dn(t16):
-    tbl, polys = t16
+    tbl, _ = t16
     for n in (3, 6, 10):
         data = lowering_data(tbl, n)
         xs = sample_grid(n, 1, count=16, ctx=CTX)
-        assert holonomic_residual_Dn(polys, data, tbl, n, xs) <= CTX.verify_tol(1)
+        assert holonomic_residual_Dn(tbl, data, xs) <= CTX.verify_tol(1)
 
 
 def test_holonomic_chen(t16):
-    tbl, polys = t16
+    tbl, _ = t16
     for n in (1, 2, 5, 12):
         xs = sample_grid(n, 1, count=16, ctx=CTX)
-        assert holonomic_residual_chen(tbl, polys, n, xs) <= CTX.verify_tol(1)
+        assert holonomic_residual_chen(tbl, n, xs) <= CTX.verify_tol(1)
 
 
 def test_ode_routes_agree_on_common_target(t16):
     # D_n annihilates P_{n+1}; the ladder ODE at index n+1 does too.  Same
     # samples, same polynomial, both residuals at roundoff.
-    tbl, polys = t16
+    tbl, _ = t16
     for n in (3, 6):
         xs = sample_grid(n + 1, 1, count=12, ctx=CTX)
         data = lowering_data(tbl, n)
-        r_low = holonomic_residual_Dn(polys, data, tbl, n, xs)
-        r_chen = holonomic_residual_chen(tbl, polys, n + 1, xs)
+        r_low = holonomic_residual_Dn(tbl, data, xs)
+        r_chen = holonomic_residual_chen(tbl, n + 1, xs)
         assert r_low <= CTX.verify_tol(1)
         assert r_chen <= CTX.verify_tol(1)
 
 
 def test_chen_guards(t16):
-    tbl, polys = t16
+    tbl, _ = t16
     with pytest.raises(IndexError):
-        holonomic_residual_chen(tbl, polys, 0, [mp.mpf(1)])
+        holonomic_residual_chen(tbl, 0, [mp.mpf(1)])
     with pytest.raises(DomainError):
-        holonomic_residual_chen(tbl, polys, 2, [mp.mpf(0)])
+        holonomic_residual_chen(tbl, 2, [mp.mpf(0)])
 
 
 def test_Dn_guards(t16):
-    tbl, polys = t16
-    data = lowering_data(tbl, 5)
+    tbl, _ = t16
     with pytest.raises(IndexError):
-        holonomic_residual_Dn(polys, data, tbl, 2, [mp.mpf(1)])
-    with pytest.raises(DomainError):
-        holonomic_residual_Dn(polys, data, tbl, 6, [mp.mpf(1)])
+        holonomic_residual_Dn(tbl, lowering_data(tbl, 2), [mp.mpf(1)])
 
 
 # ---------------------------------------------------------------------------
@@ -389,12 +384,12 @@ def test_Dn_guards(t16):
 # ---------------------------------------------------------------------------
 
 def test_confluent(t16):
-    tbl, polys = t16
+    tbl, _ = t16
     xs = log_grid("0.05", 3, 12)
     # n = 0 is the identity 1/h_0 = P_1' P_0/h_0
-    assert confluent_check(polys, tbl, 0, xs) <= CTX.verify_tol(1)
+    assert confluent_check(tbl, 0, xs) <= CTX.verify_tol(1)
     for n in (4, 9):
-        assert confluent_check(polys, tbl, n, xs) <= CTX.verify_tol(1)
+        assert confluent_check(tbl, n, xs) <= CTX.verify_tol(1)
 
 
 def test_lax_block(t16):
@@ -436,10 +431,9 @@ def test_residuals_stable_at_doubled_precision():
         for bits in (256, 512):
             ctx = PrecisionContext(bits)
             tbl = chebyshev_coeffs(z, 8, ctx)
-            polys = poly_table(tbl, 8)
             xs = sample_grid(5, z, count=8, ctx=ctx)
-            assert holonomic_residual_chen(tbl, polys, 5, xs) <= ctx.verify_tol(1)
+            assert holonomic_residual_chen(tbl, 5, xs) <= ctx.verify_tol(1)
             data = lowering_data(tbl, 5)
-            assert holonomic_residual_Dn(polys, data, tbl, 5, xs) <= ctx.verify_tol(1)
-            res, scale = identity_i_residual(tbl, polys, 4)
+            assert holonomic_residual_Dn(tbl, data, xs) <= ctx.verify_tol(1)
+            res, scale = identity_i_residual(tbl, 4)
             assert abs(res) <= ctx.verify_tol(scale)

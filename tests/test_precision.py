@@ -48,7 +48,6 @@ from tfreud.operators import (
     raising_apply,
     sample_grid,
     structure_coeffs,
-    structure_coeffs_explicit,
     structure_residual,
     ttrr_eval_d2,
 )
@@ -119,6 +118,8 @@ CASES = {
     "RecurrenceTable.R": lambda: [TBL.R(n) for n in range(10)],
     "RecurrenceTable.T": lambda: [TBL.T(n) for n in range(10)],
     "RecurrenceTable.sigma": lambda: [TBL.sigma(n) for n in range(14)],
+    # a fresh copy, so the cached value of TBL cannot answer for it
+    "RecurrenceTable.at_zero": lambda: dataclasses.replace(TBL).at_zero,
     "lf_forward": lambda: lf_forward((TBL.b[0], TBL.a[1], TBL.b[1]), 8, TBL),
     "asymptotic_ratio": lambda: asymptotic_ratio(TBL, 7),
     "asymptotic_constants": lambda: asymptotic_constants(CTX),
@@ -130,31 +131,30 @@ CASES = {
     "beta_row": lambda: beta_row(TBL, 5),
     "beta_lower": lambda: beta_lower(TBL, 5),
     "structure_coeffs": lambda: structure_coeffs(TBL, 5),
-    "structure_coeffs_explicit": lambda: structure_coeffs_explicit(TBL, 5),
     "structure_residual": lambda: structure_residual(TBL, POLYS, 5),
-    "ladder_A": lambda: ladder_A(TBL, POLYS, 5),
-    "ladder_B": lambda: ladder_B(TBL, POLYS, 5),
-    "identity_i_residual": lambda: [identity_i_residual(TBL, POLYS, n) for n in range(1, 11)],
-    "identity_ii_residual": lambda: [identity_ii_residual(TBL, POLYS, n) for n in range(1, 11)],
-    "compat_residuals": lambda: compat_residuals(TBL, POLYS, 5, XS),
+    "ladder_A": lambda: ladder_A(TBL, 5),
+    "ladder_B": lambda: ladder_B(TBL, 5),
+    "identity_i_residual": lambda: [identity_i_residual(TBL, n) for n in range(1, 11)],
+    "identity_ii_residual": lambda: [identity_ii_residual(TBL, n) for n in range(1, 11)],
+    "compat_residuals": lambda: compat_residuals(TBL, 5, XS),
     "lowering_data": lambda: lowering_data(TBL, 6),
     "lowering_C_via_beta": lambda: lowering_C_via_beta(TBL, 6, "0.7"),
-    "lowering_apply": lambda: lowering_apply(POLYS, LOW, TBL, 6),
-    "raising_apply": lambda: raising_apply(POLYS, LOW, TBL, 6),
-    "holonomic_residual_Dn": lambda: holonomic_residual_Dn(POLYS, LOW, TBL, 6, XS),
-    "holonomic_residual_chen": lambda: holonomic_residual_chen(TBL, POLYS, 5, XS),
-    "confluent_check": lambda: confluent_check(POLYS, TBL, 6, XS),
+    "lowering_apply": lambda: lowering_apply(TBL, POLYS, LOW),
+    "raising_apply": lambda: raising_apply(TBL, POLYS, LOW),
+    "holonomic_residual_Dn": lambda: holonomic_residual_Dn(TBL, LOW, XS),
+    "holonomic_residual_chen": lambda: holonomic_residual_chen(TBL, 5, XS),
+    "confluent_check": lambda: confluent_check(TBL, 6, XS),
     "lax_block_check": lambda: lax_block_check(TBL, 10),
     "zeros": lambda: zeros(TBL, 6, CTX),
     "interlacing_margin": lambda: interlacing_margin(ZS, zeros(TBL, 5, CTX)),
     "zero_scaling_check": lambda: zero_scaling_check(zeros(TBL4, 6, CTX), ZS, CTX),
-    "gamma_chain": lambda: gamma_chain(POLYS, TBL, 8),
-    "largest_zero_bound": lambda: largest_zero_bound(POLYS, TBL, 8, eps="1e-3"),
-    "potential_eval": lambda: potential_eval("0.7", 6, TBL.z, TBL, POLYS),
-    "potential_deriv": lambda: potential_deriv("0.7", 6, TBL.z, TBL, POLYS),
-    "electro_energy": lambda: electro_energy(("0.3", "0.7", "1.1"), 3, TBL.z, TBL, POLYS),
-    "stationarity_check": lambda: stationarity_check(TBL, POLYS, ZS),
-    "ode_at_zeros_check": lambda: ode_at_zeros_check(TBL, POLYS, 6),
+    "gamma_chain": lambda: gamma_chain(TBL, 8),
+    "largest_zero_bound": lambda: largest_zero_bound(TBL, 8, eps="1e-3"),
+    "potential_eval": lambda: potential_eval(TBL, 6, "0.7"),
+    "potential_deriv": lambda: potential_deriv(TBL, 6, "0.7"),
+    "electro_energy": lambda: electro_energy(TBL, ("0.3", "0.7", "1.1")),
+    "stationarity_check": lambda: stationarity_check(TBL, ZS),
+    "ode_at_zeros_check": lambda: ode_at_zeros_check(TBL, 6),
     "inject_fault": lambda: inject_fault(TBL, FAULT),
     "DensityModel.for_t": lambda: DensityModel.for_t("0.3", CTX),
     "density": lambda: density("0.4", "0.3", CTX),

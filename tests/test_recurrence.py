@@ -5,6 +5,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
+from tfreud import recurrence
 from tfreud.kernel import (
     ConvergenceError,
     DomainError,
@@ -260,17 +261,20 @@ def test_sigma_z_derivative_fd():
     assert mp.mpf("3.8") < ratio < mp.mpf("4.2")
 
 
-def test_precision_exhaustion_detected():
+def test_precision_exhaustion_detected(monkeypatch):
     ctx = PrecisionContext(64)
+    monkeypatch.setattr(recurrence, "internal_bits_for", lambda ctx, n_max: 64)
     with pytest.raises(PrecisionExhaustionError) as exc:
-        chebyshev_coeffs(1, 40, ctx, _internal_bits=64)
+        chebyshev_coeffs(1, 40, ctx)
     assert 0 < exc.value.index <= 40
 
 
-def test_internal_boost_does_not_change_values():
+def test_internal_boost_does_not_change_values(monkeypatch):
     ctx = PrecisionContext(128)
     tbl = chebyshev_coeffs(1, 8, ctx)
-    boosted = chebyshev_coeffs(1, 8, ctx, _internal_bits=internal_bits_for(ctx, 8) + 256)
+    monkeypatch.setattr(recurrence, "internal_bits_for",
+                        lambda ctx, n_max: internal_bits_for(ctx, n_max) + 256)
+    boosted = chebyshev_coeffs(1, 8, ctx)
     for n in range(9):
         assert abs(tbl.a[n] - boosted.a[n]) <= ctx.verify_tol(max(1, tbl.a[n]))
         assert abs(tbl.b[n] - boosted.b[n]) <= ctx.verify_tol(tbl.b[n])

@@ -48,14 +48,12 @@ def ref4(s: str) -> int:
 
 
 @pytest.fixture(scope="module")
-def t14():
-    tbl = chebyshev_coeffs(1, 15, CTX)
-    return tbl, poly_table(tbl, 15)
+def tbl():
+    return chebyshev_coeffs(1, 15, CTX)
 
 
 @pytest.fixture(scope="module")
-def zsets(t14):
-    tbl, _ = t14
+def zsets(tbl):
     return {n: zeros(tbl, n, CTX) for n in range(1, 15)}
 
 
@@ -72,16 +70,14 @@ def test_zero_set_validation():
         ZeroSet(1, mp.mpf(1), (mp.mpf(0),))
 
 
-def test_zeros_degree_guard(t14):
-    tbl, _ = t14
+def test_zeros_degree_guard(tbl):
     with pytest.raises(IndexError):
         zeros(tbl, 0, CTX)
     with pytest.raises(IndexError):
         zeros(tbl, tbl.n_max + 1, CTX)
 
 
-def test_x11_is_b0(t14, zsets):
-    tbl, _ = t14
+def test_x11_is_b0(tbl, zsets):
     x11 = zsets[1][0]
     assert abs(x11 - tbl.b[0]) <= CTX.verify_tol(tbl.b[0])
     closed = mp.gamma(mp.mpf("0.5")) / mp.gamma(mp.mpf("0.25"))
@@ -101,8 +97,8 @@ def test_reference_table_4dp(zsets):
                 assert got == ref
 
 
-def test_zeros_vanish_on_polynomial(t14, zsets):
-    tbl, polys = t14
+def test_zeros_vanish_on_polynomial(tbl, zsets):
+    polys = poly_table(tbl, 12)
     for n in (5, 12):
         coeffs = polys[n].coeffs
         for x in zsets[n].values:
@@ -156,9 +152,8 @@ def test_scaling_is_exact_halving():
 # symmetrized chain and the largest-zero bound
 # ---------------------------------------------------------------------------
 
-def test_gamma_chain_basics(t14):
-    tbl, polys = t14
-    chain = gamma_chain(polys, tbl, 14)
+def test_gamma_chain_basics(tbl):
+    chain = gamma_chain(tbl, 14)
     assert len(chain) == 27
     assert all(g > 0 for g in chain)
     assert abs(chain[0] - tbl.b[0]) <= CTX.verify_tol(tbl.b[0])
@@ -166,9 +161,8 @@ def test_gamma_chain_basics(t14):
     assert abs(chain[1] - g2) <= CTX.verify_tol(g2)
 
 
-def test_gamma_chain_recovers_recurrence(t14):
-    tbl, polys = t14
-    chain = gamma_chain(polys, tbl, 14)
+def test_gamma_chain_recovers_recurrence(tbl):
+    chain = gamma_chain(tbl, 14)
     for k in range(1, 13):
         s = chain[2 * k - 1] + chain[2 * k]
         assert abs(s - tbl.b[k]) <= CTX.verify_tol(tbl.b[k])
@@ -176,23 +170,20 @@ def test_gamma_chain_recovers_recurrence(t14):
         assert abs(p - tbl.a[k]) <= CTX.verify_tol(tbl.a[k])
 
 
-def test_p_at_zero_alternates(t14):
-    _, polys = t14
+def test_p_at_zero_alternates(tbl):
     for k in range(15):
-        val = polys[k].at_zero
+        val = tbl.at_zero[k]
         assert (val > 0) == (k % 2 == 0)
 
 
-def test_gamma_chain_guard(t14):
-    tbl, polys = t14
+def test_gamma_chain_guard(tbl):
     with pytest.raises(IndexError):
-        gamma_chain(polys, tbl, 16)
+        gamma_chain(tbl, 16)
 
 
-def test_largest_zero_bound_dominates(t14, zsets):
-    tbl, polys = t14
+def test_largest_zero_bound_dominates(tbl, zsets):
     for n in range(2, 15):
-        bound = largest_zero_bound(polys, tbl, n)
+        bound = largest_zero_bound(tbl, n)
         assert zsets[n][n - 1] < bound
 
 
@@ -203,12 +194,11 @@ def test_bound_constant_n2():
     assert abs(c4 - phi2) <= CTX.verify_tol(phi2)
 
 
-def test_largest_zero_bound_guards(t14):
-    tbl, polys = t14
+def test_largest_zero_bound_guards(tbl):
     with pytest.raises(DomainError):
-        largest_zero_bound(polys, tbl, 1)
+        largest_zero_bound(tbl, 1)
     with pytest.raises(DomainError):
-        largest_zero_bound(polys, tbl, 5, eps=0)
+        largest_zero_bound(tbl, 5, eps=0)
 
 
 # ---------------------------------------------------------------------------
@@ -279,8 +269,11 @@ def test_density_cdf_matches_quadrature():
     beta = model.beta_t
     for wq in ("0.25", "0.5", "0.85"):
         w = mp.mpf(wq)
-        direct = mp.quad(lambda u: density(beta * u * u, 1, qctx) * 2 * beta * u,
-                         [0, mp.sqrt(w)])
+        # 32 bits over the context suffice for a check at verify_tol; the
+        # 1200-bit pin would make the quadrature ~90 times slower
+        with qctx.workprec(32):
+            direct = mp.quad(lambda u: density(beta * u * u, 1, qctx) * 2 * beta * u,
+                             [0, mp.sqrt(w)])
         assert abs(density_cdf(w, qctx) - direct) <= qctx.verify_tol(1)
 
 
@@ -295,36 +288,30 @@ def test_empirical_distance_trend():
 # electrostatics
 # ---------------------------------------------------------------------------
 
-def test_stationarity(t14, zsets):
-    tbl, polys = t14
-    assert stationarity_check(tbl, polys, zsets[6]) <= mp.mpf("1e-10")
-    assert stationarity_check(tbl, polys, zsets[12]) <= mp.mpf("1e-8")
+def test_stationarity(tbl, zsets):
+    assert stationarity_check(tbl, zsets[6]) <= mp.mpf("1e-10")
+    assert stationarity_check(tbl, zsets[12]) <= mp.mpf("1e-8")
 
 
-def test_energy_permutation_invariance(t14, zsets):
-    tbl, polys = t14
+def test_energy_permutation_invariance(tbl, zsets):
     base = list(zsets[5].values)
     perm = [base[2], base[0], base[4], base[1], base[3]]
-    e1 = electro_energy(base, 5, 1, tbl, polys)
-    e2 = electro_energy(perm, 5, 1, tbl, polys)
+    e1 = electro_energy(tbl, base)
+    e2 = electro_energy(tbl, perm)
     assert abs(e1.energy - e2.energy) <= CTX.verify_tol(e1.energy)
 
 
-def test_electro_guards(t14):
-    tbl, polys = t14
+def test_electro_guards(tbl):
     with pytest.raises(DomainError):
-        electro_energy([mp.mpf(1), mp.mpf(1)], 2, 1, tbl, polys)
-    with pytest.raises(DomainError):
-        electro_energy([mp.mpf(1)], 2, 1, tbl, polys)
+        electro_energy(tbl, [mp.mpf(1), mp.mpf(1)])
 
 
-def test_gradient_matches_finite_differences(t14):
-    tbl, polys = t14
+def test_gradient_matches_finite_differences(tbl):
     pos = [mp.mpf(q) for q in ("0.3", "0.7", "1.1", "1.6", "2.2")]
-    grad = electro_energy(pos, 5, 1, tbl, polys).gradient
+    grad = electro_energy(tbl, pos).gradient
 
     def energy_at(p):
-        return electro_energy(p, 5, 1, tbl, polys).energy
+        return electro_energy(tbl, p).energy
 
     errs = []
     for h in (mp.mpf("1e-4"), mp.mpf("5e-5")):
@@ -341,49 +328,44 @@ def test_gradient_matches_finite_differences(t14):
     assert mp.mpf("3.5") <= ratio <= mp.mpf("4.5")
 
 
-def test_potential_quartic_dominates(t14):
-    tbl, polys = t14
+def test_potential_quartic_dominates(tbl):
     x = mp.mpf(50)
-    ratio = potential_eval(x, 4, 1, tbl, polys) / x ** 4
+    ratio = potential_eval(tbl, 4, x) / x ** 4
     assert abs(ratio - 1) <= mp.mpf("1e-4")
 
 
-def test_potential_direct_value(t14):
-    tbl, polys = t14
+def test_potential_direct_value(tbl):
     n = 3
     R = tbl.a[n + 1] + tbl.b[n] ** 2 + tbl.a[n]
-    shift = polys[n].at_zero ** 2 / (4 * tbl.h[n])
+    shift = tbl.at_zero[n] ** 2 / (4 * tbl.h[n])
     expect = 1 + mp.log(1 + tbl.b[n] + R + shift)
-    got = potential_eval(1, n, 1, tbl, polys)
+    got = potential_eval(tbl, n, 1)
     assert abs(got - expect) <= CTX.verify_tol(expect)
 
 
-def test_potential_deriv_matches_fd(t14):
-    tbl, polys = t14
+def test_potential_deriv_matches_fd(tbl):
     x = mp.mpf("0.9")
-    d = potential_deriv(x, 4, 1, tbl, polys)
+    d = potential_deriv(tbl, 4, x)
     errs = []
     for h in (mp.mpf("1e-6"), mp.mpf("5e-7")):
-        fd = (potential_eval(x + h, 4, 1, tbl, polys)
-              - potential_eval(x - h, 4, 1, tbl, polys)) / (2 * h)
+        fd = (potential_eval(tbl, 4, x + h)
+              - potential_eval(tbl, 4, x - h)) / (2 * h)
         errs.append(abs(fd - d))
     assert mp.mpf("3.5") <= errs[0] / errs[1] <= mp.mpf("4.5")
 
 
-def test_potential_guards(t14):
-    tbl, polys = t14
+def test_potential_guards(tbl):
     with pytest.raises(DomainError):
-        potential_eval(0, 3, 1, tbl, polys)
+        potential_eval(tbl, 3, 0)
     with pytest.raises(DomainError):
-        potential_deriv(0, 3, 1, tbl, polys)
+        potential_deriv(tbl, 3, 0)
     with pytest.raises(IndexError):
-        potential_eval(1, tbl.n_max, 1, tbl, polys)
+        potential_eval(tbl, tbl.n_max, 1)
 
 
-def test_ode_holds_at_zeros(t14):
-    tbl, polys = t14
+def test_ode_holds_at_zeros(tbl):
     for n in (4, 10):
-        assert ode_at_zeros_check(tbl, polys, n) <= CTX.verify_tol(1)
+        assert ode_at_zeros_check(tbl, n) <= CTX.verify_tol(1)
 
 
 # ---------------------------------------------------------------------------
