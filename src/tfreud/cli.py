@@ -332,43 +332,59 @@ COMMANDS = {
 }
 
 
+# Each option and its default, written once.  A subcommand accepts only the
+# options it lists; the rest keep their default, so RunConfig reads the same
+# fields whatever the subcommand.
+OPTIONS = {
+    "z": ("--z", {"default": None, "help": "weight parameter (default 1; verify "
+                                           "defaults to the triple 1/4, 1, 4)"}),
+    "n_max": ("--n-max", {"type": int, "default": 14, "help": "top degree (default 14)"}),
+    "bits": ("--bits", {"type": int, "default": None,
+                        "help": "working precision (default: policy for n_max)"}),
+    "epsilon": ("--epsilon", {"default": "1e-3", "help": "slack in the largest-zero "
+                                                         "bound constant (default 1e-3)"}),
+    "t": ("--t", {"action": "append", "default": None,
+                  "help": "density time parameter; repeatable (default 1)"}),
+    "format": ("--format", {"choices": ("csv", "json"), "default": "csv"}),
+    "out": ("--out", {"default": None, "help": "output path (figures: directory)"}),
+    "table_check": ("--table-check", {"action": "store_true", "default": False,
+                                      "help": "compare n = 1..14 extremes against the "
+                                              "embedded reference table"}),
+    "all_zeros": ("--all-zeros", {"action": "store_true", "default": False,
+                                  "help": "emit every zero, not just the extremes"}),
+    "round": ("--round", {"type": int, "default": None, "metavar": "K",
+                          "help": "round real columns to K decimals, ties away from zero"}),
+    "fault_inject": ("--fault-inject", {"default": None, "metavar": "SPEC",
+                                        "help": "perturb one table entry, e.g. a:3:1e-6"}),
+}
+TABLE_OPTIONS = ("z", "n_max", "bits", "format", "out", "round")
+SUBCOMMANDS = (
+    ("moments", "write mu_n(z) for n <= 2*n_max+1", TABLE_OPTIONS),
+    ("coeffs", "write a_n, b_n, h_n and their asymptotic ratios", TABLE_OPTIONS),
+    ("zeros", "write smallest/largest (or all) zeros; --table-check compares against "
+              "the embedded 4-decimal reference values",
+     TABLE_OPTIONS + ("table_check", "all_zeros")),
+    ("density", "write the limiting zero density on a grid for each --t",
+     ("n_max", "bits", "t", "format", "out", "round")),
+    ("verify", "run the full verification suite; exit 1 on any failure",
+     TABLE_OPTIONS + ("epsilon", "fault_inject")),
+    ("figures", "write the five figure data files", ("n_max", "bits", "format", "out", "round")),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tfreud",
         description="High-precision tables and verification for the monic "
                     "orthogonal family of exp(-z*x^4) on (0, inf).")
     parser.add_argument("--version", action="version", version=f"tfreud {__version__}")
+    parser.set_defaults(**{dest: kw["default"] for dest, (_, kw) in OPTIONS.items()})
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("moments", "write mu_n(z) for n <= 2*n_max+1"),
-        ("coeffs", "write a_n, b_n, h_n and their asymptotic ratios"),
-        ("zeros", "write smallest/largest (or all) zeros; --table-check compares "
-                  "against the embedded 4-decimal reference values"),
-        ("density", "write the limiting zero density on a grid for each --t"),
-        ("verify", "run the full verification suite; exit 1 on any failure"),
-        ("figures", "write the five figure data files"),
-    ):
+    for name, help_text, options in SUBCOMMANDS:
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--z", default=None, help="weight parameter (default 1; "
-                       "verify defaults to the triple 1/4, 1, 4)")
-        p.add_argument("--n-max", type=int, default=14, help="top degree (default 14)")
-        p.add_argument("--bits", type=int, default=None,
-                       help="working precision (default: policy for n_max)")
-        p.add_argument("--epsilon", default="1e-3",
-                       help="slack in the largest-zero bound constant (default 1e-3)")
-        p.add_argument("--t", action="append", default=None,
-                       help="density time parameter; repeatable (default 1)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--out", default=None, help="output path (figures: directory)")
-        p.add_argument("--table-check", action="store_true",
-                       help="zeros: compare n = 1..14 extremes against the "
-                            "embedded reference table")
-        p.add_argument("--all-zeros", action="store_true",
-                       help="zeros: emit every zero, not just the extremes")
-        p.add_argument("--round", type=int, default=None, metavar="K",
-                       help="round real columns to K decimals, ties away from zero")
-        p.add_argument("--fault-inject", default=None, metavar="SPEC",
-                       help="verify: perturb one table entry, e.g. a:3:1e-6")
+        for dest in options:
+            flag, kw = OPTIONS[dest]
+            p.add_argument(flag, **kw)
     return parser
 
 

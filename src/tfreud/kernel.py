@@ -15,6 +15,8 @@ import mpmath as mp
 SLACK_BITS = 12
 # Guard bits over a table's precision for every evaluation on the table.
 RESIDUAL_GUARD_BITS = 96
+# Terms hyp2f1_series may sum before it gives up.
+HYP2F1_MAX_TERMS = 200_000
 
 
 class DomainError(ValueError):
@@ -72,7 +74,7 @@ def default_bits(n_max: int) -> int:
 # scalar special functions
 # ---------------------------------------------------------------------------
 
-def hyp2f1_series(a, b, c, w, ctx: PrecisionContext, max_terms: int = 200_000) -> mp.mpf:
+def hyp2f1_series(a, b, c, w, ctx: PrecisionContext) -> mp.mpf:
     """Gauss series sum_k (a)_k (b)_k / ((c)_k k!) w^k for |w| < 1.
 
     c must not be a non-positive integer (the Pochhammer denominator would
@@ -90,7 +92,7 @@ def hyp2f1_series(a, b, c, w, ctx: PrecisionContext, max_terms: int = 200_000) -
         s = mp.mpf(1)
         term = mp.mpf(1)
         stop = mp.mpf(2) ** (-(ctx.bits + 8))
-        for k in range(max_terms):
+        for k in range(HYP2F1_MAX_TERMS):
             term = term * (av + k) * (bv + k) / ((cv + k) * (k + 1)) * wv
             if term == 0:
                 break
@@ -98,7 +100,7 @@ def hyp2f1_series(a, b, c, w, ctx: PrecisionContext, max_terms: int = 200_000) -
             if abs(term) <= abs(s) * stop:
                 break
         else:
-            raise ConvergenceError(f"2F1 series did not converge within {max_terms} terms")
+            raise ConvergenceError(f"2F1 series did not converge within {HYP2F1_MAX_TERMS} terms")
     return ctx.round(s)
 
 

@@ -54,12 +54,14 @@ class MomentSequence:
         return self.values[n]
 
 
-def moment_recurrence_residual(mseq: MomentSequence, n: int) -> mp.mpf:
-    """4z*mu_{n+4} - (n+1)*mu_n; zero in exact arithmetic."""
+def moment_recurrence_residual(mseq: MomentSequence, n: int) -> tuple:
+    """4z*mu_{n+4} - (n+1)*mu_n, zero in exact arithmetic, and its scale
+    (n+1)*mu_n."""
     if n < 0 or n + 4 >= len(mseq.values):
         raise IndexError(f"need indices n={n} and n+4 inside 0..{len(mseq.values) - 1}")
     with mseq.ctx.workprec(RESIDUAL_GUARD_BITS):
-        return 4 * mseq.z * mseq.values[n + 4] - (n + 1) * mseq.values[n]
+        rhs = (n + 1) * mseq.values[n]
+        return 4 * mseq.z * mseq.values[n + 4] - rhs, rhs
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,11 @@ the distributional Pearson equation of the weight exp(-z*x^4) on (0, inf):
 
 Identity checks are done at the polynomial-coefficient level when the
 identity is polynomial, and on a fixed log-spaced sample grid when it is
-rational.  All derivative work on rational functions is symbolic.
+rational.  The polynomial checks (structure, lowering, raising) and the
+scalar identities i and ii return (residual, scale), to be judged as
+|residual| <= verify_tol(scale); the sampled checks return residuals already
+divided by their term magnitudes.  All derivative work on rational functions
+is symbolic.
 """
 from __future__ import annotations
 
@@ -32,6 +36,7 @@ from .kernel import (
     RationalFn,
     poly_add,
     poly_diff,
+    poly_max_abs,
     poly_mul,
     poly_scale,
     poly_sub,
@@ -41,14 +46,13 @@ from .kernel import (
 from .recurrence import RecurrenceTable, band_lower, band_row, bracket_i
 
 
-def sample_grid(n: int, z, ctx: PrecisionContext, count: int = 16, lo=None):
+def sample_grid(n: int, z, ctx: PrecisionContext, count: int = 16):
     """Log-spaced sample points in (0.01, 4*(n/(140z))^(1/4) + 1): covers the
     oscillatory region of P_n and a margin of tail."""
     with ctx.workprec(64):
         zv = mp.mpf(z)
-        lov = mp.mpf(lo) if lo is not None else mp.mpf("0.01")
         hiv = 4 * (mp.mpf(max(n, 1)) / (140 * zv)) ** mp.mpf("0.25") + 1
-        llo, lhi = mp.log(lov), mp.log(hiv)
+        llo, lhi = mp.log(mp.mpf("0.01")), mp.log(hiv)
         return [mp.exp(llo + (lhi - llo) * k / (count - 1)) for k in range(count)]
 
 
@@ -174,20 +178,20 @@ def structure_coeffs(tbl: RecurrenceTable, n: int) -> tuple:
         return tuple(4 * tbl.z * lower[n - j] for j in range(4))
 
 
-def structure_residual(tbl: RecurrenceTable, polys: tuple, n: int) -> list:
-    """x*P'_{n+1} - (n+1)*P_{n+1} - sum_j c_{n-j} P_{n-j} as a dense
-    polynomial; the zero polynomial up to roundoff."""
+def structure_residual(tbl: RecurrenceTable, polys: tuple, n: int) -> tuple:
+    """The largest coefficient of x*P'_{n+1} - (n+1)*P_{n+1} - sum_j c_{n-j} P_{n-j}
+    (the zero polynomial up to roundoff) and that of x*P'_{n+1}, its scale."""
     if n + 1 > len(polys) - 1:
         raise IndexError(f"polys holds degrees <= {len(polys) - 1}, need {n + 1}")
     coeffs = structure_coeffs(tbl, n)
     with tbl.workprec():
         p = list(polys[n + 1].coeffs)
-        res = [mp.mpf(0)] + poly_diff(p)          # x * P'
-        res = poly_sub(res, poly_scale(p, mp.mpf(n + 1)))
+        xdp = [mp.mpf(0)] + poly_diff(p)          # x * P'
+        res = poly_sub(xdp, poly_scale(p, mp.mpf(n + 1)))
         for j in range(4):
             if n - j >= 0 and coeffs[j] != 0:
                 res = poly_sub(res, poly_scale(list(polys[n - j].coeffs), coeffs[j]))
-        return res
+        return poly_max_abs(res), poly_max_abs(xdp)
 
 
 # ---------------------------------------------------------------------------
@@ -355,21 +359,22 @@ def lowering_C_via_beta(tbl: RecurrenceTable, n: int, x) -> mp.mpf:
         return 4 * tbl.z * val
 
 
-def lowering_apply(tbl: RecurrenceTable, polys: tuple, data: LoweringData) -> list:
-    """x P'_{n+1} + D_n P_{n+1} - C_n P_n as a dense polynomial (zero),
-    n = data.n."""
+def lowering_apply(tbl: RecurrenceTable, polys: tuple, data: LoweringData) -> tuple:
+    """The largest coefficient of x P'_{n+1} + D_n P_{n+1} - C_n P_n (zero up
+    to roundoff) and that of C_n P_n, its scale; n = data.n."""
     n = data.n
     with tbl.workprec():
         p_up = list(polys[n + 1].coeffs)
         res = [mp.mpf(0)] + poly_diff(p_up)
         res = poly_add(res, poly_mul(list(data.D), p_up))
-        res = poly_sub(res, poly_mul(list(data.C), list(polys[n].coeffs)))
-        return res
+        cp = poly_mul(list(data.C), list(polys[n].coeffs))
+        return poly_max_abs(poly_sub(res, cp)), poly_max_abs(cp)
 
 
-def raising_apply(tbl: RecurrenceTable, polys: tuple, data: LoweringData) -> list:
-    """-a_{n+1}[x P'_{n+1} + D_n P_{n+1}] + (x - b_{n+1}) C_n P_{n+1}
-    - C_n P_{n+2} as a dense polynomial (zero), n = data.n."""
+def raising_apply(tbl: RecurrenceTable, polys: tuple, data: LoweringData) -> tuple:
+    """The largest coefficient of -a_{n+1}[x P'_{n+1} + D_n P_{n+1}]
+    + (x - b_{n+1}) C_n P_{n+1} - C_n P_{n+2} (zero up to roundoff) and its
+    scale a_{n+1} times the largest coefficient of C_n P_n; n = data.n."""
     n = data.n
     if n + 2 > len(polys) - 1:
         raise IndexError(f"polys holds degrees <= {len(polys) - 1}, need {n + 2}")
@@ -381,7 +386,8 @@ def raising_apply(tbl: RecurrenceTable, polys: tuple, data: LoweringData) -> lis
         xb = [-tbl.b[n + 1], mp.mpf(1)]
         res = poly_add(res, poly_mul(poly_mul(xb, list(data.C)), p_up))
         res = poly_sub(res, poly_mul(list(data.C), list(polys[n + 2].coeffs)))
-        return res
+        scale = tbl.a[n + 1] * poly_max_abs(poly_mul(list(data.C), list(polys[n].coeffs)))
+        return poly_max_abs(res), scale
 
 
 def holonomic_residual_Dn(tbl: RecurrenceTable, data: LoweringData, x_samples) -> mp.mpf:

@@ -2,16 +2,17 @@
 over a configurable (z, n) range and collected into pass/fail records.
 
 Each record stores the worst dimensionless residual of one identity family
-(residual already divided by the dominant scale of the identity) next to the
-tolerance it was judged against.  A fault-injection hook perturbs one
-recurrence entry so the suite demonstrably fails on corrupted data."""
+next to the tolerance it was judged against: the residual divided by the
+scale its function returns with it (one reduction, `_worst`), or divided
+inside the function.  A fault-injection hook perturbs one recurrence entry
+so the suite demonstrably fails on corrupted data."""
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
 import mpmath as mp
 
-from .kernel import DomainError, PrecisionContext, default_bits, poly_diff, poly_max_abs, poly_mul
+from .kernel import DomainError, PrecisionContext, default_bits
 from .moments import (
     MomentSequence,
     moment,
@@ -127,6 +128,12 @@ def _rec(name, n_range, z_desc, residual, tolerance) -> CheckRecord:
     return CheckRecord(name, n_range, z_desc, res, tol, bool(res <= tol))
 
 
+def _worst(pairs) -> mp.mpf:
+    """The largest |residual|/scale over (residual, scale) pairs, divided at
+    the caller's precision; 0 if there are none."""
+    return max((abs(res) / scale for res, scale in pairs), default=mp.mpf(0))
+
+
 def _zdesc(z_values) -> str:
     return ",".join(mp.nstr(mp.mpf(z), 6) for z in z_values)
 
@@ -140,12 +147,8 @@ def _algebraic_verdicts(tbl: RecurrenceTable, n_max: int) -> tuple:
         tol = ctx.verify_tol(1)
         flags = []
         for n in range(1, n_max + 1):
-            res_1, scale_1 = lf_residual_1(tbl, n)
-            flags.append(abs(res_1) / scale_1 <= tol)
-            res_nl, scale_nl = lf_residual_I(tbl, n)
-            flags.append(abs(res_nl) <= ctx.verify_tol(scale_nl))
-            res_i, scale_i = identity_i_residual(tbl, n)
-            flags.append(abs(res_i) <= ctx.verify_tol(scale_i))
+            flags += [_worst([fn(tbl, n)]) <= tol
+                      for fn in (lf_residual_1, lf_residual_I, identity_i_residual)]
         xs = sample_grid(min(5, n_max), tbl.z, ctx, count=8)
         flags.append(holonomic_residual_chen(tbl, min(5, n_max), xs) <= tol)
         return tuple(flags)
@@ -191,12 +194,9 @@ def run_verification(z_values=(mp.mpf(1) / 4, 1, 4), n_max: int = 14,
         nrange = f"1..{n_max}"
 
         # moment recurrence and the Stieltjes tail (weight side, no tables)
-        worst = mp.mpf(0)
-        for z in zs:
-            mseq = MomentSequence.build(z, 2 * n_max + 5, ctx)
-            for n in range(2 * n_max + 1):
-                scale = (n + 1) * mseq[n]
-                worst = max(worst, abs(moment_recurrence_residual(mseq, n)) / scale)
+        mseqs = [MomentSequence.build(z, 2 * n_max + 5, ctx) for z in zs]
+        worst = _worst(moment_recurrence_residual(mseq, n)
+                       for mseq in mseqs for n in range(2 * n_max + 1))
         records.append(_rec("moment-recurrence", f"0..{2 * n_max}", zdesc, worst, tol1))
 
         worst = mp.mpf(0)
@@ -210,75 +210,43 @@ def run_verification(z_values=(mp.mpf(1) / 4, 1, 4), n_max: int = 14,
                 worst = max(worst, abs(res - tail) / scale)
         records.append(_rec("stieltjes-ode-tail", f"N={2 * n_max + 1}", zdesc, worst, tol1))
 
-        # Laguerre-Freud family
+        # Laguerre-Freud family and the ladder identities
         for name, fn in (("lf-eq1", lf_residual_1), ("lf-eq12", lf_residual_2),
-                         ("lf-nonlinear", lf_residual_I)):
-            worst = mp.mpf(0)
-            for z in zs:
-                for n in range(1, n_max + 1):
-                    res, scale = fn(tables[z], n)
-                    worst = max(worst, abs(res) / scale)
-            records.append(_rec(name, nrange, zdesc, worst, tol1))
-
-        # ladder identities and compatibility
-        for name, fn in (("identity-i", identity_i_residual),
+                         ("lf-nonlinear", lf_residual_I),
+                         ("identity-i", identity_i_residual),
                          ("identity-ii", identity_ii_residual)):
-            worst = mp.mpf(0)
-            for z in zs:
-                for n in range(1, n_max + 1):
-                    res, scale = fn(tables[z], n)
-                    worst = max(worst, abs(res) / scale)
+            worst = _worst(fn(tables[z], n) for z in zs for n in range(1, n_max + 1))
             records.append(_rec(name, nrange, zdesc, worst, tol1))
 
-        worst1 = worst2 = mp.mpf(0)
-        for z in zs:
-            for n in range(1, n_max + 1):
-                xs = sample_grid(n, z, ctx, count=8)
-                r1, r2 = compat_residuals(tables[z], n, xs)
-                worst1, worst2 = max(worst1, r1), max(worst2, r2)
-        records.append(_rec("compat-first", nrange, zdesc, worst1, tol1))
-        records.append(_rec("compat-second", nrange, zdesc, worst2, tol1))
+        # ladder compatibility
+        compat = [compat_residuals(tables[z], n, sample_grid(n, z, ctx, count=8))
+                  for z in zs for n in range(1, n_max + 1)]
+        for k, name in enumerate(("compat-first", "compat-second")):
+            records.append(_rec(name, nrange, zdesc, max(r[k] for r in compat), tol1))
 
         # structure relation and lowering/raising operators
-        worst = mp.mpf(0)
-        for z in zs:
-            for n in range(0, n_max + 1):
-                res = structure_residual(tables[z], ptables[z], n)
-                scale = poly_max_abs([mp.mpf(0)] + poly_diff(list(ptables[z][n + 1].coeffs)))
-                worst = max(worst, poly_max_abs(res) / scale)
+        worst = _worst(structure_residual(tables[z], ptables[z], n)
+                       for z in zs for n in range(0, n_max + 1))
         records.append(_rec("structure", f"0..{n_max}", zdesc, worst, tol1))
 
-        worst_lo = worst_hi = mp.mpf(0)
-        for z in zs:
-            tbl, polys = tables[z], ptables[z]
-            for n in range(2, n_max + 1):
-                data = lowering_data(tbl, n)
-                scale = poly_max_abs(poly_mul(list(data.C), list(polys[n].coeffs)))
-                worst_lo = max(worst_lo, poly_max_abs(lowering_apply(tbl, polys, data)) / scale)
-                worst_hi = max(worst_hi, poly_max_abs(raising_apply(tbl, polys, data))
-                               / (tbl.a[n + 1] * scale))
-        records.append(_rec("lowering", f"2..{n_max}", zdesc, worst_lo, tol1))
-        records.append(_rec("raising", f"2..{n_max}", zdesc, worst_hi, tol1))
+        lowering = {(z, n): lowering_data(tables[z], n)
+                    for z in zs for n in range(2, n_max + 1)}
+        for name, fn in (("lowering", lowering_apply), ("raising", raising_apply)):
+            worst = _worst(fn(tables[z], ptables[z], data)
+                           for (z, _), data in lowering.items())
+            records.append(_rec(name, f"2..{n_max}", zdesc, worst, tol1))
 
         # holonomic second-order equations
-        worst_tri = worst_lad = mp.mpf(0)
-        for z in zs:
-            tbl = tables[z]
-            for n in range(3, n_max + 1):
-                xs = sample_grid(n, z, ctx, count=8)
-                worst_tri = max(worst_tri, holonomic_residual_Dn(tbl, lowering_data(tbl, n), xs))
-            for n in range(1, n_max + 1):
-                xs = sample_grid(n, z, ctx, count=8)
-                worst_lad = max(worst_lad, holonomic_residual_chen(tbl, n, xs))
-        records.append(_rec("ode-composed", f"3..{n_max}", zdesc, worst_tri, tol1))
-        records.append(_rec("ode-eliminated", nrange, zdesc, worst_lad, tol1))
+        worst = max(holonomic_residual_Dn(tables[z], data, sample_grid(n, z, ctx, count=8))
+                    for (z, n), data in lowering.items() if n >= 3)
+        records.append(_rec("ode-composed", f"3..{n_max}", zdesc, worst, tol1))
+        worst = max(holonomic_residual_chen(tables[z], n, sample_grid(n, z, ctx, count=8))
+                    for z in zs for n in range(1, n_max + 1))
+        records.append(_rec("ode-eliminated", nrange, zdesc, worst, tol1))
 
         # confluent kernel identity
-        worst = mp.mpf(0)
-        for z in zs:
-            for n in (0, n_max // 2, n_max):
-                xs = sample_grid(max(n, 1), z, ctx, count=8)
-                worst = max(worst, confluent_check(tables[z], n, xs))
+        worst = max(confluent_check(tables[z], n, sample_grid(max(n, 1), z, ctx, count=8))
+                    for z in zs for n in (0, n_max // 2, n_max))
         records.append(_rec("confluent-kernel", f"0..{n_max}", zdesc, worst, tol1))
 
         # Lax block and the quartic-power rows

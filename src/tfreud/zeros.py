@@ -295,27 +295,31 @@ class ElectroSystem:
     gradient: tuple
 
 
-def potential_eval(tbl: RecurrenceTable, n: int, x) -> mp.mpf:
-    """V_n(x) = z x^4 + ln|calA_n(x)/(4z)|."""
+def _fields(tbl: RecurrenceTable, n: int, xs) -> list:
+    """(V_n(x), V_n'(x)) for each x in xs, with calA_n and its derivative
+    built once: V_n = z x^4 + ln|calA_n/(4z)|, V_n' = 4z x^3 + calA_n'/calA_n."""
     A_n = ladder_A(tbl, n)
     with tbl.workprec():
-        xv, zv = mp.mpf(x), tbl.z
-        if xv == 0:
-            raise DomainError("x = 0 is a pole of the potential")
-        arg = A_n.eval(xv) / (4 * zv)
-        if arg == 0:
-            raise DomainError("log argument vanishes")
-        return zv * xv ** 4 + mp.log(abs(arg))
+        z, dA_n = tbl.z, A_n.derivative()
+        out = []
+        for x in map(mp.mpf, xs):
+            if x == 0:
+                raise DomainError("x = 0 is a pole of the potential")
+            A = A_n.eval(x)
+            if A == 0:
+                raise DomainError("log argument vanishes")
+            out.append((z * x ** 4 + mp.log(abs(A / (4 * z))), 4 * z * x ** 3 + dA_n.eval(x) / A))
+        return out
+
+
+def potential_eval(tbl: RecurrenceTable, n: int, x) -> mp.mpf:
+    """V_n(x) = z x^4 + ln|calA_n(x)/(4z)|."""
+    return _fields(tbl, n, [x])[0][0]
 
 
 def potential_deriv(tbl: RecurrenceTable, n: int, x) -> mp.mpf:
     """V_n'(x) = 4 z x^3 + calA_n'(x)/calA_n(x)."""
-    A_n = ladder_A(tbl, n)
-    with tbl.workprec():
-        xv = mp.mpf(x)
-        if xv == 0:
-            raise DomainError("x = 0 is a pole of the potential")
-        return 4 * tbl.z * xv ** 3 + A_n.derivative().eval(xv) / A_n.eval(xv)
+    return _fields(tbl, n, [x])[0][1]
 
 
 def electro_energy(tbl: RecurrenceTable, positions) -> ElectroSystem:
@@ -326,14 +330,14 @@ def electro_energy(tbl: RecurrenceTable, positions) -> ElectroSystem:
         n = len(pts)
         if len(set(pts)) != n:
             raise DomainError("positions must be distinct")
+        fields = _fields(tbl, n, pts)
         pair = mp.fsum(mp.log(abs(pts[k] - pts[j]))
                        for k in range(n) for j in range(k))
-        ext = mp.fsum(potential_eval(tbl, n, p) for p in pts)
-        energy = -2 * pair + ext
+        energy = -2 * pair + mp.fsum(v for v, _ in fields)
         grad = []
         for k in range(n):
             coul = mp.fsum(1 / (pts[k] - pts[j]) for j in range(n) if j != k)
-            grad.append(-2 * coul + potential_deriv(tbl, n, pts[k]))
+            grad.append(-2 * coul + fields[k][1])
         return ElectroSystem(tuple(pts), n, tbl.z, energy, tuple(grad))
 
 
@@ -360,12 +364,12 @@ def ode_at_zeros_check(tbl: RecurrenceTable, n: int) -> mp.mpf:
     if n < 1:
         raise IndexError(f"need n >= 1, got {n}")
     zs = zeros(tbl, n, tbl.ctx)
+    fields = _fields(tbl, n, zs.values)
     with tbl.workprec():
         worst = mp.mpf(0)
-        for x in zs.values:
+        for x, (_, rhs) in zip(zs.values, fields):
             _, d1, d2 = ttrr_eval_d2(tbl, n, x)
             lhs = d2 / d1
-            rhs = potential_deriv(tbl, n, x)
             worst = max(worst, abs(lhs - rhs) / (abs(lhs) + abs(rhs) + 1))
         return worst
 

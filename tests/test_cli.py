@@ -240,6 +240,32 @@ def test_zeros_output_bits_pinned(capsys, argv, exit_code, sha256):
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
+def test_verify_out_file_bits_pinned(tmp_path, capsys):
+    # stdout prints 4 digits; the --out file carries every residual at full
+    # precision, so this digest guards what the stdout digest cannot see
+    out = tmp_path / "f.csv"
+    code, _, _ = run_cli(capsys, "verify", "--n-max", "8", "--out", str(out))
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        "8b8178895c6ef1f5ebb0313a9ddfcb08bbc3d16a7e09df77408aa628742e4826"
+
+
+@pytest.mark.parametrize("argv", [
+    ("figures", "--z", "2"),
+    ("coeffs", "--t", "1"),
+    ("density", "--z", "2"),
+    ("coeffs", "--epsilon", "0"),
+    ("moments", "--fault-inject", "zz"),
+    ("moments", "--all-zeros"),
+    ("verify", "--table-check"),
+])
+def test_option_the_subcommand_does_not_read_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_config_errors(capsys):
     for argv in (["moments", "--z", "-1"],
                  ["moments", "--bits", "32"],

@@ -10,8 +10,6 @@ from tfreud.kernel import (
     PrecisionContext,
     poly_diff,
     poly_eval,
-    poly_max_abs,
-    poly_mul,
 )
 from tfreud.moments import moment
 from tfreud.operators import (
@@ -121,17 +119,11 @@ def test_beta_row_guards(t16):
 # structure relation
 # ---------------------------------------------------------------------------
 
-def structure_scale(polys, n):
-    dp = [mp.mpf(0)] + poly_diff(list(polys[n + 1].coeffs))
-    return poly_max_abs(dp)
-
-
 def test_structure_residual_zero_poly(t16, t16z9):
     for tbl, polys in (t16, t16z9):
         for n in (0, 5, 9):
-            res = structure_residual(tbl, polys, n)
-            tol = CTX.verify_tol(structure_scale(polys, n))
-            assert poly_max_abs(res) <= tol
+            res, scale = structure_residual(tbl, polys, n)
+            assert res <= CTX.verify_tol(scale)
 
 
 def test_structure_c0_forced_at_n0(t16, t16z9):
@@ -299,11 +291,9 @@ def test_lowering_raising_zero_polys(t16):
     tbl, polys = t16
     for n in (2, 5, 9):
         data = lowering_data(tbl, n)
-        scale = poly_max_abs(poly_mul(list(data.C), list(polys[n].coeffs)))
-        assert poly_max_abs(lowering_apply(tbl, polys, data)) <= CTX.verify_tol(scale)
-        scale_r = tbl.a[n + 1] * scale
-        assert poly_max_abs(raising_apply(tbl, polys, data)) \
-            <= CTX.verify_tol(scale_r)
+        for fn in (lowering_apply, raising_apply):
+            res, scale = fn(tbl, polys, data)
+            assert res <= CTX.verify_tol(scale)
 
 
 def test_lowering_degrees(t16):
@@ -422,8 +412,6 @@ def test_sample_grid_properties():
     assert xs == sorted(xs)
     # endpoints survive the log/exp round trip up to rounding
     assert abs(xs[0] - mp.mpf("0.01")) <= CTX.verify_tol(mp.mpf("0.01"))
-    lo = sample_grid(8, 1, count=4, lo="0.5", ctx=CTX)
-    assert abs(lo[0] - mp.mpf("0.5")) <= CTX.verify_tol(1)
 
 
 def test_residuals_stable_at_doubled_precision():

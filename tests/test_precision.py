@@ -126,7 +126,7 @@ CASES = {
     "scaling_check": lambda: scaling_check(TBL4, TBL, 7),
     "h_scaling_check": lambda: h_scaling_check(TBL4, TBL, 7),
     "poly_table": lambda: poly_table(TBL, 8),
-    "sample_grid": lambda: sample_grid(6, "0.3", CTX, count=5, lo="0.02"),
+    "sample_grid": lambda: sample_grid(6, "0.3", CTX, count=5),
     "ttrr_eval_d2": lambda: ttrr_eval_d2(TBL, 9, "0.7"),
     "beta_row": lambda: beta_row(TBL, 5),
     "beta_lower": lambda: beta_lower(TBL, 5),
