@@ -30,7 +30,7 @@ from .zeros import (
     density,
     density_normalization,
     ptilde_zeros,
-    zeros,
+    zero_sweep,
 )
 
 # Reference values for the smallest and largest zero at z = 1, 4 decimals;
@@ -64,6 +64,7 @@ DENSITY_POINTS = 64
 
 @dataclass(frozen=True)
 class RunConfig:
+    command: str
     z: mp.mpf
     z_given: bool
     n_max: int
@@ -100,7 +101,7 @@ class RunConfig:
             raise DomainError("--t values must be positive")
         if args.round is not None and args.round < 0:
             raise DomainError(f"--round must be >= 0, got {args.round}")
-        return cls(z, args.z is not None, args.n_max, bits, epsilon, ts,
+        return cls(args.command, z, args.z is not None, args.n_max, bits, epsilon, ts,
                    args.format, args.out, args.round, args.table_check,
                    args.all_zeros, args.fault_inject)
 
@@ -146,9 +147,10 @@ def write_table(cfg: RunConfig, columns: list, rows: list, out_path=None) -> Non
             lines.append(",".join(_fmt_value(row[c], cfg) for c in columns))
         text = "\n".join(lines) + "\n"
     else:
+        # only the subcommands that read --z report it
+        z = {"z": mp.nstr(cfg.z, cfg.dps)} if "z" in ACCEPTS[cfg.command] else {}
         payload = {
-            "meta": {"z": mp.nstr(cfg.z, cfg.dps), "n_max": cfg.n_max,
-                     "bits": cfg.bits, "version": __version__},
+            "meta": {**z, "n_max": cfg.n_max, "bits": cfg.bits, "version": __version__},
             "data": [{c: _json_value(row[c], cfg) for c in columns} for row in rows],
         }
         text = json.dumps(payload, indent=2) + "\n"
@@ -189,17 +191,14 @@ def cmd_zeros(cfg: RunConfig) -> int:
         return _table_check(cfg, ctx)
     with ctx.workprec(64):
         tbl = chebyshev_coeffs(cfg.z, cfg.n_max, ctx)
-        rows = []
+        sets = zero_sweep(tbl, cfg.n_max, ctx)
         if cfg.all_zeros:
             columns = ["n", "k", "x"]
-            for n in range(1, cfg.n_max + 1):
-                zs = zeros(tbl, n, ctx)
-                rows.extend({"n": n, "k": k + 1, "x": zs[k]} for k in range(n))
+            rows = [{"n": zs.n, "k": k + 1, "x": x}
+                    for zs in sets for k, x in enumerate(zs.values)]
         else:
             columns = ["n", "smallest", "largest"]
-            for n in range(1, cfg.n_max + 1):
-                zs = zeros(tbl, n, ctx)
-                rows.append({"n": n, "smallest": zs[0], "largest": zs[n - 1]})
+            rows = [{"n": zs.n, "smallest": zs[0], "largest": zs[-1]} for zs in sets]
     write_table(cfg, columns, rows)
     return 0
 
@@ -212,8 +211,8 @@ def _table_check(cfg: RunConfig, ctx: PrecisionContext) -> int:
         tbl = chebyshev_coeffs(1, n_top, ctx)
         rows = []
         mismatches = 0
-        for n in range(1, n_top + 1):
-            zs = zeros(tbl, n, ctx)
+        for zs in zero_sweep(tbl, n_top, ctx):
+            n = zs.n
             for which, val, ref in (("smallest", zs[0], REF_SMALLEST[n - 1]),
                                     ("largest", zs[n - 1], REF_LARGEST[n - 1])):
                 got4 = round_half_away(val, 4)
@@ -294,10 +293,7 @@ def cmd_figures(cfg: RunConfig) -> int:
         emit("figure1_density", ["t", "x", "omega"], rows)
 
         tbl = chebyshev_coeffs(1, n_top, ctx)
-        extremes = []
-        for n in range(1, n_top + 1):
-            zs = zeros(tbl, n, ctx)
-            extremes.append((n, zs[0], zs[n - 1]))
+        extremes = [(zs.n, zs[0], zs[-1]) for zs in zero_sweep(tbl, n_top, ctx)]
         emit("figure2_zero_extremes", ["n", "smallest", "largest"],
              [{"n": n, "smallest": lo, "largest": hi} for n, lo, hi in extremes])
 
@@ -370,6 +366,7 @@ SUBCOMMANDS = (
      TABLE_OPTIONS + ("epsilon", "fault_inject")),
     ("figures", "write the five figure data files", ("n_max", "bits", "format", "out", "round")),
 )
+ACCEPTS = {name: options for name, _, options in SUBCOMMANDS}
 
 
 def build_parser() -> argparse.ArgumentParser:

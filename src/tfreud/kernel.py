@@ -206,7 +206,7 @@ class RationalFn:
 
 # ---------------------------------------------------------------------------
 # the monic three-term recurrence and the eigenvalues of its Jacobi matrix:
-# Sturm-count bisection + Newton polish
+# brackets from interlacing or Sturm-count bisection, then a Newton-Halley polish
 # ---------------------------------------------------------------------------
 
 def ttrr_d2(b, a, n: int, x) -> tuple:
@@ -247,16 +247,81 @@ def _sturm_count(diag, off2, x, pivmin):
     return count
 
 
-def tridiag_eigenvalues(diag, off2, ctx: PrecisionContext) -> list:
+def _polish(b, a_rec, n, x, lo, hi, below, tol, steps) -> mp.mpf:
+    """Guarded Newton iteration on P_n from x toward the one zero in
+    [lo, hi], each step corrected by P_n'' (Halley's method; ttrr_d2 returns
+    P_n'' anyway).  A step is accepted only if it stays in the bracket;
+    otherwise the bracket is halved at its midpoint m, keeping the half the
+    zero is in (`below(m)` is true when it lies in (lo, m]), and the
+    iteration restarts from the new midpoint."""
+    for _ in range(steps):
+        f, fp, fpp = ttrr_d2(b, a_rec, n, x)
+        if f == 0 or fp == 0:
+            break
+        dx = f / fp
+        h = 1 - dx * fpp / (2 * fp)
+        if h != 0:
+            dx /= h
+        x1 = x - dx
+        if not lo <= x1 <= hi:
+            m = (lo + hi) / 2
+            if below(m):
+                hi = m
+            else:
+                lo = m
+            x = (lo + hi) / 2
+            continue
+        x = x1
+        if abs(dx) <= tol:
+            break
+    return x
+
+
+def _interlaced(d, a_rec, n, ends, tol, steps):
+    """The n zeros of P_n, one polished in each gap of the n + 1 ascending
+    points `ends`; None unless P_n alternates in sign across them without
+    vanishing, which proves each gap holds exactly one zero.  A sign change
+    of P_n is the fallback step."""
+    if any(not lo < hi for lo, hi in zip(ends, ends[1:])):
+        return None
+    up = []
+    for x in ends:
+        f = ttrr_d2(d, a_rec, n, x)[0]
+        if f == 0 or (up and (f > 0) == up[-1]):
+            return None
+        up.append(f > 0)
+    out = []
+    for k in range(n):
+        lo, hi = ends[k], ends[k + 1]
+
+        def below(m, lo_up=up[k]):
+            f = ttrr_d2(d, a_rec, n, m)[0]
+            return f == 0 or (f > 0) != lo_up
+
+        out.append(_polish(d, a_rec, n, (lo + hi) / 2, lo, hi, below, tol(lo, hi), steps))
+    return out
+
+
+def tridiag_eigenvalues(diag, off2, ctx: PrecisionContext, cuts=None) -> list:
     """All eigenvalues of the symmetric tridiagonal matrix, ascending.
 
     `off2` holds the products of the off-diagonal pairs, i.e. the squared
     off-diagonal entries: with b_k = diag[k] and a_k = off2[k - 1] these are
     the coefficients of the monic recurrence, and the eigenvalues are the
     zeros of P_n, n = len(diag).  The off2 entries must be strictly
-    positive, which guarantees the eigenvalues are simple.  Bisection on the
-    Sturm count isolates each eigenvalue, then a guarded Newton iteration on
-    P_n through ttrr_d2 polishes it to full context precision.
+    positive, which guarantees the eigenvalues are simple.
+
+    Each eigenvalue is first bracketed, then polished to full context
+    precision by a guarded Newton-Halley iteration on P_n through ttrr_d2.
+    Given `cuts`, the n - 1 ascending zeros of P_{n-1}, the brackets are the
+    gaps between them (interlacing) if P_n alternates in sign across them,
+    and a sign change of P_n halves a bracket whenever the iteration leaves
+    it.  Otherwise bisection on the Sturm count brackets eigenvalue k: it
+    stops once the bracket isolates it (k - 1 eigenvalues below its lower
+    end, k below its upper end) and is no wider than 2^-24 of the Gershgorin
+    interval, and a Sturm count halves the bracket whenever the iteration
+    leaves it.  Both routes converge to the same rounded zeros (the tests
+    compare them bit for bit).
     """
     n = len(diag)
     if len(off2) != max(0, n - 1):
@@ -264,6 +329,8 @@ def tridiag_eigenvalues(diag, off2, ctx: PrecisionContext) -> list:
     for e2 in off2:
         if not e2 > 0:
             raise DomainError("off2 entries must be strictly positive")
+    if cuts is not None and len(cuts) != max(0, n - 1):
+        raise DomainError("cuts must have length len(diag) - 1")
     if n == 0:
         return []
     work = ctx.bits + 32
@@ -286,43 +353,43 @@ def tridiag_eigenvalues(diag, off2, ctx: PrecisionContext) -> list:
         lo -= spread * mp.mpf(2) ** -20
         hi += spread * mp.mpf(2) ** -20
         spread = hi - lo
-        pivmin = max(max(off2), mp.mpf(1)) * mp.mpf(2) ** (-2 * work)
-
-        # bisect each eigenvalue to ~half precision, then Newton to full
-        coarse = spread * mp.mpf(2) ** (-(ctx.bits // 2 + 4))
         fine_rel = mp.mpf(2) ** (-(ctx.bits + 8))
+        floor = spread * mp.mpf(2) ** -16
+
+        def tol(a, b):
+            return max(abs(a + b) / 2, floor) * fine_rel
+
+        if cuts is not None:
+            ends = [lo] + [mp.mpf(c) for c in cuts] + [hi]
+            out = _interlaced(d, a_rec, n, ends, tol, ctx.bits)
+            if out is not None:
+                return [ctx.round(x) for x in out]
+
+        pivmin = max(max(off2), mp.mpf(1)) * mp.mpf(2) ** (-2 * work)
+        coarse = spread * mp.mpf(2) ** -24
         out = []
+        # (a, b] holds eigenvalue k; ca, cb are the Sturm counts at its ends
+        a, ca = lo, 0
         for k in range(1, n + 1):
-            a, b = lo, hi
-            while b - a > coarse:
+            b, cb = hi, n
+            while ca < k - 1 or cb > k or b - a > coarse:
                 m = (a + b) / 2
-                if _sturm_count(d, off2, m, pivmin) >= k:
-                    b = m
+                if not a < m < b:
+                    # a and b are adjacent at the working precision, which
+                    # cannot separate the eigenvalues between them
+                    break
+                c = _sturm_count(d, off2, m, pivmin)
+                if c >= k:
+                    b, cb = m, c
                 else:
-                    a = m
-            x = (a + b) / 2
-            scale = max(abs(x), spread * mp.mpf(2) ** -16)
-            # eigenvalue lies in (a, b]; iterates may step slightly past an
-            # endpoint (the root can be the endpoint itself), so accept any
-            # iterate within a few bracket widths and fall back to a Sturm
-            # bisection step whenever Newton wanders further
-            for _ in range(ctx.bits):
-                f, fp = ttrr_d2(d, a_rec, n, x)[:2]
-                if f == 0 or fp == 0:
-                    break
-                dx = f / fp
-                x1 = x - dx
-                width = b - a
-                if not (a - 4 * width <= x1 <= b + 4 * width):
-                    m = (a + b) / 2
-                    if _sturm_count(d, off2, m, pivmin) >= k:
-                        b = m
-                    else:
-                        a = m
-                    x = (a + b) / 2
-                    continue
-                x = x1
-                if abs(dx) <= scale * fine_rel:
-                    break
-            out.append(ctx.round(x))
+                    a, ca = m, c
+
+            def below(m, k=k):
+                return _sturm_count(d, off2, m, pivmin) >= k
+
+            out.append(ctx.round(_polish(d, a_rec, n, (a + b) / 2, a, b, below, tol(a, b),
+                                         ctx.bits)))
+            if cb == k:
+                # b isolates eigenvalue k from above: the next lower end
+                a, ca = b, cb
     return out

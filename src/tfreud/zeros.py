@@ -2,8 +2,13 @@
 
 * Zeros are the eigenvalues of the Jacobi matrix, read straight from the
   table (diagonal b_0..b_{n-1}, off-diagonal products a_1..a_{n-1}); the
-  eigensolver polishes each one by a guarded Newton iteration on P_n
-  through the recurrence.
+  eigensolver polishes each one by a guarded Newton-Halley iteration on P_n
+  through the recurrence.  zeros() solves one degree on its own, each
+  eigenvalue bracketed by Sturm-count bisection; zero_sweep() solves
+  degrees 1..n_max in turn and brackets each zero of P_n between
+  consecutive zeros of P_{n-1}, which interlace with them, so a degree costs
+  a few polishing steps per zero and no Sturm count.  Both return the same
+  bits.
 * The weight |y| exp(-z y^8) on the whole line has even moments equal to the
   moments of exp(-z x^4) on (0, inf), so its monic family satisfies
   S_{2n}(y) = P_n(y^2) and a chain gamma_1, gamma_2, ... with
@@ -71,6 +76,21 @@ def zeros(tbl: RecurrenceTable, n: int, ctx: PrecisionContext) -> ZeroSet:
         raise IndexError(f"need 1 <= n <= {tbl.n_max}, got {n}")
     eig = tridiag_eigenvalues(tbl.b[:n], tbl.a[1:n], ctx)
     return ZeroSet(n, ctx.round(tbl.z), tuple(eig))
+
+
+def zero_sweep(tbl: RecurrenceTable, n_max: int, ctx: PrecisionContext) -> list:
+    """The ZeroSets of degrees 1..n_max, each equal to zeros(tbl, n, ctx).
+    The zeros of P_{n-1} interlace with those of P_n, so they cut the n
+    brackets degree n is solved in."""
+    if n_max < 1 or n_max > tbl.n_max:
+        raise IndexError(f"need 1 <= n_max <= {tbl.n_max}, got {n_max}")
+    z = ctx.round(tbl.z)
+    out = []
+    for n in range(1, n_max + 1):
+        cuts = out[-1].values if out else ()
+        eig = tridiag_eigenvalues(tbl.b[:n], tbl.a[1:n], ctx, cuts=cuts)
+        out.append(ZeroSet(n, z, tuple(eig)))
+    return out
 
 
 def interlacing_margin(outer: ZeroSet, inner: ZeroSet) -> mp.mpf:

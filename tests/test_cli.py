@@ -134,6 +134,17 @@ def test_density_columns(capsys):
     assert all(mp.mpf(0) < mp.mpf(r["x"]) < beta for r in rows)
 
 
+def test_json_meta_reports_z_only_where_z_is_read(capsys):
+    # density takes no --z and its table does not depend on z
+    code, out, _ = run_cli(capsys, "density", "--bits", "128", "--format", "json")
+    assert code == 0
+    meta = json.loads(out)["meta"]
+    assert list(meta) == ["n_max", "bits", "version"]
+    code, out, _ = run_cli(capsys, "zeros", "--n-max", "2", "--z", "16", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["meta"]["z"] == "16.0"
+
+
 def test_density_multiple_t_files(tmp_path, capsys):
     out = tmp_path / "dens.csv"
     code, _, _ = run_cli(capsys, "density", "--t", "0.5", "--t", "1", "--t", "2",

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tfreud import kernel
 from tfreud.kernel import (
     ConvergenceError,
     DomainError,
@@ -219,3 +220,76 @@ def test_tridiag_trace_invariant(d, data):
     # strictly positive offdiagonal forces simple eigenvalues
     for lo, hi in zip(ev, ev[1:]):
         assert lo < hi
+
+
+def _eigsy(diag, off2):
+    """Reference eigenvalues of the same matrix by mpmath's dense solver."""
+    with mp.workprec(400):
+        n = len(diag)
+        A = mp.matrix(n, n)
+        for i in range(n):
+            A[i, i] = diag[i]
+        for i in range(n - 1):
+            A[i, i + 1] = A[i + 1, i] = mp.sqrt(off2[i])
+        return sorted(mp.eigsy(A, eigvals_only=True))
+
+
+@pytest.mark.parametrize("diag, off2", [
+    # two eigenvalues 1e-12 apart, 2^-24 of the spread being about 3e-7
+    ([mp.mpf(0), mp.mpf("1e-12"), mp.mpf(5)], [mp.mpf("1e-40")] * 2),
+    # Wilkinson's W21+ negated: its two smallest eigenvalues are 7e-14 apart
+    ([-mp.mpf(abs(10 - i)) for i in range(21)], [mp.mpf(1)] * 20),
+], ids=["decoupled", "wilkinson"])
+def test_tridiag_clustered_eigenvalues(diag, off2):
+    # a bracket of fixed width 2^-24 of the spread holds both eigenvalues of
+    # the cluster, so Newton could find one of them twice; bisection must
+    # go on until each bracket isolates its eigenvalue
+    ctx = PrecisionContext(128)
+    ev = tridiag_eigenvalues(diag, off2, ctx)
+    assert all(lo < hi for lo, hi in zip(ev, ev[1:]))
+    for got, want in zip(ev, _eigsy(diag, off2)):
+        assert abs(got - want) <= ctx.verify_tol(1)
+
+
+def _chebyshev(n):
+    """diag 0, off2 1/4: eigenvalues cos(k pi/(n+1)), ascending."""
+    with mp.workprec(260):
+        ref = sorted(mp.cos(mp.pi * k / (n + 1)) for k in range(1, n + 1))
+    return [mp.mpf(0)] * n, [mp.mpf(1) / 4] * (n - 1), ref
+
+
+@pytest.mark.parametrize("n", [2, 5, 8])
+def test_tridiag_interlacing_cuts(n, monkeypatch):
+    # the zeros of degree n-1 cut the brackets of degree n: no Sturm count
+    ctx = PrecisionContext(192)
+    diag, off2, ref = _chebyshev(n)
+    cuts = tridiag_eigenvalues(diag[:-1], off2[:-1], ctx)
+    plain = tridiag_eigenvalues(diag, off2, ctx)
+    monkeypatch.setattr(kernel, "_sturm_count", None)
+    ev = tridiag_eigenvalues(diag, off2, ctx, cuts=cuts)
+    assert [v._mpf_ for v in ev] == [v._mpf_ for v in plain]
+    for got, want in zip(ev, ref):
+        assert abs(got - want) <= ctx.verify_tol(1)
+
+
+def test_tridiag_cuts_that_do_not_alternate_fall_back_to_sturm(monkeypatch):
+    # move the first cut past the second eigenvalue: the first bracket holds
+    # two eigenvalues and the second none, so P_n does not alternate in sign
+    # across the cuts and the Sturm route must solve the degree
+    ctx = PrecisionContext(192)
+    diag, off2, _ = _chebyshev(6)
+    plain = tridiag_eigenvalues(diag, off2, ctx)
+    cuts = tridiag_eigenvalues(diag[:-1], off2[:-1], ctx)
+    bad = [(plain[1] + cuts[1]) / 2] + cuts[1:]
+    counts = []
+    real = kernel._sturm_count
+    monkeypatch.setattr(kernel, "_sturm_count", lambda *a: counts.append(1) or real(*a))
+    ev = tridiag_eigenvalues(diag, off2, ctx, cuts=bad)
+    assert counts
+    assert [v._mpf_ for v in ev] == [v._mpf_ for v in plain]
+
+
+def test_tridiag_rejects_bad_cuts():
+    ctx = PrecisionContext(64)
+    with pytest.raises(DomainError):
+        tridiag_eigenvalues([mp.mpf(0)] * 3, [mp.mpf(1)] * 2, ctx, cuts=[mp.mpf(0)])

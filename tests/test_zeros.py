@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from tfreud.cli import REF_ERRATA, REF_LARGEST, REF_SMALLEST
-from tfreud.kernel import DomainError, PrecisionContext, hyp2f1_series
+from tfreud import kernel
+from tfreud.kernel import DomainError, PrecisionContext, default_bits, hyp2f1_series
 from tfreud.operators import poly_table, ttrr_eval_d2
 from tfreud.recurrence import chebyshev_coeffs
 from tfreud.zeros import (
@@ -32,6 +33,7 @@ from tfreud.zeros import (
     ptilde_zeros,
     stationarity_check,
     zero_scaling_check,
+    zero_sweep,
     zeros,
 )
 
@@ -116,6 +118,75 @@ def test_interlacing(zq):
         cur = zeros(tbl, n, CTX)
         assert interlacing_margin(cur, prev) > 0
         prev = cur
+
+
+def _bits(zs):
+    return [v._mpf_ for v in zs.values]
+
+
+@pytest.mark.parametrize("zq, n_max", [("1", 16), ("16", 16), ("0.0625", 16), ("256", 16),
+                                       ("0.00390625", 16), ("1", 40)])
+def test_zero_sweep_matches_per_degree_bits(zq, n_max):
+    # the sweep solves degree n in the brackets cut by degree n-1; it must
+    # return bit for bit what the independent per-degree route returns
+    ctx = PrecisionContext(default_bits(n_max))
+    tbl = chebyshev_coeffs(mp.mpf(zq), n_max, ctx)
+    sets = zero_sweep(tbl, n_max, ctx)
+    assert [zs.n for zs in sets] == list(range(1, n_max + 1))
+    for n, zs in enumerate(sets, 1):
+        assert _bits(zs) == _bits(zeros(tbl, n, ctx)), n
+
+
+def test_zero_sweep_guard(tbl):
+    with pytest.raises(IndexError):
+        zero_sweep(tbl, 0, CTX)
+    with pytest.raises(IndexError):
+        zero_sweep(tbl, tbl.n_max + 1, CTX)
+
+
+@pytest.mark.parametrize("route", ["per-degree", "sweep"])
+def test_newton_fallback_step_runs(tbl, zsets, route, monkeypatch):
+    # the first Newton step of every polish is made 2^64 times too long, so
+    # it leaves the bracket and the fallback halves the bracket: by a Sturm
+    # count per degree, by a sign of P_n in the sweep
+    real_polish, real_d2, real_sturm = kernel._polish, kernel.ttrr_d2, kernel._sturm_count
+    seen = {"fresh": False, "polish": 0, "fallback": 0, "sturm": 0, "fallback_sturm": 0}
+
+    def d2(b, a, n, x):
+        f, fp, fpp = real_d2(b, a, n, x)
+        if seen["fresh"]:
+            seen["fresh"] = False
+            return f, fp * mp.mpf(2) ** -64, fpp * mp.mpf(2) ** -128
+        return f, fp, fpp
+
+    def polish(b, a_rec, n, x, lo, hi, below, tol, steps):
+        def counted(m):
+            seen["fallback"] += 1
+            before = seen["sturm"]
+            inside = below(m)
+            seen["fallback_sturm"] += seen["sturm"] - before
+            return inside
+        seen["polish"] += 1
+        seen["fresh"] = True
+        return real_polish(b, a_rec, n, x, lo, hi, counted, tol, steps)
+
+    def sturm(*args):
+        seen["sturm"] += 1
+        return real_sturm(*args)
+
+    monkeypatch.setattr(kernel, "ttrr_d2", d2)
+    monkeypatch.setattr(kernel, "_polish", polish)
+    monkeypatch.setattr(kernel, "_sturm_count", sturm)
+    if route == "per-degree":
+        got = [zeros(tbl, n, CTX) for n in range(2, 15)]
+        assert seen["fallback_sturm"] == seen["fallback"]
+    else:
+        got = zero_sweep(tbl, 14, CTX)[1:]
+        assert seen["sturm"] == 0
+    assert seen["polish"] == sum(range(2, 15))
+    assert seen["fallback"] >= seen["polish"]
+    for zs in got:
+        assert _bits(zs) == _bits(zsets[zs.n])
 
 
 def test_interlacing_margin_guard(zsets):
