@@ -20,7 +20,7 @@ from .kernel import (
     PrecisionExhaustionError,
     default_bits,
 )
-from .moments import MomentSequence
+from .moments import moment_sequence
 from .recurrence import asymptotic_ratio, chebyshev_coeffs
 from .verify import run_verification
 from .zeros import (
@@ -162,10 +162,8 @@ def write_table(cfg: RunConfig, columns: list, rows: list, out_path=None) -> Non
 
 
 def cmd_moments(cfg: RunConfig) -> int:
-    ctx = PrecisionContext(cfg.bits)
-    with ctx.workprec(64):
-        mseq = MomentSequence.build(cfg.z, 2 * cfg.n_max + 1, ctx)
-        rows = [{"n": n, "mu_n": mseq[n]} for n in range(2 * cfg.n_max + 2)]
+    mu = moment_sequence(cfg.z, 2 * cfg.n_max + 1, PrecisionContext(cfg.bits))
+    rows = [{"n": n, "mu_n": v} for n, v in enumerate(mu)]
     write_table(cfg, ["n", "mu_n"], rows)
     return 0
 

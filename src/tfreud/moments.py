@@ -7,6 +7,17 @@ satisfies a Pearson equation with phi(x) = x and psi(x) = 4z*x^4 - 1, and the
 class test at the single root c = 0 of phi yields class 3.  The (formal)
 Stieltjes series S(t) = sum mu_n / t^(n+1) satisfies a first-order linear ODE
 whose truncation residual telescopes to an explicit four-term tail.
+
+Two routes give the same context-rounded moments:
+
+* `moment(n, z, ctx)` evaluates the closed form through mp.gamma.  It is the
+  reference: MomentSequence (and so verify's moment-recurrence record, which
+  must not check the recurrence against itself), scaling-moments,
+  pearson_product, the Stieltjes functions and lf_forward's h_0 read it.
+* `moment_sequence(z, N, ctx)` seeds mu_0..mu_3 from one AGM and runs the
+  four-step recurrence, with no Gamma evaluation.  chebyshev_coeffs and
+  `tfreud moments` read it: at a few thousand bits mpmath's Gamma set-up
+  alone costs seconds.
 """
 from __future__ import annotations
 
@@ -28,6 +39,42 @@ def moment(n: int, z, ctx: PrecisionContext) -> mp.mpf:
         e = mp.mpf(n + 1) / 4
         val = zv ** (-e) * mp.gamma(e) / 4
     return ctx.round(val)
+
+
+def moment_sequence(z, N: int, ctx: PrecisionContext) -> list:
+    """[mu_0(z), ..., mu_N(z)], each rounded to ctx, from one AGM and the
+    four-step recurrence mu_{n+4} = (n+1)*mu_n/(4z).
+
+    With w = z^(-1/4) and the lemniscate identity Gamma(1/4)^2 =
+    (2 pi)^(3/2) / agm(1, sqrt 2) (Borwein & Borwein, Pi and the AGM, 1987),
+    the seeds are mu_0 = w Gamma(1/4)/4, mu_1 = w^2 sqrt(pi)/4, mu_2 = w^3
+    pi sqrt(2)/(4 Gamma(1/4)) by the reflection Gamma(1/4) Gamma(3/4) =
+    pi sqrt(2), and mu_3 = 1/(4z).  z is parsed as moment() parses it, so a
+    decimal string gives the same moments through both routes.
+
+    Seeds and chain run at ctx.bits + 64.  Each seed carries a relative
+    error below 16 units of 2^-(bits+64), and each of the at most N/4 chain
+    steps to an entry adds at most two (one product, one quotient), so every
+    entry is within (16 + N) * 2^-(bits+64) of the exact moment: more than 16
+    bits to spare below ctx's last bit for every N < 2^47.  The rounded entry
+    is therefore the correctly rounded moment unless the exact value lies
+    within 2^-(bits+16) relative of a rounding boundary.
+    """
+    if N < 0:
+        raise DomainError(f"N must be >= 0, got {N}")
+    with ctx.workprec(16):
+        zv = mp.mpf(z)
+        if not zv > 0:
+            raise DomainError(f"z must be positive, got {z}")
+    with ctx.workprec(64):
+        w = 1 / mp.sqrt(mp.sqrt(zv))
+        pi, root2 = +mp.pi, mp.sqrt(2)
+        gamma_quarter = mp.sqrt(2 * pi * mp.sqrt(2 * pi) / mp.agm(1, root2))
+        mu = [w * gamma_quarter / 4, w ** 2 * mp.sqrt(pi) / 4,
+              w ** 3 * pi * root2 / (4 * gamma_quarter), 1 / (4 * zv)][:N + 1]
+        for n in range(N - 3):
+            mu.append(mu[n] * (n + 1) / (4 * zv))
+    return [ctx.round(v) for v in mu]
 
 
 @dataclass(frozen=True)

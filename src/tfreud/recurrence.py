@@ -1,7 +1,8 @@
 """Three-term recurrence coefficients for the weight exp(-z*x^4) on (0, inf).
 
 The monic orthogonal family satisfies x*P_n = P_{n+1} + b_n*P_n + a_n*P_{n-1}
-with a_0 = 0.  Coefficients are produced from moments by the modified-moment
+with a_0 = 0.  Coefficients are produced from moments (moment_sequence: one
+AGM and the four-step recurrence, no Gamma evaluation) by the modified-moment
 (Chebyshev) algorithm at a boosted internal precision: a reserve of
 LOSS_BITS_PER_DEGREE = 3.5 bits per degree, although the map from moments to
 coefficients measurably loses 4.1-4.2, so past degree ~90 the top entries
@@ -47,7 +48,7 @@ from .kernel import (
     PrecisionContext,
     PrecisionExhaustionError,
 )
-from .moments import moment
+from .moments import moment, moment_sequence
 
 # reserve for the moment map's precision loss, bits per degree (measured: 4.1-4.2)
 LOSS_BITS_PER_DEGREE = 3.5
@@ -204,7 +205,7 @@ def chebyshev_coeffs(z, n_max: int, ctx: PrecisionContext) -> RecurrenceTable:
         if not zv > 0:
             raise DomainError(f"z must be positive, got {z}")
         L = 2 * n_max + 1
-        mu = [moment(l, zv, ictx) for l in range(L + 1)]
+        mu = moment_sequence(zv, L, ictx)
         max_mag = max(mp.mag(m) for m in mu)
         floor = max_mag - ictx.bits + 8
 
@@ -341,8 +342,8 @@ def asymptotic_ratio(tbl: RecurrenceTable, n: int):
     if n < 1 or n > tbl.n_max:
         raise IndexError(f"n must satisfy 1 <= n <= {tbl.n_max}, got {n}")
     with tbl.workprec():
-        base = mp.mpf(n) / (140 * tbl.z)
-        return tbl.a[n] / mp.sqrt(base), tbl.b[n] / (2 * base ** mp.mpf("0.25"))
+        root = mp.sqrt(mp.mpf(n) / (140 * tbl.z))
+        return tbl.a[n] / root, tbl.b[n] / (2 * mp.sqrt(root))
 
 
 def asymptotic_constant_residuals() -> dict:

@@ -251,6 +251,22 @@ def test_zeros_output_bits_pinned(capsys, argv, exit_code, sha256):
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
+@pytest.mark.parametrize("argv, sha256", [
+    (("coeffs", "--n-max", "160"),
+     "727d6b409d2bd4f0cd5caf17ba71774f7a72de1d75ac6ebfafbb675dabb2f9a2"),
+    (("moments", "--n-max", "160"),
+     "3b54438a5a818398be6b7d7901c53ad9692f825bc15bda64874d7a0df6ab0ab2"),
+    (("coeffs", "--n-max", "40", "--z", "0.1"),
+     "3397923b5c79000981646618a193be694ec4819c95efe2fe7d6f5ceaa331c2f2"),
+])
+def test_moment_route_output_bits_pinned(capsys, argv, sha256):
+    # the moments and coefficients do not depend on which route computed
+    # the moments: the recurrence route must print the closed form's bits
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
 def test_verify_out_file_bits_pinned(tmp_path, capsys):
     # stdout prints 4 digits; the --out file carries every residual at full
     # precision, so this digest guards what the stdout digest cannot see

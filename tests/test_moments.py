@@ -10,12 +10,14 @@ from tfreud.moments import (
     MomentSequence,
     moment,
     moment_recurrence_residual,
+    moment_sequence,
     pearson_data,
     pearson_product,
     stieltjes_ode_residual,
     stieltjes_partial,
     stieltjes_tail,
 )
+from tfreud.recurrence import chebyshev_coeffs
 
 
 def quad_moment(n, z, dps=60):
@@ -91,6 +93,69 @@ def test_recurrence_residual_index_guard():
         moment_recurrence_residual(ms, 2)
     with pytest.raises(IndexError):
         moment_recurrence_residual(ms, -1)
+
+
+SEQUENCE_Z = ("0.25", "1", "4", "0.1", "0.3", "16", "7")
+
+
+@pytest.mark.parametrize("bits, zs", [(64, SEQUENCE_Z), (192, SEQUENCE_Z), (352, SEQUENCE_Z),
+                                      (640, SEQUENCE_Z), (3312, ("1", "0.1", "0.25", "4", "16"))],
+                         ids=["64", "192", "352", "640", "3312"])
+def test_moment_sequence_correctly_rounded(bits, zs):
+    # each entry is the closed form at bits + 256 rounded to ctx; z is held
+    # at 64 bits, so every route reads the same binary number.  3312 bits is
+    # the internal precision of a degree-160 table at default bits.
+    ctx, N = PrecisionContext(bits), 321
+    with mp.workprec(bits + 256):
+        gammas = [mp.gamma(mp.mpf(n + 1) / 4) for n in range(N + 1)]
+    for z in zs:
+        with mp.workprec(64):
+            zv = mp.mpf(z)
+        got = moment_sequence(zv, N, ctx)
+        assert len(got) == N + 1
+        with mp.workprec(bits + 256):
+            want = [ctx.round(zv ** (-mp.mpf(n + 1) / 4) * g / 4)
+                    for n, g in enumerate(gammas)]
+        assert [v._mpf_ for v in got] == [v._mpf_ for v in want]
+
+
+@pytest.mark.parametrize("z", ["1", "0.1", "16"])
+def test_moment_sequence_matches_closed_form_route(z):
+    ctx = PrecisionContext(352)
+    assert [v._mpf_ for v in moment_sequence(z, 40, ctx)] == \
+        [moment(n, z, ctx)._mpf_ for n in range(41)]
+
+
+@pytest.mark.parametrize("z, mu3", [(1, mp.mpf(1) / 4), (16, mp.mpf(1) / 64)])
+def test_moment_sequence_mu3_exact(z, mu3):
+    assert moment_sequence(z, 3, PrecisionContext(128))[3] == mu3
+
+
+def test_moment_sequence_short_and_errors():
+    ctx = PrecisionContext(64)
+    assert len(moment_sequence(1, 0, ctx)) == 1
+    assert len(moment_sequence(1, 2, ctx)) == 3
+    with pytest.raises(DomainError):
+        moment_sequence(1, -1, ctx)
+    with pytest.raises(DomainError):
+        moment_sequence(0, 4, ctx)
+
+
+def test_coefficients_make_no_gamma_call(monkeypatch):
+    # the Gamma set-up at a few thousand bits is what moment_sequence avoids
+    ctx = PrecisionContext(768)
+    want = [moment(n, 1, ctx) for n in range(41)]
+
+    def no_gamma(*args, **kwargs):
+        raise AssertionError("mp.gamma called")
+
+    monkeypatch.setattr(mp, "gamma", no_gamma)
+    monkeypatch.setattr(mp.mp, "gamma", no_gamma)
+    with pytest.raises(AssertionError):
+        moment(0, 1, ctx)
+    assert moment_sequence(1, 40, ctx) == want
+    tbl = chebyshev_coeffs(1, 40, ctx)
+    assert tbl.n_max == 40
 
 
 @given(st.integers(min_value=0, max_value=40),

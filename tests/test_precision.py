@@ -23,6 +23,7 @@ from tfreud.moments import (
     MomentSequence,
     moment,
     moment_recurrence_residual,
+    moment_sequence,
     pearson_data,
     pearson_product,
     stieltjes_ode_residual,
@@ -105,6 +106,7 @@ CASES = {
     "tridiag_eigenvalues": lambda: tridiag_eigenvalues(TBL.b[:4], TBL.a[1:4], CTX),
     "moment": lambda: moment(5, "0.3", CTX),
     "MomentSequence.build": lambda: MomentSequence.build("0.3", 8, CTX),
+    "moment_sequence": lambda: moment_sequence("0.3", 40, CTX),
     "moment_recurrence_residual": lambda: moment_recurrence_residual(MSEQ, 3),
     "pearson_product": lambda: pearson_product("0.3", CTX),
     "pearson_data": lambda: pearson_data("0.3", CTX),
