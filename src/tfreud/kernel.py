@@ -206,7 +206,8 @@ class RationalFn:
 
 # ---------------------------------------------------------------------------
 # the monic three-term recurrence and the eigenvalues of its Jacobi matrix:
-# brackets from interlacing or Sturm-count bisection, then a Newton-Halley polish
+# n - 1 cut points with one eigenvalue between each pair of neighbours, then
+# a Newton-Halley polish in each gap
 # ---------------------------------------------------------------------------
 
 def ttrr_d2(b, a, n: int, x) -> tuple:
@@ -230,16 +231,26 @@ def ttrr_d2(b, a, n: int, x) -> tuple:
     return p, d, s
 
 
-def _sturm_count(diag, off2, x, pivmin):
-    """Number of eigenvalues strictly below x (negative LDL pivots)."""
+def _ttrr(b, a, n, x):
+    """P_n(x) alone, by the same steps as ttrr_d2, so the two agree bit for
+    bit; enough wherever only the sign of P_n is read."""
+    p_prev, p = mp.mpf(0), mp.mpf(1)
+    for k in range(n):
+        p, p_prev = (x - b[k]) * p - a[k] * p_prev, p
+    return p
+
+
+def _sturm_count(b, a, x, pivmin):
+    """Number of eigenvalues strictly below x (negative LDL pivots) of the
+    Jacobi matrix of the recurrence (b, a), read as ttrr_d2 reads it."""
     count = 0
-    q = diag[0] - x
+    q = b[0] - x
     if q == 0:
         q = -pivmin
     if q < 0:
         count += 1
-    for i in range(1, len(diag)):
-        q = diag[i] - x - off2[i - 1] / q
+    for i in range(1, len(b)):
+        q = b[i] - x - a[i] / q
         if q == 0:
             q = -pivmin
         if q < 0:
@@ -247,13 +258,42 @@ def _sturm_count(diag, off2, x, pivmin):
     return count
 
 
-def _polish(b, a_rec, n, x, lo, hi, below, tol, steps) -> mp.mpf:
-    """Guarded Newton iteration on P_n from x toward the one zero in
-    [lo, hi], each step corrected by P_n'' (Halley's method; ttrr_d2 returns
-    P_n'' anyway).  A step is accepted only if it stays in the bracket;
-    otherwise the bracket is halved at its midpoint m, keeping the half the
-    zero is in (`below(m)` is true when it lies in (lo, m]), and the
+def _separators(d, a_rec, lo, hi, pivmin):
+    """lo, then n - 1 cuts, then hi: the k-th cut has exactly k eigenvalues
+    below it and P_n of the sign (-1)^(n - k) at it.  Sturm-count bisection
+    (Barth, Martin & Wilkinson, Numer. Math. 9, 1967) splits an interval
+    only while a cut between its ends is missing.  A point where P_n
+    vanishes or has the other sign lies on an eigenvalue at the working
+    precision and cuts nothing.  None if two ends become adjacent at the
+    working precision, which cannot separate the eigenvalues between them."""
+    n = len(d)
+    ends = [lo] + [None] * (n - 1) + [hi]
+    # (a, b] holds the eigenvalues ca + 1..cb and owes the cuts ca..cb - 1
+    todo = [(lo, 0, hi, n)]
+    while todo:
+        a, ca, b, cb = todo.pop()
+        m = (a + b) / 2
+        if not a < m < b:
+            return None
+        c = _sturm_count(d, a_rec, m, pivmin)
+        if ends[c] is None:
+            f = _ttrr(d, a_rec, n, m)
+            if f != 0 and (f > 0) == ((n - c) % 2 == 0):
+                ends[c] = m
+        for part in ((a, ca, m, c), (m, c, b, cb)):
+            if None in ends[part[1]:part[3]]:
+                todo.append(part)
+    return ends
+
+
+def _polish(b, a_rec, n, lo, hi, lo_up, tol, steps) -> mp.mpf:
+    """Guarded Newton iteration on P_n toward the one zero in [lo, hi] from
+    its midpoint, each step corrected by P_n'' (Halley's method; ttrr_d2
+    returns P_n'' anyway).  A step is accepted only if it stays in the
+    bracket; otherwise the bracket is halved at its midpoint m, keeping the
+    half where P_n changes sign (`lo_up` is true when P_n(lo) > 0), and the
     iteration restarts from the new midpoint."""
+    x = (lo + hi) / 2
     for _ in range(steps):
         f, fp, fpp = ttrr_d2(b, a_rec, n, x)
         if f == 0 or fp == 0:
@@ -265,7 +305,8 @@ def _polish(b, a_rec, n, x, lo, hi, below, tol, steps) -> mp.mpf:
         x1 = x - dx
         if not lo <= x1 <= hi:
             m = (lo + hi) / 2
-            if below(m):
+            fm = _ttrr(b, a_rec, n, m)
+            if fm == 0 or (fm > 0) != lo_up:
                 hi = m
             else:
                 lo = m
@@ -280,26 +321,17 @@ def _polish(b, a_rec, n, x, lo, hi, below, tol, steps) -> mp.mpf:
 def _interlaced(d, a_rec, n, ends, tol, steps):
     """The n zeros of P_n, one polished in each gap of the n + 1 ascending
     points `ends`; None unless P_n alternates in sign across them without
-    vanishing, which proves each gap holds exactly one zero.  A sign change
-    of P_n is the fallback step."""
+    vanishing, which proves each gap holds exactly one zero."""
     if any(not lo < hi for lo, hi in zip(ends, ends[1:])):
         return None
     up = []
     for x in ends:
-        f = ttrr_d2(d, a_rec, n, x)[0]
+        f = _ttrr(d, a_rec, n, x)
         if f == 0 or (up and (f > 0) == up[-1]):
             return None
         up.append(f > 0)
-    out = []
-    for k in range(n):
-        lo, hi = ends[k], ends[k + 1]
-
-        def below(m, lo_up=up[k]):
-            f = ttrr_d2(d, a_rec, n, m)[0]
-            return f == 0 or (f > 0) != lo_up
-
-        out.append(_polish(d, a_rec, n, (lo + hi) / 2, lo, hi, below, tol(lo, hi), steps))
-    return out
+    return [_polish(d, a_rec, n, ends[k], ends[k + 1], up[k], tol(ends[k], ends[k + 1]), steps)
+            for k in range(n)]
 
 
 def tridiag_eigenvalues(diag, off2, ctx: PrecisionContext, cuts=None) -> list:
@@ -311,17 +343,17 @@ def tridiag_eigenvalues(diag, off2, ctx: PrecisionContext, cuts=None) -> list:
     zeros of P_n, n = len(diag).  The off2 entries must be strictly
     positive, which guarantees the eigenvalues are simple.
 
-    Each eigenvalue is first bracketed, then polished to full context
-    precision by a guarded Newton-Halley iteration on P_n through ttrr_d2.
-    Given `cuts`, the n - 1 ascending zeros of P_{n-1}, the brackets are the
-    gaps between them (interlacing) if P_n alternates in sign across them,
-    and a sign change of P_n halves a bracket whenever the iteration leaves
-    it.  Otherwise bisection on the Sturm count brackets eigenvalue k: it
-    stops once the bracket isolates it (k - 1 eigenvalues below its lower
-    end, k below its upper end) and is no wider than 2^-24 of the Gershgorin
-    interval, and a Sturm count halves the bracket whenever the iteration
-    leaves it.  Both routes converge to the same rounded zeros (the tests
-    compare them bit for bit).
+    The Gershgorin interval and n - 1 cut points split the line into n
+    gaps, and if P_n alternates in sign across their ends each gap holds
+    exactly one eigenvalue.  A guarded Newton-Halley iteration on P_n
+    through ttrr_d2 polishes it to full context precision, and the sign of
+    P_n halves the gap whenever the iteration leaves it.  The cuts are
+    `cuts`, the n - 1 ascending zeros of P_{n-1}, which interlace with the
+    eigenvalues; if none are given or P_n does not alternate across them,
+    Sturm-count bisection places one cut between each pair of neighbouring
+    eigenvalues.  Both routes converge to the same rounded zeros (the tests
+    compare them bit for bit).  ConvergenceError if the working precision
+    cannot separate two eigenvalues.
     """
     n = len(diag)
     if len(off2) != max(0, n - 1):
@@ -359,37 +391,14 @@ def tridiag_eigenvalues(diag, off2, ctx: PrecisionContext, cuts=None) -> list:
         def tol(a, b):
             return max(abs(a + b) / 2, floor) * fine_rel
 
+        out = None
         if cuts is not None:
-            ends = [lo] + [mp.mpf(c) for c in cuts] + [hi]
-            out = _interlaced(d, a_rec, n, ends, tol, ctx.bits)
-            if out is not None:
-                return [ctx.round(x) for x in out]
-
-        pivmin = max(max(off2), mp.mpf(1)) * mp.mpf(2) ** (-2 * work)
-        coarse = spread * mp.mpf(2) ** -24
-        out = []
-        # (a, b] holds eigenvalue k; ca, cb are the Sturm counts at its ends
-        a, ca = lo, 0
-        for k in range(1, n + 1):
-            b, cb = hi, n
-            while ca < k - 1 or cb > k or b - a > coarse:
-                m = (a + b) / 2
-                if not a < m < b:
-                    # a and b are adjacent at the working precision, which
-                    # cannot separate the eigenvalues between them
-                    break
-                c = _sturm_count(d, off2, m, pivmin)
-                if c >= k:
-                    b, cb = m, c
-                else:
-                    a, ca = m, c
-
-            def below(m, k=k):
-                return _sturm_count(d, off2, m, pivmin) >= k
-
-            out.append(ctx.round(_polish(d, a_rec, n, (a + b) / 2, a, b, below, tol(a, b),
-                                         ctx.bits)))
-            if cb == k:
-                # b isolates eigenvalue k from above: the next lower end
-                a, ca = b, cb
-    return out
+            out = _interlaced(d, a_rec, n, [lo] + [mp.mpf(c) for c in cuts] + [hi], tol,
+                              ctx.bits)
+        if out is None:
+            pivmin = max(max(off2), mp.mpf(1)) * mp.mpf(2) ** (-2 * work)
+            ends = _separators(d, a_rec, lo, hi, pivmin)
+            out = None if ends is None else _interlaced(d, a_rec, n, ends, tol, ctx.bits)
+        if out is None:
+            raise ConvergenceError("the working precision cannot separate the eigenvalues")
+    return [ctx.round(x) for x in out]

@@ -11,9 +11,10 @@ whose truncation residual telescopes to an explicit four-term tail.
 Two routes give the same context-rounded moments:
 
 * `moment(n, z, ctx)` evaluates the closed form through mp.gamma.  It is the
-  reference: MomentSequence (and so verify's moment-recurrence record, which
-  must not check the recurrence against itself), scaling-moments,
-  pearson_product, the Stieltjes functions and lf_forward's h_0 read it.
+  reference: MomentSequence reads it, and so do verify's moment-recurrence,
+  stieltjes-ode-tail and scaling-moments records, which must not check the
+  recurrence against itself; pearson_product and lf_forward's h_0 read it
+  too.
 * `moment_sequence(z, N, ctx)` seeds mu_0..mu_3 from one AGM and runs the
   four-step recurrence, with no Gamma evaluation.  chebyshev_coeffs and
   `tfreud moments` read it: at a few thousand bits mpmath's Gamma set-up
@@ -148,60 +149,36 @@ def pearson_data(z, ctx: PrecisionContext) -> PearsonData:
     return PearsonData(phi, psi, cls)
 
 
-def stieltjes_partial(t, z, N: int, ctx: PrecisionContext) -> mp.mpf:
-    """Partial sum sum_{n=0}^{N} mu_n(z) / t^(n+1)."""
-    if N < 0:
-        raise DomainError(f"N must be >= 0, got {N}")
-    with ctx.workprec(32):
-        tv = mp.mpf(t)
-        if tv == 0:
-            raise DomainError("t must be nonzero")
-        zv = mp.mpf(z)
-        inv = 1 / tv
-        s = mp.mpf(0)
-        p = inv
-        for n in range(N + 1):
-            s += moment(n, zv, ctx) * p
-            p *= inv
-    return ctx.round(s)
-
-
-def stieltjes_ode_residual(t, z, N: int, ctx: PrecisionContext) -> mp.mpf:
-    """t*S_N' + 4z*t^4*S_N - 4z*(mu_3 + mu_2 t + mu_1 t^2 + mu_0 t^3),
-
-    with S_N the degree-N partial sum and S_N' its exact termwise derivative.
-    """
+def stieltjes_residual(mseq: MomentSequence, t, N: int) -> tuple:
+    """The ODE residual t*S_N' + 4z*t^4*S_N - 4z*(mu_3 + mu_2 t + mu_1 t^2 +
+    mu_0 t^3) minus the tail -sum_{n=N-3}^{N} (n+1) mu_n t^(-n-1) it
+    telescopes to (every interior term cancels through the moment
+    recurrence), and the scale 4z*t^4*S_N(|t|) + 1 of the sums it is a
+    difference of.  S_N is the partial sum sum_{n=0}^{N} mu_n / t^(n+1) and
+    S_N' its exact termwise derivative; residual, tail and partial sum are
+    each rounded to the sequence's context."""
     if N < 3:
         raise DomainError(f"N must be >= 3, got {N}")
+    if N >= len(mseq.values):
+        raise IndexError(f"need N inside 0..{len(mseq.values) - 1}, got {N}")
+    ctx, zv, mu = mseq.ctx, mseq.z, mseq.values
     with ctx.workprec(32):
         tv = mp.mpf(t)
         if tv == 0:
             raise DomainError("t must be nonzero")
-        zv = mp.mpf(z)
-        mu = [moment(n, zv, ctx) for n in range(N + 1)]
         inv = 1 / tv
         tds = mp.mpf(0)   # t * dS/dt = -sum (n+1) mu_n t^(-n-1)
         s = mp.mpf(0)
+        size = mp.mpf(0)  # S_N(|t|)
         p = inv
         for n in range(N + 1):
             s += mu[n] * p
+            size += mu[n] * abs(p)
             tds -= (n + 1) * mu[n] * p
             p *= inv
         rhs = 4 * zv * (mu[3] + mu[2] * tv + mu[1] * tv ** 2 + mu[0] * tv ** 3)
-        val = tds + 4 * zv * tv ** 4 * s - rhs
-    return ctx.round(val)
-
-
-def stieltjes_tail(t, z, N: int, ctx: PrecisionContext) -> mp.mpf:
-    """-sum_{n=N-3}^{N} (n+1) mu_n t^(-n-1): the exact value the ODE residual
-    telescopes to (every interior term cancels through the moment recurrence)."""
-    if N < 3:
-        raise DomainError(f"N must be >= 3, got {N}")
-    with ctx.workprec(32):
-        tv = mp.mpf(t)
-        if tv == 0:
-            raise DomainError("t must be nonzero")
-        zv = mp.mpf(z)
-        val = -mp.fsum((n + 1) * moment(n, zv, ctx) * tv ** (-n - 1)
-                       for n in range(N - 3, N + 1))
-    return ctx.round(val)
+        res = ctx.round(tds + 4 * zv * tv ** 4 * s - rhs)
+        tail = ctx.round(-mp.fsum((n + 1) * mu[n] * tv ** (-n - 1) for n in range(N - 3, N + 1)))
+        size = ctx.round(size)
+    with ctx.workprec(64):
+        return res - tail, 4 * zv * tv ** 4 * size + 1

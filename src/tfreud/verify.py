@@ -15,11 +15,8 @@ import mpmath as mp
 from .kernel import DomainError, PrecisionContext, default_bits
 from .moments import (
     MomentSequence,
-    moment,
     moment_recurrence_residual,
-    stieltjes_ode_residual,
-    stieltjes_partial,
-    stieltjes_tail,
+    stieltjes_residual,
 )
 from .operators import (
     beta_row,
@@ -199,15 +196,8 @@ def run_verification(z_values=(mp.mpf(1) / 4, 1, 4), n_max: int = 14,
                        for mseq in mseqs for n in range(2 * n_max + 1))
         records.append(_rec("moment-recurrence", f"0..{2 * n_max}", zdesc, worst, tol1))
 
-        worst = mp.mpf(0)
-        for z in zs:
-            for t in (mp.mpf(2), mp.mpf(10)):
-                N = 2 * n_max + 1
-                res = stieltjes_ode_residual(t, z, N, ctx)
-                tail = stieltjes_tail(t, z, N, ctx)
-                # the residual is a difference of sums of this magnitude
-                scale = 4 * z * t ** 4 * stieltjes_partial(t, z, N, ctx) + 1
-                worst = max(worst, abs(res - tail) / scale)
+        worst = _worst(stieltjes_residual(mseq, t, 2 * n_max + 1)
+                       for mseq in mseqs for t in (mp.mpf(2), mp.mpf(10)))
         records.append(_rec("stieltjes-ode-tail", f"N={2 * n_max + 1}", zdesc, worst, tol1))
 
         # Laguerre-Freud family and the ladder identities
@@ -271,12 +261,10 @@ def run_verification(z_values=(mp.mpf(1) / 4, 1, 4), n_max: int = 14,
 
         # scaling laws against the z = 1 family
         sdesc = _zdesc(SCALE_Z)
-        worst = mp.mpf(0)
-        for z in SCALE_Z:
-            for n in range(2 * n_max + 1):
-                ratio = (moment(n, z, ctx) * z ** (mp.mpf(n + 1) / 4)
-                         / moment(n, mp.mpf(1), ctx))
-                worst = max(worst, abs(ratio - 1))
+        m_one = MomentSequence.build(1, 2 * n_max, ctx)
+        scaled = [MomentSequence.build(z, 2 * n_max, ctx) for z in SCALE_Z]
+        worst = max(abs(mseq[n] * mseq.z ** (mp.mpf(n + 1) / 4) / m_one[n] - 1)
+                    for mseq in scaled for n in range(2 * n_max + 1))
         records.append(_rec("scaling-moments", f"0..{2 * n_max}", sdesc, worst, tol1))
 
         worst_ab = mp.mpf(0)

@@ -3,12 +3,11 @@
 * Zeros are the eigenvalues of the Jacobi matrix, read straight from the
   table (diagonal b_0..b_{n-1}, off-diagonal products a_1..a_{n-1}); the
   eigensolver polishes each one by a guarded Newton-Halley iteration on P_n
-  through the recurrence.  zeros() solves one degree on its own, each
-  eigenvalue bracketed by Sturm-count bisection; zero_sweep() solves
-  degrees 1..n_max in turn and brackets each zero of P_n between
-  consecutive zeros of P_{n-1}, which interlace with them, so a degree costs
-  a few polishing steps per zero and no Sturm count.  Both return the same
-  bits.
+  through the recurrence.  zeros() solves one degree on its own, the
+  eigenvalues separated by Sturm counts; zero_sweep() solves degrees
+  1..n_max in turn and brackets each zero of P_n between consecutive zeros
+  of P_{n-1}, which interlace with them, so a degree costs a few polishing
+  steps per zero and no Sturm count.  Both return the same bits.
 * The weight |y| exp(-z y^8) on the whole line has even moments equal to the
   moments of exp(-z x^4) on (0, inf), so its monic family satisfies
   S_{2n}(y) = P_n(y^2) and a chain gamma_1, gamma_2, ... with
@@ -213,9 +212,10 @@ def density_integral(x, t, ctx: PrecisionContext) -> mp.mpf:
         c = model.c
         B = xv / (4 * c)
         s0 = B ** 4
+        quarter = mp.mpf("0.25")
 
         def g(v):
-            A = (s0 + v * v) ** mp.mpf("0.25")
+            A = (s0 + v * v) ** quarter
             return mp.sqrt((A + B) * (A * A + B * B) / c)
 
         span = tv - s0

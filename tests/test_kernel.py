@@ -251,6 +251,16 @@ def test_tridiag_clustered_eigenvalues(diag, off2):
         assert abs(got - want) <= ctx.verify_tol(1)
 
 
+def test_tridiag_inseparable_eigenvalues_raise():
+    # at 64 + 32 working bits no point lies strictly between 1 and 1 + 2^-95,
+    # and the two eigenvalues sit within 1e-51 of those ends
+    ctx = PrecisionContext(64)
+    with mp.workprec(128):
+        diag = [mp.mpf(1), 1 + mp.mpf(2) ** -95]
+    with pytest.raises(ConvergenceError):
+        tridiag_eigenvalues(diag, [mp.mpf("1e-80")], ctx)
+
+
 def _chebyshev(n):
     """diag 0, off2 1/4: eigenvalues cos(k pi/(n+1)), ascending."""
     with mp.workprec(260):

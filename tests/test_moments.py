@@ -13,9 +13,7 @@ from tfreud.moments import (
     moment_sequence,
     pearson_data,
     pearson_product,
-    stieltjes_ode_residual,
-    stieltjes_partial,
-    stieltjes_tail,
+    stieltjes_residual,
 )
 from tfreud.recurrence import chebyshev_coeffs
 
@@ -234,52 +232,69 @@ def test_pearson_data_shapes():
 
 
 def test_stieltjes_partial_single_term():
+    # a sequence whose only nonzero moment is mu_0: S_N = mu_0/t, so the
+    # scale is 4z t^3 mu_0 + 1
     ctx = PrecisionContext(128)
-    got = stieltjes_partial(2, 1, 0, ctx)
-    assert abs(got - moment(0, 1, ctx) / 2) <= ctx.verify_tol(1)
+    mu0 = moment(0, 1, ctx)
+    mseq = MomentSequence(mp.mpf(1), (mu0, mp.mpf(0), mp.mpf(0), mp.mpf(0)), ctx)
+    _, scale = stieltjes_residual(mseq, 2, 3)
+    assert abs(scale - (4 * 2 ** 4 * mu0 / 2 + 1)) <= ctx.verify_tol(scale)
 
 
 def test_stieltjes_partial_decay():
     ctx = PrecisionContext(128)
-    big = stieltjes_partial(mp.mpf(10) ** 8, 1, 6, ctx)
-    assert abs(big) < mp.mpf(10) ** -7
+    t = mp.mpf(10) ** 8
+    _, scale = stieltjes_residual(MomentSequence.build(1, 6, ctx), t, 6)
+    with ctx.workprec(64):
+        assert abs((scale - 1) / (4 * t ** 4)) < mp.mpf(10) ** -7
 
 
 def test_stieltjes_partial_errors():
     ctx = PrecisionContext(64)
+    mseq = MomentSequence.build(1, 5, ctx)
     with pytest.raises(DomainError):
-        stieltjes_partial(0, 1, 3, ctx)
-    with pytest.raises(DomainError):
-        stieltjes_partial(2, 1, -1, ctx)
+        stieltjes_residual(mseq, 0, 3)
+    with pytest.raises(IndexError):
+        stieltjes_residual(mseq, 2, 6)
+
+
+def _tail(mseq, t, N):
+    """-sum_{n=N-3}^{N} (n+1) mu_n t^(-n-1)."""
+    with mseq.ctx.workprec(32):
+        return -mp.fsum((n + 1) * mseq[n] * mp.mpf(t) ** (-n - 1) for n in range(N - 3, N + 1))
 
 
 @pytest.mark.parametrize("t,z,N", [(2, 1, 3), (2, 1, 9), (10, 1, 20), ("-3", 2, 7), ("0.5", "0.25", 12)])
 def test_stieltjes_ode_residual_equals_tail(t, z, N):
     ctx = PrecisionContext(160)
-    tv, zv = mp.mpf(t), mp.mpf(z)
-    got = stieltjes_ode_residual(tv, zv, N, ctx)
-    tail = stieltjes_tail(tv, zv, N, ctx)
+    mseq, tv = MomentSequence.build(z, N, ctx), mp.mpf(t)
+    res, scale = stieltjes_residual(mseq, tv, N)
     # the residual is a difference of sums of this magnitude
-    scale = 4 * zv * abs(tv) ** 4 * stieltjes_partial(abs(tv), zv, N, ctx) + 1
-    assert abs(got - tail) <= ctx.verify_tol(scale)
+    size = mp.fsum(mseq[n] / abs(tv) ** (n + 1) for n in range(N + 1))
+    assert abs(scale - (4 * mseq.z * tv ** 4 * size + 1)) <= ctx.verify_tol(scale)
+    assert abs(res) <= ctx.verify_tol(scale)
 
 
 def test_stieltjes_ode_residual_tail_bound():
     ctx = PrecisionContext(160)
-    got = stieltjes_ode_residual(10, 1, 20, ctx)
+    mseq = MomentSequence.build(1, 20, ctx)
+    res, _ = stieltjes_residual(mseq, 10, 20)
     bound = 4 * 21 * moment(20, 1, ctx) * mp.mpf(10) ** -18
-    assert abs(got) <= bound
+    assert abs(res + _tail(mseq, 10, 20)) <= bound
 
 
 def test_stieltjes_ode_residual_large_t_vanishes():
     ctx = PrecisionContext(128)
-    got = stieltjes_ode_residual(mp.mpf(10) ** 6, 1, 3, ctx)
-    assert abs(got) < mp.mpf(10) ** -3
+    mseq = MomentSequence.build(1, 3, ctx)
+    t = mp.mpf(10) ** 6
+    res, _ = stieltjes_residual(mseq, t, 3)
+    assert abs(res + _tail(mseq, t, 3)) < mp.mpf(10) ** -3
 
 
 def test_stieltjes_ode_residual_guards():
     ctx = PrecisionContext(64)
+    mseq = MomentSequence.build(1, 5, ctx)
     with pytest.raises(DomainError):
-        stieltjes_ode_residual(2, 1, 2, ctx)
+        stieltjes_residual(mseq, 2, 2)
     with pytest.raises(DomainError):
-        stieltjes_ode_residual(0, 1, 5, ctx)
+        stieltjes_residual(mseq, 0, 5)

@@ -26,9 +26,7 @@ from tfreud.moments import (
     moment_sequence,
     pearson_data,
     pearson_product,
-    stieltjes_ode_residual,
-    stieltjes_partial,
-    stieltjes_tail,
+    stieltjes_residual,
 )
 from tfreud.operators import (
     beta_lower,
@@ -110,9 +108,7 @@ CASES = {
     "moment_recurrence_residual": lambda: moment_recurrence_residual(MSEQ, 3),
     "pearson_product": lambda: pearson_product("0.3", CTX),
     "pearson_data": lambda: pearson_data("0.3", CTX),
-    "stieltjes_partial": lambda: stieltjes_partial("2.5", "0.3", 9, CTX),
-    "stieltjes_ode_residual": lambda: stieltjes_ode_residual("2.5", "0.3", 9, CTX),
-    "stieltjes_tail": lambda: stieltjes_tail("2.5", "0.3", 9, CTX),
+    "stieltjes_residual": lambda: stieltjes_residual(MSEQ, "2.5", 9),
     "chebyshev_coeffs": lambda: chebyshev_coeffs("0.3", 6, CTX),
     "lf_residual_1": lambda: [lf_residual_1(TBL, n) for n in range(1, 11)],
     "lf_residual_2": lambda: [lf_residual_2(TBL, n) for n in range(1, 11)],

@@ -147,10 +147,14 @@ def test_zero_sweep_guard(tbl):
 @pytest.mark.parametrize("route", ["per-degree", "sweep"])
 def test_newton_fallback_step_runs(tbl, zsets, route, monkeypatch):
     # the first Newton step of every polish is made 2^64 times too long, so
-    # it leaves the bracket and the fallback halves the bracket: by a Sturm
-    # count per degree, by a sign of P_n in the sweep
-    real_polish, real_d2, real_sturm = kernel._polish, kernel.ttrr_d2, kernel._sturm_count
-    seen = {"fresh": False, "polish": 0, "fallback": 0, "sturm": 0, "fallback_sturm": 0}
+    # it leaves the bracket and the fallback halves the bracket by the sign
+    # of P_n at its midpoint, read by _ttrr; no Sturm count is made inside
+    # the polish on either route
+    real_polish, real_d2 = kernel._polish, kernel.ttrr_d2
+    real_ttrr, real_sturm = kernel._ttrr, kernel._sturm_count
+    seen = {"fresh": False, "inside": False, "polish": 0, "fallback": 0, "sturm": 0,
+            "polish_sturm": 0}
+    per_zero = []
 
     def d2(b, a, n, x):
         f, fp, fpp = real_d2(b, a, n, x)
@@ -159,34 +163,54 @@ def test_newton_fallback_step_runs(tbl, zsets, route, monkeypatch):
             return f, fp * mp.mpf(2) ** -64, fpp * mp.mpf(2) ** -128
         return f, fp, fpp
 
-    def polish(b, a_rec, n, x, lo, hi, below, tol, steps):
-        def counted(m):
-            seen["fallback"] += 1
-            before = seen["sturm"]
-            inside = below(m)
-            seen["fallback_sturm"] += seen["sturm"] - before
-            return inside
+    def ttrr(*args):
+        seen["fallback"] += seen["inside"]
+        return real_ttrr(*args)
+
+    def polish(b, a_rec, n, lo, hi, lo_up, tol, steps):
         seen["polish"] += 1
-        seen["fresh"] = True
-        return real_polish(b, a_rec, n, x, lo, hi, counted, tol, steps)
+        seen.update(fresh=True, inside=True)
+        before = seen["fallback"]
+        try:
+            return real_polish(b, a_rec, n, lo, hi, lo_up, tol, steps)
+        finally:
+            seen["inside"] = False
+            per_zero.append(seen["fallback"] - before)
 
     def sturm(*args):
         seen["sturm"] += 1
+        seen["polish_sturm"] += seen["inside"]
         return real_sturm(*args)
 
     monkeypatch.setattr(kernel, "ttrr_d2", d2)
+    monkeypatch.setattr(kernel, "_ttrr", ttrr)
     monkeypatch.setattr(kernel, "_polish", polish)
     monkeypatch.setattr(kernel, "_sturm_count", sturm)
     if route == "per-degree":
         got = [zeros(tbl, n, CTX) for n in range(2, 15)]
-        assert seen["fallback_sturm"] == seen["fallback"]
+        assert seen["sturm"] > 0
+        assert seen["polish_sturm"] == 0
     else:
         got = zero_sweep(tbl, 14, CTX)[1:]
         assert seen["sturm"] == 0
     assert seen["polish"] == sum(range(2, 15))
     assert seen["fallback"] >= seen["polish"]
+    assert min(per_zero) >= 1
     for zs in got:
         assert _bits(zs) == _bits(zsets[zs.n])
+
+
+def test_sturm_counts_only_separate_the_eigenvalues(monkeypatch):
+    # bisection stops as soon as every eigenvalue has a gap of its own, so
+    # solving a degree on its own costs a few Sturm counts per eigenvalue
+    ctx = PrecisionContext(384)
+    t = chebyshev_coeffs(1, 16, ctx)
+    counts = []
+    real = kernel._sturm_count
+    monkeypatch.setattr(kernel, "_sturm_count", lambda *a: counts.append(1) or real(*a))
+    for n in range(1, 17):
+        zeros(t, n, ctx)
+    assert len(counts) <= 4 * sum(range(1, 17))
 
 
 def test_interlacing_margin_guard(zsets):
