@@ -27,6 +27,10 @@
   - x) sqrt(x)) taken over s where the radicand is positive, i.e. from
   s_0 = (x/(4c))^4 up to t; substituting s = s_0 + v^2 removes the
   inverse-square-root singularity at the lower end.
+* density_consistency() (closed form against the integral form, contract
+  1e-8) and density_normalization() (total mass, contract 1e-6) both run in
+  the one fixed context DENSITY_CTX (96 bits), whatever the caller's storage
+  precision: their quadratures cost what their tolerances need.
 * Each zero configuration minimizes
   E_n = -2 sum_{j<k} ln|x_k - x_j| + sum_k V_n(x_k) with the external field
   V_n(x) = z x^4 + ln|calA_n(x)/(4z)|, calA_n the ladder function
@@ -161,6 +165,13 @@ def largest_zero_bound(tbl: RecurrenceTable, n: int, eps="1e-3") -> mp.mpf:
 # asymptotic zero density
 # ---------------------------------------------------------------------------
 
+# The density records are judged at 1e-8 (closed form against the integral
+# form) and 1e-6 (total mass).  96 bits leave about 70 bits of headroom below
+# the tighter contract, while tanh-sinh quadrature slows steeply with the
+# precision, so both records run at these bits and not at a table's.
+DENSITY_CTX = PrecisionContext(96)
+
+
 @dataclass(frozen=True)
 class DensityModel:
     """Support data of the rescaled-zero density at time t."""
@@ -180,20 +191,30 @@ class DensityModel:
         return cls(ctx.round(tv), ctx.round(c), ctx.round(beta))
 
 
-def _density_prefactor(x, t):
-    c = mp.mpf(140) ** mp.mpf("-0.25")
-    return (4 / (7 * mp.pi)) / (mp.sqrt(x) * t ** mp.mpf("0.125") * mp.sqrt(c))
+def _omega(model: DensityModel, tv, ctx: PrecisionContext):
+    """x -> density(x, tv, ctx) on a built model, with the x-free factors of
+    the prefactor (4/(7 pi)) x^(-1/2) t^(-1/8) c^(-1/2) computed once."""
+    with ctx.workprec(32):
+        lead = 4 / (7 * mp.pi)
+        t8 = tv ** mp.mpf("0.125")
+        root_c = mp.sqrt(mp.mpf(140) ** mp.mpf("-0.25"))
+
+    def omega(x):
+        with ctx.workprec(32):
+            xv = mp.mpf(x)
+            if not 0 < xv < model.beta_t:
+                raise DomainError(f"x must lie in (0, {mp.nstr(model.beta_t, 8)})")
+            f = density_closed_form(xv / model.beta_t, ctx)
+            return ctx.round(lead / (mp.sqrt(xv) * t8 * root_c) * f)
+
+    return omega
 
 
 def density(x, t, ctx: PrecisionContext) -> mp.mpf:
     """omega(x, t) through the closed form of F at w = x/(4 c t^(1/4))."""
     with ctx.workprec(32):
-        xv, tv = mp.mpf(x), mp.mpf(t)
-        model = DensityModel.for_t(tv, ctx)
-        if not 0 < xv < model.beta_t:
-            raise DomainError(f"x must lie in (0, {mp.nstr(model.beta_t, 8)})")
-        f = density_closed_form(xv / model.beta_t, ctx)
-        return ctx.round(_density_prefactor(xv, tv) * f)
+        tv = mp.mpf(t)
+        return _omega(DensityModel.for_t(tv, ctx), tv, ctx)(x)
 
 
 def density_integral(x, t, ctx: PrecisionContext) -> mp.mpf:
@@ -257,20 +278,39 @@ def density_cdf(w, ctx: PrecisionContext) -> mp.mpf:
         return ctx.round(8 / (7 * mp.pi) * acc)
 
 
+def density_consistency(t) -> mp.mpf:
+    """The worst relative gap |density - density_integral| / density over
+    w = x/beta_t in {0.05, 0.2, 0.5, 0.7, 0.9}, both forms in DENSITY_CTX:
+    the contract on the result is 1e-8."""
+    ctx = DENSITY_CTX
+    # grid and gaps at the density functions' working precision: on a
+    # 96-bit grid both forms round alike and the gap reads 0 at t = 1
+    with ctx.workprec(32):
+        tv = mp.mpf(t)
+        model = DensityModel.for_t(tv, ctx)
+        worst = mp.mpf(0)
+        for wq in ("0.05", "0.2", "0.5", "0.7", "0.9"):
+            x = mp.mpf(wq) * model.beta_t
+            closed = density(x, tv, ctx)
+            worst = max(worst, abs(closed - density_integral(x, tv, ctx)) / closed)
+        return worst
+
+
 def density_normalization(t) -> mp.mpf:
     """int_0^{beta_t} omega(x, t) dx by quadrature of density() itself, with
     x = beta_t u^2 on the left half and x = beta_t (1 - v^2) on the right to
-    strip the endpoint singularities.  Runs at a fixed moderate precision:
-    the contract on the result is 1e-6."""
-    qctx = PrecisionContext(96)
+    strip the endpoint singularities.  Runs in DENSITY_CTX: the contract on
+    the result is 1e-6.  The model and the prefactor are built once per t."""
+    qctx = DENSITY_CTX
     with qctx.workprec():
         tv = mp.mpf(t)
         model = DensityModel.for_t(tv, qctx)
         beta = model.beta_t
+        omega = _omega(model, tv, qctx)
         r = mp.sqrt(mp.mpf("0.5"))
 
         def left(u):
-            return density(beta * u * u, tv, qctx) * 2 * beta * u
+            return omega(beta * u * u) * 2 * beta * u
 
         def right(v):
             xv = beta * (1 - v * v)
@@ -278,7 +318,7 @@ def density_normalization(t) -> mp.mpf:
                 # v so small that 1 - v^2 rounds to 1; the lost mass is
                 # O(v^3), far below the 1e-6 contract
                 return mp.mpf(0)
-            return density(xv, tv, qctx) * 2 * beta * v
+            return omega(xv) * 2 * beta * v
 
         return mp.quad(left, [0, r]) + mp.quad(right, [0, r])
 

@@ -241,7 +241,7 @@ def test_output_determinism(tmp_path, capsys):
     (("zeros", "--table-check"), 1,
      "0237b2140481b4b9bf066e0ef7e3aa82d12e61f62b3a3d80a0e472e06347140d"),
     (("verify", "--n-max", "8"), 0,
-     "1e44569dc9df33709f714efa19fe7a813ab2a03fe07cae75cfccb9bb932d2b1d"),
+     "990c2aa3e303afe1440cdf5227b263890d7801592d2bc6e1fffc40e04d29752d"),
 ])
 def test_zeros_output_bits_pinned(capsys, argv, exit_code, sha256):
     # byte-identical output is a contract: any change to these digests must
@@ -274,7 +274,7 @@ def test_verify_out_file_bits_pinned(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "verify", "--n-max", "8", "--out", str(out))
     assert code == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == \
-        "8b8178895c6ef1f5ebb0313a9ddfcb08bbc3d16a7e09df77408aa628742e4826"
+        "dabc42f1056d83d3e1afcfb6ce8f5e8847a3046b361004d2ab727202841e68de"
 
 
 @pytest.mark.parametrize("argv", [

@@ -71,6 +71,7 @@ from tfreud.zeros import (
     density,
     density_cdf,
     density_closed_form,
+    density_consistency,
     density_integral,
     density_normalization,
     electro_energy,
@@ -159,6 +160,7 @@ CASES = {
     "density_integral": lambda: density_integral("0.4", "0.3", CTX),
     "density_closed_form": lambda: density_closed_form("0.3", CTX),
     "density_cdf": lambda: density_cdf("0.3", CTX),
+    "density_consistency": lambda: density_consistency("0.3"),
     "density_normalization": lambda: density_normalization("0.3"),
     "empirical_density_distance": lambda: empirical_density_distance(4, 4, "0.3", CTX),
     "comparison_beta": lambda: comparison_beta(CTX),

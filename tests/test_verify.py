@@ -33,6 +33,17 @@ def test_report_lines(clean_report):
     assert all(line.startswith(("PASS", "FAIL")) for line in lines[:-1])
 
 
+def test_density_records_independent_of_storage_bits(clean_report):
+    # both density records run in the density's own fixed context, so their
+    # residuals keep every bit when the table's precision doubles
+    wide = run_verification(z_values=(1,), n_max=8, bits=512)
+    for name in ("density-consistency", "density-normalization"):
+        narrow, wide_res = (next(r for r in rep.records if r.name == name).residual
+                            for rep in (clean_report, wide))
+        assert narrow._mpf_ == wide_res._mpf_
+        assert narrow <= mp.mpf("1e-20")
+
+
 def test_fault_injection_fails():
     rep = run_verification(z_values=(1,), n_max=8, fault="a:3:1e-6")
     assert not rep.overall

@@ -12,6 +12,7 @@ from tfreud.kernel import DomainError, PrecisionContext, default_bits, hyp2f1_se
 from tfreud.operators import poly_table, ttrr_eval_d2
 from tfreud.recurrence import chebyshev_coeffs
 from tfreud.zeros import (
+    DENSITY_CTX,
     DensityModel,
     ZeroSet,
     chebyshev_comparison,
@@ -349,6 +350,39 @@ def test_density_positive_on_support():
 def test_density_normalization(t):
     total = density_normalization(t)
     assert abs(total - 1) <= mp.mpf("1e-6")
+
+
+@pytest.mark.parametrize("t", ["0.3", 1])
+def test_density_matches_its_formula_bitwise(t):
+    # the prefactor (4/(7 pi)) x^(-1/2) t^(-1/8) c^(-1/2) written out term by
+    # term, at the precision density() works in
+    model = DensityModel.for_t(t, CTX)
+    for wq in ("0.01", "0.5", "0.99"):
+        with CTX.workprec(32):
+            x, tv = mp.mpf(wq) * model.beta_t, mp.mpf(t)
+            c = mp.mpf(140) ** mp.mpf("-0.25")
+            pref = (4 / (7 * mp.pi)) / (mp.sqrt(x) * tv ** mp.mpf("0.125") * mp.sqrt(c))
+            want = CTX.round(pref * density_closed_form(x / model.beta_t, CTX))
+        assert density(x, t, CTX)._mpf_ == want._mpf_
+
+
+@pytest.mark.parametrize("t", ["0.3", 1])
+def test_density_normalization_is_quadrature_of_density(t):
+    # the integrand builds its model once per t; it must give the bits of the
+    # same quadrature over density() itself
+    with DENSITY_CTX.workprec():
+        tv = mp.mpf(t)
+        beta = DensityModel.for_t(tv, DENSITY_CTX).beta_t
+        r = mp.sqrt(mp.mpf("0.5"))
+
+        def right(v):
+            xv = beta * (1 - v * v)
+            return density(xv, tv, DENSITY_CTX) * 2 * beta * v if xv < beta else mp.mpf(0)
+
+        want = (mp.quad(lambda u: density(beta * u * u, tv, DENSITY_CTX) * 2 * beta * u,
+                        [0, r])
+                + mp.quad(right, [0, r]))
+    assert density_normalization(t)._mpf_ == want._mpf_
 
 
 def test_density_cdf_endpoints():
