@@ -25,9 +25,9 @@ from .recurrence import asymptotic_ratio, chebyshev_coeffs
 from .verify import run_verification
 from .zeros import (
     DensityModel,
+    _omega,
     chebyshev_zeros,
     comparison_beta,
-    density,
     density_normalization,
     ptilde_zeros,
     zero_sweep,
@@ -236,11 +236,12 @@ def cmd_density(cfg: RunConfig) -> int:
     for t in cfg.ts:
         with ctx.workprec(64):
             model = DensityModel.for_t(t, ctx)
+            omega = _omega(model, t, ctx)
             total = density_normalization(t)
             rows = []
             for j in range(DENSITY_POINTS):
                 x = model.beta_t * (2 * j + 1) / (2 * DENSITY_POINTS)
-                rows.append({"x": x, "omega": density(x, t, ctx),
+                rows.append({"x": x, "omega": omega(x),
                              "beta_t": model.beta_t, "normalization": total})
         out = cfg.out
         if out is not None and multi:
@@ -285,9 +286,10 @@ def cmd_figures(cfg: RunConfig) -> int:
         rows = []
         for t in (mp.mpf("0.5"), mp.mpf(1), mp.mpf(2)):
             model = DensityModel.for_t(t, ctx)
+            omega = _omega(model, t, ctx)
             for j in range(DENSITY_POINTS):
                 x = model.beta_t * (2 * j + 1) / (2 * DENSITY_POINTS)
-                rows.append({"t": t, "x": x, "omega": density(x, t, ctx)})
+                rows.append({"t": t, "x": x, "omega": omega(x)})
         emit("figure1_density", ["t", "x", "omega"], rows)
 
         tbl = chebyshev_coeffs(1, n_top, ctx)

@@ -7,6 +7,7 @@ recomputing at higher precision reproduces the same context-rounded value.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import mpmath as mp
@@ -17,6 +18,8 @@ SLACK_BITS = 12
 RESIDUAL_GUARD_BITS = 96
 # Terms hyp2f1_series may sum before it gives up.
 HYP2F1_MAX_TERMS = 200_000
+# Binary64 Newton-Halley steps _seed may take before it hands over.
+SEED_STEPS = 32
 
 
 class DomainError(ValueError):
@@ -207,7 +210,9 @@ class RationalFn:
 # ---------------------------------------------------------------------------
 # the monic three-term recurrence and the eigenvalues of its Jacobi matrix:
 # n - 1 cut points with one eigenvalue between each pair of neighbours, then
-# a Newton-Halley polish in each gap
+# a Newton-Halley polish in each gap, seeded by the same iteration run in
+# binary64 (Python floats), so that only its last steps run at the working
+# precision (Brent & Zimmermann, Modern Computer Arithmetic, 2010, 4.2)
 # ---------------------------------------------------------------------------
 
 def ttrr_d2(b, a, n: int, x) -> tuple:
@@ -259,41 +264,102 @@ def _sturm_count(b, a, x, pivmin):
 
 
 def _separators(d, a_rec, lo, hi, pivmin):
-    """lo, then n - 1 cuts, then hi: the k-th cut has exactly k eigenvalues
-    below it and P_n of the sign (-1)^(n - k) at it.  Sturm-count bisection
-    (Barth, Martin & Wilkinson, Numer. Math. 9, 1967) splits an interval
-    only while a cut between its ends is missing.  A point where P_n
-    vanishes or has the other sign lies on an eigenvalue at the working
-    precision and cuts nothing.  None if two ends become adjacent at the
+    """(ends, up): lo, then n - 1 cuts, then hi, and the sign of P_n read at
+    each cut (up[k] is true when P_n > 0 there; None at lo and hi, where no
+    sign was read).  The k-th cut has exactly k eigenvalues below it and P_n
+    of the sign (-1)^(n - k) at it.  Sturm-count bisection (Barth, Martin &
+    Wilkinson, Numer. Math. 9, 1967) splits an interval only while a cut
+    between its ends is missing.  A point where P_n vanishes or has the
+    other sign lies on an eigenvalue at the working precision and cuts
+    nothing, and the cut it missed may lie on either side of it.  None if a
+    cut is still missing once bisection has run into adjacent ends at the
     working precision, which cannot separate the eigenvalues between them."""
     n = len(d)
     ends = [lo] + [None] * (n - 1) + [hi]
-    # (a, b] holds the eigenvalues ca + 1..cb and owes the cuts ca..cb - 1
+    up = [None] * (n + 1)
+    # [a, b) holds the eigenvalues ca + 1..cb and owes the cuts ca..cb: an
+    # end that cuts nothing leaves its cut owed by both of its neighbours
     todo = [(lo, 0, hi, n)]
     while todo:
         a, ca, b, cb = todo.pop()
         m = (a + b) / 2
-        if not a < m < b:
-            return None
+        if None not in ends[ca:cb + 1] or not a < m < b:
+            continue
         c = _sturm_count(d, a_rec, m, pivmin)
         if ends[c] is None:
             f = _ttrr(d, a_rec, n, m)
             if f != 0 and (f > 0) == ((n - c) % 2 == 0):
-                ends[c] = m
-        for part in ((a, ca, m, c), (m, c, b, cb)):
-            if None in ends[part[1]:part[3]]:
-                todo.append(part)
-    return ends
+                ends[c], up[c] = m, f > 0
+        todo += ((a, ca, m, c), (m, c, b, cb))
+    return None if None in ends else (ends, up)
+
+
+class _Coefs(list):
+    """Recurrence coefficients at the working precision together with their
+    binary64 images `floats` (inf beyond the float range), converted once
+    per degree for _seed."""
+
+    def __init__(self, values):
+        super().__init__(values)
+        self.floats = [float(v) for v in self]
+
+
+def _seed(b, a_rec, n, lo, hi) -> mp.mpf:
+    """Where _polish starts in [lo, hi]: the guarded Newton-Halley iteration
+    of _polish run in binary64 on b.floats and a_rec.floats from the
+    midpoint.  It stops once its step is within a few ulps of the iterate,
+    stops shrinking after it fell below 2^-26 of the bracket (the float
+    rounding floor), or P_n is zero there in binary64; a float iterate is
+    then good to about 50 bits, at a small fraction of the cost of one step
+    at the working precision.  The midpoint (lo + hi)/2 if a step leaves
+    the bracket, P_n' is zero, or a value is not finite (coefficients or
+    P_n beyond the float range), and when the iterate does not lie strictly
+    inside (lo, hi).  Only the starting point comes from here: the bracket,
+    the stopping rule and the precision of _polish do not depend on it."""
+    mid = (lo + hi) / 2
+    fb, fa = b.floats, a_rec.floats
+    flo, fhi, x = float(lo), float(hi), float(mid)
+    # a step of 2^-26 of the bracket leaves a cubic error far below binary64
+    # resolution, so a later step that does not shrink is rounding noise
+    noise, last = (fhi - flo) * 2.0 ** -26, math.inf
+    for _ in range(SEED_STEPS):
+        p_prev, p = 0.0, 1.0
+        d_prev = d = s_prev = s = 0.0
+        for k in range(n):
+            w = x - fb[k]
+            ak = fa[k]
+            p, p_prev = w * p - ak * p_prev, p
+            d, d_prev = p_prev + w * d - ak * d_prev, d
+            s, s_prev = 2 * d_prev + w * s - ak * s_prev, s
+        if d == 0 or not (math.isfinite(p) and math.isfinite(d) and math.isfinite(s)):
+            return mid
+        if p == 0:
+            break
+        dx = p / d
+        h = 1 - dx * s / (2 * d)
+        if h != 0:
+            dx /= h
+        x1 = x - dx
+        if not flo <= x1 <= fhi:
+            return mid
+        if abs(dx) >= last and last <= noise:
+            break
+        x, last = x1, abs(dx)
+        if last <= 4 * math.ulp(x):
+            break
+    x = mp.mpf(x)
+    return x if lo < x < hi else mid
 
 
 def _polish(b, a_rec, n, lo, hi, lo_up, tol, steps) -> mp.mpf:
     """Guarded Newton iteration on P_n toward the one zero in [lo, hi] from
-    its midpoint, each step corrected by P_n'' (Halley's method; ttrr_d2
-    returns P_n'' anyway).  A step is accepted only if it stays in the
-    bracket; otherwise the bracket is halved at its midpoint m, keeping the
-    half where P_n changes sign (`lo_up` is true when P_n(lo) > 0), and the
-    iteration restarts from the new midpoint."""
-    x = (lo + hi) / 2
+    the binary64 seed of _seed, each step corrected by P_n'' (Halley's
+    method; ttrr_d2 returns P_n'' anyway).  A step is accepted only if it
+    stays in the bracket; otherwise the bracket is halved at its midpoint m,
+    keeping the half where P_n changes sign (`lo_up` is true when
+    P_n(lo) > 0), and the iteration restarts from the new midpoint.  b and
+    a_rec are _Coefs."""
+    x = _seed(b, a_rec, n, lo, hi)
     for _ in range(steps):
         f, fp, fpp = ttrr_d2(b, a_rec, n, x)
         if f == 0 or fp == 0:
@@ -318,19 +384,26 @@ def _polish(b, a_rec, n, lo, hi, lo_up, tol, steps) -> mp.mpf:
     return x
 
 
-def _interlaced(d, a_rec, n, ends, tol, steps):
+def _interlaced(d, a_rec, n, ends, tol, steps, up=None):
     """The n zeros of P_n, one polished in each gap of the n + 1 ascending
     points `ends`; None unless P_n alternates in sign across them without
-    vanishing, which proves each gap holds exactly one zero."""
+    vanishing, which proves each gap holds exactly one zero.  `up`, if
+    given, holds the signs of P_n already read at some of the ends (true
+    for P_n > 0, None where unread), so that no end is evaluated twice."""
     if any(not lo < hi for lo, hi in zip(ends, ends[1:])):
         return None
-    up = []
-    for x in ends:
-        f = _ttrr(d, a_rec, n, x)
-        if f == 0 or (up and (f > 0) == up[-1]):
+    signs = []
+    for x, s in zip(ends, up or [None] * len(ends)):
+        if s is None:
+            f = _ttrr(d, a_rec, n, x)
+            if f == 0:
+                return None
+            s = f > 0
+        if signs and s == signs[-1]:
             return None
-        up.append(f > 0)
-    return [_polish(d, a_rec, n, ends[k], ends[k + 1], up[k], tol(ends[k], ends[k + 1]), steps)
+        signs.append(s)
+    return [_polish(d, a_rec, n, ends[k], ends[k + 1], signs[k], tol(ends[k], ends[k + 1]),
+                    steps)
             for k in range(n)]
 
 
@@ -347,7 +420,11 @@ def tridiag_eigenvalues(diag, off2, ctx: PrecisionContext, cuts=None) -> list:
     gaps, and if P_n alternates in sign across their ends each gap holds
     exactly one eigenvalue.  A guarded Newton-Halley iteration on P_n
     through ttrr_d2 polishes it to full context precision, and the sign of
-    P_n halves the gap whenever the iteration leaves it.  The cuts are
+    P_n halves the gap whenever the iteration leaves it.  The iteration
+    starts where the same iteration in binary64 stopped, on float images of
+    the coefficients converted once per call, so that about three steps at
+    the working precision remain; it starts at the midpoint of the gap when
+    binary64 cannot hold the coefficients or P_n.  The cuts are
     `cuts`, the n - 1 ascending zeros of P_{n-1}, which interlace with the
     eigenvalues; if none are given or P_n does not alternate across them,
     Sturm-count bisection places one cut between each pair of neighbouring
@@ -367,11 +444,11 @@ def tridiag_eigenvalues(diag, off2, ctx: PrecisionContext, cuts=None) -> list:
         return []
     work = ctx.bits + 32
     with mp.workprec(work):
-        d = [mp.mpf(v) for v in diag]
+        d = _Coefs(mp.mpf(v) for v in diag)
         off2 = [mp.mpf(v) for v in off2]
         if n == 1:
             return [ctx.round(d[0])]
-        a_rec = [mp.mpf(0)] + off2
+        a_rec = _Coefs([mp.mpf(0)] + off2)
         # square roots only for the Gershgorin bracket
         e = [mp.sqrt(v) for v in off2]
 
@@ -397,8 +474,10 @@ def tridiag_eigenvalues(diag, off2, ctx: PrecisionContext, cuts=None) -> list:
                               ctx.bits)
         if out is None:
             pivmin = max(max(off2), mp.mpf(1)) * mp.mpf(2) ** (-2 * work)
-            ends = _separators(d, a_rec, lo, hi, pivmin)
-            out = None if ends is None else _interlaced(d, a_rec, n, ends, tol, ctx.bits)
+            cut = _separators(d, a_rec, lo, hi, pivmin)
+            if cut is not None:
+                ends, up = cut
+                out = _interlaced(d, a_rec, n, ends, tol, ctx.bits, up)
         if out is None:
             raise ConvergenceError("the working precision cannot separate the eigenvalues")
     return [ctx.round(x) for x in out]

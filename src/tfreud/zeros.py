@@ -7,7 +7,10 @@
   eigenvalues separated by Sturm counts; zero_sweep() solves degrees
   1..n_max in turn and brackets each zero of P_n between consecutive zeros
   of P_{n-1}, which interlace with them, so a degree costs a few polishing
-  steps per zero and no Sturm count.  Both return the same bits.
+  steps per zero and no Sturm count.  Both return the same bits.  Each
+  polish starts from the same iteration run in binary64 (Python floats),
+  so about three of its steps run at the working precision; the start
+  point is all the float phase decides.
 * The weight |y| exp(-z y^8) on the whole line has even moments equal to the
   moments of exp(-z x^4) on (0, inf), so its monic family satisfies
   S_{2n}(y) = P_n(y^2) and a chain gamma_1, gamma_2, ... with

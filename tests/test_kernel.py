@@ -303,3 +303,73 @@ def test_tridiag_rejects_bad_cuts():
     ctx = PrecisionContext(64)
     with pytest.raises(DomainError):
         tridiag_eigenvalues([mp.mpf(0)] * 3, [mp.mpf(1)] * 2, ctx, cuts=[mp.mpf(0)])
+
+
+def _midpoint_seeds(monkeypatch):
+    """Wrap kernel._seed; the returned list records, per zero, whether the
+    polish started from the midpoint of its bracket."""
+    real, mids = kernel._seed, []
+
+    def seed(b, a_rec, n, lo, hi):
+        x = real(b, a_rec, n, lo, hi)
+        mids.append(x == (lo + hi) / 2)
+        return x
+
+    monkeypatch.setattr(kernel, "_seed", seed)
+    return mids
+
+
+def test_float_seed_falls_back_beyond_float_range(monkeypatch):
+    # entries past 2^1024 become inf in binary64, so every polish starts at
+    # its midpoint, and scaling by a power of two scales the eigenvalues
+    ctx = PrecisionContext(128)
+    diag, off2, _ = _chebyshev(7)
+    diag = [v + k for k, v in enumerate(diag)]
+    plain = tridiag_eigenvalues(diag, off2, ctx)
+    mids = _midpoint_seeds(monkeypatch)
+    with mp.workprec(256):
+        s = mp.mpf(2) ** 1100
+        big = tridiag_eigenvalues([v * s for v in diag], [v * s * s for v in off2], ctx)
+    assert mids and all(mids)
+    for got, want in zip(big, plain):
+        assert abs(got - want * s) <= ctx.verify_tol(s)
+
+
+def test_float_seed_falls_back_when_p_n_overflows(monkeypatch):
+    # diagonal near 2^600 and off-diagonal products below 2^1024 are finite
+    # in binary64, but P_n at x near 2^600 is not; cross-checked against
+    # mp.polyroots on the characteristic polynomial in x/2^600
+    ctx = PrecisionContext(128)
+    with mp.workprec(256):
+        s = mp.mpf(2) ** 600
+        unit = [mp.mpf(v) for v in ("0.3", "-1.2", "2.5", "0.9", "-0.4")]
+        off = [mp.mpf(v) for v in ("0.7", "1.1", "0.2", "0.6")]
+        diag = [v * s for v in unit]
+        off2 = [(v * 2 ** 500) ** 2 for v in off]
+    mids = _midpoint_seeds(monkeypatch)
+    ev = tridiag_eigenvalues(diag, off2, ctx)
+    assert mids and all(mids)
+    with mp.workprec(256):
+        # det(y I - J/2^600) by the minor recurrence, coefficients in y
+        pm1 = [mp.mpf(1)]
+        p = [-unit[0], mp.mpf(1)]
+        for i in range(1, 5):
+            t = poly_mul([-unit[i], mp.mpf(1)], p)
+            u = [off2[i - 1] / s ** 2 * c for c in pm1]
+            p, pm1 = poly_sub(t, u), p
+        roots = sorted(mp.mpf(r.real) * s for r in mp.polyroots(list(reversed(p)), maxsteps=200))
+    for got, want in zip(ev, roots):
+        assert abs(got - want) <= ctx.verify_tol(s)
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 9, 11])
+def test_tridiag_midpoint_on_an_eigenvalue(n):
+    # diag 0..n-1 with off-diagonal 1/2 has the eigenvalue (n-1)/2 at the
+    # midpoint of its Gershgorin interval; that point cuts nothing, and the
+    # cut it missed lies on whichever side its Sturm count puts it
+    ctx = PrecisionContext(256)
+    diag, off2 = [mp.mpf(k) for k in range(n)], [mp.mpf(1) / 4] * (n - 1)
+    ev = tridiag_eigenvalues(diag, off2, ctx)
+    assert ev[n // 2] == mp.mpf(n - 1) / 2
+    for got, want in zip(ev, _eigsy(diag, off2)):
+        assert abs(got - want) <= ctx.verify_tol(n)

@@ -537,3 +537,62 @@ def test_ptilde():
         prev = zs[-1]
     with pytest.raises(DomainError):
         ptilde_zeros(0, CTX)
+
+
+# ---------------------------------------------------------------------------
+# the binary64 seed of the polish
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("zq", ["0.25", "1", "4"])
+def test_float_seed_keeps_the_bits(zq, monkeypatch):
+    # only the starting point of the polish moves: started from the midpoint
+    # of every bracket, both routes return the same bits
+    ctx = PrecisionContext(default_bits(24))
+    t = chebyshev_coeffs(mp.mpf(zq), 24, ctx)
+    seeded = [_bits(zeros(t, n, ctx)) for n in range(1, 25)]
+    swept = [_bits(zs) for zs in zero_sweep(t, 24, ctx)]
+    assert swept == seeded
+    monkeypatch.setattr(kernel, "_seed", lambda b, a_rec, n, lo, hi: (lo + hi) / 2)
+    assert [_bits(zeros(t, n, ctx)) for n in range(1, 25)] == seeded
+    assert [_bits(zs) for zs in zero_sweep(t, 24, ctx)] == swept
+
+
+def test_float_seed_leaves_three_full_precision_steps(monkeypatch):
+    # from a seed good to about 50 bits, Halley's cubic convergence needs
+    # three evaluations at 384 + 32 bits; the midpoint start needed about 6
+    ctx = PrecisionContext(default_bits(16))
+    t = chebyshev_coeffs(1, 16, ctx)
+    calls = []
+    real = kernel.ttrr_d2
+    monkeypatch.setattr(kernel, "ttrr_d2", lambda *a: calls.append(1) or real(*a))
+    sets = zero_sweep(t, 16, ctx)
+    assert len(calls) <= 3.5 * sum(zs.n for zs in sets)
+
+
+def test_sturm_cuts_are_evaluated_once(monkeypatch):
+    # _separators hands on the sign of P_n it read at every cut, so outside
+    # the polish P_n is evaluated at the n - 1 cuts and the two Gershgorin
+    # ends of each degree, each once
+    ctx = PrecisionContext(384)
+    t = chebyshev_coeffs(1, 16, ctx)
+    real_ttrr, real_polish = kernel._ttrr, kernel._polish
+    seen = {"inside": False, "points": []}
+
+    def ttrr(b, a, n, x):
+        if not seen["inside"]:
+            seen["points"].append(x)
+        return real_ttrr(b, a, n, x)
+
+    def polish(*args):
+        seen["inside"] = True
+        try:
+            return real_polish(*args)
+        finally:
+            seen["inside"] = False
+
+    monkeypatch.setattr(kernel, "_ttrr", ttrr)
+    monkeypatch.setattr(kernel, "_polish", polish)
+    for n in range(2, 17):
+        seen["points"] = []
+        zeros(t, n, ctx)
+        assert len(seen["points"]) == len(set(seen["points"])) == n + 1, n
