@@ -25,9 +25,9 @@ from .recurrence import asymptotic_ratio, chebyshev_coeffs
 from .verify import run_verification
 from .zeros import (
     DensityModel,
-    _omega,
     chebyshev_zeros,
     comparison_beta,
+    density_at,
     density_normalization,
     ptilde_zeros,
     zero_sweep,
@@ -236,7 +236,7 @@ def cmd_density(cfg: RunConfig) -> int:
     for t in cfg.ts:
         with ctx.workprec(64):
             model = DensityModel.for_t(t, ctx)
-            omega = _omega(model, t, ctx)
+            omega = density_at(t, ctx)
             total = density_normalization(t)
             rows = []
             for j in range(DENSITY_POINTS):
@@ -286,7 +286,7 @@ def cmd_figures(cfg: RunConfig) -> int:
         rows = []
         for t in (mp.mpf("0.5"), mp.mpf(1), mp.mpf(2)):
             model = DensityModel.for_t(t, ctx)
-            omega = _omega(model, t, ctx)
+            omega = density_at(t, ctx)
             for j in range(DENSITY_POINTS):
                 x = model.beta_t * (2 * j + 1) / (2 * DENSITY_POINTS)
                 rows.append({"t": t, "x": x, "omega": omega(x)})

@@ -263,10 +263,15 @@ def _sturm_count(b, a, x, pivmin):
     return count
 
 
+def _sign(b, a, n, x):
+    """Whether P_n(x) > 0, read by _ttrr; None where P_n(x) = 0."""
+    f = _ttrr(b, a, n, x)
+    return None if f == 0 else f > 0
+
+
 def _separators(d, a_rec, lo, hi, pivmin):
-    """(ends, up): lo, then n - 1 cuts, then hi, and the sign of P_n read at
-    each cut (up[k] is true when P_n > 0 there; None at lo and hi, where no
-    sign was read).  The k-th cut has exactly k eigenvalues below it and P_n
+    """(ends, up): lo, then n - 1 cuts, then hi, and the _sign of P_n at
+    each of them.  The k-th cut has exactly k eigenvalues below it and P_n
     of the sign (-1)^(n - k) at it.  Sturm-count bisection (Barth, Martin &
     Wilkinson, Numer. Math. 9, 1967) splits an interval only while a cut
     between its ends is missing.  A point where P_n vanishes or has the
@@ -276,9 +281,11 @@ def _separators(d, a_rec, lo, hi, pivmin):
     working precision, which cannot separate the eigenvalues between them."""
     n = len(d)
     ends = [lo] + [None] * (n - 1) + [hi]
-    up = [None] * (n + 1)
+    up = [_sign(d, a_rec, n, lo)] + [None] * (n - 1) + [_sign(d, a_rec, n, hi)]
     # [a, b) holds the eigenvalues ca + 1..cb and owes the cuts ca..cb: an
-    # end that cuts nothing leaves its cut owed by both of its neighbours
+    # end that cuts nothing leaves its cut owed by both of its neighbours.
+    # An interval whose ends have equal counts holds no eigenvalue and is
+    # dropped, so beside such an end bisection follows a single path.
     todo = [(lo, 0, hi, n)]
     while todo:
         a, ca, b, cb = todo.pop()
@@ -287,37 +294,27 @@ def _separators(d, a_rec, lo, hi, pivmin):
             continue
         c = _sturm_count(d, a_rec, m, pivmin)
         if ends[c] is None:
-            f = _ttrr(d, a_rec, n, m)
-            if f != 0 and (f > 0) == ((n - c) % 2 == 0):
-                ends[c], up[c] = m, f > 0
-        todo += ((a, ca, m, c), (m, c, b, cb))
+            s = _sign(d, a_rec, n, m)
+            if s is not None and s == ((n - c) % 2 == 0):
+                ends[c], up[c] = m, s
+        todo += [part for part in ((a, ca, m, c), (m, c, b, cb)) if part[1] < part[3]]
     return None if None in ends else (ends, up)
 
 
-class _Coefs(list):
-    """Recurrence coefficients at the working precision together with their
-    binary64 images `floats` (inf beyond the float range), converted once
-    per degree for _seed."""
-
-    def __init__(self, values):
-        super().__init__(values)
-        self.floats = [float(v) for v in self]
-
-
-def _seed(b, a_rec, n, lo, hi) -> mp.mpf:
+def _seed(fb, fa, n, lo, hi) -> mp.mpf:
     """Where _polish starts in [lo, hi]: the guarded Newton-Halley iteration
-    of _polish run in binary64 on b.floats and a_rec.floats from the
-    midpoint.  It stops once its step is within a few ulps of the iterate,
-    stops shrinking after it fell below 2^-26 of the bracket (the float
-    rounding floor), or P_n is zero there in binary64; a float iterate is
-    then good to about 50 bits, at a small fraction of the cost of one step
-    at the working precision.  The midpoint (lo + hi)/2 if a step leaves
-    the bracket, P_n' is zero, or a value is not finite (coefficients or
-    P_n beyond the float range), and when the iterate does not lie strictly
-    inside (lo, hi).  Only the starting point comes from here: the bracket,
-    the stopping rule and the precision of _polish do not depend on it."""
+    of _polish run in binary64 on fb and fa, the float images of the
+    recurrence coefficients, from the midpoint.  It stops once its step is
+    within a few ulps of the iterate, stops shrinking after it fell below
+    2^-26 of the bracket (the float rounding floor), or P_n is zero there in
+    binary64; a float iterate is then good to about 50 bits, at a small
+    fraction of the cost of one step at the working precision.  The
+    midpoint (lo + hi)/2 if a step leaves the bracket, P_n' is zero, or a
+    value is not finite (coefficients or P_n beyond the float range), and
+    when the iterate does not lie strictly inside (lo, hi).  Only the
+    starting point comes from here: the bracket, the stopping rule and the
+    precision of _polish do not depend on it."""
     mid = (lo + hi) / 2
-    fb, fa = b.floats, a_rec.floats
     flo, fhi, x = float(lo), float(hi), float(mid)
     # a step of 2^-26 of the bracket leaves a cubic error far below binary64
     # resolution, so a later step that does not shrink is rounding noise
@@ -351,15 +348,15 @@ def _seed(b, a_rec, n, lo, hi) -> mp.mpf:
     return x if lo < x < hi else mid
 
 
-def _polish(b, a_rec, n, lo, hi, lo_up, tol, steps) -> mp.mpf:
+def _polish(b, a_rec, fb, fa, n, lo, hi, lo_up, tol, steps) -> mp.mpf:
     """Guarded Newton iteration on P_n toward the one zero in [lo, hi] from
-    the binary64 seed of _seed, each step corrected by P_n'' (Halley's
-    method; ttrr_d2 returns P_n'' anyway).  A step is accepted only if it
-    stays in the bracket; otherwise the bracket is halved at its midpoint m,
-    keeping the half where P_n changes sign (`lo_up` is true when
-    P_n(lo) > 0), and the iteration restarts from the new midpoint.  b and
-    a_rec are _Coefs."""
-    x = _seed(b, a_rec, n, lo, hi)
+    the binary64 seed of _seed (fb and fa are the float images of b and
+    a_rec), each step corrected by P_n'' (Halley's method; ttrr_d2 returns
+    P_n'' anyway).  A step is accepted only if it stays in the bracket;
+    otherwise the bracket is halved at its midpoint m, keeping the half
+    where P_n changes sign (`lo_up` is true when P_n(lo) > 0), and the
+    iteration restarts from the new midpoint."""
+    x = _seed(fb, fa, n, lo, hi)
     for _ in range(steps):
         f, fp, fpp = ttrr_d2(b, a_rec, n, x)
         if f == 0 or fp == 0:
@@ -371,8 +368,7 @@ def _polish(b, a_rec, n, lo, hi, lo_up, tol, steps) -> mp.mpf:
         x1 = x - dx
         if not lo <= x1 <= hi:
             m = (lo + hi) / 2
-            fm = _ttrr(b, a_rec, n, m)
-            if fm == 0 or (fm > 0) != lo_up:
+            if _sign(b, a_rec, n, m) != lo_up:
                 hi = m
             else:
                 lo = m
@@ -384,26 +380,18 @@ def _polish(b, a_rec, n, lo, hi, lo_up, tol, steps) -> mp.mpf:
     return x
 
 
-def _interlaced(d, a_rec, n, ends, tol, steps, up=None):
+def _interlaced(d, a_rec, fd, fa, ends, up, tol, steps):
     """The n zeros of P_n, one polished in each gap of the n + 1 ascending
-    points `ends`; None unless P_n alternates in sign across them without
-    vanishing, which proves each gap holds exactly one zero.  `up`, if
-    given, holds the signs of P_n already read at some of the ends (true
-    for P_n > 0, None where unread), so that no end is evaluated twice."""
+    points `ends`, where P_n has the _sign `up`; None unless P_n alternates
+    in sign across them without vanishing, which proves each gap holds
+    exactly one zero."""
     if any(not lo < hi for lo, hi in zip(ends, ends[1:])):
         return None
-    signs = []
-    for x, s in zip(ends, up or [None] * len(ends)):
-        if s is None:
-            f = _ttrr(d, a_rec, n, x)
-            if f == 0:
-                return None
-            s = f > 0
-        if signs and s == signs[-1]:
-            return None
-        signs.append(s)
-    return [_polish(d, a_rec, n, ends[k], ends[k + 1], signs[k], tol(ends[k], ends[k + 1]),
-                    steps)
+    if None in up or any(s == t for s, t in zip(up, up[1:])):
+        return None
+    n = len(d)
+    return [_polish(d, a_rec, fd, fa, n, ends[k], ends[k + 1], up[k],
+                    tol(ends[k], ends[k + 1]), steps)
             for k in range(n)]
 
 
@@ -444,11 +432,13 @@ def tridiag_eigenvalues(diag, off2, ctx: PrecisionContext, cuts=None) -> list:
         return []
     work = ctx.bits + 32
     with mp.workprec(work):
-        d = _Coefs(mp.mpf(v) for v in diag)
+        d = [mp.mpf(v) for v in diag]
         off2 = [mp.mpf(v) for v in off2]
         if n == 1:
             return [ctx.round(d[0])]
-        a_rec = _Coefs([mp.mpf(0)] + off2)
+        a_rec = [mp.mpf(0)] + off2
+        # binary64 images for _seed, inf beyond the float range
+        fd, fa = [float(v) for v in d], [float(v) for v in a_rec]
         # square roots only for the Gershgorin bracket
         e = [mp.sqrt(v) for v in off2]
 
@@ -470,14 +460,14 @@ def tridiag_eigenvalues(diag, off2, ctx: PrecisionContext, cuts=None) -> list:
 
         out = None
         if cuts is not None:
-            out = _interlaced(d, a_rec, n, [lo] + [mp.mpf(c) for c in cuts] + [hi], tol,
-                              ctx.bits)
+            ends = [lo] + [mp.mpf(c) for c in cuts] + [hi]
+            out = _interlaced(d, a_rec, fd, fa, ends, [_sign(d, a_rec, n, x) for x in ends],
+                              tol, ctx.bits)
         if out is None:
             pivmin = max(max(off2), mp.mpf(1)) * mp.mpf(2) ** (-2 * work)
             cut = _separators(d, a_rec, lo, hi, pivmin)
             if cut is not None:
-                ends, up = cut
-                out = _interlaced(d, a_rec, n, ends, tol, ctx.bits, up)
+                out = _interlaced(d, a_rec, fd, fa, *cut, tol, ctx.bits)
         if out is None:
             raise ConvergenceError("the working precision cannot separate the eigenvalues")
     return [ctx.round(x) for x in out]

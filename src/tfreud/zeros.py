@@ -23,7 +23,8 @@
   other, F collapses to the elementary closed form
       F(w) = V^7 + (21/5) w V^5 + 7 w^2 V^3 + 7 w^3 V,   V = sqrt(1-w),
   which integrates to an incomplete-beta CDF with total mass exactly 1.
-  density() evaluates that closed form; the Gauss series
+  density() evaluates that closed form, and density_at(t) returns it as a
+  function of x built once per t; the Gauss series
   (kernel.hyp2f1_series) and the integral form below are kept as
   independent cross-checks of it.
 * The integral form of the density is (1/(pi t)) int ds/(sqrt(4 c s^(1/4)
@@ -194,10 +195,12 @@ class DensityModel:
         return cls(ctx.round(tv), ctx.round(c), ctx.round(beta))
 
 
-def _omega(model: DensityModel, tv, ctx: PrecisionContext):
-    """x -> density(x, tv, ctx) on a built model, with the x-free factors of
-    the prefactor (4/(7 pi)) x^(-1/2) t^(-1/8) c^(-1/2) computed once."""
+def density_at(t, ctx: PrecisionContext):
+    """x -> density(x, t, ctx), with the model and the x-free factors of the
+    prefactor (4/(7 pi)) x^(-1/2) t^(-1/8) c^(-1/2) built once."""
     with ctx.workprec(32):
+        tv = mp.mpf(t)
+        model = DensityModel.for_t(tv, ctx)
         lead = 4 / (7 * mp.pi)
         t8 = tv ** mp.mpf("0.125")
         root_c = mp.sqrt(mp.mpf(140) ** mp.mpf("-0.25"))
@@ -215,9 +218,7 @@ def _omega(model: DensityModel, tv, ctx: PrecisionContext):
 
 def density(x, t, ctx: PrecisionContext) -> mp.mpf:
     """omega(x, t) through the closed form of F at w = x/(4 c t^(1/4))."""
-    with ctx.workprec(32):
-        tv = mp.mpf(t)
-        return _omega(DensityModel.for_t(tv, ctx), tv, ctx)(x)
+    return density_at(t, ctx)(x)
 
 
 def density_integral(x, t, ctx: PrecisionContext) -> mp.mpf:
@@ -303,13 +304,12 @@ def density_normalization(t) -> mp.mpf:
     """int_0^{beta_t} omega(x, t) dx by quadrature of density() itself, with
     x = beta_t u^2 on the left half and x = beta_t (1 - v^2) on the right to
     strip the endpoint singularities.  Runs in DENSITY_CTX: the contract on
-    the result is 1e-6.  The model and the prefactor are built once per t."""
+    the result is 1e-6.  density_at builds the density once per t."""
     qctx = DENSITY_CTX
     with qctx.workprec():
         tv = mp.mpf(t)
-        model = DensityModel.for_t(tv, qctx)
-        beta = model.beta_t
-        omega = _omega(model, tv, qctx)
+        beta = DensityModel.for_t(tv, qctx).beta_t
+        omega = density_at(tv, qctx)
         r = mp.sqrt(mp.mpf("0.5"))
 
         def left(u):

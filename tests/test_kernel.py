@@ -310,8 +310,8 @@ def _midpoint_seeds(monkeypatch):
     polish started from the midpoint of its bracket."""
     real, mids = kernel._seed, []
 
-    def seed(b, a_rec, n, lo, hi):
-        x = real(b, a_rec, n, lo, hi)
+    def seed(fb, fa, n, lo, hi):
+        x = real(fb, fa, n, lo, hi)
         mids.append(x == (lo + hi) / 2)
         return x
 
@@ -362,14 +362,23 @@ def test_float_seed_falls_back_when_p_n_overflows(monkeypatch):
         assert abs(got - want) <= ctx.verify_tol(s)
 
 
-@pytest.mark.parametrize("n", [3, 5, 7, 9, 11])
-def test_tridiag_midpoint_on_an_eigenvalue(n):
-    # diag 0..n-1 with off-diagonal 1/2 has the eigenvalue (n-1)/2 at the
-    # midpoint of its Gershgorin interval; that point cuts nothing, and the
-    # cut it missed lies on whichever side its Sturm count puts it
+@pytest.mark.parametrize("centred", [False, True])
+@pytest.mark.parametrize("n", range(3, 12))
+def test_tridiag_midpoint_on_an_eigenvalue(n, centred, monkeypatch):
+    # diag 0..n-1 with off-diagonal 1/2 has, for odd n, the eigenvalue
+    # (n-1)/2 at the midpoint of its Gershgorin interval; that point cuts
+    # nothing, and the cut it missed lies on whichever side its Sturm count
+    # puts it.  Centred on 0, the points beside it that miscount reach down
+    # to 0 itself, and bisection beside them must stay a single path
+    # (about `work` steps each way), not fan out toward 0.
     ctx = PrecisionContext(256)
-    diag, off2 = [mp.mpf(k) for k in range(n)], [mp.mpf(1) / 4] * (n - 1)
+    shift = mp.mpf(n - 1) / 2 if centred else 0
+    diag, off2 = [mp.mpf(k) - shift for k in range(n)], [mp.mpf(1) / 4] * (n - 1)
+    real, counts = kernel._sturm_count, []
+    monkeypatch.setattr(kernel, "_sturm_count", lambda *a: counts.append(1) or real(*a))
     ev = tridiag_eigenvalues(diag, off2, ctx)
-    assert ev[n // 2] == mp.mpf(n - 1) / 2
+    assert len(counts) <= 4 * (ctx.bits + 32)
+    if n % 2:
+        assert ev[n // 2] == mp.mpf(n - 1) / 2 - shift
     for got, want in zip(ev, _eigsy(diag, off2)):
         assert abs(got - want) <= ctx.verify_tol(n)

@@ -168,12 +168,12 @@ def test_newton_fallback_step_runs(tbl, zsets, route, monkeypatch):
         seen["fallback"] += seen["inside"]
         return real_ttrr(*args)
 
-    def polish(b, a_rec, n, lo, hi, lo_up, tol, steps):
+    def polish(*args):
         seen["polish"] += 1
         seen.update(fresh=True, inside=True)
         before = seen["fallback"]
         try:
-            return real_polish(b, a_rec, n, lo, hi, lo_up, tol, steps)
+            return real_polish(*args)
         finally:
             seen["inside"] = False
             per_zero.append(seen["fallback"] - before)
@@ -552,7 +552,7 @@ def test_float_seed_keeps_the_bits(zq, monkeypatch):
     seeded = [_bits(zeros(t, n, ctx)) for n in range(1, 25)]
     swept = [_bits(zs) for zs in zero_sweep(t, 24, ctx)]
     assert swept == seeded
-    monkeypatch.setattr(kernel, "_seed", lambda b, a_rec, n, lo, hi: (lo + hi) / 2)
+    monkeypatch.setattr(kernel, "_seed", lambda fb, fa, n, lo, hi: (lo + hi) / 2)
     assert [_bits(zeros(t, n, ctx)) for n in range(1, 25)] == seeded
     assert [_bits(zs) for zs in zero_sweep(t, 24, ctx)] == swept
 
