@@ -16,8 +16,6 @@ import mpmath as mp
 SLACK_BITS = 12
 # Guard bits over a table's precision for every evaluation on the table.
 RESIDUAL_GUARD_BITS = 96
-# Terms hyp2f1_series may sum before it gives up.
-HYP2F1_MAX_TERMS = 200_000
 # Binary64 Newton-Halley steps _seed may take before it hands over.
 SEED_STEPS = 32
 
@@ -71,40 +69,6 @@ def default_bits(n_max: int) -> int:
     """Precision policy: conditioning of the moment map grows geometrically
     in the degree, so the default precision grows linearly with it."""
     return 128 + 16 * max(0, int(n_max))
-
-
-# ---------------------------------------------------------------------------
-# scalar special functions
-# ---------------------------------------------------------------------------
-
-def hyp2f1_series(a, b, c, w, ctx: PrecisionContext) -> mp.mpf:
-    """Gauss series sum_k (a)_k (b)_k / ((c)_k k!) w^k for |w| < 1.
-
-    c must not be a non-positive integer (the Pochhammer denominator would
-    vanish).  Terms are accumulated until they drop below the working
-    roundoff of the partial sum; the term ratio tends to w, so for the
-    parameter ranges used here the terms eventually keep a constant sign
-    and there is no catastrophic cancellation.
-    """
-    with ctx.workprec(16):
-        av, bv, cv, wv = (mp.mpf(v) for v in (a, b, c, w))
-        if cv <= 0 and cv == mp.floor(cv):
-            raise DomainError(f"2F1 parameter c must not be a non-positive integer, got {c}")
-        if abs(wv) >= 1:
-            raise ConvergenceError(f"2F1 series requires |w| < 1, got w={w}")
-        s = mp.mpf(1)
-        term = mp.mpf(1)
-        stop = mp.mpf(2) ** (-(ctx.bits + 8))
-        for k in range(HYP2F1_MAX_TERMS):
-            term = term * (av + k) * (bv + k) / ((cv + k) * (k + 1)) * wv
-            if term == 0:
-                break
-            s += term
-            if abs(term) <= abs(s) * stop:
-                break
-        else:
-            raise ConvergenceError(f"2F1 series did not converge within {HYP2F1_MAX_TERMS} terms")
-    return ctx.round(s)
 
 
 # ---------------------------------------------------------------------------

@@ -340,25 +340,6 @@ def lowering_data(tbl: RecurrenceTable, n: int) -> LoweringData:
                             RationalFn(tuple(D), tuple(C)))
 
 
-def lowering_C_via_beta(tbl: RecurrenceTable, n: int, x) -> mp.mpf:
-    """C_n(x) assembled directly from the beta row of degree n+1 (the
-    cross-check route quoted with the lowering theorem)."""
-    if n < 2 or n > tbl.n_max - 2:
-        raise IndexError(f"need 2 <= n <= {tbl.n_max - 2}, got {n}")
-    lower = beta_lower(tbl, n + 1)
-    a, b = tbl.a, tbl.b
-    with tbl.workprec():
-        xv = mp.mpf(x)
-        inner = (xv - b[n - 1]) * (xv - b[n]) - a[n]
-        val = (lower[n]
-               + (xv - b[n]) / a[n] * lower[n - 1]
-               + inner / (a[n] * a[n - 1]) * lower[n - 2])
-        if n >= 3:
-            val += (((xv - b[n - 2]) * inner - a[n - 1] * (xv - b[n]))
-                    / (a[n] * a[n - 1] * a[n - 2]) * lower[n - 3])
-        return 4 * tbl.z * val
-
-
 def lowering_apply(tbl: RecurrenceTable, polys: tuple, data: LoweringData) -> tuple:
     """The largest coefficient of x P'_{n+1} + D_n P_{n+1} - C_n P_n (zero up
     to roundoff) and that of C_n P_n, its scale; n = data.n."""

@@ -361,16 +361,6 @@ def asymptotic_constant_residuals() -> dict:
     }
 
 
-def asymptotic_constants(ctx: PrecisionContext):
-    """(A, B) as reals, positive branch.  The defining quadratic for B^2 has
-    two real roots; the negative one is rejected by positivity of b_n."""
-    with ctx.workprec(16):
-        A = 1 / mp.sqrt(140)
-        B = 2 * mp.mpf(140) ** mp.mpf("-0.25")
-        rejected = -B
-    return ctx.round(A), ctx.round(B), ctx.round(rejected)
-
-
 def scaling_check(tbl_z: RecurrenceTable, tbl_1: RecurrenceTable, n: int):
     """(a_n(z)*z^(1/2)/a_n(1) - 1, b_n(z)*z^(1/4)/b_n(1) - 1)."""
     if n < 0 or n > min(tbl_z.n_max, tbl_1.n_max):

@@ -100,10 +100,10 @@ def parse_fault(spec: str):
         delta = mp.mpf(parts[2])
     except (ValueError, TypeError):
         raise DomainError(f"fault spec must be a|b:index:delta, got {spec!r}")
-    if parts[0] == "a" and idx < 1:
-        raise DomainError("cannot perturb a_0 (pinned to 0)")
     if idx < 0:
         raise DomainError("fault index must be nonnegative")
+    if parts[0] == "a" and idx == 0:
+        raise DomainError("cannot perturb a_0 (pinned to 0)")
     return parts[0], idx, delta
 
 

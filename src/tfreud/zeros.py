@@ -24,9 +24,9 @@
       F(w) = V^7 + (21/5) w V^5 + 7 w^2 V^3 + 7 w^3 V,   V = sqrt(1-w),
   which integrates to an incomplete-beta CDF with total mass exactly 1.
   density() evaluates that closed form, and density_at(t) returns it as a
-  function of x built once per t; the Gauss series
-  (kernel.hyp2f1_series) and the integral form below are kept as
-  independent cross-checks of it.
+  function of x built once per t.  The integral form below is the
+  library's cross-check of it; the tests compare it with mpmath's hyp2f1
+  as well.
 * The integral form of the density is (1/(pi t)) int ds/(sqrt(4 c s^(1/4)
   - x) sqrt(x)) taken over s where the radicand is positive, i.e. from
   s_0 = (x/(4c))^4 up to t; substituting s = s_0 + v^2 removes the
@@ -375,16 +375,6 @@ def _fields(tbl: RecurrenceTable, n: int, xs) -> list:
         return out
 
 
-def potential_eval(tbl: RecurrenceTable, n: int, x) -> mp.mpf:
-    """V_n(x) = z x^4 + ln|calA_n(x)/(4z)|."""
-    return _fields(tbl, n, [x])[0][0]
-
-
-def potential_deriv(tbl: RecurrenceTable, n: int, x) -> mp.mpf:
-    """V_n'(x) = 4 z x^3 + calA_n'(x)/calA_n(x)."""
-    return _fields(tbl, n, [x])[0][1]
-
-
 def electro_energy(tbl: RecurrenceTable, positions) -> ElectroSystem:
     """Total energy E_n = -2 sum_{j<k} ln|x_k - x_j| + sum_k V_n(x_k) of
     n = len(positions) charges and its analytic gradient."""
@@ -456,26 +446,6 @@ def chebyshev_zeros(n: int, ctx: PrecisionContext) -> tuple:
         beta = comparison_beta(ctx)
         return tuple(beta * (mp.cos(mp.pi * (n - k + 1) / (n + 1)) + 1)
                      for k in range(1, n + 1))
-
-
-def chebyshev_comparison(n: int, ctx: PrecisionContext) -> tuple:
-    """(closed-form zeros, eigenvalue-route zeros) of the shifted Chebyshev
-    family of chebyshev_zeros."""
-    closed = chebyshev_zeros(n, ctx)
-    with ctx.workprec(32):
-        beta = comparison_beta(ctx)
-        diag = [beta] * n
-        off2 = [beta ** 2 / 4] * (n - 1)
-        eig = tuple(tridiag_eigenvalues(diag, off2, ctx))
-    return closed, eig
-
-
-def comparison_smallest_ratio(n: int, ctx: PrecisionContext) -> mp.mpf:
-    """y_{n,1} / w(n) with w(n) = beta pi^2 / (2 (n+1)^2); tends to 1."""
-    with ctx.workprec(32):
-        beta = comparison_beta(ctx)
-        y1 = beta * (1 - mp.cos(mp.pi / (n + 1)))
-        return y1 / (beta * mp.pi ** 2 / (2 * (n + 1) ** 2))
 
 
 def ptilde_zeros(n: int, ctx: PrecisionContext) -> tuple:

@@ -13,7 +13,6 @@ from tfreud.kernel import (
     PrecisionContext,
     RationalFn,
     default_bits,
-    hyp2f1_series,
     poly_add,
     poly_diff,
     poly_eval,
@@ -49,45 +48,6 @@ def test_round_is_idempotent():
     r = ctx.round(x)
     assert ctx.round(r) == r
     assert r != x
-
-
-# --- 2F1 series --------------------------------------------------------------
-
-def test_hyp2f1_log_closed_form():
-    # 2F1(1,1;2;w) = -log(1-w)/w
-    ctx = PrecisionContext(128)
-    w = mp.mpf(1) / 4
-    got = hyp2f1_series(1, 1, 2, w, ctx)
-    with mp.workprec(200):
-        ref = -mp.log(1 - w) / w
-    assert abs(got - ref) <= ctx.verify_tol(ref)
-
-
-@pytest.mark.parametrize("w", ["0.05", "0.3", "0.62", "0.9", "0.99"])
-def test_hyp2f1_against_mpmath(w):
-    ctx = PrecisionContext(192)
-    a, b, c = mp.mpf(1) / 2, mp.mpf(-7) / 2, mp.mpf(-5) / 2
-    got = hyp2f1_series(a, b, c, mp.mpf(w), ctx)
-    with mp.workprec(260):
-        ref = mp.hyp2f1(a, b, c, mp.mpf(w))
-    assert abs(got - ref) <= ctx.verify_tol(max(1, abs(ref)))
-
-
-def test_hyp2f1_polynomial_case_terminates():
-    # b = -3 makes the series a cubic polynomial in w
-    ctx = PrecisionContext(128)
-    got = hyp2f1_series(mp.mpf(1) / 2, -3, mp.mpf(5) / 2, mp.mpf("0.7"), ctx)
-    with mp.workprec(200):
-        ref = mp.hyp2f1(mp.mpf(1) / 2, -3, mp.mpf(5) / 2, mp.mpf("0.7"))
-    assert abs(got - ref) <= ctx.verify_tol(1)
-
-
-def test_hyp2f1_rejects_bad_args():
-    ctx = PrecisionContext(64)
-    with pytest.raises(ConvergenceError):
-        hyp2f1_series(1, 1, 2, 1, ctx)
-    with pytest.raises(DomainError):
-        hyp2f1_series(1, 1, -2, mp.mpf("0.5"), ctx)
 
 
 # --- polynomial helpers -------------------------------------------------------

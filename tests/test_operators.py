@@ -25,7 +25,6 @@ from tfreud.operators import (
     ladder_A,
     ladder_B,
     lax_block_check,
-    lowering_C_via_beta,
     lowering_apply,
     lowering_data,
     mat_mul,
@@ -305,16 +304,6 @@ def test_lowering_degrees(t16):
         assert len(data.C) == 4 and len(data.D) == 3
         want = 4 * tbl.z * tbl.a[n + 1]
         assert abs(data.C[3] - want) <= CTX.verify_tol(want)
-
-
-def test_lowering_C_routes_agree(t16):
-    tbl, _ = t16
-    for n in (2, 5, 9):
-        data = lowering_data(tbl, n)
-        for x in log_grid("0.05", 3, 8):
-            got = lowering_C_via_beta(tbl, n, x)
-            want = poly_eval(list(data.C), x)
-            assert abs(got - want) <= CTX.verify_tol(abs(want) + 1)
 
 
 def test_lowering_guards(t16):

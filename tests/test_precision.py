@@ -7,7 +7,10 @@ return the same bits both times."""
 from __future__ import annotations
 
 import dataclasses
+import importlib
+import inspect
 import pathlib
+import pkgutil
 import re
 
 import mpmath as mp
@@ -16,7 +19,6 @@ import pytest
 import tfreud
 from tfreud.kernel import (
     PrecisionContext,
-    hyp2f1_series,
     tridiag_eigenvalues,
 )
 from tfreud.moments import (
@@ -40,7 +42,6 @@ from tfreud.operators import (
     ladder_A,
     ladder_B,
     lax_block_check,
-    lowering_C_via_beta,
     lowering_apply,
     lowering_data,
     poly_table,
@@ -51,7 +52,6 @@ from tfreud.operators import (
     ttrr_eval_d2,
 )
 from tfreud.recurrence import (
-    asymptotic_constants,
     asymptotic_ratio,
     chebyshev_coeffs,
     h_scaling_check,
@@ -64,11 +64,11 @@ from tfreud.recurrence import (
 from tfreud.verify import inject_fault, run_verification
 from tfreud.zeros import (
     DensityModel,
-    chebyshev_comparison,
+    _fields,
     chebyshev_zeros,
     comparison_beta,
-    comparison_smallest_ratio,
     density,
+    density_at,
     density_cdf,
     density_closed_form,
     density_consistency,
@@ -80,11 +80,10 @@ from tfreud.zeros import (
     interlacing_margin,
     largest_zero_bound,
     ode_at_zeros_check,
-    potential_deriv,
-    potential_eval,
     ptilde_zeros,
     stationarity_check,
     zero_scaling_check,
+    zero_sweep,
     zeros,
 )
 
@@ -101,7 +100,6 @@ FAULT = ("a", 3, mp.mpf(2) ** -200 / 3)
 # Decimal strings are passed where a function accepts them, so the parse
 # itself has to happen at the function's own precision.
 CASES = {
-    "hyp2f1_series": lambda: hyp2f1_series("0.5", "-3.5", "-2.5", "0.3", CTX),
     "tridiag_eigenvalues": lambda: tridiag_eigenvalues(TBL.b[:4], TBL.a[1:4], CTX),
     "moment": lambda: moment(5, "0.3", CTX),
     "MomentSequence.build": lambda: MomentSequence.build("0.3", 8, CTX),
@@ -121,7 +119,6 @@ CASES = {
     "RecurrenceTable.at_zero": lambda: dataclasses.replace(TBL).at_zero,
     "lf_forward": lambda: lf_forward((TBL.b[0], TBL.a[1], TBL.b[1]), 8, TBL),
     "asymptotic_ratio": lambda: asymptotic_ratio(TBL, 7),
-    "asymptotic_constants": lambda: asymptotic_constants(CTX),
     "scaling_check": lambda: scaling_check(TBL4, TBL, 7),
     "h_scaling_check": lambda: h_scaling_check(TBL4, TBL, 7),
     "poly_table": lambda: poly_table(TBL, 8),
@@ -137,7 +134,6 @@ CASES = {
     "identity_ii_residual": lambda: [identity_ii_residual(TBL, n) for n in range(1, 11)],
     "compat_residuals": lambda: compat_residuals(TBL, 5, XS),
     "lowering_data": lambda: lowering_data(TBL, 6),
-    "lowering_C_via_beta": lambda: lowering_C_via_beta(TBL, 6, "0.7"),
     "lowering_apply": lambda: lowering_apply(TBL, POLYS, LOW),
     "raising_apply": lambda: raising_apply(TBL, POLYS, LOW),
     "holonomic_residual_Dn": lambda: holonomic_residual_Dn(TBL, LOW, XS),
@@ -145,18 +141,19 @@ CASES = {
     "confluent_check": lambda: confluent_check(TBL, 6, XS),
     "lax_block_check": lambda: lax_block_check(TBL, 10),
     "zeros": lambda: zeros(TBL, 6, CTX),
+    "zero_sweep": lambda: zero_sweep(TBL, 6, CTX),
     "interlacing_margin": lambda: interlacing_margin(ZS, zeros(TBL, 5, CTX)),
     "zero_scaling_check": lambda: zero_scaling_check(zeros(TBL4, 6, CTX), ZS, CTX),
     "gamma_chain": lambda: gamma_chain(TBL, 8),
     "largest_zero_bound": lambda: largest_zero_bound(TBL, 8, eps="1e-3"),
-    "potential_eval": lambda: potential_eval(TBL, 6, "0.7"),
-    "potential_deriv": lambda: potential_deriv(TBL, 6, "0.7"),
+    "_fields": lambda: _fields(TBL, 6, ["0.7"]),
     "electro_energy": lambda: electro_energy(TBL, ("0.3", "0.7", "1.1")),
     "stationarity_check": lambda: stationarity_check(TBL, ZS),
     "ode_at_zeros_check": lambda: ode_at_zeros_check(TBL, 6),
     "inject_fault": lambda: inject_fault(TBL, FAULT),
     "DensityModel.for_t": lambda: DensityModel.for_t("0.3", CTX),
     "density": lambda: density("0.4", "0.3", CTX),
+    "density_at": lambda: density_at("1", CTX)("0.3"),
     "density_integral": lambda: density_integral("0.4", "0.3", CTX),
     "density_closed_form": lambda: density_closed_form("0.3", CTX),
     "density_cdf": lambda: density_cdf("0.3", CTX),
@@ -164,10 +161,15 @@ CASES = {
     "density_normalization": lambda: density_normalization("0.3"),
     "empirical_density_distance": lambda: empirical_density_distance(4, 4, "0.3", CTX),
     "comparison_beta": lambda: comparison_beta(CTX),
-    "chebyshev_comparison": lambda: chebyshev_comparison(5, CTX),
     "chebyshev_zeros": lambda: chebyshev_zeros(5, CTX),
-    "comparison_smallest_ratio": lambda: comparison_smallest_ratio(5, CTX),
     "ptilde_zeros": lambda: ptilde_zeros(5, CTX),
+}
+
+
+# Public functions that take a table or context but need no CASES entry.
+EXEMPT = {
+    "jacobi_matrix": "copies table entries; no arithmetic",
+    "internal_bits_for": "integer arithmetic on ctx.bits",
 }
 
 
@@ -197,6 +199,19 @@ def at_both_precisions(fn):
 def test_result_independent_of_global_precision(name):
     low, high = at_both_precisions(CASES[name])
     assert low == high
+
+
+def test_every_context_reader_has_a_case():
+    missing = []
+    for info in pkgutil.iter_modules(tfreud.__path__):
+        mod = importlib.import_module(f"tfreud.{info.name}")
+        for name, fn in vars(mod).items():
+            if (inspect.isfunction(fn) and fn.__module__ == mod.__name__
+                    and not name.startswith("_") and name not in CASES
+                    and name not in EXEMPT
+                    and {"tbl", "ctx", "mseq"} & set(inspect.signature(fn).parameters)):
+                missing.append(f"{info.name}.{name}")
+    assert missing == []
 
 
 def test_verification_records_independent_of_global_precision():

@@ -16,7 +16,6 @@ from tfreud.moments import moment
 from tfreud.recurrence import (
     RecurrenceTable,
     asymptotic_constant_residuals,
-    asymptotic_constants,
     asymptotic_ratio,
     chebyshev_coeffs,
     h_scaling_check,
@@ -183,14 +182,6 @@ def test_asymptotic_constants_exact():
     assert res["quadratic_full"] == Fraction(0)
     assert res["quadratic_reduced"] == Fraction(0)
     assert res["quartic"] == Fraction(0)
-
-
-def test_asymptotic_constants_numeric():
-    ctx = PrecisionContext(128)
-    A, B, rejected = asymptotic_constants(ctx)
-    assert abs(B ** 2 / 4 - A) <= ctx.verify_tol(A)
-    assert rejected == -B
-    assert A > 0 and B > 0
 
 
 def test_asymptotic_ratio_trend():

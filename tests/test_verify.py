@@ -97,6 +97,8 @@ def test_parse_fault():
     for bad in ("bogus", "c:3:1e-6", "a:x:1e-6", "a:3", "a:0:1e-6", "b:-1:1e-6"):
         with pytest.raises(DomainError):
             parse_fault(bad)
+    with pytest.raises(DomainError, match="nonnegative"):
+        parse_fault("a:-1:1e-6")
 
 
 def test_inject_fault_shifts_one_entry():

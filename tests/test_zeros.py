@@ -8,16 +8,16 @@ from mpmath import mp
 
 from tfreud.cli import REF_ERRATA, REF_LARGEST, REF_SMALLEST
 from tfreud import kernel
-from tfreud.kernel import DomainError, PrecisionContext, default_bits, hyp2f1_series
+from tfreud.kernel import DomainError, PrecisionContext, default_bits, tridiag_eigenvalues
 from tfreud.operators import poly_table, ttrr_eval_d2
 from tfreud.recurrence import chebyshev_coeffs
 from tfreud.zeros import (
     DENSITY_CTX,
     DensityModel,
     ZeroSet,
-    chebyshev_comparison,
+    _fields,
+    chebyshev_zeros,
     comparison_beta,
-    comparison_smallest_ratio,
     density,
     density_cdf,
     density_closed_form,
@@ -29,8 +29,6 @@ from tfreud.zeros import (
     interlacing_margin,
     largest_zero_bound,
     ode_at_zeros_check,
-    potential_deriv,
-    potential_eval,
     ptilde_zeros,
     stationarity_check,
     zero_scaling_check,
@@ -317,9 +315,11 @@ def test_density_domain():
 
 
 def test_density_closed_form_matches_series():
-    for wq in ("0.05", "0.3", "0.6", "0.9"):
+    # mpmath's 2F1 shares no code with the closed form
+    for wq in ("0.05", "0.3", "0.6", "0.62", "0.9", "0.99"):
         w = mp.mpf(wq)
-        series = hyp2f1_series(mp.mpf("0.5"), mp.mpf("-3.5"), mp.mpf("-2.5"), w, CTX)
+        with mp.workprec(CTX.bits + 64):
+            series = mp.hyp2f1(mp.mpf("0.5"), mp.mpf("-3.5"), mp.mpf("-2.5"), w)
         assert abs(density_closed_form(w, CTX) - series) <= CTX.verify_tol(series)
 
 
@@ -459,7 +459,7 @@ def test_gradient_matches_finite_differences(tbl):
 
 def test_potential_quartic_dominates(tbl):
     x = mp.mpf(50)
-    ratio = potential_eval(tbl, 4, x) / x ** 4
+    ratio = _fields(tbl, 4, [x])[0][0] / x ** 4
     assert abs(ratio - 1) <= mp.mpf("1e-4")
 
 
@@ -468,28 +468,26 @@ def test_potential_direct_value(tbl):
     R = tbl.a[n + 1] + tbl.b[n] ** 2 + tbl.a[n]
     shift = tbl.at_zero[n] ** 2 / (4 * tbl.h[n])
     expect = 1 + mp.log(1 + tbl.b[n] + R + shift)
-    got = potential_eval(tbl, n, 1)
+    got = _fields(tbl, n, [1])[0][0]
     assert abs(got - expect) <= CTX.verify_tol(expect)
 
 
 def test_potential_deriv_matches_fd(tbl):
     x = mp.mpf("0.9")
-    d = potential_deriv(tbl, 4, x)
+    d = _fields(tbl, 4, [x])[0][1]
     errs = []
     for h in (mp.mpf("1e-6"), mp.mpf("5e-7")):
-        fd = (potential_eval(tbl, 4, x + h)
-              - potential_eval(tbl, 4, x - h)) / (2 * h)
+        fd = (_fields(tbl, 4, [x + h])[0][0]
+              - _fields(tbl, 4, [x - h])[0][0]) / (2 * h)
         errs.append(abs(fd - d))
     assert mp.mpf("3.5") <= errs[0] / errs[1] <= mp.mpf("4.5")
 
 
 def test_potential_guards(tbl):
     with pytest.raises(DomainError):
-        potential_eval(tbl, 3, 0)
-    with pytest.raises(DomainError):
-        potential_deriv(tbl, 3, 0)
+        _fields(tbl, 3, [0])
     with pytest.raises(IndexError):
-        potential_eval(tbl, tbl.n_max, 1)
+        _fields(tbl, tbl.n_max, [1])
 
 
 def test_ode_holds_at_zeros(tbl):
@@ -500,6 +498,15 @@ def test_ode_holds_at_zeros(tbl):
 # ---------------------------------------------------------------------------
 # comparison families
 # ---------------------------------------------------------------------------
+
+def chebyshev_comparison(n, ctx):
+    """(closed-form zeros, eigenvalue-route zeros) of the shifted Chebyshev
+    family of chebyshev_zeros: diagonal beta, off-diagonal products beta^2/4."""
+    with ctx.workprec(32):
+        beta = comparison_beta(ctx)
+        eig = tridiag_eigenvalues([beta] * n, [beta ** 2 / 4] * (n - 1), ctx)
+    return chebyshev_zeros(n, ctx), tuple(eig)
+
 
 def test_chebyshev_routes_agree():
     closed, eig = chebyshev_comparison(8, CTX)
@@ -521,7 +528,10 @@ def test_chebyshev_smallest():
 
 
 def test_smallest_ratio_tends_to_one():
-    devs = [abs(comparison_smallest_ratio(n, CTX) - 1) for n in (10, 40, 160)]
+    # y_{n,1} / w_n with w_n = beta pi^2 / (2 (n+1)^2), as in figure 4
+    beta = comparison_beta(CTX)
+    devs = [abs(chebyshev_zeros(n, CTX)[0] / (beta * mp.pi ** 2 / (2 * (n + 1) ** 2)) - 1)
+            for n in (10, 40, 160)]
     assert devs[0] > devs[1] > devs[2]
     assert devs[2] < mp.mpf("1e-3")
 
