@@ -146,7 +146,9 @@ CASES = {
     "zero_scaling_check": lambda: zero_scaling_check(zeros(TBL4, 6, CTX), ZS, CTX),
     "gamma_chain": lambda: gamma_chain(TBL, 8),
     "largest_zero_bound": lambda: largest_zero_bound(TBL, 8, eps="1e-3"),
-    "_fields": lambda: _fields(TBL, 6, ["0.7"]),
+    # V_n and V_n' at a decimal x, read from the private _fields
+    "potential_eval": lambda: _fields(TBL, 6, ["0.7"])[0][0],
+    "potential_deriv": lambda: _fields(TBL, 6, ["0.7"])[0][1],
     "electro_energy": lambda: electro_energy(TBL, ("0.3", "0.7", "1.1")),
     "stationarity_check": lambda: stationarity_check(TBL, ZS),
     "ode_at_zeros_check": lambda: ode_at_zeros_check(TBL, 6),
