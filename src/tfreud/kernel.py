@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 
 import mpmath as mp
+from mpmath.libmp import from_man_exp
 
 # Fixed slack absorbing benign rounding accumulation across O(n^2) arithmetic.
 SLACK_BITS = 12
@@ -172,41 +173,104 @@ class RationalFn:
 
 
 # ---------------------------------------------------------------------------
+# correctly rounded arithmetic on integer images: (m, e) stands for m * 2^e,
+# with m a signed Python int.  Every product and sum of images is rounded to
+# `bits` bits, to nearest with ties to even, as mpmath rounds.  A correctly
+# rounded result is unique, so a loop run on images in the order of the same
+# loop in mpf at `bits` gives the same bits, without mpmath's per-operation
+# overhead (Brent & Zimmermann, Modern Computer Arithmetic, 2010, 3.1).
+# mpmath's own shortcut for far-apart addends rounds correctly too whenever
+# the larger one holds at most `bits` bits, as every operand here does.
+# ---------------------------------------------------------------------------
+
+def _image(v) -> tuple:
+    """The mpf v as an image, exactly."""
+    s, m, e, _ = v._mpf_
+    return (-m if s else m), e
+
+
+def _mpf(u) -> mp.mpf:
+    """The image u as an mpf, exactly, whatever mpmath's global precision."""
+    return mp.make_mpf(from_man_exp(*u))
+
+
+def _round(m, e, bits) -> tuple:
+    """m * 2^e rounded to `bits` bits, to nearest with ties to even."""
+    n = m.bit_length() - bits
+    if n <= 0:
+        return m, e
+    t = m >> (n - 1)
+    q = t >> 1
+    if t & 1 and (q & 1 or m & ((1 << (n - 1)) - 1)):
+        q += 1
+    return q, e + n
+
+
+def _mul(u, v, bits) -> tuple:
+    return _round(u[0] * v[0], u[1] + v[1], bits)
+
+
+def _add(u, v, bits) -> tuple:
+    """u + v rounded.  An addend below 2^-(bits + 1) units of the other's
+    lowest bit decides the rounding only by its sign, so half that bound,
+    with its sign, stands in for it."""
+    (m, e), (m2, e2) = (u, v) if u[1] >= v[1] else (v, u)
+    g = e - e2
+    if g > bits + 2 and m and m2.bit_length() + bits < g:
+        g, m2 = bits + 2, (m2 > 0) - (m2 < 0)
+    return _round((m << g) + m2, e - g, bits)
+
+
+def _neg_images(b, a, n) -> tuple:
+    """-b_0..-b_{n-1} and -a_0..-a_{n-1} as images, so that the recurrence
+    subtracts by adding them."""
+    return ([(-m, e) for m, e in map(_image, b[:n])],
+            [(-m, e) for m, e in map(_image, a[:n])])
+
+
+# ---------------------------------------------------------------------------
 # the monic three-term recurrence and the eigenvalues of its Jacobi matrix:
 # n - 1 cut points with one eigenvalue between each pair of neighbours, then
 # a Newton-Halley polish in each gap, seeded by the same iteration run in
 # binary64 (Python floats), so that only its last steps run at the working
-# precision (Brent & Zimmermann, Modern Computer Arithmetic, 2010, 4.2)
+# precision (Brent & Zimmermann, Modern Computer Arithmetic, 2010, 4.2).
+# The recurrence runs on integer images at an explicit precision `bits`;
+# the Sturm counts, which divide, and the Newton steps run in mpf.
 # ---------------------------------------------------------------------------
 
-def ttrr_d2(b, a, n: int, x) -> tuple:
-    """(P_n(x), P_n'(x), P_n''(x)) at the caller's precision, by running the
-    recurrence and its first two formal derivatives side by side:
+def ttrr_d2(b, a, n: int, x, bits: int) -> tuple:
+    """(P_n(x), P_n'(x), P_n''(x)), every step rounded to `bits` bits, by
+    running the recurrence and its first two formal derivatives side by
+    side:
 
         P_{k+1}   = (x - b_k) P_k   - a_k P_{k-1}
         P'_{k+1}  = P_k + (x - b_k) P'_k  - a_k P'_{k-1}
         P''_{k+1} = 2 P'_k + (x - b_k) P''_k - a_k P''_{k-1}
 
-    Reads b_0..b_{n-1} and a_0..a_{n-1}; a_0 multiplies P_{-1} = 0."""
-    p_prev, p = mp.mpf(0), mp.mpf(1)
-    d_prev, d = mp.mpf(0), mp.mpf(0)
-    s_prev, s = mp.mpf(0), mp.mpf(0)
+    Reads b_0..b_{n-1} and a_0..a_{n-1}; a_0 multiplies P_{-1} = 0.  The
+    result has the bits of the same loop in mpf at `bits` when x, b and a
+    hold at most `bits` bits."""
+    nb, na = _neg_images(b, a, n)
+    x, zero = _image(x), (0, 0)
+    p_prev, p = zero, (1, 0)
+    d_prev = d = s_prev = s = zero
     for k in range(n):
-        w = x - b[k]
-        ak = a[k]
-        p, p_prev = w * p - ak * p_prev, p
-        d, d_prev = p_prev + w * d - ak * d_prev, d
-        s, s_prev = 2 * d_prev + w * s - ak * s_prev, s
-    return p, d, s
+        w, ak = _add(x, nb[k], bits), na[k]
+        p, p_prev = _add(_mul(w, p, bits), _mul(ak, p_prev, bits), bits), p
+        d, d_prev = _add(_add(p_prev, _mul(w, d, bits), bits), _mul(ak, d_prev, bits), bits), d
+        s, s_prev = _add(_add((d_prev[0], d_prev[1] + 1), _mul(w, s, bits), bits),
+                         _mul(ak, s_prev, bits), bits), s
+    return _mpf(p), _mpf(d), _mpf(s)
 
 
-def _ttrr(b, a, n, x):
+def _ttrr(b, a, n, x, bits):
     """P_n(x) alone, by the same steps as ttrr_d2, so the two agree bit for
     bit; enough wherever only the sign of P_n is read."""
-    p_prev, p = mp.mpf(0), mp.mpf(1)
+    nb, na = _neg_images(b, a, n)
+    x, p_prev, p = _image(x), (0, 0), (1, 0)
     for k in range(n):
-        p, p_prev = (x - b[k]) * p - a[k] * p_prev, p
-    return p
+        p, p_prev = _add(_mul(_add(x, nb[k], bits), p, bits), _mul(na[k], p_prev, bits), bits), p
+    return _mpf(p)
 
 
 def _sturm_count(b, a, x, pivmin):
@@ -227,13 +291,13 @@ def _sturm_count(b, a, x, pivmin):
     return count
 
 
-def _sign(b, a, n, x):
+def _sign(b, a, n, x, bits):
     """Whether P_n(x) > 0, read by _ttrr; None where P_n(x) = 0."""
-    f = _ttrr(b, a, n, x)
+    f = _ttrr(b, a, n, x, bits)
     return None if f == 0 else f > 0
 
 
-def _separators(d, a_rec, lo, hi, pivmin):
+def _separators(d, a_rec, lo, hi, pivmin, bits):
     """(ends, up): lo, then n - 1 cuts, then hi, and the _sign of P_n at
     each of them.  The k-th cut has exactly k eigenvalues below it and P_n
     of the sign (-1)^(n - k) at it.  Sturm-count bisection (Barth, Martin &
@@ -245,7 +309,7 @@ def _separators(d, a_rec, lo, hi, pivmin):
     working precision, which cannot separate the eigenvalues between them."""
     n = len(d)
     ends = [lo] + [None] * (n - 1) + [hi]
-    up = [_sign(d, a_rec, n, lo)] + [None] * (n - 1) + [_sign(d, a_rec, n, hi)]
+    up = [_sign(d, a_rec, n, lo, bits)] + [None] * (n - 1) + [_sign(d, a_rec, n, hi, bits)]
     # [a, b) holds the eigenvalues ca + 1..cb and owes the cuts ca..cb: an
     # end that cuts nothing leaves its cut owed by both of its neighbours.
     # An interval whose ends have equal counts holds no eigenvalue and is
@@ -258,7 +322,7 @@ def _separators(d, a_rec, lo, hi, pivmin):
             continue
         c = _sturm_count(d, a_rec, m, pivmin)
         if ends[c] is None:
-            s = _sign(d, a_rec, n, m)
+            s = _sign(d, a_rec, n, m, bits)
             if s is not None and s == ((n - c) % 2 == 0):
                 ends[c], up[c] = m, s
         todo += [part for part in ((a, ca, m, c), (m, c, b, cb)) if part[1] < part[3]]
@@ -312,17 +376,18 @@ def _seed(fb, fa, n, lo, hi) -> mp.mpf:
     return x if lo < x < hi else mid
 
 
-def _polish(b, a_rec, fb, fa, n, lo, hi, lo_up, tol, steps) -> mp.mpf:
+def _polish(b, a_rec, fb, fa, n, lo, hi, lo_up, tol, steps, bits) -> mp.mpf:
     """Guarded Newton iteration on P_n toward the one zero in [lo, hi] from
     the binary64 seed of _seed (fb and fa are the float images of b and
     a_rec), each step corrected by P_n'' (Halley's method; ttrr_d2 returns
     P_n'' anyway).  A step is accepted only if it stays in the bracket;
     otherwise the bracket is halved at its midpoint m, keeping the half
     where P_n changes sign (`lo_up` is true when P_n(lo) > 0), and the
-    iteration restarts from the new midpoint."""
+    iteration restarts from the new midpoint.  P_n and its derivatives are
+    read at `bits` bits."""
     x = _seed(fb, fa, n, lo, hi)
     for _ in range(steps):
-        f, fp, fpp = ttrr_d2(b, a_rec, n, x)
+        f, fp, fpp = ttrr_d2(b, a_rec, n, x, bits)
         if f == 0 or fp == 0:
             break
         dx = f / fp
@@ -332,7 +397,7 @@ def _polish(b, a_rec, fb, fa, n, lo, hi, lo_up, tol, steps) -> mp.mpf:
         x1 = x - dx
         if not lo <= x1 <= hi:
             m = (lo + hi) / 2
-            if _sign(b, a_rec, n, m) != lo_up:
+            if _sign(b, a_rec, n, m, bits) != lo_up:
                 hi = m
             else:
                 lo = m
@@ -344,7 +409,7 @@ def _polish(b, a_rec, fb, fa, n, lo, hi, lo_up, tol, steps) -> mp.mpf:
     return x
 
 
-def _interlaced(d, a_rec, fd, fa, ends, up, tol, steps):
+def _interlaced(d, a_rec, fd, fa, ends, up, tol, steps, bits):
     """The n zeros of P_n, one polished in each gap of the n + 1 ascending
     points `ends`, where P_n has the _sign `up`; None unless P_n alternates
     in sign across them without vanishing, which proves each gap holds
@@ -355,7 +420,7 @@ def _interlaced(d, a_rec, fd, fa, ends, up, tol, steps):
         return None
     n = len(d)
     return [_polish(d, a_rec, fd, fa, n, ends[k], ends[k + 1], up[k],
-                    tol(ends[k], ends[k + 1]), steps)
+                    tol(ends[k], ends[k + 1]), steps, bits)
             for k in range(n)]
 
 
@@ -425,13 +490,13 @@ def tridiag_eigenvalues(diag, off2, ctx: PrecisionContext, cuts=None) -> list:
         out = None
         if cuts is not None:
             ends = [lo] + [mp.mpf(c) for c in cuts] + [hi]
-            out = _interlaced(d, a_rec, fd, fa, ends, [_sign(d, a_rec, n, x) for x in ends],
-                              tol, ctx.bits)
+            out = _interlaced(d, a_rec, fd, fa, ends,
+                              [_sign(d, a_rec, n, x, work) for x in ends], tol, ctx.bits, work)
         if out is None:
             pivmin = max(max(off2), mp.mpf(1)) * mp.mpf(2) ** (-2 * work)
-            cut = _separators(d, a_rec, lo, hi, pivmin)
+            cut = _separators(d, a_rec, lo, hi, pivmin, work)
             if cut is not None:
-                out = _interlaced(d, a_rec, fd, fa, *cut, tol, ctx.bits)
+                out = _interlaced(d, a_rec, fd, fa, *cut, tol, ctx.bits, work)
         if out is None:
             raise ConvergenceError("the working precision cannot separate the eigenvalues")
     return [ctx.round(x) for x in out]

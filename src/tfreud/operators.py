@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import mpmath as mp
 
 from .kernel import (
+    RESIDUAL_GUARD_BITS,
     DomainError,
     MonicPoly,
     PrecisionContext,
@@ -88,7 +89,8 @@ def ttrr_eval_d2(tbl: RecurrenceTable, n: int, x) -> tuple:
     if n < 0 or n > tbl.n_max + 1:
         raise IndexError(f"need 0 <= n <= {tbl.n_max + 1}, got {n}")
     with tbl.workprec():
-        return ttrr_d2(tbl.b, tbl.a, n, mp.mpf(x))
+        x = mp.mpf(x)
+    return ttrr_d2(tbl.b, tbl.a, n, x, tbl.ctx.bits + RESIDUAL_GUARD_BITS)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,10 @@ AGM and the four-step recurrence, no Gamma evaluation) by the modified-moment
 (Chebyshev) algorithm at a boosted internal precision: a reserve of
 LOSS_BITS_PER_DEGREE = 3.5 bits per degree, although the map from moments to
 coefficients measurably loses 4.1-4.2, so past degree ~90 the top entries
-carry fewer correct bits than the context claims.  Final values are rounded
+carry fewer correct bits than the context claims.  The O(n^2) elimination
+runs on the kernel's integer images, each step rounded exactly as mpf rounds
+it at the internal precision, so it gives the mpf loop's bits; the O(n)
+divisions and the guard on the norms run in mpf.  Final values are rounded
 to the caller's context, which the table keeps: every evaluation on a table
 runs at RecurrenceTable.workprec(), whatever mpmath's global precision is.
 The table also carries P_n(0), the value at the truncation point x = 0,
@@ -47,6 +50,10 @@ from .kernel import (
     DomainError,
     PrecisionContext,
     PrecisionExhaustionError,
+    _add,
+    _image,
+    _mpf,
+    _mul,
 )
 from .moments import moment, moment_sequence
 
@@ -200,7 +207,8 @@ def chebyshev_coeffs(z, n_max: int, ctx: PrecisionContext) -> RecurrenceTable:
     if n_max < 0:
         raise DomainError(f"n_max must be >= 0, got {n_max}")
     ictx = PrecisionContext(max(64, internal_bits_for(ctx, n_max)))
-    with ictx.workprec(16):
+    bits = ictx.bits + 16
+    with mp.workprec(bits):
         zv = mp.mpf(z)
         if not zv > 0:
             raise DomainError(f"z must be positive, got {z}")
@@ -212,24 +220,27 @@ def chebyshev_coeffs(z, n_max: int, ctx: PrecisionContext) -> RecurrenceTable:
         a = [mp.mpf(0)]
         b = [mu[1] / mu[0]]
         h = [mu[0]]
-        prev = [mp.mpf(0)] * (L + 1)   # sigma_{-1,l}
-        cur = list(mu)                  # sigma_{0,l}
+        # the rows are integer images; only the divisions and the guard on
+        # the diagonal entry read mpf values
+        prev = [(0, 0)] * (L + 1)          # sigma_{-1,l}
+        cur = [_image(v) for v in mu]      # sigma_{0,l}
         for k in range(n_max):
             # row k+1 holds l = k+1 .. L-(k+1); keep absolute l-indexing
-            new = [mp.mpf(0)] * (L + 1)
+            new = [(0, 0)] * (L + 1)
+            bk, ak = _image(-b[k]), _image(-a[k])
             for l in range(k + 1, L - k):
-                new[l] = cur[l + 1] - b[k] * cur[l] - a[k] * prev[l]
-                m = mp.mag(new[l])
-                if m > max_mag:
-                    max_mag = m
+                m, e = new[l] = _add(_add(cur[l + 1], _mul(bk, cur[l], bits), bits),
+                                     _mul(ak, prev[l], bits), bits)
+                if m and m.bit_length() + e > max_mag:   # mp.mag of the entry
+                    max_mag = m.bit_length() + e
                     floor = max_mag - ictx.bits + 8
-            hk1 = new[k + 1]
+            hk1, ck = _mpf(new[k + 1]), _mpf(cur[k])
             if hk1 <= 0 or mp.mag(hk1) < floor:
                 raise PrecisionExhaustionError(
                     f"norm h_{k + 1} lost all significant bits "
                     f"(increase precision beyond {ictx.bits})", k + 1)
-            a.append(hk1 / cur[k])
-            b.append(new[k + 2] / hk1 - cur[k + 1] / cur[k])
+            a.append(hk1 / ck)
+            b.append(_mpf(new[k + 2]) / hk1 - _mpf(cur[k + 1]) / ck)
             h.append(hk1)
             prev, cur = cur, new
         return RecurrenceTable(ctx.round(zv),

@@ -206,8 +206,9 @@ def run_verification(z_values=(mp.mpf(1) / 4, 1, 4), n_max: int = 14,
             worst = _worst(fn(tables[z], n) for z in zs for n in range(1, n_max + 1))
             records.append(_rec(name, nrange, zdesc, worst, tol1))
 
-        # ladder compatibility
-        compat = [compat_residuals(tables[z], n, sample_grid(n, z, ctx, count=8))
+        # ladder compatibility, and the grid every sampled record reads
+        grids = {(z, n): sample_grid(n, z, ctx, count=8) for z in zs for n in range(1, n_max + 1)}
+        compat = [compat_residuals(tables[z], n, grids[z, n])
                   for z in zs for n in range(1, n_max + 1)]
         for k, name in enumerate(("compat-first", "compat-second")):
             records.append(_rec(name, nrange, zdesc, max(r[k] for r in compat), tol1))
@@ -225,15 +226,15 @@ def run_verification(z_values=(mp.mpf(1) / 4, 1, 4), n_max: int = 14,
             records.append(_rec(name, f"2..{n_max}", zdesc, worst, tol1))
 
         # holonomic second-order equations
-        worst = max(holonomic_residual_Dn(tables[z], data, sample_grid(n, z, ctx, count=8))
+        worst = max(holonomic_residual_Dn(tables[z], data, grids[z, n])
                     for (z, n), data in lowering.items() if n >= 3)
         records.append(_rec("ode-composed", f"3..{n_max}", zdesc, worst, tol1))
-        worst = max(holonomic_residual_chen(tables[z], n, sample_grid(n, z, ctx, count=8))
+        worst = max(holonomic_residual_chen(tables[z], n, grids[z, n])
                     for z in zs for n in range(1, n_max + 1))
         records.append(_rec("ode-eliminated", nrange, zdesc, worst, tol1))
 
         # confluent kernel identity
-        worst = max(confluent_check(tables[z], n, sample_grid(max(n, 1), z, ctx, count=8))
+        worst = max(confluent_check(tables[z], n, grids[z, max(n, 1)])
                     for z in zs for n in (0, n_max // 2, n_max))
         records.append(_rec("confluent-kernel", f"0..{n_max}", zdesc, worst, tol1))
 

@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+import functools
+
 import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath.libmp import from_man_exp, mpf_add, mpf_mul, round_nearest
 
 from tfreud import kernel
 from tfreud.kernel import (
+    RESIDUAL_GUARD_BITS,
     ConvergenceError,
     DomainError,
     MonicPoly,
@@ -21,6 +25,7 @@ from tfreud.kernel import (
     poly_trim,
     tridiag_eigenvalues,
 )
+from tfreud.recurrence import chebyshev_coeffs
 
 
 def test_context_rejects_low_bits():
@@ -342,3 +347,150 @@ def test_tridiag_midpoint_on_an_eigenvalue(n, centred, monkeypatch):
         assert ev[n // 2] == mp.mpf(n - 1) / 2 - shift
     for got, want in zip(ev, _eigsy(diag, off2)):
         assert abs(got - want) <= ctx.verify_tol(n)
+
+
+# --- integer images: every operation rounded as mpmath rounds it ------------
+
+IMAGE_BITS = (53, 288, 416, 1184, 3328)
+
+
+def _raw(u):
+    """The image u = (m, e) as mpmath's raw (sign, man, exp, bc), exactly."""
+    return from_man_exp(*u)
+
+
+@given(st.sampled_from(IMAGE_BITS).flatmap(lambda bits: st.tuples(
+    st.just(bits), st.integers(-(1 << 3 * bits), 1 << 3 * bits),
+    st.integers(-4 * bits, 4 * bits))))
+@settings(max_examples=200, deadline=None)
+def test_round_matches_mpmath_normalize(case):
+    bits, m, e = case
+    assert _raw(kernel._round(m, e, bits)) == from_man_exp(m, e, bits, round_nearest)
+
+
+@st.composite
+def _image_pairs(draw):
+    """(bits, u, v): two images of at most `bits` bits, as the operands of an
+    mpf operation at `bits` are, with exponent gaps near 0, around the
+    bits + 4 beyond which mpmath's mpf_add only perturbs the larger addend,
+    and anywhere up to 4 bits."""
+    bits = draw(st.sampled_from(IMAGE_BITS))
+    mant = st.integers(-(1 << bits) + 1, (1 << bits) - 1)
+    e = draw(st.integers(-4 * bits, 4 * bits))
+    gap = draw(st.one_of(st.integers(-8, 8), st.integers(bits - 8, bits + 120),
+                         st.integers(-4 * bits, 4 * bits)))
+    return bits, (draw(mant), e), (draw(mant), e - gap)
+
+
+@given(_image_pairs())
+@settings(max_examples=400, deadline=None)
+def test_image_product_and_sum_match_mpmath(case):
+    bits, u, v = case
+    assert _raw(kernel._mul(u, v, bits)) == mpf_mul(_raw(u), _raw(v), bits, round_nearest)
+    assert _raw(kernel._add(u, v, bits)) == mpf_add(_raw(u), _raw(v), bits, round_nearest)
+
+
+def _exact_sum(u, v, bits):
+    """u + v summed exactly in Python ints, then rounded by mpmath."""
+    e = min(u[1], v[1])
+    return from_man_exp((u[0] << (u[1] - e)) + (v[0] << (v[1] - e)), e, bits, round_nearest)
+
+
+@pytest.mark.parametrize("bits", IMAGE_BITS)
+def test_image_arithmetic_edge_cases(bits):
+    top, full = 1 << (bits - 1), (1 << bits) - 1
+    sums = {}
+    for sign in (1, -1):
+        # (top + j) * 2 + 1 lies halfway between two neighbours at `bits`:
+        # even j rounds down to (top + j) * 2, odd j up to (top + j + 1) * 2
+        sums[f"tie-down{sign}"] = (((top + 2) * sign, 1), (sign, 0), ((top + 2) * sign, 1))
+        sums[f"tie-up{sign}"] = (((top + 3) * sign, 1), (sign, 0), ((top + 4) * sign, 1))
+        # the round-up carries into the next power of two
+        sums[f"carry{sign}"] = ((full * sign, 1), (sign, 0), (sign, bits + 1))
+        # a zero addend, and a sum that cancels to zero
+        sums[f"zero{sign}"] = (((top + 1) * sign, -7), (0, 5), ((top + 1) * sign, -7))
+        sums[f"cancel{sign}"] = (((top + 1) * sign, 3), (-(top + 1) * sign, 3), (0, 0))
+    for name, (u, v, value) in sums.items():
+        got = _raw(kernel._add(u, v, bits))
+        assert got == mpf_add(_raw(u), _raw(v), bits, round_nearest) == _exact_sum(u, v, bits)
+        assert got == _raw(value), name
+    # products: one that carries into the next power of two, zero operands
+    # and mixed signs
+    for u, v in [((full, 0), (full + 2, 0)), ((-full, 3), (full + 2, -9)),
+                 ((0, 4), (-full, 2)), ((top + 1, 0), (0, -3)), ((-top - 5, 1), (-top - 7, 2))]:
+        assert _raw(kernel._mul(u, v, bits)) == mpf_mul(_raw(u), _raw(v), bits, round_nearest)
+    assert _raw(kernel._mul((full, 0), (full + 2, 0), bits)) == _raw((1, 2 * bits))
+
+
+@pytest.mark.parametrize("bits", IMAGE_BITS)
+def test_image_sum_of_far_apart_addends(bits):
+    # the smaller addend lies below 2^-far units of the larger one's lowest
+    # bit.  Past far = 4, mpmath's mpf_add keeps only its sign once the
+    # exponents are also 100 apart; past far = bits, so does the image sum.
+    # Both agree with the exactly rounded sum, also where the sum falls
+    # below a power of two.
+    top, full = 1 << (bits - 1), (1 << bits) - 1
+    for far in (3, 4, 5, 6, bits - 1, bits, bits + 1, bits + 2, 2 * bits + 7, 10 ** 4):
+        for big in ((top + 1, 0), (top, 0), (full, 0), (-top, 0), (-full, 0), (3, 0), (-1, 0)):
+            for small in (1, -1, full, -full, top, 5):
+                v = (small, -far - small.bit_length())
+                got = _raw(kernel._add(big, v, bits))
+                assert got == mpf_add(_raw(big), _raw(v), bits, round_nearest)
+                assert got == _raw(kernel._add(v, big, bits)) == _exact_sum(big, v, bits)
+
+
+def _ttrr_d2_mpf(b, a, n, x):
+    """The recurrence loop of ttrr_d2 in mpf at mpmath's global precision:
+    the oracle for the loop on integer images."""
+    p_prev, p = mp.mpf(0), mp.mpf(1)
+    d_prev, d = mp.mpf(0), mp.mpf(0)
+    s_prev, s = mp.mpf(0), mp.mpf(0)
+    for k in range(n):
+        w = x - b[k]
+        ak = a[k]
+        p, p_prev = w * p - ak * p_prev, p
+        d, d_prev = p_prev + w * d - ak * d_prev, d
+        s, s_prev = 2 * d_prev + w * s - ak * s_prev, s
+    return p, d, s
+
+
+def _ttrr_mpf(b, a, n, x):
+    """The loop of kernel._ttrr in mpf, as _ttrr_d2_mpf."""
+    p_prev, p = mp.mpf(0), mp.mpf(1)
+    for k in range(n):
+        p, p_prev = (x - b[k]) * p - a[k] * p_prev, p
+    return p
+
+
+@functools.cache
+def _oracle_table(zq, n):
+    return chebyshev_coeffs(mp.mpf(zq), n, PrecisionContext(default_bits(n)))
+
+
+@pytest.mark.parametrize("n", [1, 8, 16, 64, 128])
+@pytest.mark.parametrize("zq", ["0.25", "1", "4"])
+def test_ttrr_matches_the_mpf_loop(zq, n):
+    # at the polish precision and at the table's evaluation precision, at
+    # x = 0, the Gershgorin ends, a zero of P_n polished to the working
+    # precision, and a point between the zeros
+    tbl = _oracle_table(zq, n)
+    b, a = tbl.b[:n], tbl.a[:n]
+    for bits in (tbl.ctx.bits + 32, tbl.ctx.bits + RESIDUAL_GUARD_BITS):
+        with mp.workprec(bits):
+            e = [mp.mpf(0)] + [mp.sqrt(v) for v in tbl.a[1:n]] + [mp.mpf(0)]
+            lo = min(b[i] - e[i] - e[i + 1] for i in range(n))
+            hi = max(b[i] + e[i] + e[i + 1] for i in range(n))
+            x = kernel._seed([float(v) for v in b], [float(v) for v in a], n, lo, hi)
+            for _ in range(6):
+                f, fp, fpp = _ttrr_d2_mpf(b, a, n, x)
+                if f == 0:
+                    break
+                dx = f / fp
+                x -= dx / (1 - dx * fpp / (2 * fp))
+            points = [mp.mpf(0), lo, hi, x, (lo + 2 * hi) / 3]
+            want = [_ttrr_d2_mpf(b, a, n, x) + (_ttrr_mpf(b, a, n, x),) for x in points]
+        # the polished point is a zero: P_n there is roundoff
+        assert abs(want[3][0]) <= abs(want[4][0]) * mp.mpf(2) ** (-bits // 2)
+        for x, w in zip(points, want):
+            got = kernel.ttrr_d2(b, a, n, x, bits) + (kernel._ttrr(b, a, n, x, bits),)
+            assert [v._mpf_ for v in got] == [v._mpf_ for v in w]

@@ -20,6 +20,7 @@ import tfreud
 from tfreud.kernel import (
     PrecisionContext,
     tridiag_eigenvalues,
+    ttrr_d2,
 )
 from tfreud.moments import (
     MomentSequence,
@@ -124,6 +125,8 @@ CASES = {
     "poly_table": lambda: poly_table(TBL, 8),
     "sample_grid": lambda: sample_grid(6, "0.3", CTX, count=5),
     "ttrr_eval_d2": lambda: ttrr_eval_d2(TBL, 9, "0.7"),
+    # the precision is an argument: nothing is rounded by the global one
+    "ttrr_d2": lambda: ttrr_d2(TBL.b, TBL.a, 9, TBL.b[4], CTX.bits + 32),
     "beta_row": lambda: beta_row(TBL, 5),
     "beta_lower": lambda: beta_lower(TBL, 5),
     "structure_coeffs": lambda: structure_coeffs(TBL, 5),

@@ -11,8 +11,9 @@ from tfreud.kernel import (
     DomainError,
     PrecisionContext,
     PrecisionExhaustionError,
+    default_bits,
 )
-from tfreud.moments import moment
+from tfreud.moments import moment, moment_sequence
 from tfreud.recurrence import (
     RecurrenceTable,
     asymptotic_constant_residuals,
@@ -258,6 +259,56 @@ def test_precision_exhaustion_detected(monkeypatch):
     with pytest.raises(PrecisionExhaustionError) as exc:
         chebyshev_coeffs(1, 40, ctx)
     assert 0 < exc.value.index <= 40
+
+
+def _chebyshev_mpf(z, n_max, ctx):
+    """chebyshev_coeffs with its elimination loop in mpf: the oracle for the
+    loop on integer images.  Returns (a, b, h) unrounded."""
+    ictx = PrecisionContext(max(64, recurrence.internal_bits_for(ctx, n_max)))
+    with ictx.workprec(16):
+        L = 2 * n_max + 1
+        mu = moment_sequence(mp.mpf(z), L, ictx)
+        max_mag = max(mp.mag(m) for m in mu)
+        floor = max_mag - ictx.bits + 8
+        a, b, h = [mp.mpf(0)], [mu[1] / mu[0]], [mu[0]]
+        prev, cur = [mp.mpf(0)] * (L + 1), list(mu)
+        for k in range(n_max):
+            new = [mp.mpf(0)] * (L + 1)
+            for l in range(k + 1, L - k):
+                new[l] = cur[l + 1] - b[k] * cur[l] - a[k] * prev[l]
+                m = mp.mag(new[l])
+                if m > max_mag:
+                    max_mag = m
+                    floor = max_mag - ictx.bits + 8
+            hk1 = new[k + 1]
+            if hk1 <= 0 or mp.mag(hk1) < floor:
+                raise PrecisionExhaustionError("exhausted", k + 1)
+            a.append(hk1 / cur[k])
+            b.append(new[k + 2] / hk1 - cur[k + 1] / cur[k])
+            h.append(hk1)
+            prev, cur = cur, new
+        return a, b, h
+
+
+@pytest.mark.parametrize("n_max, bits", [(16, None), (160, None), (200, 96)])
+def test_elimination_matches_the_mpf_loop(n_max, bits):
+    # the integer-image loop rounds every step as mpf does: the same bits,
+    # also on the 96-bit n = 200 table whose top rows are mostly roundoff
+    ctx = PrecisionContext(bits or default_bits(n_max))
+    tbl = chebyshev_coeffs(1, n_max, ctx)
+    want = _chebyshev_mpf(1, n_max, ctx)
+    for got, ref in zip((tbl.a, tbl.b, tbl.h), want):
+        assert [v._mpf_ for v in got] == [ctx.round(v)._mpf_ for v in ref]
+
+
+def test_elimination_exhausts_where_the_mpf_loop_does(monkeypatch):
+    ctx = PrecisionContext(64)
+    monkeypatch.setattr(recurrence, "internal_bits_for", lambda ctx, n_max: 64)
+    with pytest.raises(PrecisionExhaustionError) as got:
+        chebyshev_coeffs(1, 40, ctx)
+    with pytest.raises(PrecisionExhaustionError) as want:
+        _chebyshev_mpf(1, 40, ctx)
+    assert got.value.index == want.value.index
 
 
 def test_internal_boost_does_not_change_values(monkeypatch):

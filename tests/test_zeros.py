@@ -155,8 +155,8 @@ def test_newton_fallback_step_runs(tbl, zsets, route, monkeypatch):
             "polish_sturm": 0}
     per_zero = []
 
-    def d2(b, a, n, x):
-        f, fp, fpp = real_d2(b, a, n, x)
+    def d2(b, a, n, x, bits):
+        f, fp, fpp = real_d2(b, a, n, x, bits)
         if seen["fresh"]:
             seen["fresh"] = False
             return f, fp * mp.mpf(2) ** -64, fpp * mp.mpf(2) ** -128
@@ -588,10 +588,10 @@ def test_sturm_cuts_are_evaluated_once(monkeypatch):
     real_ttrr, real_polish = kernel._ttrr, kernel._polish
     seen = {"inside": False, "points": []}
 
-    def ttrr(b, a, n, x):
+    def ttrr(b, a, n, x, bits):
         if not seen["inside"]:
             seen["points"].append(x)
-        return real_ttrr(b, a, n, x)
+        return real_ttrr(b, a, n, x, bits)
 
     def polish(*args):
         seen["inside"] = True
