@@ -6,6 +6,8 @@ failure, 2 usage or configuration error, 3 numerical failure."""
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import sys
 from dataclasses import dataclass
@@ -142,10 +144,12 @@ def write_table(cfg: RunConfig, columns: list, rows: list, out_path=None) -> Non
     """Serialize one table as CSV or JSON (meta + data) to out_path/stdout."""
     path = out_path if out_path is not None else cfg.out
     if cfg.fmt == "csv":
-        lines = [",".join(columns)]
-        for row in rows:
-            lines.append(",".join(_fmt_value(row[c], cfg) for c in columns))
-        text = "\n".join(lines) + "\n"
+        # minimal quoting: a cell holding commas (verify's z_values) is quoted
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([_fmt_value(row[c], cfg) for c in columns] for row in rows)
+        text = buf.getvalue()
     else:
         # only the subcommands that read --z report it
         z = {"z": mp.nstr(cfg.z, cfg.dps)} if "z" in ACCEPTS[cfg.command] else {}

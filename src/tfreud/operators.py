@@ -17,11 +17,13 @@ the distributional Pearson equation of the weight exp(-z*x^4) on (0, inf):
 
 Identity checks are done at the polynomial-coefficient level when the
 identity is polynomial, and on a fixed log-spaced sample grid when it is
-rational.  The polynomial checks (structure, lowering, raising) and the
-scalar identities i and ii return (residual, scale), to be judged as
-|residual| <= verify_tol(scale); the sampled checks return residuals already
-divided by their term magnitudes.  All derivative work on rational functions
-is symbolic.
+rational.  The polynomial checks (structure_residual, and the lowering and
+raising pair of lowering_raising_apply) and the scalar identities i and ii
+return (residual, scale), to be judged as |residual| <= verify_tol(scale);
+the sampled checks return residuals already divided by their term
+magnitudes.  ladder_residuals evaluates each ladder function once per sample
+for both compatibility identities and the eliminated ODE.  All derivative
+work on rational functions is symbolic.
 """
 from __future__ import annotations
 
@@ -197,7 +199,7 @@ def structure_residual(tbl: RecurrenceTable, polys: tuple, n: int) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# ladder functions calA_n, calB_n and their compatibility identities
+# ladder functions calA_n, calB_n and their identities
 # ---------------------------------------------------------------------------
 
 def ladder_A(tbl: RecurrenceTable, n: int) -> RationalFn:
@@ -248,39 +250,49 @@ def identity_ii_residual(tbl: RecurrenceTable, n: int) -> tuple:
         return lhs - rhs, max(abs(lhs), abs(rhs))
 
 
-def compat_residuals(tbl: RecurrenceTable, n: int, x_samples) -> tuple:
-    """Scaled max residuals of the two ladder compatibility identities:
+def ladder_residuals(tbl: RecurrenceTable, n: int, x_samples) -> tuple:
+    """Scaled max residuals (compat_first, compat_second, ode_eliminated):
 
         calB_{n+1} + calB_n = (x - b_n) calA_n - v'
         a_{n+1} calA_{n+1} - a_n calA_{n-1} = 1 + (x - b_n)(calB_{n+1} - calB_n)
+        P_n'' + S P_n' + Q P_n = 0,  S = -v' - calA_n'/calA_n,
+        Q = calB_n' - calB_n calA_n'/calA_n - calB_n(v' + calB_n) + a_n calA_n calA_{n-1}
 
-    Each residual is divided by the sum of term magnitudes at the sample, so
-    both returned values compare against verify_tol(1)."""
+    (v = z x^4); the ODE eliminates P_{n-1} from the first-order ladder pair
+    (d/dx + calB_n) P_n = a_n calA_n P_{n-1}, -(d/dx - calB_n - v') P_{n-1}
+    = calA_{n-1} P_n.  Each ladder function is evaluated once per sample and
+    read by every identity that needs it.  Each residual is divided by the
+    sum of its term magnitudes plus 1, so all three compare against
+    verify_tol(1).  calA_n has no zero on (0, inf); the pole x = 0 is
+    refused.  y, y', y'' come from ttrr_eval_d2, which keeps the ODE
+    residual floor near unit roundoff of the table entries."""
     if n < 1 or n > tbl.n_max - 2:
         raise IndexError(f"need 1 <= n <= {tbl.n_max - 2}, got {n}")
-    A_n = ladder_A(tbl, n)
-    A_up = ladder_A(tbl, n + 1)
-    A_dn = ladder_A(tbl, n - 1)
-    B_n = ladder_B(tbl, n)
-    B_up = ladder_B(tbl, n + 1)
-    r1 = mp.mpf(0)
-    r2 = mp.mpf(0)
+    A_dn, A_n, A_up = (ladder_A(tbl, k) for k in (n - 1, n, n + 1))
+    B_n, B_up = ladder_B(tbl, n), ladder_B(tbl, n + 1)
+    a, b = tbl.a, tbl.b
+    worst = [mp.mpf(0)] * 3
     with tbl.workprec():
+        dA = A_n.derivative()
+        dB = B_n.derivative()
         f = 4 * tbl.z
         for x in x_samples:
             if x == 0:
                 raise DomainError("sample grid touches the pole at x = 0")
+            vA, vA_dn, vB, vB_up = A_n.eval(x), A_dn.eval(x), B_n.eval(x), B_up.eval(x)
             vp = f * x ** 3
-            t1 = [B_up.eval(x), B_n.eval(x), (x - tbl.b[n]) * A_n.eval(x), vp]
-            res1 = t1[0] + t1[1] - t1[2] + t1[3]
-            s1 = sum(abs(v) for v in t1) + 1
-            t2 = [tbl.a[n + 1] * A_up.eval(x), tbl.a[n] * A_dn.eval(x),
-                  (x - tbl.b[n]) * (B_up.eval(x) - B_n.eval(x))]
-            res2 = t2[0] - t2[1] - 1 - t2[2]
-            s2 = sum(abs(v) for v in t2) + 1
-            r1 = max(r1, abs(res1) / s1)
-            r2 = max(r2, abs(res2) / s2)
-    return r1, r2
+            xb = x - b[n]
+            t1 = (vB_up, vB, xb * vA, vp)
+            t2 = (a[n + 1] * A_up.eval(x), a[n] * vA_dn, xb * (vB_up - vB))
+            y, y1, y2 = ttrr_eval_d2(tbl, n, x)
+            logd = dA.eval(x) / vA
+            Q = dB.eval(x) - vB * logd - vB * (vp + vB) + a[n] * vA * vA_dn
+            t3 = (y2, (-vp - logd) * y1, Q * y)
+            sums = (t1[0] + t1[1] - t1[2] + t1[3], t2[0] - t2[1] - 1 - t2[2],
+                    t3[0] + t3[1] + t3[2])
+            worst = [max(w, abs(r) / (sum(abs(v) for v in t) + 1))
+                     for w, r, t in zip(worst, sums, (t1, t2, t3))]
+    return tuple(worst)
 
 
 # ---------------------------------------------------------------------------
@@ -342,50 +354,47 @@ def lowering_data(tbl: RecurrenceTable, n: int) -> LoweringData:
                             RationalFn(tuple(D), tuple(C)))
 
 
-def lowering_apply(tbl: RecurrenceTable, polys: tuple, data: LoweringData) -> tuple:
-    """The largest coefficient of x P'_{n+1} + D_n P_{n+1} - C_n P_n (zero up
-    to roundoff) and that of C_n P_n, its scale; n = data.n."""
-    n = data.n
-    with tbl.workprec():
-        p_up = list(polys[n + 1].coeffs)
-        res = [mp.mpf(0)] + poly_diff(p_up)
-        res = poly_add(res, poly_mul(list(data.D), p_up))
-        cp = poly_mul(list(data.C), list(polys[n].coeffs))
-        return poly_max_abs(poly_sub(res, cp)), poly_max_abs(cp)
+def lowering_raising_apply(tbl: RecurrenceTable, polys: tuple, data: LoweringData) -> tuple:
+    """((residual, scale), (residual, scale)) of the lowering and the raising
+    identity at n = data.n.  The residuals are the largest coefficients of
 
+        x P'_{n+1} + D_n P_{n+1} - C_n P_n
+        -a_{n+1}[x P'_{n+1} + D_n P_{n+1}] + (x - b_{n+1}) C_n P_{n+1} - C_n P_{n+2}
 
-def raising_apply(tbl: RecurrenceTable, polys: tuple, data: LoweringData) -> tuple:
-    """The largest coefficient of -a_{n+1}[x P'_{n+1} + D_n P_{n+1}]
-    + (x - b_{n+1}) C_n P_{n+1} - C_n P_{n+2} (zero up to roundoff) and its
-    scale a_{n+1} times the largest coefficient of C_n P_n; n = data.n."""
+    (zero up to roundoff); the scales are the largest coefficient of C_n P_n
+    and a_{n+1} times it.  x P'_{n+1} + D_n P_{n+1} and C_n P_n are formed once."""
     n = data.n
     if n + 2 > len(polys) - 1:
         raise IndexError(f"polys holds degrees <= {len(polys) - 1}, need {n + 2}")
+    C = list(data.C)
     with tbl.workprec():
         p_up = list(polys[n + 1].coeffs)
         core = [mp.mpf(0)] + poly_diff(p_up)
         core = poly_add(core, poly_mul(list(data.D), p_up))
-        res = poly_scale(core, -tbl.a[n + 1])
+        cp = poly_mul(C, list(polys[n].coeffs))
+        scale = poly_max_abs(cp)
+        up = poly_scale(core, -tbl.a[n + 1])
         xb = [-tbl.b[n + 1], mp.mpf(1)]
-        res = poly_add(res, poly_mul(poly_mul(xb, list(data.C)), p_up))
-        res = poly_sub(res, poly_mul(list(data.C), list(polys[n + 2].coeffs)))
-        scale = tbl.a[n + 1] * poly_max_abs(poly_mul(list(data.C), list(polys[n].coeffs)))
-        return poly_max_abs(res), scale
+        up = poly_add(up, poly_mul(poly_mul(xb, C), p_up))
+        up = poly_sub(up, poly_mul(C, list(polys[n + 2].coeffs)))
+        return ((poly_max_abs(poly_sub(core, cp)), scale),
+                (poly_max_abs(up), tbl.a[n + 1] * scale))
 
 
-def holonomic_residual_Dn(tbl: RecurrenceTable, data: LoweringData, x_samples) -> mp.mpf:
+def holonomic_residual_Dn(tbl: RecurrenceTable, prev: LoweringData, data: LoweringData,
+                          x_samples) -> mp.mpf:
     """Scaled max residual of the composed second-order operator
 
         a_n A_n A_{n-1} y'' + [A_n(a_n B_{n-1} - x + b_n) + a_n A_{n-1}(A_n' + B_n)] y'
         + [a_n B_n' A_{n-1} + B_n(a_n B_{n-1} - x + b_n) + 1] y
 
-    applied to y = P_{n+1}, n = data.n.  A', B' are symbolic rational derivatives.
-    y, y', y'' are evaluated through the recurrence (ttrr_eval_d2), which
-    keeps the residual floor near unit roundoff of the table entries."""
+    applied to y = P_{n+1}, n = data.n; prev is the lowering data of degree
+    n - 1.  A', B' are symbolic rational derivatives.  y, y', y'' are
+    evaluated through the recurrence (ttrr_eval_d2), which keeps the
+    residual floor near unit roundoff of the table entries."""
     n = data.n
-    if n < 3:
-        raise IndexError(f"need n >= 3 (A_{n - 1} requires lowering data), got {n}")
-    prev = lowering_data(tbl, n - 1)
+    if prev.n != n - 1:
+        raise DomainError(f"prev must hold degree {n - 1}, got {prev.n}")
     A_n, B_n = data.A, data.B
     A_p, B_p = prev.A, prev.B
     with tbl.workprec():
@@ -402,47 +411,6 @@ def holonomic_residual_Dn(tbl: RecurrenceTable, data: LoweringData, x_samples) -
             c1 = An_x * mid + an * Ap_x * (dA.eval(x) + Bn_x)
             c0 = an * dB.eval(x) * Ap_x + Bn_x * mid + 1
             terms = (c2 * y2, c1 * y1, c0 * y)
-            scale = sum(abs(t) for t in terms) + 1
-            worst = max(worst, abs(terms[0] + terms[1] + terms[2]) / scale)
-        return worst
-
-
-def holonomic_residual_chen(tbl: RecurrenceTable, n: int, x_samples) -> mp.mpf:
-    """Scaled max residual of P_n'' + S P_n' + Q P_n = 0 with
-
-        S = -v' - calA_n'/calA_n
-        Q = calB_n' - calB_n * calA_n'/calA_n - calB_n(v' + calB_n)
-            + a_n calA_n calA_{n-1}
-
-    obtained by eliminating P_{n-1} from the first-order ladder pair
-
-        (d/dx + calB_n) P_n = a_n calA_n P_{n-1}
-        -(d/dx - calB_n - v') P_{n-1} = calA_{n-1} P_n
-
-    (v = z x^4).  Valid for n >= 1; on (0, inf) calA_n has no zero, so the
-    only excluded sample point is x = 0.  y, y', y'' come from ttrr_eval_d2
-    for the same conditioning reason as in holonomic_residual_Dn."""
-    if n < 1 or n > tbl.n_max - 1:
-        raise IndexError(f"need 1 <= n <= {tbl.n_max - 1}, got {n}")
-    A_n = ladder_A(tbl, n)
-    A_dn = ladder_A(tbl, n - 1)
-    B_n = ladder_B(tbl, n)
-    with tbl.workprec():
-        dA = A_n.derivative()
-        dB = B_n.derivative()
-        f = 4 * tbl.z
-        worst = mp.mpf(0)
-        for x in x_samples:
-            if x == 0:
-                raise DomainError("sample grid touches the pole at x = 0")
-            y, y1, y2 = ttrr_eval_d2(tbl, n, x)
-            vA = A_n.eval(x)
-            logd = dA.eval(x) / vA
-            vB = B_n.eval(x)
-            vp = f * x ** 3
-            S = -vp - logd
-            Q = dB.eval(x) - vB * logd - vB * (vp + vB) + tbl.a[n] * vA * A_dn.eval(x)
-            terms = (y2, S * y1, Q * y)
             scale = sum(abs(t) for t in terms) + 1
             worst = max(worst, abs(terms[0] + terms[1] + terms[2]) / scale)
         return worst

@@ -20,19 +20,17 @@ from .moments import (
 )
 from .operators import (
     beta_row,
-    compat_residuals,
     confluent_check,
     holonomic_residual_Dn,
-    holonomic_residual_chen,
     identity_i_residual,
     identity_ii_residual,
     jacobi_matrix,
+    ladder_residuals,
     lax_block_check,
-    lowering_apply,
     lowering_data,
+    lowering_raising_apply,
     mat_mul,
     poly_table,
-    raising_apply,
     sample_grid,
     structure_residual,
 )
@@ -145,7 +143,7 @@ def _algebraic_verdicts(tbl: RecurrenceTable, n_max: int) -> tuple:
             flags += [_worst([fn(tbl, n)]) <= tol
                       for fn in (lf_residual_1, lf_residual_I, identity_i_residual)]
         xs = sample_grid(min(5, n_max), tbl.z, ctx, count=8)
-        flags.append(holonomic_residual_chen(tbl, min(5, n_max), xs) <= tol)
+        flags.append(ladder_residuals(tbl, min(5, n_max), xs)[2] <= tol)
         return tuple(flags)
 
 
@@ -206,12 +204,13 @@ def run_verification(z_values=(mp.mpf(1) / 4, 1, 4), n_max: int = 14,
             worst = _worst(fn(tables[z], n) for z in zs for n in range(1, n_max + 1))
             records.append(_rec(name, nrange, zdesc, worst, tol1))
 
-        # ladder compatibility, and the grid every sampled record reads
+        # ladder compatibility and the eliminated ODE, and the grid every
+        # sampled record reads
         grids = {(z, n): sample_grid(n, z, ctx, count=8) for z in zs for n in range(1, n_max + 1)}
-        compat = [compat_residuals(tables[z], n, grids[z, n])
+        ladder = [ladder_residuals(tables[z], n, grids[z, n])
                   for z in zs for n in range(1, n_max + 1)]
         for k, name in enumerate(("compat-first", "compat-second")):
-            records.append(_rec(name, nrange, zdesc, max(r[k] for r in compat), tol1))
+            records.append(_rec(name, nrange, zdesc, max(r[k] for r in ladder), tol1))
 
         # structure relation and lowering/raising operators
         worst = _worst(structure_residual(tables[z], ptables[z], n)
@@ -220,18 +219,16 @@ def run_verification(z_values=(mp.mpf(1) / 4, 1, 4), n_max: int = 14,
 
         lowering = {(z, n): lowering_data(tables[z], n)
                     for z in zs for n in range(2, n_max + 1)}
-        for name, fn in (("lowering", lowering_apply), ("raising", raising_apply)):
-            worst = _worst(fn(tables[z], ptables[z], data)
-                           for (z, _), data in lowering.items())
-            records.append(_rec(name, f"2..{n_max}", zdesc, worst, tol1))
+        applied = [lowering_raising_apply(tables[z], ptables[z], data)
+                   for (z, _), data in lowering.items()]
+        for k, name in enumerate(("lowering", "raising")):
+            records.append(_rec(name, f"2..{n_max}", zdesc, _worst(r[k] for r in applied), tol1))
 
         # holonomic second-order equations
-        worst = max(holonomic_residual_Dn(tables[z], data, grids[z, n])
+        worst = max(holonomic_residual_Dn(tables[z], lowering[z, n - 1], data, grids[z, n])
                     for (z, n), data in lowering.items() if n >= 3)
         records.append(_rec("ode-composed", f"3..{n_max}", zdesc, worst, tol1))
-        worst = max(holonomic_residual_chen(tables[z], n, grids[z, n])
-                    for z in zs for n in range(1, n_max + 1))
-        records.append(_rec("ode-eliminated", nrange, zdesc, worst, tol1))
+        records.append(_rec("ode-eliminated", nrange, zdesc, max(r[2] for r in ladder), tol1))
 
         # confluent kernel identity
         worst = max(confluent_check(tables[z], n, grids[z, max(n, 1)])

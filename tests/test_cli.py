@@ -1,6 +1,7 @@
 """Command-line behavior: schemas, exit codes, determinism, error paths."""
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 
@@ -274,7 +275,20 @@ def test_verify_out_file_bits_pinned(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "verify", "--n-max", "8", "--out", str(out))
     assert code == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == \
-        "dabc42f1056d83d3e1afcfb6ce8f5e8847a3046b361004d2ab727202841e68de"
+        "32a15720d429dc10fb18145f893521be630f204ffa54419c5548fc28d987a86e"
+
+
+def test_verify_out_csv_keeps_six_fields(tmp_path, capsys):
+    # z_values ("0.25,1.0,4.0") and stationarity's n_range ("6,8") hold
+    # commas; quoting keeps every row at the header's six fields
+    out = tmp_path / "f.csv"
+    run_cli(capsys, "verify", "--n-max", "8", "--out", str(out))
+    with open(out, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["name", "n_range", "z_values", "residual", "tolerance", "passed"]
+    assert len(rows) == 29
+    assert all(len(row) == 6 for row in rows)
+    assert ["stationarity", "6,8", "1"] == rows[24][:3]
 
 
 @pytest.mark.parametrize("argv", [

@@ -8,28 +8,32 @@ from hypothesis import strategies as st
 from tfreud.kernel import (
     DomainError,
     PrecisionContext,
+    RationalFn,
+    poly_add,
     poly_diff,
     poly_eval,
+    poly_max_abs,
+    poly_mul,
+    poly_scale,
+    poly_sub,
 )
 from tfreud.moments import moment
 from tfreud.operators import (
     beta_lower,
     beta_row,
-    compat_residuals,
     confluent_check,
     holonomic_residual_Dn,
-    holonomic_residual_chen,
     identity_i_residual,
     identity_ii_residual,
     jacobi_matrix,
     ladder_A,
     ladder_B,
+    ladder_residuals,
     lax_block_check,
-    lowering_apply,
     lowering_data,
+    lowering_raising_apply,
     mat_mul,
     poly_table,
-    raising_apply,
     sample_grid,
     structure_coeffs,
     structure_residual,
@@ -271,7 +275,7 @@ def test_compat_residuals(t16):
     tbl, _ = t16
     xs = log_grid("0.01", 4, 16)
     for n in (1, 2, 8):
-        r1, r2 = compat_residuals(tbl, n, xs)
+        r1, r2, _ = ladder_residuals(tbl, n, xs)
         assert r1 <= CTX.verify_tol(1)
         assert r2 <= CTX.verify_tol(1)
 
@@ -279,7 +283,7 @@ def test_compat_residuals(t16):
 def test_compat_pole_guard(t16):
     tbl, _ = t16
     with pytest.raises(DomainError):
-        compat_residuals(tbl, 2, [mp.mpf(0)])
+        ladder_residuals(tbl, 2, [mp.mpf(0)])
 
 
 # ---------------------------------------------------------------------------
@@ -290,8 +294,7 @@ def test_lowering_raising_zero_polys(t16):
     tbl, polys = t16
     for n in (2, 5, 9):
         data = lowering_data(tbl, n)
-        for fn in (lowering_apply, raising_apply):
-            res, scale = fn(tbl, polys, data)
+        for res, scale in lowering_raising_apply(tbl, polys, data):
             assert res <= CTX.verify_tol(scale)
 
 
@@ -321,14 +324,15 @@ def test_holonomic_Dn(t16):
     for n in (3, 6, 10):
         data = lowering_data(tbl, n)
         xs = sample_grid(n, 1, count=16, ctx=CTX)
-        assert holonomic_residual_Dn(tbl, data, xs) <= CTX.verify_tol(1)
+        assert holonomic_residual_Dn(tbl, lowering_data(tbl, n - 1), data, xs) \
+            <= CTX.verify_tol(1)
 
 
 def test_holonomic_chen(t16):
     tbl, _ = t16
     for n in (1, 2, 5, 12):
         xs = sample_grid(n, 1, count=16, ctx=CTX)
-        assert holonomic_residual_chen(tbl, n, xs) <= CTX.verify_tol(1)
+        assert ladder_residuals(tbl, n, xs)[2] <= CTX.verify_tol(1)
 
 
 def test_ode_routes_agree_on_common_target(t16):
@@ -338,24 +342,144 @@ def test_ode_routes_agree_on_common_target(t16):
     for n in (3, 6):
         xs = sample_grid(n + 1, 1, count=12, ctx=CTX)
         data = lowering_data(tbl, n)
-        r_low = holonomic_residual_Dn(tbl, data, xs)
-        r_chen = holonomic_residual_chen(tbl, n + 1, xs)
+        r_low = holonomic_residual_Dn(tbl, lowering_data(tbl, n - 1), data, xs)
+        r_chen = ladder_residuals(tbl, n + 1, xs)[2]
         assert r_low <= CTX.verify_tol(1)
         assert r_chen <= CTX.verify_tol(1)
 
 
 def test_chen_guards(t16):
     tbl, _ = t16
-    with pytest.raises(IndexError):
-        holonomic_residual_chen(tbl, 0, [mp.mpf(1)])
+    for n in (0, tbl.n_max - 1):
+        with pytest.raises(IndexError):
+            ladder_residuals(tbl, n, [mp.mpf(1)])
     with pytest.raises(DomainError):
-        holonomic_residual_chen(tbl, 2, [mp.mpf(0)])
+        ladder_residuals(tbl, 2, [mp.mpf(0)])
 
 
 def test_Dn_guards(t16):
     tbl, _ = t16
-    with pytest.raises(IndexError):
-        holonomic_residual_Dn(tbl, lowering_data(tbl, 2), [mp.mpf(1)])
+    # prev must be the lowering data one degree below
+    for m in (2, 4):
+        with pytest.raises(DomainError):
+            holonomic_residual_Dn(tbl, lowering_data(tbl, m), lowering_data(tbl, 4),
+                                  [mp.mpf(1)])
+
+
+# ---------------------------------------------------------------------------
+# the shared evaluations against the separate routes they replaced
+# ---------------------------------------------------------------------------
+
+def _compat_ref(tbl, n, x_samples):
+    """Both compatibility residuals, each ladder function built and
+    evaluated on its own: the reference for ladder_residuals[:2]."""
+    A_n = ladder_A(tbl, n)
+    A_up = ladder_A(tbl, n + 1)
+    A_dn = ladder_A(tbl, n - 1)
+    B_n = ladder_B(tbl, n)
+    B_up = ladder_B(tbl, n + 1)
+    r1 = mp.mpf(0)
+    r2 = mp.mpf(0)
+    with tbl.workprec():
+        f = 4 * tbl.z
+        for x in x_samples:
+            vp = f * x ** 3
+            t1 = [B_up.eval(x), B_n.eval(x), (x - tbl.b[n]) * A_n.eval(x), vp]
+            res1 = t1[0] + t1[1] - t1[2] + t1[3]
+            s1 = sum(abs(v) for v in t1) + 1
+            t2 = [tbl.a[n + 1] * A_up.eval(x), tbl.a[n] * A_dn.eval(x),
+                  (x - tbl.b[n]) * (B_up.eval(x) - B_n.eval(x))]
+            res2 = t2[0] - t2[1] - 1 - t2[2]
+            s2 = sum(abs(v) for v in t2) + 1
+            r1 = max(r1, abs(res1) / s1)
+            r2 = max(r2, abs(res2) / s2)
+    return r1, r2
+
+
+def _chen_ref(tbl, n, x_samples):
+    """The eliminated-ODE residual on its own builds: the reference for
+    ladder_residuals[2]."""
+    A_n = ladder_A(tbl, n)
+    A_dn = ladder_A(tbl, n - 1)
+    B_n = ladder_B(tbl, n)
+    with tbl.workprec():
+        dA = A_n.derivative()
+        dB = B_n.derivative()
+        f = 4 * tbl.z
+        worst = mp.mpf(0)
+        for x in x_samples:
+            y, y1, y2 = ttrr_eval_d2(tbl, n, x)
+            vA = A_n.eval(x)
+            logd = dA.eval(x) / vA
+            vB = B_n.eval(x)
+            vp = f * x ** 3
+            S = -vp - logd
+            Q = dB.eval(x) - vB * logd - vB * (vp + vB) + tbl.a[n] * vA * A_dn.eval(x)
+            terms = (y2, S * y1, Q * y)
+            scale = sum(abs(t) for t in terms) + 1
+            worst = max(worst, abs(terms[0] + terms[1] + terms[2]) / scale)
+        return worst
+
+
+def _lowering_ref(tbl, polys, data):
+    n = data.n
+    with tbl.workprec():
+        p_up = list(polys[n + 1].coeffs)
+        res = [mp.mpf(0)] + poly_diff(p_up)
+        res = poly_add(res, poly_mul(list(data.D), p_up))
+        cp = poly_mul(list(data.C), list(polys[n].coeffs))
+        return poly_max_abs(poly_sub(res, cp)), poly_max_abs(cp)
+
+
+def _raising_ref(tbl, polys, data):
+    n = data.n
+    with tbl.workprec():
+        p_up = list(polys[n + 1].coeffs)
+        core = [mp.mpf(0)] + poly_diff(p_up)
+        core = poly_add(core, poly_mul(list(data.D), p_up))
+        res = poly_scale(core, -tbl.a[n + 1])
+        xb = [-tbl.b[n + 1], mp.mpf(1)]
+        res = poly_add(res, poly_mul(poly_mul(xb, list(data.C)), p_up))
+        res = poly_sub(res, poly_mul(list(data.C), list(polys[n + 2].coeffs)))
+        scale = tbl.a[n + 1] * poly_max_abs(poly_mul(list(data.C), list(polys[n].coeffs)))
+        return poly_max_abs(res), scale
+
+
+def bits_of(values):
+    return tuple(v._mpf_ for v in values)
+
+
+@pytest.mark.parametrize("z", [mp.mpf(1) / 4, mp.mpf(1), mp.mpf(4)])
+def test_shared_evaluations_match_separate_routes(z):
+    tbl = chebyshev_coeffs(z, 14, CTX)
+    polys = poly_table(tbl, 14)
+    for n in range(1, 13):
+        for count in (8, 16):
+            xs = sample_grid(n, z, CTX, count=count)
+            want = (*_compat_ref(tbl, n, xs), _chen_ref(tbl, n, xs))
+            assert bits_of(ladder_residuals(tbl, n, xs)) == bits_of(want)
+        if n >= 2:
+            data = lowering_data(tbl, n)
+            low, up = lowering_raising_apply(tbl, polys, data)
+            assert bits_of(low + up) == \
+                bits_of(_lowering_ref(tbl, polys, data) + _raising_ref(tbl, polys, data))
+
+
+def test_ladder_residuals_evaluate_each_function_once(t16, monkeypatch):
+    # calA_{n-1}, calA_n, calA_{n+1}, calB_n, calB_{n+1}, calA_n', calB_n':
+    # seven evaluations per sample for all three identities
+    tbl, _ = t16
+    calls = []
+    real_eval = RationalFn.eval
+
+    def counted(self, x):
+        calls.append(x)
+        return real_eval(self, x)
+
+    monkeypatch.setattr(RationalFn, "eval", counted)
+    xs = sample_grid(5, 1, CTX, count=8)
+    ladder_residuals(tbl, 5, xs)
+    assert len(calls) == 7 * len(xs)
 
 
 # ---------------------------------------------------------------------------
@@ -409,8 +533,9 @@ def test_residuals_stable_at_doubled_precision():
             ctx = PrecisionContext(bits)
             tbl = chebyshev_coeffs(z, 8, ctx)
             xs = sample_grid(5, z, count=8, ctx=ctx)
-            assert holonomic_residual_chen(tbl, 5, xs) <= ctx.verify_tol(1)
+            assert ladder_residuals(tbl, 5, xs)[2] <= ctx.verify_tol(1)
             data = lowering_data(tbl, 5)
-            assert holonomic_residual_Dn(tbl, data, xs) <= ctx.verify_tol(1)
+            assert holonomic_residual_Dn(tbl, lowering_data(tbl, 4), data, xs) \
+                <= ctx.verify_tol(1)
             res, scale = identity_i_residual(tbl, 4)
             assert abs(res) <= ctx.verify_tol(scale)

@@ -34,19 +34,17 @@ from tfreud.moments import (
 from tfreud.operators import (
     beta_lower,
     beta_row,
-    compat_residuals,
     confluent_check,
     holonomic_residual_Dn,
-    holonomic_residual_chen,
     identity_i_residual,
     identity_ii_residual,
     ladder_A,
     ladder_B,
+    ladder_residuals,
     lax_block_check,
-    lowering_apply,
     lowering_data,
+    lowering_raising_apply,
     poly_table,
-    raising_apply,
     sample_grid,
     structure_coeffs,
     structure_residual,
@@ -95,6 +93,7 @@ POLYS = poly_table(TBL, 12)
 MSEQ = MomentSequence.build("0.3", 12, CTX)
 XS = sample_grid(6, 1, CTX, count=5)
 LOW = lowering_data(TBL, 6)
+LOW_PREV = lowering_data(TBL, 5)
 ZS = zeros(TBL, 6, CTX)
 FAULT = ("a", 3, mp.mpf(2) ** -200 / 3)
 
@@ -135,12 +134,14 @@ CASES = {
     "ladder_B": lambda: ladder_B(TBL, 5),
     "identity_i_residual": lambda: [identity_i_residual(TBL, n) for n in range(1, 11)],
     "identity_ii_residual": lambda: [identity_ii_residual(TBL, n) for n in range(1, 11)],
-    "compat_residuals": lambda: compat_residuals(TBL, 5, XS),
+    # each record's column of the shared ladder_residuals and
+    # lowering_raising_apply, under the record's former function name
+    "compat_residuals": lambda: ladder_residuals(TBL, 5, XS)[:2],
     "lowering_data": lambda: lowering_data(TBL, 6),
-    "lowering_apply": lambda: lowering_apply(TBL, POLYS, LOW),
-    "raising_apply": lambda: raising_apply(TBL, POLYS, LOW),
-    "holonomic_residual_Dn": lambda: holonomic_residual_Dn(TBL, LOW, XS),
-    "holonomic_residual_chen": lambda: holonomic_residual_chen(TBL, 5, XS),
+    "lowering_apply": lambda: lowering_raising_apply(TBL, POLYS, LOW)[0],
+    "raising_apply": lambda: lowering_raising_apply(TBL, POLYS, LOW)[1],
+    "holonomic_residual_Dn": lambda: holonomic_residual_Dn(TBL, LOW_PREV, LOW, XS),
+    "holonomic_residual_chen": lambda: ladder_residuals(TBL, 5, XS)[2],
     "confluent_check": lambda: confluent_check(TBL, 6, XS),
     "lax_block_check": lambda: lax_block_check(TBL, 10),
     "zeros": lambda: zeros(TBL, 6, CTX),
@@ -175,6 +176,8 @@ CASES = {
 EXEMPT = {
     "jacobi_matrix": "copies table entries; no arithmetic",
     "internal_bits_for": "integer arithmetic on ctx.bits",
+    "ladder_residuals": "covered by the compat_residuals and holonomic_residual_chen cases",
+    "lowering_raising_apply": "covered by the lowering_apply and raising_apply cases",
 }
 
 
