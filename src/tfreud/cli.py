@@ -6,8 +6,6 @@ failure, 2 usage or configuration error, 3 numerical failure."""
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 from dataclasses import dataclass
@@ -140,16 +138,23 @@ def _json_value(v, cfg: RunConfig):
     return _fmt_value(v, cfg)
 
 
+def _csv_cell(v: str) -> str:
+    """v as csv.writer writes it under minimal quoting: only a cell holding
+    a comma, a quote or a newline (verify's z_values cell holds commas)
+    is put in double quotes, with each quote inside it doubled."""
+    if any(c in v for c in ',"\n'):
+        return '"' + v.replace('"', '""') + '"'
+    return v
+
+
 def write_table(cfg: RunConfig, columns: list, rows: list, out_path=None) -> None:
     """Serialize one table as CSV or JSON (meta + data) to out_path/stdout."""
     path = out_path if out_path is not None else cfg.out
     if cfg.fmt == "csv":
-        # minimal quoting: a cell holding commas (verify's z_values) is quoted
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows([_fmt_value(row[c], cfg) for c in columns] for row in rows)
-        text = buf.getvalue()
+        lines = [",".join(map(_csv_cell, columns))]
+        for row in rows:
+            lines.append(",".join(_csv_cell(_fmt_value(row[c], cfg)) for c in columns))
+        text = "\n".join(lines) + "\n"
     else:
         # only the subcommands that read --z report it
         z = {"z": mp.nstr(cfg.z, cfg.dps)} if "z" in ACCEPTS[cfg.command] else {}

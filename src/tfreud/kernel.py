@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 import mpmath as mp
-from mpmath.libmp import from_man_exp
+from mpmath.libmp import from_man_exp, round_nearest, to_float
 
 # Fixed slack absorbing benign rounding accumulation across O(n^2) arithmetic.
 SLACK_BITS = 12
@@ -174,11 +174,12 @@ class RationalFn:
 
 # ---------------------------------------------------------------------------
 # correctly rounded arithmetic on integer images: (m, e) stands for m * 2^e,
-# with m a signed Python int.  Every product and sum of images is rounded to
-# `bits` bits, to nearest with ties to even, as mpmath rounds.  A correctly
-# rounded result is unique, so a loop run on images in the order of the same
-# loop in mpf at `bits` gives the same bits, without mpmath's per-operation
-# overhead (Brent & Zimmermann, Modern Computer Arithmetic, 2010, 3.1).
+# with m a signed Python int.  Every product, sum and quotient of images is
+# rounded to `bits` bits, to nearest with ties to even, as mpmath rounds;
+# comparisons are exact.  A correctly rounded result is unique, so a loop
+# run on images in the order of the same loop in mpf at `bits` gives the
+# same bits, without mpmath's per-operation overhead (Brent & Zimmermann,
+# Modern Computer Arithmetic, 2010, 3.1).
 # mpmath's own shortcut for far-apart addends rounds correctly too whenever
 # the larger one holds at most `bits` bits, as every operand here does.
 # ---------------------------------------------------------------------------
@@ -221,6 +222,43 @@ def _add(u, v, bits) -> tuple:
     return _round((m << g) + m2, e - g, bits)
 
 
+def _div(u, v, bits) -> tuple:
+    """u / v rounded, v not zero: a quotient of at least bits + 3 bits with
+    a sticky bit for a nonzero remainder, rounded by _round, as mpf_div
+    rounds it."""
+    (m, e), (m2, e2) = u, v
+    g = max(0, bits + 3 + m2.bit_length() - m.bit_length())
+    q, r = divmod(abs(m) << g, abs(m2))
+    q = q << 1 | (r > 0)
+    return _round(-q if (m < 0) != (m2 < 0) else q, e - e2 - g - 1, bits)
+
+
+def _cmp(u, v) -> int:
+    """-1, 0 or 1 as u <, = or > v, exactly.  Only images whose leading bits
+    sit at one position are aligned, so no shift exceeds a mantissa."""
+    (m, e), (m2, e2) = u, v
+    s, s2 = (m > 0) - (m < 0), (m2 > 0) - (m2 < 0)
+    if s != s2 or not s:
+        return (s > s2) - (s < s2)
+    t, t2 = m.bit_length() + e, m2.bit_length() + e2
+    if t != t2:
+        return s if t > t2 else -s
+    d = (m << e - e2) - m2 if e >= e2 else m - (m2 << e2 - e)
+    return (d > 0) - (d < 0)
+
+
+def _float(u) -> float:
+    """The image u as float() reads its mpf: the nearest binary64, inf
+    beyond the float range."""
+    return to_float(from_man_exp(*u), rnd=round_nearest)
+
+
+def _mid(u, v, bits) -> tuple:
+    """(u + v) / 2, the sum rounded; the halving is exact."""
+    m, e = _add(u, v, bits)
+    return m, e - 1
+
+
 def _neg_images(b, a, n) -> tuple:
     """-b_0..-b_{n-1} and -a_0..-a_{n-1} as images, so that the recurrence
     subtracts by adding them."""
@@ -234,24 +272,25 @@ def _neg_images(b, a, n) -> tuple:
 # a Newton-Halley polish in each gap, seeded by the same iteration run in
 # binary64 (Python floats), so that only its last steps run at the working
 # precision (Brent & Zimmermann, Modern Computer Arithmetic, 2010, 4.2).
-# The recurrence runs on integer images at an explicit precision `bits`;
-# the Sturm counts, which divide, and the Newton steps run in mpf.
+# The eigensolver converts -b and -a to images once per matrix; the
+# recurrence, the Sturm counts, the sign reads, the Halley steps and the
+# bracket tests all run on images at an explicit precision `bits`, each
+# operation in the order and at the precision of the mpf loop it replaces.
+# Only the set-up (Gershgorin ends, tolerance) runs in mpf.
 # ---------------------------------------------------------------------------
 
-def ttrr_d2(b, a, n: int, x, bits: int) -> tuple:
-    """(P_n(x), P_n'(x), P_n''(x)), every step rounded to `bits` bits, by
-    running the recurrence and its first two formal derivatives side by
-    side:
+def _ttrr_d2(nb, na, n, x, bits) -> tuple:
+    """(P_n(x), P_n'(x), P_n''(x)) as images, every step rounded to `bits`
+    bits, from the images nb = -b and na = -a of the coefficients and the
+    image x, by running the recurrence and its first two formal
+    derivatives side by side:
 
         P_{k+1}   = (x - b_k) P_k   - a_k P_{k-1}
         P'_{k+1}  = P_k + (x - b_k) P'_k  - a_k P'_{k-1}
         P''_{k+1} = 2 P'_k + (x - b_k) P''_k - a_k P''_{k-1}
 
-    Reads b_0..b_{n-1} and a_0..a_{n-1}; a_0 multiplies P_{-1} = 0.  The
-    result has the bits of the same loop in mpf at `bits` when x, b and a
-    hold at most `bits` bits."""
-    nb, na = _neg_images(b, a, n)
-    x, zero = _image(x), (0, 0)
+    Reads b_0..b_{n-1} and a_0..a_{n-1}; a_0 multiplies P_{-1} = 0."""
+    zero = (0, 0)
     p_prev, p = zero, (1, 0)
     d_prev = d = s_prev = s = zero
     for k in range(n):
@@ -260,44 +299,50 @@ def ttrr_d2(b, a, n: int, x, bits: int) -> tuple:
         d, d_prev = _add(_add(p_prev, _mul(w, d, bits), bits), _mul(ak, d_prev, bits), bits), d
         s, s_prev = _add(_add((d_prev[0], d_prev[1] + 1), _mul(w, s, bits), bits),
                          _mul(ak, s_prev, bits), bits), s
-    return _mpf(p), _mpf(d), _mpf(s)
+    return p, d, s
 
 
-def _ttrr(b, a, n, x, bits):
-    """P_n(x) alone, by the same steps as ttrr_d2, so the two agree bit for
-    bit; enough wherever only the sign of P_n is read."""
-    nb, na = _neg_images(b, a, n)
-    x, p_prev, p = _image(x), (0, 0), (1, 0)
+def ttrr_d2(b, a, n: int, x, bits: int) -> tuple:
+    """(P_n(x), P_n'(x), P_n''(x)) as mpf values by the loop of _ttrr_d2, at
+    `bits` bits.  The result has the bits of the same loop in mpf at
+    `bits` when x, b and a hold at most `bits` bits."""
+    return tuple(map(_mpf, _ttrr_d2(*_neg_images(b, a, n), n, _image(x), bits)))
+
+
+def _ttrr(nb, na, n, x, bits) -> tuple:
+    """The image of P_n(x) alone, by the same steps as _ttrr_d2, so the two
+    agree bit for bit; enough wherever only the sign of P_n is read."""
+    p_prev, p = (0, 0), (1, 0)
     for k in range(n):
         p, p_prev = _add(_mul(_add(x, nb[k], bits), p, bits), _mul(na[k], p_prev, bits), bits), p
-    return _mpf(p)
+    return p
 
 
-def _sturm_count(b, a, x, pivmin):
-    """Number of eigenvalues strictly below x (negative LDL pivots) of the
-    Jacobi matrix of the recurrence (b, a), read as ttrr_d2 reads it."""
+def _sturm_count(nb, na, x, pivmin, bits):
+    """Number of eigenvalues strictly below x of the Jacobi matrix of the
+    recurrence with the images nb = -b and na = -a, read as _ttrr_d2 reads
+    it: the LDL pivots q_0 = b_0 - x, q_i = b_i - x - a_i / q_{i-1} that are
+    negative, a zero pivot taken as -pivmin.  The loop carries r = -q, so
+    that it adds the images as they are; rounding to nearest is symmetric,
+    so r is the negated mpf pivot bit for bit."""
     count = 0
-    q = b[0] - x
-    if q == 0:
-        q = -pivmin
-    if q < 0:
-        count += 1
-    for i in range(1, len(b)):
-        q = b[i] - x - a[i] / q
-        if q == 0:
-            q = -pivmin
-        if q < 0:
-            count += 1
+    r = _add(x, nb[0], bits)
+    for i in range(len(nb)):
+        if i:
+            r = _add(_add(x, nb[i], bits), _div(na[i], r, bits), bits)
+        if not r[0]:
+            r = pivmin
+        count += r[0] > 0
     return count
 
 
-def _sign(b, a, n, x, bits):
+def _sign(nb, na, n, x, bits):
     """Whether P_n(x) > 0, read by _ttrr; None where P_n(x) = 0."""
-    f = _ttrr(b, a, n, x, bits)
-    return None if f == 0 else f > 0
+    m = _ttrr(nb, na, n, x, bits)[0]
+    return None if m == 0 else m > 0
 
 
-def _separators(d, a_rec, lo, hi, pivmin, bits):
+def _separators(nb, na, lo, hi, pivmin, bits):
     """(ends, up): lo, then n - 1 cuts, then hi, and the _sign of P_n at
     each of them.  The k-th cut has exactly k eigenvalues below it and P_n
     of the sign (-1)^(n - k) at it.  Sturm-count bisection (Barth, Martin &
@@ -307,9 +352,9 @@ def _separators(d, a_rec, lo, hi, pivmin, bits):
     nothing, and the cut it missed may lie on either side of it.  None if a
     cut is still missing once bisection has run into adjacent ends at the
     working precision, which cannot separate the eigenvalues between them."""
-    n = len(d)
+    n = len(nb)
     ends = [lo] + [None] * (n - 1) + [hi]
-    up = [_sign(d, a_rec, n, lo, bits)] + [None] * (n - 1) + [_sign(d, a_rec, n, hi, bits)]
+    up = [_sign(nb, na, n, lo, bits)] + [None] * (n - 1) + [_sign(nb, na, n, hi, bits)]
     # [a, b) holds the eigenvalues ca + 1..cb and owes the cuts ca..cb: an
     # end that cuts nothing leaves its cut owed by both of its neighbours.
     # An interval whose ends have equal counts holds no eigenvalue and is
@@ -317,33 +362,33 @@ def _separators(d, a_rec, lo, hi, pivmin, bits):
     todo = [(lo, 0, hi, n)]
     while todo:
         a, ca, b, cb = todo.pop()
-        m = (a + b) / 2
-        if None not in ends[ca:cb + 1] or not a < m < b:
+        m = _mid(a, b, bits)
+        if None not in ends[ca:cb + 1] or not _cmp(a, m) < 0 < _cmp(b, m):
             continue
-        c = _sturm_count(d, a_rec, m, pivmin)
+        c = _sturm_count(nb, na, m, pivmin, bits)
         if ends[c] is None:
-            s = _sign(d, a_rec, n, m, bits)
+            s = _sign(nb, na, n, m, bits)
             if s is not None and s == ((n - c) % 2 == 0):
                 ends[c], up[c] = m, s
         todo += [part for part in ((a, ca, m, c), (m, c, b, cb)) if part[1] < part[3]]
     return None if None in ends else (ends, up)
 
 
-def _seed(fb, fa, n, lo, hi) -> mp.mpf:
-    """Where _polish starts in [lo, hi]: the guarded Newton-Halley iteration
-    of _polish run in binary64 on fb and fa, the float images of the
-    recurrence coefficients, from the midpoint.  It stops once its step is
-    within a few ulps of the iterate, stops shrinking after it fell below
-    2^-26 of the bracket (the float rounding floor), or P_n is zero there in
-    binary64; a float iterate is then good to about 50 bits, at a small
-    fraction of the cost of one step at the working precision.  The
-    midpoint (lo + hi)/2 if a step leaves the bracket, P_n' is zero, or a
-    value is not finite (coefficients or P_n beyond the float range), and
-    when the iterate does not lie strictly inside (lo, hi).  Only the
-    starting point comes from here: the bracket, the stopping rule and the
-    precision of _polish do not depend on it."""
-    mid = (lo + hi) / 2
-    flo, fhi, x = float(lo), float(hi), float(mid)
+def _seed(fb, fa, n, lo, hi, bits) -> tuple:
+    """The image where _polish starts in [lo, hi] (images): the guarded
+    Newton-Halley iteration of _polish run in binary64 on fb and fa, the
+    float images of the recurrence coefficients, from the midpoint.  It
+    stops once its step is within a few ulps of the iterate, stops
+    shrinking after it fell below 2^-26 of the bracket (the float rounding
+    floor), or P_n is zero there in binary64; a float iterate is then good
+    to about 50 bits, at a small fraction of the cost of one step at the
+    working precision.  The midpoint _mid(lo, hi, bits) if a step leaves
+    the bracket, P_n' is zero, or a value is not finite (coefficients or
+    P_n beyond the float range), and when the iterate does not lie strictly
+    inside (lo, hi).  Only the starting point comes from here: the bracket,
+    the stopping rule and the precision of _polish do not depend on it."""
+    mid = _mid(lo, hi, bits)
+    flo, fhi, x = _float(lo), _float(hi), _float(mid)
     # a step of 2^-26 of the bracket leaves a cubic error far below binary64
     # resolution, so a later step that does not shrink is rounding noise
     noise, last = (fhi - flo) * 2.0 ** -26, math.inf
@@ -372,54 +417,59 @@ def _seed(fb, fa, n, lo, hi) -> mp.mpf:
         x, last = x1, abs(dx)
         if last <= 4 * math.ulp(x):
             break
-    x = mp.mpf(x)
-    return x if lo < x < hi else mid
+    m, q = x.as_integer_ratio()
+    x = m, 1 - q.bit_length()
+    return x if _cmp(lo, x) < 0 < _cmp(hi, x) else mid
 
 
-def _polish(b, a_rec, fb, fa, n, lo, hi, lo_up, tol, steps, bits) -> mp.mpf:
-    """Guarded Newton iteration on P_n toward the one zero in [lo, hi] from
-    the binary64 seed of _seed (fb and fa are the float images of b and
-    a_rec), each step corrected by P_n'' (Halley's method; ttrr_d2 returns
-    P_n'' anyway).  A step is accepted only if it stays in the bracket;
-    otherwise the bracket is halved at its midpoint m, keeping the half
-    where P_n changes sign (`lo_up` is true when P_n(lo) > 0), and the
-    iteration restarts from the new midpoint.  P_n and its derivatives are
-    read at `bits` bits."""
-    x = _seed(fb, fa, n, lo, hi)
+def _polish(nb, na, fb, fa, n, lo, hi, lo_up, tol, steps, bits) -> tuple:
+    """The image of the one zero of P_n in [lo, hi] (images, as `tol` is):
+    guarded Newton iteration on P_n from the binary64 seed of _seed (fb and
+    fa are the float images of b and a), each step corrected by P_n''
+    (Halley's method; _ttrr_d2 returns P_n'' anyway).  A step is accepted
+    only if it stays in the bracket; otherwise the bracket is halved at its
+    midpoint m, keeping the half where P_n changes sign (`lo_up` is true
+    when P_n(lo) > 0), and the iteration restarts from the new midpoint.
+    It stops once a step is within `tol`.  Every operation is rounded to
+    `bits` bits.  A zero within `tol` of 0 is exactly 0 where P_n(0) is."""
+    x = _seed(fb, fa, n, lo, hi, bits)
     for _ in range(steps):
-        f, fp, fpp = ttrr_d2(b, a_rec, n, x, bits)
-        if f == 0 or fp == 0:
+        f, fp, fpp = _ttrr_d2(nb, na, n, x, bits)
+        if not f[0] or not fp[0]:
             break
-        dx = f / fp
-        h = 1 - dx * fpp / (2 * fp)
-        if h != 0:
-            dx /= h
-        x1 = x - dx
-        if not lo <= x1 <= hi:
-            m = (lo + hi) / 2
-            if _sign(b, a_rec, n, m, bits) != lo_up:
+        dx = _div(f, fp, bits)
+        t = _div(_mul(dx, fpp, bits), (fp[0], fp[1] + 1), bits)
+        h = _add((1, 0), (-t[0], t[1]), bits)
+        if h[0]:
+            dx = _div(dx, h, bits)
+        x1 = _add(x, (-dx[0], dx[1]), bits)
+        if _cmp(lo, x1) > 0 or _cmp(x1, hi) > 0:
+            m = _mid(lo, hi, bits)
+            if _sign(nb, na, n, m, bits) != lo_up:
                 hi = m
             else:
                 lo = m
-            x = (lo + hi) / 2
+            x = _mid(lo, hi, bits)
             continue
         x = x1
-        if abs(dx) <= tol:
+        if _cmp((abs(dx[0]), dx[1]), tol) <= 0:
             break
+    if _cmp((abs(x[0]), x[1]), tol) <= 0 and _sign(nb, na, n, (0, 0), bits) is None:
+        return 0, 0
     return x
 
 
-def _interlaced(d, a_rec, fd, fa, ends, up, tol, steps, bits):
-    """The n zeros of P_n, one polished in each gap of the n + 1 ascending
-    points `ends`, where P_n has the _sign `up`; None unless P_n alternates
-    in sign across them without vanishing, which proves each gap holds
-    exactly one zero."""
-    if any(not lo < hi for lo, hi in zip(ends, ends[1:])):
+def _interlaced(nb, na, fb, fa, ends, up, tol, steps, bits):
+    """The images of the n zeros of P_n, one polished in each gap of the
+    n + 1 ascending images `ends`, where P_n has the _sign `up`; None
+    unless P_n alternates in sign across them without vanishing, which
+    proves each gap holds exactly one zero."""
+    if any(_cmp(lo, hi) >= 0 for lo, hi in zip(ends, ends[1:])):
         return None
     if None in up or any(s == t for s, t in zip(up, up[1:])):
         return None
-    n = len(d)
-    return [_polish(d, a_rec, fd, fa, n, ends[k], ends[k + 1], up[k],
+    n = len(nb)
+    return [_polish(nb, na, fb, fa, n, ends[k], ends[k + 1], up[k],
                     tol(ends[k], ends[k + 1]), steps, bits)
             for k in range(n)]
 
@@ -436,18 +486,21 @@ def tridiag_eigenvalues(diag, off2, ctx: PrecisionContext, cuts=None) -> list:
     The Gershgorin interval and n - 1 cut points split the line into n
     gaps, and if P_n alternates in sign across their ends each gap holds
     exactly one eigenvalue.  A guarded Newton-Halley iteration on P_n
-    through ttrr_d2 polishes it to full context precision, and the sign of
+    through _ttrr_d2 polishes it to full context precision, and the sign of
     P_n halves the gap whenever the iteration leaves it.  The iteration
     starts where the same iteration in binary64 stopped, on float images of
     the coefficients converted once per call, so that about three steps at
     the working precision remain; it starts at the midpoint of the gap when
-    binary64 cannot hold the coefficients or P_n.  The cuts are
+    binary64 cannot hold the coefficients or P_n.  The loops run on integer
+    images of the coefficients, also converted once per call.  The cuts are
     `cuts`, the n - 1 ascending zeros of P_{n-1}, which interlace with the
     eigenvalues; if none are given or P_n does not alternate across them,
     Sturm-count bisection places one cut between each pair of neighbouring
     eigenvalues.  Both routes converge to the same rounded zeros (the tests
-    compare them bit for bit).  ConvergenceError if the working precision
-    cannot separate two eigenvalues.
+    compare them bit for bit).  An eigenvalue within the stopping tolerance
+    of 0 is returned as exactly 0 when P_n(0) is exactly 0 at the working
+    precision.  ConvergenceError if the working precision cannot separate
+    two eigenvalues.
     """
     n = len(diag)
     if len(off2) != max(0, n - 1):
@@ -466,8 +519,10 @@ def tridiag_eigenvalues(diag, off2, ctx: PrecisionContext, cuts=None) -> list:
         if n == 1:
             return [ctx.round(d[0])]
         a_rec = [mp.mpf(0)] + off2
-        # binary64 images for _seed, inf beyond the float range
+        # binary64 images for _seed, inf beyond the float range, and the
+        # integer images of -b and -a for every loop at `work`
         fd, fa = [float(v) for v in d], [float(v) for v in a_rec]
+        nb, na = _neg_images(d, a_rec, n)
         # square roots only for the Gershgorin bracket
         e = [mp.sqrt(v) for v in off2]
 
@@ -481,22 +536,28 @@ def tridiag_eigenvalues(diag, off2, ctx: PrecisionContext, cuts=None) -> list:
         lo -= spread * mp.mpf(2) ** -20
         hi += spread * mp.mpf(2) ** -20
         spread = hi - lo
-        fine_rel = mp.mpf(2) ** (-(ctx.bits + 8))
-        floor = spread * mp.mpf(2) ** -16
+        # the tolerance max(|a + b| / 2, spread * 2^-16) * 2^-(ctx.bits + 8)
+        # on images: the sum rounded to `work` bits, the rest exact
+        fine = -(ctx.bits + 8)
+        m, e = _image(spread * mp.mpf(2) ** -16)
+        floor = m, e + fine
+        lo, hi = _image(lo), _image(hi)
 
         def tol(a, b):
-            return max(abs(a + b) / 2, floor) * fine_rel
+            m, e = _add(a, b, work)
+            t = abs(m), e - 1 + fine
+            return t if _cmp(t, floor) > 0 else floor
 
         out = None
         if cuts is not None:
-            ends = [lo] + [mp.mpf(c) for c in cuts] + [hi]
-            out = _interlaced(d, a_rec, fd, fa, ends,
-                              [_sign(d, a_rec, n, x, work) for x in ends], tol, ctx.bits, work)
+            ends = [lo] + [_image(mp.mpf(c)) for c in cuts] + [hi]
+            out = _interlaced(nb, na, fd, fa, ends,
+                              [_sign(nb, na, n, x, work) for x in ends], tol, ctx.bits, work)
         if out is None:
-            pivmin = max(max(off2), mp.mpf(1)) * mp.mpf(2) ** (-2 * work)
-            cut = _separators(d, a_rec, lo, hi, pivmin, work)
+            pivmin = _image(max(max(off2), mp.mpf(1)) * mp.mpf(2) ** (-2 * work))
+            cut = _separators(nb, na, lo, hi, pivmin, work)
             if cut is not None:
-                out = _interlaced(d, a_rec, fd, fa, *cut, tol, ctx.bits, work)
+                out = _interlaced(nb, na, fd, fa, *cut, tol, ctx.bits, work)
         if out is None:
             raise ConvergenceError("the working precision cannot separate the eigenvalues")
-    return [ctx.round(x) for x in out]
+    return [_mpf(_round(*x, ctx.bits)) for x in out]

@@ -50,6 +50,7 @@ from .zeros import (
     largest_zero_bound,
     stationarity_check,
     zero_scaling_check,
+    zero_sweep,
     zeros,
 )
 
@@ -176,7 +177,10 @@ def run_verification(z_values=(mp.mpf(1) / 4, 1, 4), n_max: int = 14,
         tables = {z: inject_fault(clean[z], fault_parsed) if fault_parsed else clean[z]
                   for z in zs}
         ptables = {z: poly_table(tables[z], n_tbl) for z in zs}
-        solved = {}
+        # the zeros of degrees 1..14 of every table, which the interlacing
+        # record reads, come from one sweep per table
+        solved = {(tbl, zset.n): zset for tbl in tables.values()
+                  for zset in zero_sweep(tbl, min(n_max, 14), ctx)}
 
         def zero_set(tbl, n):
             if (tbl, n) not in solved:

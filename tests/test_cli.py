@@ -3,12 +3,13 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 
 import pytest
 from mpmath import mp
 
-from tfreud.cli import RunConfig, build_parser, main, round_half_away
+from tfreud.cli import RunConfig, build_parser, main, round_half_away, write_table
 from tfreud.kernel import PrecisionContext, default_bits
 
 
@@ -324,3 +325,17 @@ def test_unknown_command_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_csv_join_matches_csv_writer(capsys):
+    # write_table quotes by hand; its bytes are those of csv.writer with
+    # minimal quoting on cells holding commas, quotes, newlines, a carriage
+    # return (which neither quotes) or nothing
+    cfg = RunConfig.from_args(build_parser().parse_args(["moments"]))
+    columns = ["plain", "comma,cell", 'say "x"']
+    rows = [["1", "0.25,1.0,4.0", 'a "quoted" word'], ["", "two\nlines", '"'],
+            ["", "", ""], ["cr\r", ",", '","']]
+    write_table(cfg, columns, [dict(zip(columns, r)) for r in rows])
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([columns, *rows])
+    assert capsys.readouterr().out == buf.getvalue()

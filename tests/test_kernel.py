@@ -1,12 +1,13 @@
 from __future__ import annotations
 
 import functools
+import random
 
 import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath.libmp import from_man_exp, mpf_add, mpf_mul, round_nearest
+from mpmath.libmp import from_man_exp, mpf_add, mpf_cmp, mpf_div, mpf_mul, round_nearest
 
 from tfreud import kernel
 from tfreud.kernel import (
@@ -275,9 +276,9 @@ def _midpoint_seeds(monkeypatch):
     polish started from the midpoint of its bracket."""
     real, mids = kernel._seed, []
 
-    def seed(fb, fa, n, lo, hi):
-        x = real(fb, fa, n, lo, hi)
-        mids.append(x == (lo + hi) / 2)
+    def seed(fb, fa, n, lo, hi, bits):
+        x = real(fb, fa, n, lo, hi, bits)
+        mids.append(kernel._cmp(x, kernel._mid(lo, hi, bits)) == 0)
         return x
 
     monkeypatch.setattr(kernel, "_seed", seed)
@@ -480,7 +481,8 @@ def test_ttrr_matches_the_mpf_loop(zq, n):
             e = [mp.mpf(0)] + [mp.sqrt(v) for v in tbl.a[1:n]] + [mp.mpf(0)]
             lo = min(b[i] - e[i] - e[i + 1] for i in range(n))
             hi = max(b[i] + e[i] + e[i + 1] for i in range(n))
-            x = kernel._seed([float(v) for v in b], [float(v) for v in a], n, lo, hi)
+            x = kernel._mpf(kernel._seed([float(v) for v in b], [float(v) for v in a], n,
+                                         kernel._image(lo), kernel._image(hi), bits))
             for _ in range(6):
                 f, fp, fpp = _ttrr_d2_mpf(b, a, n, x)
                 if f == 0:
@@ -491,6 +493,227 @@ def test_ttrr_matches_the_mpf_loop(zq, n):
             want = [_ttrr_d2_mpf(b, a, n, x) + (_ttrr_mpf(b, a, n, x),) for x in points]
         # the polished point is a zero: P_n there is roundoff
         assert abs(want[3][0]) <= abs(want[4][0]) * mp.mpf(2) ** (-bits // 2)
+        nb, na = kernel._neg_images(b, a, n)
         for x, w in zip(points, want):
-            got = kernel.ttrr_d2(b, a, n, x, bits) + (kernel._ttrr(b, a, n, x, bits),)
+            got = kernel.ttrr_d2(b, a, n, x, bits) + (
+                kernel._mpf(kernel._ttrr(nb, na, n, kernel._image(x), bits)),)
             assert [v._mpf_ for v in got] == [v._mpf_ for v in w]
+
+
+# --- the eigensolver's loops on images against the same loops in mpf -------
+
+@st.composite
+def _quotients(draw):
+    """(bits, u, v): a dividend and a nonzero divisor.  The quotient is
+    anything, exact, exactly halfway between two numbers of `bits` bits
+    (which needs operands longer than `bits` bits) or just off halfway,
+    or 0."""
+    bits = draw(st.sampled_from(IMAGE_BITS))
+    mant = st.integers(-(1 << bits) + 1, (1 << bits) - 1)
+    v = draw(mant.filter(bool))
+    kind = draw(st.sampled_from(["any", "exact", "tie", "near-tie", "zero"]))
+    if kind == "any":
+        u = draw(mant)
+    elif kind == "exact":
+        u = v * draw(st.integers(-(1 << 20), 1 << 20))
+    elif kind in ("tie", "near-tie"):
+        u = v * (2 * draw(st.integers(1 << (bits - 1), (1 << bits) - 1)) + 1)
+        # 1/v off the tie: only the sticky bit of the remainder tells
+        u += draw(st.sampled_from([1, -1])) if kind == "near-tie" else 0
+        u *= draw(st.sampled_from([1, -1]))
+    else:
+        u = 0
+    exps = st.integers(-4 * bits, 4 * bits)
+    return bits, (u, draw(exps)), (v, draw(exps))
+
+
+@given(_quotients())
+@settings(max_examples=400, deadline=None)
+def test_image_quotient_matches_mpmath(case):
+    bits, u, v = case
+    assert _raw(kernel._div(u, v, bits)) == mpf_div(_raw(u), _raw(v), bits, round_nearest)
+
+
+@st.composite
+def _comparisons(draw):
+    """(u, v): v is u itself in another image (a shifted mantissa), u moved
+    by one unit of its last bit, its negation, 0, or anything."""
+    bits = draw(st.sampled_from(IMAGE_BITS))
+    m = draw(st.integers(-(1 << bits) + 1, (1 << bits) - 1))
+    e = draw(st.integers(-4 * bits, 4 * bits))
+    k = draw(st.integers(0, 2 * bits))
+    v = draw(st.sampled_from([(m << k, e - k), (m + 1, e), (m - 1, e), (-m, e), (0, e - k),
+                              (draw(st.integers(-(1 << bits), 1 << bits)), e - k)]))
+    return draw(st.permutations([(m, e), v]))
+
+
+@given(_comparisons())
+@settings(max_examples=400, deadline=None)
+def test_image_comparison_matches_mpmath(case):
+    u, v = case
+    assert kernel._cmp(u, v) == mpf_cmp(_raw(u), _raw(v))
+
+
+def _sturm_count_mpf(b, a, x, pivmin):
+    """kernel._sturm_count in mpf at mpmath's global precision: the reference
+    for the loop on images."""
+    count = 0
+    q = b[0] - x
+    if q == 0:
+        q = -pivmin
+    if q < 0:
+        count += 1
+    for i in range(1, len(b)):
+        q = b[i] - x - a[i] / q
+        if q == 0:
+            q = -pivmin
+        if q < 0:
+            count += 1
+    return count
+
+
+def _sign_mpf(b, a, n, x):
+    f = _ttrr_mpf(b, a, n, x)
+    return None if f == 0 else f > 0
+
+
+def _polish_mpf(b, a, fb, fa, n, lo, hi, lo_up, tol, steps):
+    """kernel._polish in mpf, from the same binary64 seed."""
+    x = kernel._mpf(kernel._seed(fb, fa, n, kernel._image(lo), kernel._image(hi), mp.mp.prec))
+    for _ in range(steps):
+        f, fp, fpp = _ttrr_d2_mpf(b, a, n, x)
+        if f == 0 or fp == 0:
+            break
+        dx = f / fp
+        h = 1 - dx * fpp / (2 * fp)
+        if h != 0:
+            dx /= h
+        x1 = x - dx
+        if not lo <= x1 <= hi:
+            m = (lo + hi) / 2
+            if _sign_mpf(b, a, n, m) != lo_up:
+                hi = m
+            else:
+                lo = m
+            x = (lo + hi) / 2
+            continue
+        x = x1
+        if abs(dx) <= tol:
+            break
+    return mp.mpf(0) if abs(x) <= tol and _ttrr_mpf(b, a, n, mp.mpf(0)) == 0 else x
+
+
+def _separators_mpf(b, a, lo, hi, pivmin):
+    """kernel._separators in mpf."""
+    n = len(b)
+    ends = [lo] + [None] * (n - 1) + [hi]
+    up = [_sign_mpf(b, a, n, lo)] + [None] * (n - 1) + [_sign_mpf(b, a, n, hi)]
+    todo = [(lo, 0, hi, n)]
+    while todo:
+        x, cx, y, cy = todo.pop()
+        m = (x + y) / 2
+        if None not in ends[cx:cy + 1] or not x < m < y:
+            continue
+        c = _sturm_count_mpf(b, a, m, pivmin)
+        if ends[c] is None:
+            s = _sign_mpf(b, a, n, m)
+            if s is not None and s == ((n - c) % 2 == 0):
+                ends[c], up[c] = m, s
+        todo += [part for part in ((x, cx, m, c), (m, c, y, cy)) if part[1] < part[3]]
+    return None if None in ends else (ends, up)
+
+
+def _eigenvalues_mpf(diag, off2, ctx, cuts=None):
+    """tridiag_eigenvalues with every loop in mpf at the working precision:
+    the same set-up, cuts, polish and rounding."""
+    n, work = len(diag), ctx.bits + 32
+    with mp.workprec(work):
+        b = [mp.mpf(v) for v in diag]
+        if n == 1:
+            return [ctx.round(b[0])]
+        a = [mp.mpf(0)] + [mp.mpf(v) for v in off2]
+        fb, fa = [float(v) for v in b], [float(v) for v in a]
+        e = [mp.mpf(0)] + [mp.sqrt(v) for v in a[1:]] + [mp.mpf(0)]
+        lo = min(b[i] - (e[i] + e[i + 1]) for i in range(n))
+        hi = max(b[i] + (e[i] + e[i + 1]) for i in range(n))
+        spread = (hi - lo) or mp.mpf(1)
+        lo -= spread * mp.mpf(2) ** -20
+        hi += spread * mp.mpf(2) ** -20
+        floor = (hi - lo) * mp.mpf(2) ** -16
+
+        def solve(ends, up):
+            if any(not x < y for x, y in zip(ends, ends[1:])):
+                return None
+            if None in up or any(s == t for s, t in zip(up, up[1:])):
+                return None
+            return [_polish_mpf(b, a, fb, fa, n, ends[k], ends[k + 1], up[k],
+                                max(abs(ends[k] + ends[k + 1]) / 2, floor)
+                                * mp.mpf(2) ** -(ctx.bits + 8), ctx.bits)
+                    for k in range(n)]
+
+        out = None
+        if cuts is not None:
+            ends = [lo] + [mp.mpf(c) for c in cuts] + [hi]
+            out = solve(ends, [_sign_mpf(b, a, n, x) for x in ends])
+        if out is None:
+            out = solve(*_separators_mpf(b, a, lo, hi,
+                                         max(max(a), mp.mpf(1)) * mp.mpf(2) ** (-2 * work)))
+    return [ctx.round(x) for x in out]
+
+
+def _raws(xs):
+    return [x._mpf_ for x in xs]
+
+
+@pytest.mark.parametrize("zq", ["0.25", "1", "4"])
+def test_eigensolver_matches_the_mpf_loops_on_tables(zq):
+    # every zero of P_n at the default bits of a degree-48 table, on the
+    # Sturm route and on the route cut by the zeros of P_{n-1}; degrees
+    # spread to 48, since all 48 would take a minute per z
+    tbl = _oracle_table(zq, 48)
+    for n in (1, 2, 3, 5, 8, 13, 21, 34, 48):
+        diag, off2 = tbl.b[:n], tbl.a[1:n]
+        got = tridiag_eigenvalues(diag, off2, tbl.ctx)
+        assert _raws(got) == _raws(_eigenvalues_mpf(diag, off2, tbl.ctx)), n
+        if n > 1:
+            prev = tridiag_eigenvalues(diag[:-1], off2[:-1], tbl.ctx)
+            cut = tridiag_eigenvalues(diag, off2, tbl.ctx, cuts=prev)
+            assert _raws(cut) == _raws(_eigenvalues_mpf(diag, off2, tbl.ctx, cuts=prev)), n
+
+
+def test_eigensolver_matches_the_mpf_loops_on_small_integer_matrices():
+    # 1,500 random matrices with small integer entries at 128 bits, on both
+    # routes; some are singular, so the zero rule is exercised too
+    rng = random.Random(0)
+    ctx = PrecisionContext(128)
+    pivmin = mp.mpf(2) ** -300
+    exact_zeros = 0
+    for _ in range(1500):
+        n = rng.randint(2, 6)
+        diag = [mp.mpf(rng.randint(-4, 4)) for _ in range(n)]
+        off2 = [mp.mpf(rng.randint(1, 4)) for _ in range(n - 1)]
+        got = tridiag_eigenvalues(diag, off2, ctx)
+        assert _raws(got) == _raws(_eigenvalues_mpf(diag, off2, ctx)), (diag, off2)
+        # the Sturm count on each eigenvalue, where rounding decides it
+        with mp.workprec(ctx.bits + 32):
+            b, a = diag, [mp.mpf(0)] + off2
+            nb, na = kernel._neg_images(b, a, n)
+            for x in got:
+                want = _sturm_count_mpf(b, a, x, pivmin)
+                assert kernel._sturm_count(nb, na, kernel._image(x), kernel._image(pivmin),
+                                           ctx.bits + 32) == want
+        cuts = tridiag_eigenvalues(diag[:-1], off2[:-1], ctx)
+        cut = tridiag_eigenvalues(diag, off2, ctx, cuts=cuts)
+        assert _raws(cut) == _raws(_eigenvalues_mpf(diag, off2, ctx, cuts=cuts)), (diag, off2)
+        exact_zeros += got.count(0)
+    assert exact_zeros
+
+
+def test_zero_eigenvalue_is_exactly_zero():
+    # diag [1, 1] with off2 [1] has the eigenvalues 0 and 2; the polish
+    # stops within its tolerance of 0, and P_2(0) = 0 exactly makes it 0
+    ctx = PrecisionContext(128)
+    diag, off2 = [mp.mpf(1), mp.mpf(1)], [mp.mpf(1)]
+    for cuts in (None, [mp.mpf(1)]):
+        ev = tridiag_eigenvalues(diag, off2, ctx, cuts=cuts)
+        assert _raws(ev) == _raws([mp.mpf(0), mp.mpf(2)])

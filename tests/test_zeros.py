@@ -149,17 +149,17 @@ def test_newton_fallback_step_runs(tbl, zsets, route, monkeypatch):
     # it leaves the bracket and the fallback halves the bracket by the sign
     # of P_n at its midpoint, read by _ttrr; no Sturm count is made inside
     # the polish on either route
-    real_polish, real_d2 = kernel._polish, kernel.ttrr_d2
+    real_polish, real_d2 = kernel._polish, kernel._ttrr_d2
     real_ttrr, real_sturm = kernel._ttrr, kernel._sturm_count
     seen = {"fresh": False, "inside": False, "polish": 0, "fallback": 0, "sturm": 0,
             "polish_sturm": 0}
     per_zero = []
 
-    def d2(b, a, n, x, bits):
-        f, fp, fpp = real_d2(b, a, n, x, bits)
+    def d2(nb, na, n, x, bits):
+        f, fp, fpp = real_d2(nb, na, n, x, bits)
         if seen["fresh"]:
             seen["fresh"] = False
-            return f, fp * mp.mpf(2) ** -64, fpp * mp.mpf(2) ** -128
+            return f, (fp[0], fp[1] - 64), (fpp[0], fpp[1] - 128)
         return f, fp, fpp
 
     def ttrr(*args):
@@ -181,7 +181,7 @@ def test_newton_fallback_step_runs(tbl, zsets, route, monkeypatch):
         seen["polish_sturm"] += seen["inside"]
         return real_sturm(*args)
 
-    monkeypatch.setattr(kernel, "ttrr_d2", d2)
+    monkeypatch.setattr(kernel, "_ttrr_d2", d2)
     monkeypatch.setattr(kernel, "_ttrr", ttrr)
     monkeypatch.setattr(kernel, "_polish", polish)
     monkeypatch.setattr(kernel, "_sturm_count", sturm)
@@ -562,7 +562,7 @@ def test_float_seed_keeps_the_bits(zq, monkeypatch):
     seeded = [_bits(zeros(t, n, ctx)) for n in range(1, 25)]
     swept = [_bits(zs) for zs in zero_sweep(t, 24, ctx)]
     assert swept == seeded
-    monkeypatch.setattr(kernel, "_seed", lambda fb, fa, n, lo, hi: (lo + hi) / 2)
+    monkeypatch.setattr(kernel, "_seed", lambda fb, fa, n, lo, hi, bits: kernel._mid(lo, hi, bits))
     assert [_bits(zeros(t, n, ctx)) for n in range(1, 25)] == seeded
     assert [_bits(zs) for zs in zero_sweep(t, 24, ctx)] == swept
 
@@ -573,8 +573,8 @@ def test_float_seed_leaves_three_full_precision_steps(monkeypatch):
     ctx = PrecisionContext(default_bits(16))
     t = chebyshev_coeffs(1, 16, ctx)
     calls = []
-    real = kernel.ttrr_d2
-    monkeypatch.setattr(kernel, "ttrr_d2", lambda *a: calls.append(1) or real(*a))
+    real = kernel._ttrr_d2
+    monkeypatch.setattr(kernel, "_ttrr_d2", lambda *a: calls.append(1) or real(*a))
     sets = zero_sweep(t, 16, ctx)
     assert len(calls) <= 3.5 * sum(zs.n for zs in sets)
 
@@ -588,10 +588,10 @@ def test_sturm_cuts_are_evaluated_once(monkeypatch):
     real_ttrr, real_polish = kernel._ttrr, kernel._polish
     seen = {"inside": False, "points": []}
 
-    def ttrr(b, a, n, x, bits):
+    def ttrr(nb, na, n, x, bits):
         if not seen["inside"]:
             seen["points"].append(x)
-        return real_ttrr(b, a, n, x, bits)
+        return real_ttrr(nb, na, n, x, bits)
 
     def polish(*args):
         seen["inside"] = True
