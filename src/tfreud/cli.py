@@ -107,15 +107,22 @@ class RunConfig:
 
 
 def round_half_away(x, digits: int) -> str:
-    """Decimal string with exactly `digits` places, ties away from zero."""
-    with mp.workprec(256):
-        xv = mp.mpf(x)
-        q = int(mp.floor(abs(xv) * mp.mpf(10) ** digits + mp.mpf("0.5")))
-        negative = xv < 0 and q > 0
-    sign = "-" if negative else ""
+    """Decimal string of the mpf x = m 2^e with exactly `digits` places,
+    ties away from zero, computed in integers.  x is read at its own
+    precision, at least the 64 bits of a context: it stands for a decimal
+    tie that is the shortest decimal within half a unit of its last bit."""
+    s, m, e, bc = x._mpf_
+    g, unit = max(0, 64 - bc), 10 ** digits
+    d = 1 << max(0, g - e)
+    # |x| 10^digits = q + r/d and half a unit of the last bit of x is
+    # unit / 2d: the tie r/d = 1/2 lies within it when |2r - d| <= unit, and
+    # is the shortest decimal there when 10 unit < d
+    q, r = divmod(m * unit << max(g, e), d)
+    q += 2 * r + (unit if 10 * unit < d else 0) >= d
+    sign = "-" if s and q else ""
     if digits == 0:
         return f"{sign}{q}"
-    return f"{sign}{q // 10 ** digits}.{q % 10 ** digits:0{digits}d}"
+    return f"{sign}{q // unit}.{q % unit:0{digits}d}"
 
 
 def _fmt_value(v, cfg: RunConfig) -> str:

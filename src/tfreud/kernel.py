@@ -272,10 +272,10 @@ def _neg_images(b, a, n) -> tuple:
 # a Newton-Halley polish in each gap, seeded by the same iteration run in
 # binary64 (Python floats), so that only its last steps run at the working
 # precision (Brent & Zimmermann, Modern Computer Arithmetic, 2010, 4.2).
-# The eigensolver converts -b and -a to images once per matrix; the
-# recurrence, the Sturm counts, the sign reads, the Halley steps and the
-# bracket tests all run on images at an explicit precision `bits`, each
-# operation in the order and at the precision of the mpf loop it replaces.
+# The eigensolver converts -b and -a to images once per matrix and runs the
+# recurrence on them in two loops, _ttrr_d2 for the Halley steps and _sturm
+# for a Sturm count with the sign of P_n, at an explicit precision `bits`,
+# every step in the order and at the precision of the mpf loop it replaces.
 # Only the set-up (Gershgorin ends, tolerance) runs in mpf.
 # ---------------------------------------------------------------------------
 
@@ -302,52 +302,37 @@ def _ttrr_d2(nb, na, n, x, bits) -> tuple:
     return p, d, s
 
 
-def ttrr_d2(b, a, n: int, x, bits: int) -> tuple:
-    """(P_n(x), P_n'(x), P_n''(x)) as mpf values by the loop of _ttrr_d2, at
-    `bits` bits.  The result has the bits of the same loop in mpf at
-    `bits` when x, b and a hold at most `bits` bits."""
-    return tuple(map(_mpf, _ttrr_d2(*_neg_images(b, a, n), n, _image(x), bits)))
-
-
-def _ttrr(nb, na, n, x, bits) -> tuple:
-    """The image of P_n(x) alone, by the same steps as _ttrr_d2, so the two
-    agree bit for bit; enough wherever only the sign of P_n is read."""
+def _sturm(nb, na, n, x, bits) -> tuple:
+    """(count, p): the number of eigenvalues below x of the Jacobi matrix of
+    the images nb = -b and na = -a, and the image p of P_n(x) by the steps
+    of _ttrr_d2, so the two agree bit for bit.  The count is that of the
+    k < n where P_{k+1}(x) has the sign of P_k(x), a zero taking the sign
+    before it (Wilkinson, The Algebraic Eigenvalue Problem, 1965, 5.37), so
+    x itself counts where P_n(x) = 0.  Images hold any exponent, so the
+    values need no scaling into pivots."""
+    count, up = 0, True
     p_prev, p = (0, 0), (1, 0)
     for k in range(n):
         p, p_prev = _add(_mul(_add(x, nb[k], bits), p, bits), _mul(na[k], p_prev, bits), bits), p
-    return p
-
-
-def _sturm_count(nb, na, x, pivmin, bits):
-    """Number of eigenvalues strictly below x of the Jacobi matrix of the
-    recurrence with the images nb = -b and na = -a, read as _ttrr_d2 reads
-    it: the LDL pivots q_0 = b_0 - x, q_i = b_i - x - a_i / q_{i-1} that are
-    negative, a zero pivot taken as -pivmin.  The loop carries r = -q, so
-    that it adds the images as they are; rounding to nearest is symmetric,
-    so r is the negated mpf pivot bit for bit."""
-    count = 0
-    r = _add(x, nb[0], bits)
-    for i in range(len(nb)):
-        if i:
-            r = _add(_add(x, nb[i], bits), _div(na[i], r, bits), bits)
-        if not r[0]:
-            r = pivmin
-        count += r[0] > 0
-    return count
+        if p[0] and (p[0] > 0) != up:
+            up = not up
+        else:
+            count += 1
+    return count, p
 
 
 def _sign(nb, na, n, x, bits):
-    """Whether P_n(x) > 0, read by _ttrr; None where P_n(x) = 0."""
-    m = _ttrr(nb, na, n, x, bits)[0]
+    """Whether P_n(x) > 0, read by _sturm; None where P_n(x) = 0."""
+    m = _sturm(nb, na, n, x, bits)[1][0]
     return None if m == 0 else m > 0
 
 
-def _separators(nb, na, lo, hi, pivmin, bits):
+def _separators(nb, na, lo, hi, bits):
     """(ends, up): lo, then n - 1 cuts, then hi, and the _sign of P_n at
     each of them.  The k-th cut has exactly k eigenvalues below it and P_n
-    of the sign (-1)^(n - k) at it.  Sturm-count bisection (Barth, Martin &
-    Wilkinson, Numer. Math. 9, 1967) splits an interval only while a cut
-    between its ends is missing.  A point where P_n vanishes or has the
+    of the sign (-1)^(n - k) at it.  Bisection splits an interval only
+    while a cut between its ends is missing, one pass of _sturm giving the
+    count and the sign at each point.  A point where P_n vanishes or has the
     other sign lies on an eigenvalue at the working precision and cuts
     nothing, and the cut it missed may lie on either side of it.  None if a
     cut is still missing once bisection has run into adjacent ends at the
@@ -365,11 +350,9 @@ def _separators(nb, na, lo, hi, pivmin, bits):
         m = _mid(a, b, bits)
         if None not in ends[ca:cb + 1] or not _cmp(a, m) < 0 < _cmp(b, m):
             continue
-        c = _sturm_count(nb, na, m, pivmin, bits)
-        if ends[c] is None:
-            s = _sign(nb, na, n, m, bits)
-            if s is not None and s == ((n - c) % 2 == 0):
-                ends[c], up[c] = m, s
+        c, p = _sturm(nb, na, n, m, bits)
+        if ends[c] is None and p[0] and (p[0] > 0) == ((n - c) % 2 == 0):
+            ends[c], up[c] = m, p[0] > 0
         todo += [part for part in ((a, ca, m, c), (m, c, b, cb)) if part[1] < part[3]]
     return None if None in ends else (ends, up)
 
@@ -495,9 +478,10 @@ def tridiag_eigenvalues(diag, off2, ctx: PrecisionContext, cuts=None) -> list:
     images of the coefficients, also converted once per call.  The cuts are
     `cuts`, the n - 1 ascending zeros of P_{n-1}, which interlace with the
     eigenvalues; if none are given or P_n does not alternate across them,
-    Sturm-count bisection places one cut between each pair of neighbouring
-    eigenvalues.  Both routes converge to the same rounded zeros (the tests
-    compare them bit for bit).  An eigenvalue within the stopping tolerance
+    bisection places one cut between each pair of neighbouring eigenvalues,
+    reading a Sturm count and the sign of P_n from one pass of the
+    recurrence at each point.  Both routes converge to the same rounded
+    zeros (the tests compare them bit for bit).  An eigenvalue within the stopping tolerance
     of 0 is returned as exactly 0 when P_n(0) is exactly 0 at the working
     precision.  ConvergenceError if the working precision cannot separate
     two eigenvalues.
@@ -554,8 +538,7 @@ def tridiag_eigenvalues(diag, off2, ctx: PrecisionContext, cuts=None) -> list:
             out = _interlaced(nb, na, fd, fa, ends,
                               [_sign(nb, na, n, x, work) for x in ends], tol, ctx.bits, work)
         if out is None:
-            pivmin = _image(max(max(off2), mp.mpf(1)) * mp.mpf(2) ** (-2 * work))
-            cut = _separators(nb, na, lo, hi, pivmin, work)
+            cut = _separators(nb, na, lo, hi, work)
             if cut is not None:
                 out = _interlaced(nb, na, fd, fa, *cut, tol, ctx.bits, work)
         if out is None:

@@ -37,6 +37,10 @@ from .kernel import (
     MonicPoly,
     PrecisionContext,
     RationalFn,
+    _image,
+    _mpf,
+    _neg_images,
+    _ttrr_d2,
     poly_add,
     poly_diff,
     poly_max_abs,
@@ -44,7 +48,6 @@ from .kernel import (
     poly_scale,
     poly_sub,
     poly_trim,
-    ttrr_d2,
 )
 from .recurrence import RecurrenceTable, band_lower, band_row, bracket_i
 
@@ -84,15 +87,17 @@ def poly_table(tbl: RecurrenceTable, n_max: int) -> tuple:
 
 
 def ttrr_eval_d2(tbl: RecurrenceTable, n: int, x) -> tuple:
-    """(P_n(x), P_n'(x), P_n''(x)) straight from the recurrence (kernel.ttrr_d2)
-    at the table's working precision.  Near the top of the zero range this
-    is much better conditioned than Horner on the monomial coefficients,
-    whose alternating signs cancel heavily there."""
+    """(P_n(x), P_n'(x), P_n''(x)) straight from the recurrence (the loop
+    kernel._ttrr_d2 on integer images) at the table's working precision.
+    Near the top of the zero range this is much better conditioned than
+    Horner on the monomial coefficients, whose alternating signs cancel
+    heavily there."""
     if n < 0 or n > tbl.n_max + 1:
         raise IndexError(f"need 0 <= n <= {tbl.n_max + 1}, got {n}")
     with tbl.workprec():
         x = mp.mpf(x)
-    return ttrr_d2(tbl.b, tbl.a, n, x, tbl.ctx.bits + RESIDUAL_GUARD_BITS)
+    nb, na = _neg_images(tbl.b, tbl.a, n)
+    return tuple(map(_mpf, _ttrr_d2(nb, na, n, _image(x), tbl.ctx.bits + RESIDUAL_GUARD_BITS)))
 
 
 # ---------------------------------------------------------------------------

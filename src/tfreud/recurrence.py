@@ -14,7 +14,7 @@ to the caller's context, which the table keeps: every evaluation on a table
 runs at RecurrenceTable.workprec(), whatever mpmath's global precision is.
 The table also carries P_n(0), the value at the truncation point x = 0,
 from one scalar pass of the recurrence: the ladder functions, identities
-i/ii, the external field and the largest-zero chain read only that.
+i/ii, the external field and the largest-zero chain (gamma) read only that.
 
 The combinations R_n = a_{n+1} + b_n^2 + a_n and T_n = a_n*(b_n + b_{n-1})
 build the band of x^4 P_n = sum_k beta_{n,k} P_k (the fourth power of the
@@ -133,7 +133,7 @@ def bracket_i(a, b, n: int):
 class RecurrenceTable:
     """a_0..a_{n_max}, b_0..b_{n_max}, h_0..h_{n_max} at a fixed z and at the
     precision of `ctx`; a_0 = 0.  R, T and sigma run at workprec(); at_zero
-    holds P_0(0)..P_{n_max}(0)."""
+    holds P_0(0)..P_{n_max}(0), and gamma the chain built from them."""
 
     z: mp.mpf
     a: tuple
@@ -168,6 +168,20 @@ class RecurrenceTable:
                 p, p_prev = -self.b[k] * p - self.a[k] * p_prev, p
                 out.append(p)
         return tuple(self.ctx.round(v) for v in out)
+
+    @cached_property
+    def gamma(self) -> tuple:
+        """gamma_1..gamma_{2 n_max - 1} (element i is gamma_{i+1}) at
+        workprec(): gamma_{2k+1} = -P_{k+1}(0)/P_k(0) and gamma_{2k} =
+        -a_k P_{k-1}(0)/P_k(0); its readers check that they are positive."""
+        p0 = self.at_zero
+        with self.workprec():
+            out = []
+            for k in range(self.n_max):
+                if k:
+                    out.append(-self.a[k] * p0[k - 1] / p0[k])
+                out.append(-p0[k + 1] / p0[k])
+        return tuple(out)
 
     def R(self, n: int) -> mp.mpf:
         """R_n = a_{n+1} + b_n^2 + a_n; defined for 0 <= n <= n_max - 1."""

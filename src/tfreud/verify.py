@@ -171,8 +171,8 @@ def run_verification(z_values=(mp.mpf(1) / 4, 1, 4), n_max: int = 14,
         tol1 = ctx.verify_tol(1)
         n_tbl = n_max + 2
 
-        clean = {z: chebyshev_coeffs(z, n_tbl, ctx)
-                 for z in dict.fromkeys([*zs, *SCALE_Z, mp.mpf(1)])}
+        every_z = dict.fromkeys([*zs, *SCALE_Z, mp.mpf(1)])
+        clean = {z: chebyshev_coeffs(z, n_tbl, ctx) for z in every_z}
         tbl_one = clean[mp.mpf(1)]
         tables = {z: inject_fault(clean[z], fault_parsed) if fault_parsed else clean[z]
                   for z in zs}
@@ -190,14 +190,15 @@ def run_verification(z_values=(mp.mpf(1) / 4, 1, 4), n_max: int = 14,
         zdesc = _zdesc(zs)
         nrange = f"1..{n_max}"
 
-        # moment recurrence and the Stieltjes tail (weight side, no tables)
-        mseqs = [MomentSequence.build(z, 2 * n_max + 5, ctx) for z in zs]
-        worst = _worst(moment_recurrence_residual(mseq, n)
-                       for mseq in mseqs for n in range(2 * n_max + 1))
+        # moment recurrence and the Stieltjes tail (weight side, no tables);
+        # the scaling records read the same closed-form sequences
+        moms = {z: MomentSequence.build(z, 2 * n_max + 5, ctx) for z in every_z}
+        worst = _worst(moment_recurrence_residual(moms[z], n)
+                       for z in zs for n in range(2 * n_max + 1))
         records.append(_rec("moment-recurrence", f"0..{2 * n_max}", zdesc, worst, tol1))
 
-        worst = _worst(stieltjes_residual(mseq, t, 2 * n_max + 1)
-                       for mseq in mseqs for t in (mp.mpf(2), mp.mpf(10)))
+        worst = _worst(stieltjes_residual(moms[z], t, 2 * n_max + 1)
+                       for z in zs for t in (mp.mpf(2), mp.mpf(10)))
         records.append(_rec("stieltjes-ode-tail", f"N={2 * n_max + 1}", zdesc, worst, tol1))
 
         # Laguerre-Freud family and the ladder identities
@@ -261,10 +262,9 @@ def run_verification(z_values=(mp.mpf(1) / 4, 1, 4), n_max: int = 14,
 
         # scaling laws against the z = 1 family
         sdesc = _zdesc(SCALE_Z)
-        m_one = MomentSequence.build(1, 2 * n_max, ctx)
-        scaled = [MomentSequence.build(z, 2 * n_max, ctx) for z in SCALE_Z]
-        worst = max(abs(mseq[n] * mseq.z ** (mp.mpf(n + 1) / 4) / m_one[n] - 1)
-                    for mseq in scaled for n in range(2 * n_max + 1))
+        m_one = moms[mp.mpf(1)]
+        worst = max(abs(moms[z][n] * z ** (mp.mpf(n + 1) / 4) / m_one[n] - 1)
+                    for z in SCALE_Z for n in range(2 * n_max + 1))
         records.append(_rec("scaling-moments", f"0..{2 * n_max}", sdesc, worst, tol1))
 
         worst_ab = mp.mpf(0)

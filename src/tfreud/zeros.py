@@ -4,10 +4,11 @@
   table (diagonal b_0..b_{n-1}, off-diagonal products a_1..a_{n-1}); the
   eigensolver polishes each one by a guarded Newton-Halley iteration on P_n
   through the recurrence.  zeros() solves one degree on its own, the
-  eigenvalues separated by Sturm counts; zero_sweep() solves degrees
-  1..n_max in turn and brackets each zero of P_n between consecutive zeros
-  of P_{n-1}, which interlace with them, so a degree costs a few polishing
-  steps per zero and no Sturm count.  Both return the same bits.  Each
+  eigenvalues separated by Sturm counts, each read with the sign of P_n
+  from one pass of the recurrence; zero_sweep() solves degrees 1..n_max in
+  turn and brackets each zero of P_n between consecutive zeros of P_{n-1},
+  which interlace with them, so a degree costs a few polishing steps per
+  zero and no Sturm count.  Both return the same bits.  Each
   polish starts from the same iteration run in binary64 (Python floats),
   so about three of its steps run at the working precision; the start
   point is all the float phase decides.
@@ -128,39 +129,21 @@ def zero_scaling_check(zs_z: ZeroSet, zs_1: ZeroSet, ctx: PrecisionContext) -> m
 # largest-zero bound through the symmetrized chain
 # ---------------------------------------------------------------------------
 
-def gamma_chain(tbl: RecurrenceTable, n_max: int) -> tuple:
-    """gamma_1 .. gamma_{2 n_max - 1} with
-    gamma_{2k+1} = -P_{k+1}(0)/P_k(0) and gamma_{2k} = -a_k P_{k-1}(0)/P_k(0).
-    Element i of the result is gamma_{i+1}.  All entries must come out
-    positive (P_k(0) alternates in sign); a violation is raised."""
-    if n_max < 1 or n_max > tbl.n_max:
-        raise IndexError(f"need 1 <= n_max <= {tbl.n_max}")
-    p0 = tbl.at_zero
-    with tbl.workprec():
-        out = []
-        for i in range(1, 2 * n_max):
-            if i % 2:
-                k = (i - 1) // 2
-                g = -p0[k + 1] / p0[k]
-            else:
-                k = i // 2
-                g = -tbl.a[k] * p0[k - 1] / p0[k]
-            if not g > 0:
-                raise DomainError(f"gamma_{i} = {mp.nstr(g, 8)} not positive")
-            out.append(g)
-        return tuple(out)
-
-
 def largest_zero_bound(tbl: RecurrenceTable, n: int, eps="1e-3") -> mp.mpf:
     """max_k c_{2n} gamma_k over k = 1..2n-1, c_{2n} = 4 cos^2(pi/(2n+1)) + eps;
-    an upper bound for the largest zero x_{n,n}."""
+    an upper bound for the largest zero x_{n,n}, from the table's view gamma."""
     if n < 2:
         raise DomainError(f"need n >= 2, got {n}")
+    if n > tbl.n_max:
+        raise IndexError(f"need n <= {tbl.n_max}, got {n}")
     with tbl.workprec():
         ev = mp.mpf(eps)
         if not ev > 0:
             raise DomainError("eps must be positive")
-        chain = gamma_chain(tbl, n)
+        chain = tbl.gamma[:2 * n - 1]
+        for i, g in enumerate(chain, 1):
+            if not g > 0:
+                raise DomainError(f"gamma_{i} = {mp.nstr(g, 8)} not positive")
         c2n = 4 * mp.cos(mp.pi / (2 * n + 1)) ** 2 + ev
         return c2n * max(chain)
 
@@ -292,10 +275,11 @@ def density_consistency(t) -> mp.mpf:
     with ctx.workprec(32):
         tv = mp.mpf(t)
         model = DensityModel.for_t(tv, ctx)
+        omega = density_at(tv, ctx)
         worst = mp.mpf(0)
         for wq in ("0.05", "0.2", "0.5", "0.7", "0.9"):
             x = mp.mpf(wq) * model.beta_t
-            closed = density(x, tv, ctx)
+            closed = omega(x)
             worst = max(worst, abs(closed - density_integral(x, tv, ctx)) / closed)
         return worst
 

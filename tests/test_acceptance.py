@@ -54,7 +54,6 @@ from tfreud.zeros import (
     density_normalization,
     electro_energy,
     empirical_density_distance,
-    gamma_chain,
     largest_zero_bound,
     stationarity_check,
     zero_scaling_check,
@@ -330,8 +329,7 @@ def _verdict_vector(bits: int):
     halving = max(abs(2 * a - b) for a, b in
                   zip(zeros(tbl16, 8, ctx).values, zeros(tbl1, 8, ctx).values))
     flags.append(halving <= mp.mpf("1e-12"))
-    chain = gamma_chain(tbl, 14)
-    flags.append(all(g > 0 for g in chain))
+    flags.append(all(g > 0 for g in tbl.gamma[:27]))
     return rounded, tuple(flags)
 
 def test_criterion_10_self_consistency():

@@ -34,6 +34,21 @@ def test_round_half_away():
         round_half_away(mp.mpf("-0.00004"), 4) == "0.0000"
 
 
+def test_round_half_away_rounds_the_exact_value():
+    # 2^-300 / 10^4 off a decimal tie, held at 600 bits: a rounding of the
+    # value to 256 bits would land on the tie's lower side both times
+    for sign, prefix in ((1, ""), (-1, "-")):
+        with mp.workprec(600):
+            off = mp.mpf(2) ** -300 / 10 ** 4
+            above, below = sign * (mp.mpf("1.23455") + off), sign * (mp.mpf("1.23455") - off)
+            # exact binary ties go away from zero
+            ties = sign * mp.mpf("2.5"), sign * mp.mpf("0.125")
+        assert round_half_away(above, 4) == prefix + "1.2346"
+        assert round_half_away(below, 4) == prefix + "1.2345"
+        assert round_half_away(ties[0], 0) == prefix + "3"
+        assert round_half_away(ties[1], 2) == prefix + "0.13"
+
+
 def test_moments_default_row_count(capsys):
     code, out, _ = run_cli(capsys, "moments")
     assert code == 0

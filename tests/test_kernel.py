@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import functools
 import random
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
@@ -236,12 +237,12 @@ def _chebyshev(n):
 
 @pytest.mark.parametrize("n", [2, 5, 8])
 def test_tridiag_interlacing_cuts(n, monkeypatch):
-    # the zeros of degree n-1 cut the brackets of degree n: no Sturm count
+    # the zeros of degree n-1 cut the brackets of degree n: no bisection
     ctx = PrecisionContext(192)
     diag, off2, ref = _chebyshev(n)
     cuts = tridiag_eigenvalues(diag[:-1], off2[:-1], ctx)
     plain = tridiag_eigenvalues(diag, off2, ctx)
-    monkeypatch.setattr(kernel, "_sturm_count", None)
+    monkeypatch.setattr(kernel, "_separators", None)
     ev = tridiag_eigenvalues(diag, off2, ctx, cuts=cuts)
     assert [v._mpf_ for v in ev] == [v._mpf_ for v in plain]
     for got, want in zip(ev, ref):
@@ -258,8 +259,8 @@ def test_tridiag_cuts_that_do_not_alternate_fall_back_to_sturm(monkeypatch):
     cuts = tridiag_eigenvalues(diag[:-1], off2[:-1], ctx)
     bad = [(plain[1] + cuts[1]) / 2] + cuts[1:]
     counts = []
-    real = kernel._sturm_count
-    monkeypatch.setattr(kernel, "_sturm_count", lambda *a: counts.append(1) or real(*a))
+    real = kernel._separators
+    monkeypatch.setattr(kernel, "_separators", lambda *a: counts.append(1) or real(*a))
     ev = tridiag_eigenvalues(diag, off2, ctx, cuts=bad)
     assert counts
     assert [v._mpf_ for v in ev] == [v._mpf_ for v in plain]
@@ -334,14 +335,15 @@ def test_tridiag_midpoint_on_an_eigenvalue(n, centred, monkeypatch):
     # diag 0..n-1 with off-diagonal 1/2 has, for odd n, the eigenvalue
     # (n-1)/2 at the midpoint of its Gershgorin interval; that point cuts
     # nothing, and the cut it missed lies on whichever side its Sturm count
-    # puts it.  Centred on 0, the points beside it that miscount reach down
-    # to 0 itself, and bisection beside them must stay a single path
-    # (about `work` steps each way), not fan out toward 0.
+    # puts it.  Centred on 0, an LDL pivot count miscounted the points
+    # beside it down to 0 itself, and bisection beside a miscount must stay
+    # a single path (about `work` steps each way), not fan out toward 0.
+    # Every pass of _sturm counts, the polish's sign reads too.
     ctx = PrecisionContext(256)
     shift = mp.mpf(n - 1) / 2 if centred else 0
     diag, off2 = [mp.mpf(k) - shift for k in range(n)], [mp.mpf(1) / 4] * (n - 1)
-    real, counts = kernel._sturm_count, []
-    monkeypatch.setattr(kernel, "_sturm_count", lambda *a: counts.append(1) or real(*a))
+    real, counts = kernel._sturm, []
+    monkeypatch.setattr(kernel, "_sturm", lambda *a: counts.append(1) or real(*a))
     ev = tridiag_eigenvalues(diag, off2, ctx)
     assert len(counts) <= 4 * (ctx.bits + 32)
     if n % 2:
@@ -441,8 +443,8 @@ def test_image_sum_of_far_apart_addends(bits):
 
 
 def _ttrr_d2_mpf(b, a, n, x):
-    """The recurrence loop of ttrr_d2 in mpf at mpmath's global precision:
-    the oracle for the loop on integer images."""
+    """The recurrence loop of kernel._ttrr_d2 in mpf at mpmath's global
+    precision: the oracle for the loop on integer images."""
     p_prev, p = mp.mpf(0), mp.mpf(1)
     d_prev, d = mp.mpf(0), mp.mpf(0)
     s_prev, s = mp.mpf(0), mp.mpf(0)
@@ -455,12 +457,17 @@ def _ttrr_d2_mpf(b, a, n, x):
     return p, d, s
 
 
-def _ttrr_mpf(b, a, n, x):
-    """The loop of kernel._ttrr in mpf, as _ttrr_d2_mpf."""
+def _sturm_mpf(b, a, n, x):
+    """The loop of kernel._sturm in mpf, as _ttrr_d2_mpf: (count, P_n(x))."""
+    count, up = 0, True
     p_prev, p = mp.mpf(0), mp.mpf(1)
     for k in range(n):
         p, p_prev = (x - b[k]) * p - a[k] * p_prev, p
-    return p
+        if p and (p > 0) != up:
+            up = not up
+        else:
+            count += 1
+    return count, p
 
 
 @functools.cache
@@ -490,14 +497,15 @@ def test_ttrr_matches_the_mpf_loop(zq, n):
                 dx = f / fp
                 x -= dx / (1 - dx * fpp / (2 * fp))
             points = [mp.mpf(0), lo, hi, x, (lo + 2 * hi) / 3]
-            want = [_ttrr_d2_mpf(b, a, n, x) + (_ttrr_mpf(b, a, n, x),) for x in points]
+            want = [_ttrr_d2_mpf(b, a, n, x) + _sturm_mpf(b, a, n, x) for x in points]
         # the polished point is a zero: P_n there is roundoff
         assert abs(want[3][0]) <= abs(want[4][0]) * mp.mpf(2) ** (-bits // 2)
         nb, na = kernel._neg_images(b, a, n)
-        for x, w in zip(points, want):
-            got = kernel.ttrr_d2(b, a, n, x, bits) + (
-                kernel._mpf(kernel._ttrr(nb, na, n, kernel._image(x), bits)),)
-            assert [v._mpf_ for v in got] == [v._mpf_ for v in w]
+        for x, (f, fp, fpp, count, p) in zip(points, want):
+            xi = kernel._image(x)
+            c, pi = kernel._sturm(nb, na, n, xi, bits)
+            got = [kernel._mpf(v)._mpf_ for v in kernel._ttrr_d2(nb, na, n, xi, bits) + (pi,)]
+            assert (got, c) == ([v._mpf_ for v in (f, fp, fpp, p)], count)
 
 
 # --- the eigensolver's loops on images against the same loops in mpf -------
@@ -555,8 +563,10 @@ def test_image_comparison_matches_mpmath(case):
 
 
 def _sturm_count_mpf(b, a, x, pivmin):
-    """kernel._sturm_count in mpf at mpmath's global precision: the reference
-    for the loop on images."""
+    """Number of eigenvalues below x by the LDL pivots q_0 = b_0 - x,
+    q_i = b_i - x - a_i / q_{i-1} that are negative, a zero pivot taken as
+    -pivmin (Barth, Martin & Wilkinson, Numer. Math. 9, 1967), in mpf at
+    mpmath's global precision."""
     count = 0
     q = b[0] - x
     if q == 0:
@@ -573,7 +583,7 @@ def _sturm_count_mpf(b, a, x, pivmin):
 
 
 def _sign_mpf(b, a, n, x):
-    f = _ttrr_mpf(b, a, n, x)
+    f = _sturm_mpf(b, a, n, x)[1]
     return None if f == 0 else f > 0
 
 
@@ -600,11 +610,13 @@ def _polish_mpf(b, a, fb, fa, n, lo, hi, lo_up, tol, steps):
         x = x1
         if abs(dx) <= tol:
             break
-    return mp.mpf(0) if abs(x) <= tol and _ttrr_mpf(b, a, n, mp.mpf(0)) == 0 else x
+    return mp.mpf(0) if abs(x) <= tol and _sign_mpf(b, a, n, mp.mpf(0)) is None else x
 
 
 def _separators_mpf(b, a, lo, hi, pivmin):
-    """kernel._separators in mpf."""
+    """The bisection of kernel._separators in mpf, but on the LDL pivot
+    count of _sturm_count_mpf with a separate sign read: its cuts may
+    differ, the eigenvalues polished between them may not."""
     n = len(b)
     ends = [lo] + [None] * (n - 1) + [hi]
     up = [_sign_mpf(b, a, n, lo)] + [None] * (n - 1) + [_sign_mpf(b, a, n, hi)]
@@ -625,7 +637,8 @@ def _separators_mpf(b, a, lo, hi, pivmin):
 
 def _eigenvalues_mpf(diag, off2, ctx, cuts=None):
     """tridiag_eigenvalues with every loop in mpf at the working precision:
-    the same set-up, cuts, polish and rounding."""
+    the same set-up, polish and rounding, the Sturm route cut by pivot
+    counts."""
     n, work = len(diag), ctx.bits + 32
     with mp.workprec(work):
         b = [mp.mpf(v) for v in diag]
@@ -681,27 +694,53 @@ def test_eigensolver_matches_the_mpf_loops_on_tables(zq):
             assert _raws(cut) == _raws(_eigenvalues_mpf(diag, off2, tbl.ctx, cuts=prev)), n
 
 
+def _integer_matrices():
+    """1,500 random Jacobi matrices (diag, off2) with small integer entries,
+    of sizes 2 to 6; some are singular."""
+    rng = random.Random(0)
+    for _ in range(1500):
+        n = rng.randint(2, 6)
+        yield ([mp.mpf(rng.randint(-4, 4)) for _ in range(n)],
+               [mp.mpf(rng.randint(1, 4)) for _ in range(n - 1)])
+
+
+def test_sturm_count_is_exact_on_integer_matrices():
+    # at integer x every P_k(x) is an integer the working precision holds,
+    # so the count is n less the sign changes of the nonzero P_k(x), taken
+    # exactly; a zero P_n(x) counts its eigenvalue x as below x
+    bits = 128 + 32
+    for diag, off2 in _integer_matrices():
+        n = len(diag)
+        nb, na = kernel._neg_images(diag, [mp.mpf(0)] + off2, n)
+        b, a = [Fraction(int(v)) for v in diag], [0] + [Fraction(int(v)) for v in off2]
+        for x in range(-13, 14):
+            ps = [Fraction(0), Fraction(1)]
+            for k in range(n):
+                ps.append((x - b[k]) * ps[-1] - a[k] * ps[-2])
+            signs = [p > 0 for p in ps[1:] if p]
+            changes = sum(s != t for s, t in zip(signs, signs[1:]))
+            count, p = kernel._sturm(nb, na, n, (x, 0), bits)
+            assert (count, Fraction(p[0]) * Fraction(2) ** p[1]) == (n - changes, ps[-1]), \
+                (diag, off2, x)
+
+
 def test_eigensolver_matches_the_mpf_loops_on_small_integer_matrices():
     # 1,500 random matrices with small integer entries at 128 bits, on both
     # routes; some are singular, so the zero rule is exercised too
-    rng = random.Random(0)
     ctx = PrecisionContext(128)
-    pivmin = mp.mpf(2) ** -300
     exact_zeros = 0
-    for _ in range(1500):
-        n = rng.randint(2, 6)
-        diag = [mp.mpf(rng.randint(-4, 4)) for _ in range(n)]
-        off2 = [mp.mpf(rng.randint(1, 4)) for _ in range(n - 1)]
+    for diag, off2 in _integer_matrices():
+        n = len(diag)
         got = tridiag_eigenvalues(diag, off2, ctx)
         assert _raws(got) == _raws(_eigenvalues_mpf(diag, off2, ctx)), (diag, off2)
-        # the Sturm count on each eigenvalue, where rounding decides it
+        # the Sturm pass on each eigenvalue, where rounding decides the count
         with mp.workprec(ctx.bits + 32):
             b, a = diag, [mp.mpf(0)] + off2
             nb, na = kernel._neg_images(b, a, n)
             for x in got:
-                want = _sturm_count_mpf(b, a, x, pivmin)
-                assert kernel._sturm_count(nb, na, kernel._image(x), kernel._image(pivmin),
-                                           ctx.bits + 32) == want
+                count, p = kernel._sturm(nb, na, n, kernel._image(x), ctx.bits + 32)
+                want = _sturm_mpf(b, a, n, x)
+                assert (count, kernel._mpf(p)._mpf_) == (want[0], want[1]._mpf_)
         cuts = tridiag_eigenvalues(diag[:-1], off2[:-1], ctx)
         cut = tridiag_eigenvalues(diag, off2, ctx, cuts=cuts)
         assert _raws(cut) == _raws(_eigenvalues_mpf(diag, off2, ctx, cuts=cuts)), (diag, off2)

@@ -20,7 +20,6 @@ import tfreud
 from tfreud.kernel import (
     PrecisionContext,
     tridiag_eigenvalues,
-    ttrr_d2,
 )
 from tfreud.moments import (
     MomentSequence,
@@ -75,7 +74,6 @@ from tfreud.zeros import (
     density_normalization,
     electro_energy,
     empirical_density_distance,
-    gamma_chain,
     interlacing_margin,
     largest_zero_bound,
     ode_at_zeros_check,
@@ -117,6 +115,7 @@ CASES = {
     "RecurrenceTable.sigma": lambda: [TBL.sigma(n) for n in range(14)],
     # a fresh copy, so the cached value of TBL cannot answer for it
     "RecurrenceTable.at_zero": lambda: dataclasses.replace(TBL).at_zero,
+    "RecurrenceTable.gamma": lambda: dataclasses.replace(TBL).gamma,
     "lf_forward": lambda: lf_forward((TBL.b[0], TBL.a[1], TBL.b[1]), 8, TBL),
     "asymptotic_ratio": lambda: asymptotic_ratio(TBL, 7),
     "scaling_check": lambda: scaling_check(TBL4, TBL, 7),
@@ -124,8 +123,6 @@ CASES = {
     "poly_table": lambda: poly_table(TBL, 8),
     "sample_grid": lambda: sample_grid(6, "0.3", CTX, count=5),
     "ttrr_eval_d2": lambda: ttrr_eval_d2(TBL, 9, "0.7"),
-    # the precision is an argument: nothing is rounded by the global one
-    "ttrr_d2": lambda: ttrr_d2(TBL.b, TBL.a, 9, TBL.b[4], CTX.bits + 32),
     "beta_row": lambda: beta_row(TBL, 5),
     "beta_lower": lambda: beta_lower(TBL, 5),
     "structure_coeffs": lambda: structure_coeffs(TBL, 5),
@@ -148,7 +145,6 @@ CASES = {
     "zero_sweep": lambda: zero_sweep(TBL, 6, CTX),
     "interlacing_margin": lambda: interlacing_margin(ZS, zeros(TBL, 5, CTX)),
     "zero_scaling_check": lambda: zero_scaling_check(zeros(TBL4, 6, CTX), ZS, CTX),
-    "gamma_chain": lambda: gamma_chain(TBL, 8),
     "largest_zero_bound": lambda: largest_zero_bound(TBL, 8, eps="1e-3"),
     # V_n and V_n' at a decimal x, read from the private _fields
     "potential_eval": lambda: _fields(TBL, 6, ["0.7"])[0][0],
