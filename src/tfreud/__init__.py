@@ -5,7 +5,6 @@ from __future__ import annotations
 from .kernel import (
     ConvergenceError,
     DomainError,
-    MonicPoly,
     PrecisionContext,
     PrecisionExhaustionError,
     RationalFn,
@@ -17,7 +16,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ConvergenceError",
     "DomainError",
-    "MonicPoly",
     "PrecisionContext",
     "PrecisionExhaustionError",
     "RationalFn",

@@ -19,6 +19,7 @@ from .kernel import (
     PrecisionContext,
     PrecisionExhaustionError,
     default_bits,
+    positive_finite,
 )
 from .moments import moment_sequence
 from .recurrence import asymptotic_ratio, chebyshev_coeffs
@@ -90,15 +91,9 @@ class RunConfig:
         if bits < 64:
             raise DomainError(f"--bits must be >= 64, got {bits}")
         with PrecisionContext(bits).workprec():
-            z = mp.mpf(args.z) if args.z is not None else mp.mpf(1)
-            ts = tuple(mp.mpf(t) for t in (args.t or ["1"]))
-            epsilon = mp.mpf(args.epsilon)
-        if not z > 0:
-            raise DomainError(f"--z must be positive, got {args.z}")
-        if not epsilon > 0:
-            raise DomainError(f"--epsilon must be positive, got {args.epsilon}")
-        if any(not t > 0 for t in ts):
-            raise DomainError("--t values must be positive")
+            z = positive_finite(args.z if args.z is not None else 1, "--z")
+            epsilon = positive_finite(args.epsilon, "--epsilon")
+            ts = tuple(positive_finite(t, "--t") for t in (args.t or ["1"]))
         if args.round is not None and args.round < 0:
             raise DomainError(f"--round must be >= 0, got {args.round}")
         return cls(args.command, z, args.z is not None, args.n_max, bits, epsilon, ts,

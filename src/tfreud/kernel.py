@@ -72,6 +72,14 @@ def default_bits(n_max: int) -> int:
     return 128 + 16 * max(0, int(n_max))
 
 
+def positive_finite(v, name: str) -> mp.mpf:
+    """v parsed at the caller's precision; DomainError unless 0 < v < inf."""
+    value = mp.mpf(v)
+    if not 0 < value < mp.inf:
+        raise DomainError(f"{name} must be positive and finite, got {v}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # dense polynomials (ascending coefficient lists)
 # ---------------------------------------------------------------------------
@@ -124,28 +132,6 @@ def poly_eval(p: list, x) -> mp.mpf:
     for c in reversed(p):
         acc = acc * x + c
     return acc
-
-
-def poly_max_abs(p: list) -> mp.mpf:
-    return max((abs(c) for c in p), default=mp.mpf(0))
-
-
-@dataclass(frozen=True)
-class MonicPoly:
-    """Monic dense polynomial: coeffs[k] multiplies x^k, leading coeff 1."""
-
-    coeffs: tuple
-
-    def __post_init__(self):
-        if not self.coeffs or self.coeffs[-1] != 1:
-            raise DomainError("MonicPoly requires a leading coefficient of exactly 1")
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def eval(self, x) -> mp.mpf:
-        return poly_eval(list(self.coeffs), x)
 
 
 @dataclass(frozen=True)
@@ -276,30 +262,35 @@ def _neg_images(b, a, n) -> tuple:
 # recurrence on them in two loops, _ttrr_d2 for the Halley steps and _sturm
 # for a Sturm count with the sign of P_n, at an explicit precision `bits`,
 # every step in the order and at the precision of the mpf loop it replaces.
+# _ttrr_d2 keeps every degree it passes: the operators' sampled records and
+# the table's P_n(0) read it too, so the recurrence is written here only.
 # Only the set-up (Gershgorin ends, tolerance) runs in mpf.
 # ---------------------------------------------------------------------------
 
-def _ttrr_d2(nb, na, n, x, bits) -> tuple:
-    """(P_n(x), P_n'(x), P_n''(x)) as images, every step rounded to `bits`
-    bits, from the images nb = -b and na = -a of the coefficients and the
-    image x, by running the recurrence and its first two formal
-    derivatives side by side:
+def _ttrr_d2(nb, na, n, x, bits) -> list:
+    """[(P_k(x), P_k'(x), P_k''(x)) for k = 0..n] as images, every step
+    rounded to `bits` bits, from the images nb = -b and na = -a of the
+    coefficients and the image x, by running the recurrence and its first
+    two formal derivatives side by side:
 
         P_{k+1}   = (x - b_k) P_k   - a_k P_{k-1}
         P'_{k+1}  = P_k + (x - b_k) P'_k  - a_k P'_{k-1}
         P''_{k+1} = 2 P'_k + (x - b_k) P''_k - a_k P''_{k-1}
 
-    Reads b_0..b_{n-1} and a_0..a_{n-1}; a_0 multiplies P_{-1} = 0."""
+    Reads b_0..b_{n-1} and a_0..a_{n-1}; a_0 multiplies P_{-1} = 0.  A
+    pass to degree n is a prefix of every longer pass at the same x."""
     zero = (0, 0)
     p_prev, p = zero, (1, 0)
     d_prev = d = s_prev = s = zero
+    out = [(p, d, s)]
     for k in range(n):
         w, ak = _add(x, nb[k], bits), na[k]
         p, p_prev = _add(_mul(w, p, bits), _mul(ak, p_prev, bits), bits), p
         d, d_prev = _add(_add(p_prev, _mul(w, d, bits), bits), _mul(ak, d_prev, bits), bits), d
         s, s_prev = _add(_add((d_prev[0], d_prev[1] + 1), _mul(w, s, bits), bits),
                          _mul(ak, s_prev, bits), bits), s
-    return p, d, s
+        out.append((p, d, s))
+    return out
 
 
 def _sturm(nb, na, n, x, bits) -> tuple:
@@ -417,7 +408,7 @@ def _polish(nb, na, fb, fa, n, lo, hi, lo_up, tol, steps, bits) -> tuple:
     `bits` bits.  A zero within `tol` of 0 is exactly 0 where P_n(0) is."""
     x = _seed(fb, fa, n, lo, hi, bits)
     for _ in range(steps):
-        f, fp, fpp = _ttrr_d2(nb, na, n, x, bits)
+        f, fp, fpp = _ttrr_d2(nb, na, n, x, bits)[-1]
         if not f[0] or not fp[0]:
             break
         dx = _div(f, fp, bits)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import mpmath as mp
 
-from .kernel import RESIDUAL_GUARD_BITS, DomainError, PrecisionContext
+from .kernel import RESIDUAL_GUARD_BITS, DomainError, PrecisionContext, positive_finite
 
 
 def moment(n: int, z, ctx: PrecisionContext) -> mp.mpf:
@@ -34,9 +34,7 @@ def moment(n: int, z, ctx: PrecisionContext) -> mp.mpf:
     if n < 0:
         raise DomainError(f"moment index must be >= 0, got {n}")
     with ctx.workprec(16):
-        zv = mp.mpf(z)
-        if not zv > 0:
-            raise DomainError(f"z must be positive, got {z}")
+        zv = positive_finite(z, "z")
         e = mp.mpf(n + 1) / 4
         val = zv ** (-e) * mp.gamma(e) / 4
     return ctx.round(val)
@@ -64,9 +62,7 @@ def moment_sequence(z, N: int, ctx: PrecisionContext) -> list:
     if N < 0:
         raise DomainError(f"N must be >= 0, got {N}")
     with ctx.workprec(16):
-        zv = mp.mpf(z)
-        if not zv > 0:
-            raise DomainError(f"z must be positive, got {z}")
+        zv = positive_finite(z, "z")
     with ctx.workprec(64):
         w = 1 / mp.sqrt(mp.sqrt(zv))
         pi, root2 = +mp.pi, mp.sqrt(2)
@@ -129,9 +125,7 @@ def pearson_product(z, ctx: PrecisionContext) -> mp.mpf:
     pairing is 4z*mu_3(z) = 1 identically.
     """
     with ctx.workprec(16):
-        zv = mp.mpf(z)
-        if not zv > 0:
-            raise DomainError(f"z must be positive, got {z}")
+        zv = positive_finite(z, "z")
         first = abs(mp.mpf(-1) + 1)
         second = abs(4 * zv * moment(3, zv, ctx))
         val = first + second

@@ -15,15 +15,17 @@ the distributional Pearson equation of the weight exp(-z*x^4) on (0, inf):
 * The degree-graded operator L = 4z*(J^4)_lower + diag(0,1,2,...) satisfies
   the compatibility identity J L - L J = J on rows unaffected by truncation.
 
-Identity checks are done at the polynomial-coefficient level when the
-identity is polynomial, and on a fixed log-spaced sample grid when it is
-rational.  The polynomial checks (structure_residual, and the lowering and
-raising pair of lowering_raising_apply) and the scalar identities i and ii
-return (residual, scale), to be judged as |residual| <= verify_tol(scale);
-the sampled checks return residuals already divided by their term
-magnitudes.  ladder_residuals evaluates each ladder function once per sample
-for both compatibility identities and the eliminated ODE.  All derivative
-work on rational functions is symbolic.
+The scalar identities i and ii return (residual, scale), to be judged as
+|residual| <= verify_tol(scale).  Every identity in x is checked on a
+log-spaced sample grid instead, reading P_k, P_k' and P_k'' from one
+RecurrencePass per sample: structure, lowering, raising, compatibility and
+both ODEs return their residual divided by the sum of its term magnitudes
+plus 1, the confluent kernel identity its relative deviation.  Eight
+samples are fewer than the d + 1 points that would prove a polynomial
+identity of degree d, so these are numerical checks of the identities, not
+coefficient-wise proofs.  ladder_residuals evaluates each ladder function
+once per sample for both compatibility identities and the eliminated ODE.
+All derivative work on rational functions is symbolic.
 """
 from __future__ import annotations
 
@@ -34,7 +36,6 @@ import mpmath as mp
 from .kernel import (
     RESIDUAL_GUARD_BITS,
     DomainError,
-    MonicPoly,
     PrecisionContext,
     RationalFn,
     _image,
@@ -42,8 +43,7 @@ from .kernel import (
     _neg_images,
     _ttrr_d2,
     poly_add,
-    poly_diff,
-    poly_max_abs,
+    poly_eval,
     poly_mul,
     poly_scale,
     poly_sub,
@@ -62,42 +62,38 @@ def sample_grid(n: int, z, ctx: PrecisionContext, count: int = 16):
         return [mp.exp(llo + (lhi - llo) * k / (count - 1)) for k in range(count)]
 
 
-def poly_table(tbl: RecurrenceTable, n_max: int) -> tuple:
-    """P_0..P_{n_max} as MonicPoly at the table's precision, built by the
-    recurrence P_{k+1} = (x - b_k) P_k - a_k P_{k-1}."""
-    if n_max < 0:
-        raise DomainError(f"n_max must be >= 0, got {n_max}")
-    if tbl.n_max < n_max:
-        raise DomainError(f"table holds n <= {tbl.n_max}, need {n_max}")
-    ctx = tbl.ctx
-    with ctx.workprec(32):
-        polys = [[mp.mpf(1)]]
-        if n_max >= 1:
-            polys.append([-tbl.b[0], mp.mpf(1)])
-        for k in range(1, n_max):
-            shifted = [mp.mpf(0)] + polys[k]
-            step = poly_sub(shifted, poly_scale(polys[k], tbl.b[k]))
-            step = poly_sub(step, poly_scale(polys[k - 1], tbl.a[k]))
-            polys.append(step)
-    out = []
-    for p in polys:
-        coeffs = tuple(ctx.round(c) for c in p[:-1]) + (mp.mpf(1),)
-        out.append(MonicPoly(coeffs))
-    return tuple(out)
-
-
-def ttrr_eval_d2(tbl: RecurrenceTable, n: int, x) -> tuple:
-    """(P_n(x), P_n'(x), P_n''(x)) straight from the recurrence (the loop
+@dataclass(frozen=True)
+class RecurrencePass:
+    """P_k(x), P_k'(x) and P_k''(x) for k = 0..n at one point x, from
+    one run of the recurrence and its two formal derivatives (the loop
     kernel._ttrr_d2 on integer images) at the table's working precision.
     Near the top of the zero range this is much better conditioned than
-    Horner on the monomial coefficients, whose alternating signs cancel
-    heavily there."""
+    Horner on monomial coefficients, whose alternating signs cancel heavily
+    there.  The values stay images until an entry is read."""
+
+    x: mp.mpf
+    images: tuple
+
+    def __getitem__(self, k: int) -> tuple:
+        """(P_k(x), P_k'(x), P_k''(x))."""
+        return tuple(map(_mpf, self.images[k]))
+
+
+def recurrence_passes(tbl: RecurrenceTable, n: int, x_samples) -> tuple:
+    """One RecurrencePass to degree n at each sample; reads b_0..b_{n-1} and
+    a_0..a_{n-1}, converted to images once for all samples."""
     if n < 0 or n > tbl.n_max + 1:
         raise IndexError(f"need 0 <= n <= {tbl.n_max + 1}, got {n}")
-    with tbl.workprec():
-        x = mp.mpf(x)
     nb, na = _neg_images(tbl.b, tbl.a, n)
-    return tuple(map(_mpf, _ttrr_d2(nb, na, n, _image(x), tbl.ctx.bits + RESIDUAL_GUARD_BITS)))
+    bits = tbl.ctx.bits + RESIDUAL_GUARD_BITS
+    with tbl.workprec():
+        xs = [mp.mpf(x) for x in x_samples]
+    return tuple(RecurrencePass(x, tuple(_ttrr_d2(nb, na, n, _image(x), bits))) for x in xs)
+
+
+def _scaled(residual, terms) -> mp.mpf:
+    """|residual| divided by the sum of the term magnitudes plus 1."""
+    return abs(residual) / (sum(abs(t) for t in terms) + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -187,20 +183,18 @@ def structure_coeffs(tbl: RecurrenceTable, n: int) -> tuple:
         return tuple(4 * tbl.z * lower[n - j] for j in range(4))
 
 
-def structure_residual(tbl: RecurrenceTable, polys: tuple, n: int) -> tuple:
-    """The largest coefficient of x*P'_{n+1} - (n+1)*P_{n+1} - sum_j c_{n-j} P_{n-j}
-    (the zero polynomial up to roundoff) and that of x*P'_{n+1}, its scale."""
-    if n + 1 > len(polys) - 1:
-        raise IndexError(f"polys holds degrees <= {len(polys) - 1}, need {n + 1}")
+def structure_residual(tbl: RecurrenceTable, n: int, passes) -> mp.mpf:
+    """Scaled max residual of x*P'_{n+1} - (n+1)*P_{n+1} - sum_j c_{n-j} P_{n-j}
+    over the passes (each to degree >= n + 1)."""
     coeffs = structure_coeffs(tbl, n)
     with tbl.workprec():
-        p = list(polys[n + 1].coeffs)
-        xdp = [mp.mpf(0)] + poly_diff(p)          # x * P'
-        res = poly_sub(xdp, poly_scale(p, mp.mpf(n + 1)))
-        for j in range(4):
-            if n - j >= 0 and coeffs[j] != 0:
-                res = poly_sub(res, poly_scale(list(polys[n - j].coeffs), coeffs[j]))
-        return poly_max_abs(res), poly_max_abs(xdp)
+        worst = mp.mpf(0)
+        for ps in passes:
+            p, d, _ = ps[n + 1]
+            terms = [ps.x * d, (n + 1) * p] + [c * ps[n - j][0]
+                                               for j, c in enumerate(coeffs) if n - j >= 0]
+            worst = max(worst, _scaled(terms[0] - sum(terms[1:]), terms))
+        return worst
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +249,7 @@ def identity_ii_residual(tbl: RecurrenceTable, n: int) -> tuple:
         return lhs - rhs, max(abs(lhs), abs(rhs))
 
 
-def ladder_residuals(tbl: RecurrenceTable, n: int, x_samples) -> tuple:
+def ladder_residuals(tbl: RecurrenceTable, n: int, passes) -> tuple:
     """Scaled max residuals (compat_first, compat_second, ode_eliminated):
 
         calB_{n+1} + calB_n = (x - b_n) calA_n - v'
@@ -269,8 +263,9 @@ def ladder_residuals(tbl: RecurrenceTable, n: int, x_samples) -> tuple:
     read by every identity that needs it.  Each residual is divided by the
     sum of its term magnitudes plus 1, so all three compare against
     verify_tol(1).  calA_n has no zero on (0, inf); the pole x = 0 is
-    refused.  y, y', y'' come from ttrr_eval_d2, which keeps the ODE
-    residual floor near unit roundoff of the table entries."""
+    refused.  y, y', y'' are degree n of the passes (each to degree >= n),
+    which keeps the ODE residual floor near unit roundoff of the table
+    entries."""
     if n < 1 or n > tbl.n_max - 2:
         raise IndexError(f"need 1 <= n <= {tbl.n_max - 2}, got {n}")
     A_dn, A_n, A_up = (ladder_A(tbl, k) for k in (n - 1, n, n + 1))
@@ -281,7 +276,8 @@ def ladder_residuals(tbl: RecurrenceTable, n: int, x_samples) -> tuple:
         dA = A_n.derivative()
         dB = B_n.derivative()
         f = 4 * tbl.z
-        for x in x_samples:
+        for ps in passes:
+            x = ps.x
             if x == 0:
                 raise DomainError("sample grid touches the pole at x = 0")
             vA, vA_dn, vB, vB_up = A_n.eval(x), A_dn.eval(x), B_n.eval(x), B_up.eval(x)
@@ -289,14 +285,13 @@ def ladder_residuals(tbl: RecurrenceTable, n: int, x_samples) -> tuple:
             xb = x - b[n]
             t1 = (vB_up, vB, xb * vA, vp)
             t2 = (a[n + 1] * A_up.eval(x), a[n] * vA_dn, xb * (vB_up - vB))
-            y, y1, y2 = ttrr_eval_d2(tbl, n, x)
+            y, y1, y2 = ps[n]
             logd = dA.eval(x) / vA
             Q = dB.eval(x) - vB * logd - vB * (vp + vB) + a[n] * vA * vA_dn
             t3 = (y2, (-vp - logd) * y1, Q * y)
             sums = (t1[0] + t1[1] - t1[2] + t1[3], t2[0] - t2[1] - 1 - t2[2],
                     t3[0] + t3[1] + t3[2])
-            worst = [max(w, abs(r) / (sum(abs(v) for v in t) + 1))
-                     for w, r, t in zip(worst, sums, (t1, t2, t3))]
+            worst = [max(w, _scaled(r, t)) for w, r, t in zip(worst, sums, (t1, t2, t3))]
     return tuple(worst)
 
 
@@ -359,35 +354,31 @@ def lowering_data(tbl: RecurrenceTable, n: int) -> LoweringData:
                             RationalFn(tuple(D), tuple(C)))
 
 
-def lowering_raising_apply(tbl: RecurrenceTable, polys: tuple, data: LoweringData) -> tuple:
-    """((residual, scale), (residual, scale)) of the lowering and the raising
-    identity at n = data.n.  The residuals are the largest coefficients of
+def lowering_raising_apply(tbl: RecurrenceTable, data: LoweringData, passes) -> tuple:
+    """Scaled max residuals (lowering, raising) at n = data.n of
 
         x P'_{n+1} + D_n P_{n+1} - C_n P_n
         -a_{n+1}[x P'_{n+1} + D_n P_{n+1}] + (x - b_{n+1}) C_n P_{n+1} - C_n P_{n+2}
 
-    (zero up to roundoff); the scales are the largest coefficient of C_n P_n
-    and a_{n+1} times it.  x P'_{n+1} + D_n P_{n+1} and C_n P_n are formed once."""
+    over the passes (each to degree >= n + 2); C_n(x), D_n(x) and the terms
+    of the lowering identity are formed once per sample for both."""
     n = data.n
-    if n + 2 > len(polys) - 1:
-        raise IndexError(f"polys holds degrees <= {len(polys) - 1}, need {n + 2}")
-    C = list(data.C)
+    a_up, b_up = tbl.a[n + 1], tbl.b[n + 1]
     with tbl.workprec():
-        p_up = list(polys[n + 1].coeffs)
-        core = [mp.mpf(0)] + poly_diff(p_up)
-        core = poly_add(core, poly_mul(list(data.D), p_up))
-        cp = poly_mul(C, list(polys[n].coeffs))
-        scale = poly_max_abs(cp)
-        up = poly_scale(core, -tbl.a[n + 1])
-        xb = [-tbl.b[n + 1], mp.mpf(1)]
-        up = poly_add(up, poly_mul(poly_mul(xb, C), p_up))
-        up = poly_sub(up, poly_mul(C, list(polys[n + 2].coeffs)))
-        return ((poly_max_abs(poly_sub(core, cp)), scale),
-                (poly_max_abs(up), tbl.a[n + 1] * scale))
+        low = up = mp.mpf(0)
+        for ps in passes:
+            x = ps.x
+            p, d, _ = ps[n + 1]
+            C = poly_eval(data.C, x)
+            t1 = (x * d, poly_eval(data.D, x) * p, C * ps[n][0])
+            t2 = (a_up * t1[0], a_up * t1[1], (x - b_up) * C * p, C * ps[n + 2][0])
+            low = max(low, _scaled(t1[0] + t1[1] - t1[2], t1))
+            up = max(up, _scaled(t2[2] - t2[0] - t2[1] - t2[3], t2))
+        return low, up
 
 
 def holonomic_residual_Dn(tbl: RecurrenceTable, prev: LoweringData, data: LoweringData,
-                          x_samples) -> mp.mpf:
+                          passes) -> mp.mpf:
     """Scaled max residual of the composed second-order operator
 
         a_n A_n A_{n-1} y'' + [A_n(a_n B_{n-1} - x + b_n) + a_n A_{n-1}(A_n' + B_n)] y'
@@ -395,7 +386,7 @@ def holonomic_residual_Dn(tbl: RecurrenceTable, prev: LoweringData, data: Loweri
 
     applied to y = P_{n+1}, n = data.n; prev is the lowering data of degree
     n - 1.  A', B' are symbolic rational derivatives.  y, y', y'' are
-    evaluated through the recurrence (ttrr_eval_d2), which keeps the
+    degree n + 1 of the passes (each to degree >= n + 1), which keeps the
     residual floor near unit roundoff of the table entries."""
     n = data.n
     if prev.n != n - 1:
@@ -407,8 +398,9 @@ def holonomic_residual_Dn(tbl: RecurrenceTable, prev: LoweringData, data: Loweri
         dB = B_n.derivative()
         an, bn = tbl.a[n], tbl.b[n]
         worst = mp.mpf(0)
-        for x in x_samples:
-            y, y1, y2 = ttrr_eval_d2(tbl, n + 1, x)
+        for ps in passes:
+            x = ps.x
+            y, y1, y2 = ps[n + 1]
             An_x, Bn_x = A_n.eval(x), B_n.eval(x)
             Ap_x, Bp_x = A_p.eval(x), B_p.eval(x)
             mid = an * Bp_x - x + bn
@@ -416,30 +408,24 @@ def holonomic_residual_Dn(tbl: RecurrenceTable, prev: LoweringData, data: Loweri
             c1 = An_x * mid + an * Ap_x * (dA.eval(x) + Bn_x)
             c0 = an * dB.eval(x) * Ap_x + Bn_x * mid + 1
             terms = (c2 * y2, c1 * y1, c0 * y)
-            scale = sum(abs(t) for t in terms) + 1
-            worst = max(worst, abs(terms[0] + terms[1] + terms[2]) / scale)
+            worst = max(worst, _scaled(terms[0] + terms[1] + terms[2], terms))
         return worst
 
 
-def confluent_check(tbl: RecurrenceTable, n: int, x_samples) -> mp.mpf:
+def confluent_check(tbl: RecurrenceTable, n: int, passes) -> mp.mpf:
     """Max relative deviation between sum_{k<=n} P_k(x)^2/h_k and
-    (P'_{n+1} P_n - P'_n P_{n+1})/h_n over the samples.  One recurrence pass
-    per sample produces every P_k(x) and the two derivatives at the top."""
+    (P'_{n+1} P_n - P'_n P_{n+1})/h_n over the passes (each to degree
+    >= n + 1)."""
     if n < 0 or n > tbl.n_max:
         raise IndexError(f"need 0 <= n <= {tbl.n_max}, got {n}")
     with tbl.workprec():
         worst = mp.mpf(0)
-        for x in x_samples:
-            xv = mp.mpf(x)
-            p_prev, p = mp.mpf(0), mp.mpf(1)
-            d_prev, d = mp.mpf(0), mp.mpf(0)
+        for ps in passes:
             left = mp.mpf(0)
             for k in range(n + 1):
-                left += p ** 2 / tbl.h[k]
-                w = xv - tbl.b[k]
-                ak = tbl.a[k]
-                p, p_prev = w * p - ak * p_prev, p
-                d, d_prev = p_prev + w * d - ak * d_prev, d
+                left += ps[k][0] ** 2 / tbl.h[k]
+            p, d, _ = ps[n + 1]
+            p_prev, d_prev, _ = ps[n]
             right = (d * p_prev - d_prev * p) / tbl.h[n]
             worst = max(worst, abs(left - right) / abs(left))
         return worst

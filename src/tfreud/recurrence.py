@@ -13,7 +13,7 @@ divisions and the guard on the norms run in mpf.  Final values are rounded
 to the caller's context, which the table keeps: every evaluation on a table
 runs at RecurrenceTable.workprec(), whatever mpmath's global precision is.
 The table also carries P_n(0), the value at the truncation point x = 0,
-from one scalar pass of the recurrence: the ladder functions, identities
+from one pass of the kernel's recurrence: the ladder functions, identities
 i/ii, the external field and the largest-zero chain (gamma) read only that.
 
 The combinations R_n = a_{n+1} + b_n^2 + a_n and T_n = a_n*(b_n + b_{n-1})
@@ -54,6 +54,9 @@ from .kernel import (
     _image,
     _mpf,
     _mul,
+    _neg_images,
+    _ttrr_d2,
+    positive_finite,
 )
 from .moments import moment, moment_sequence
 
@@ -157,17 +160,13 @@ class RecurrenceTable:
 
     @cached_property
     def at_zero(self) -> tuple:
-        """P_0(0)..P_{n_max}(0) by p_{k+1} = -b_k p_k - a_k p_{k-1}: the
-        constant-coefficient arithmetic of operators.poly_table, so the bits
-        match.  Derived on first use, never stored as a field, so a table
-        built with dataclasses.replace derives its own."""
-        with self.ctx.workprec(32):
-            p_prev, p = mp.mpf(0), mp.mpf(1)
-            out = [p]
-            for k in range(self.n_max):
-                p, p_prev = -self.b[k] * p - self.a[k] * p_prev, p
-                out.append(p)
-        return tuple(self.ctx.round(v) for v in out)
+        """P_0(0)..P_{n_max}(0), read from one pass of the recurrence
+        (kernel._ttrr_d2) at x = 0 and ctx.bits + 32 bits, each rounded to
+        the context.  Derived on first use, never stored as a field, so a
+        table built with dataclasses.replace derives its own."""
+        nb, na = _neg_images(self.b, self.a, self.n_max)
+        steps = _ttrr_d2(nb, na, self.n_max, (0, 0), self.ctx.bits + 32)
+        return tuple(self.ctx.round(_mpf(p)) for p, _, _ in steps)
 
     @cached_property
     def gamma(self) -> tuple:
@@ -223,9 +222,7 @@ def chebyshev_coeffs(z, n_max: int, ctx: PrecisionContext) -> RecurrenceTable:
     ictx = PrecisionContext(max(64, internal_bits_for(ctx, n_max)))
     bits = ictx.bits + 16
     with mp.workprec(bits):
-        zv = mp.mpf(z)
-        if not zv > 0:
-            raise DomainError(f"z must be positive, got {z}")
+        zv = positive_finite(z, "z")
         L = 2 * n_max + 1
         mu = moment_sequence(zv, L, ictx)
         max_mag = max(mp.mag(m) for m in mu)

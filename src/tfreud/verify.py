@@ -30,7 +30,7 @@ from .operators import (
     lowering_data,
     lowering_raising_apply,
     mat_mul,
-    poly_table,
+    recurrence_passes,
     sample_grid,
     structure_residual,
 )
@@ -143,8 +143,9 @@ def _algebraic_verdicts(tbl: RecurrenceTable, n_max: int) -> tuple:
         for n in range(1, n_max + 1):
             flags += [_worst([fn(tbl, n)]) <= tol
                       for fn in (lf_residual_1, lf_residual_I, identity_i_residual)]
-        xs = sample_grid(min(5, n_max), tbl.z, ctx, count=8)
-        flags.append(ladder_residuals(tbl, min(5, n_max), xs)[2] <= tol)
+        n = min(5, n_max)
+        passes = recurrence_passes(tbl, n, sample_grid(n, tbl.z, ctx, count=8))
+        flags.append(ladder_residuals(tbl, n, passes)[2] <= tol)
         return tuple(flags)
 
 
@@ -153,7 +154,8 @@ def run_verification(z_values=(mp.mpf(1) / 4, 1, 4), n_max: int = 14,
                      fault: str | None = None) -> VerificationReport:
     """Run every residual family and return the collected records.
 
-    Each table and each zero set is built once per call.  `fault`
+    Each table and each zero set is built once per call, and each sample
+    of the sampled records runs one recurrence pass.  `fault`
     ('a:3:1e-6' style) perturbs one entry of the table of every z in
     `z_values`, so a corrupted run must come back failing; the scaling
     records compare clean tables."""
@@ -176,7 +178,6 @@ def run_verification(z_values=(mp.mpf(1) / 4, 1, 4), n_max: int = 14,
         tbl_one = clean[mp.mpf(1)]
         tables = {z: inject_fault(clean[z], fault_parsed) if fault_parsed else clean[z]
                   for z in zs}
-        ptables = {z: poly_table(tables[z], n_tbl) for z in zs}
         # the zeros of degrees 1..14 of every table, which the interlacing
         # record reads, come from one sweep per table
         solved = {(tbl, zset.n): zset for tbl in tables.values()
@@ -209,36 +210,32 @@ def run_verification(z_values=(mp.mpf(1) / 4, 1, 4), n_max: int = 14,
             worst = _worst(fn(tables[z], n) for z in zs for n in range(1, n_max + 1))
             records.append(_rec(name, nrange, zdesc, worst, tol1))
 
-        # ladder compatibility and the eliminated ODE, and the grid every
-        # sampled record reads
-        grids = {(z, n): sample_grid(n, z, ctx, count=8) for z in zs for n in range(1, n_max + 1)}
-        ladder = [ladder_residuals(tables[z], n, grids[z, n])
-                  for z in zs for n in range(1, n_max + 1)]
+        # the sampled records: every record of degree n reads one recurrence
+        # pass to degree n + 2 at each point of the grid of degree n
+        ladder, structure, lowraise, composed, confluent = [], [], [], [], []
+        for z in zs:
+            tbl = tables[z]
+            for n in range(n_max + 1):
+                passes = recurrence_passes(tbl, n + 2, sample_grid(n, z, ctx, count=8))
+                structure.append(structure_residual(tbl, n, passes))
+                if n >= 1:
+                    ladder.append(ladder_residuals(tbl, n, passes))
+                if n in (0, n_max // 2, n_max):
+                    confluent.append(confluent_check(tbl, n, passes))
+                if n >= 2:
+                    data = lowering_data(tbl, n)
+                    lowraise.append(lowering_raising_apply(tbl, data, passes))
+                    if n >= 3:
+                        composed.append(holonomic_residual_Dn(tbl, prev, data, passes))
+                    prev = data
         for k, name in enumerate(("compat-first", "compat-second")):
             records.append(_rec(name, nrange, zdesc, max(r[k] for r in ladder), tol1))
-
-        # structure relation and lowering/raising operators
-        worst = _worst(structure_residual(tables[z], ptables[z], n)
-                       for z in zs for n in range(0, n_max + 1))
-        records.append(_rec("structure", f"0..{n_max}", zdesc, worst, tol1))
-
-        lowering = {(z, n): lowering_data(tables[z], n)
-                    for z in zs for n in range(2, n_max + 1)}
-        applied = [lowering_raising_apply(tables[z], ptables[z], data)
-                   for (z, _), data in lowering.items()]
+        records.append(_rec("structure", f"0..{n_max}", zdesc, max(structure), tol1))
         for k, name in enumerate(("lowering", "raising")):
-            records.append(_rec(name, f"2..{n_max}", zdesc, _worst(r[k] for r in applied), tol1))
-
-        # holonomic second-order equations
-        worst = max(holonomic_residual_Dn(tables[z], lowering[z, n - 1], data, grids[z, n])
-                    for (z, n), data in lowering.items() if n >= 3)
-        records.append(_rec("ode-composed", f"3..{n_max}", zdesc, worst, tol1))
+            records.append(_rec(name, f"2..{n_max}", zdesc, max(r[k] for r in lowraise), tol1))
+        records.append(_rec("ode-composed", f"3..{n_max}", zdesc, max(composed), tol1))
         records.append(_rec("ode-eliminated", nrange, zdesc, max(r[2] for r in ladder), tol1))
-
-        # confluent kernel identity
-        worst = max(confluent_check(tables[z], n, grids[z, max(n, 1)])
-                    for z in zs for n in (0, n_max // 2, n_max))
-        records.append(_rec("confluent-kernel", f"0..{n_max}", zdesc, worst, tol1))
+        records.append(_rec("confluent-kernel", f"0..{n_max}", zdesc, max(confluent), tol1))
 
         # Lax block and the quartic-power rows
         M_lax = min(20, n_tbl + 1)

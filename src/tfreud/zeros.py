@@ -48,8 +48,8 @@ from dataclasses import dataclass
 
 import mpmath as mp
 
-from .kernel import DomainError, PrecisionContext, tridiag_eigenvalues
-from .operators import ladder_A, ttrr_eval_d2
+from .kernel import DomainError, PrecisionContext, positive_finite, tridiag_eigenvalues
+from .operators import ladder_A, recurrence_passes
 from .recurrence import RecurrenceTable, chebyshev_coeffs
 
 
@@ -137,9 +137,7 @@ def largest_zero_bound(tbl: RecurrenceTable, n: int, eps="1e-3") -> mp.mpf:
     if n > tbl.n_max:
         raise IndexError(f"need n <= {tbl.n_max}, got {n}")
     with tbl.workprec():
-        ev = mp.mpf(eps)
-        if not ev > 0:
-            raise DomainError("eps must be positive")
+        ev = positive_finite(eps, "eps")
         chain = tbl.gamma[:2 * n - 1]
         for i, g in enumerate(chain, 1):
             if not g > 0:
@@ -170,9 +168,7 @@ class DensityModel:
     @classmethod
     def for_t(cls, t, ctx: PrecisionContext) -> "DensityModel":
         with ctx.workprec(32):
-            tv = mp.mpf(t)
-            if not tv > 0:
-                raise DomainError("t must be positive")
+            tv = positive_finite(t, "t")
             c = mp.mpf(140) ** mp.mpf("-0.25")
             beta = 4 * c * tv ** mp.mpf("0.25")
         return cls(ctx.round(tv), ctx.round(c), ctx.round(beta))
@@ -404,8 +400,8 @@ def ode_at_zeros_check(tbl: RecurrenceTable, n: int) -> mp.mpf:
     fields = _fields(tbl, n, zs.values)
     with tbl.workprec():
         worst = mp.mpf(0)
-        for x, (_, rhs) in zip(zs.values, fields):
-            _, d1, d2 = ttrr_eval_d2(tbl, n, x)
+        for ps, (_, rhs) in zip(recurrence_passes(tbl, n, zs.values), fields):
+            _, d1, d2 = ps[n]
             lhs = d2 / d1
             worst = max(worst, abs(lhs - rhs) / (abs(lhs) + abs(rhs) + 1))
         return worst

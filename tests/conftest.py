@@ -3,7 +3,8 @@ from __future__ import annotations
 import mpmath as mp
 import pytest
 
-from tfreud.kernel import PrecisionContext
+from tfreud.kernel import PrecisionContext, poly_add, poly_diff, poly_mul, poly_scale, poly_sub
+from tfreud.operators import structure_coeffs
 
 # The pin sets the precision of the tests' own arithmetic: parsing decimal
 # strings, differences between values from different contexts, and the
@@ -26,3 +27,64 @@ def ctx128() -> PrecisionContext:
 
 def mpf_close(a, b, tol) -> bool:
     return abs(mp.mpf(a) - mp.mpf(b)) <= mp.mpf(tol)
+
+
+def monic_polys(tbl, n_max: int) -> list:
+    """Ascending monomial coefficients of the monic P_0..P_{n_max}, built by
+    P_{k+1} = (x - b_k) P_k - a_k P_{k-1} at the table's bits + 32 and
+    rounded to them: the tests' own coefficient-level reference."""
+    ctx = tbl.ctx
+    with ctx.workprec(32):
+        polys = [[mp.mpf(1)], [-tbl.b[0], mp.mpf(1)]]
+        for k in range(1, n_max):
+            step = poly_sub([mp.mpf(0)] + polys[k], poly_scale(polys[k], tbl.b[k]))
+            polys.append(poly_sub(step, poly_scale(polys[k - 1], tbl.a[k])))
+    return [[ctx.round(c) for c in p] for p in polys[:n_max + 1]]
+
+
+# Coefficient-level references for the identities that the library checks
+# on sample grids: each returns (largest residual coefficient, scale).
+
+def max_abs(p):
+    return max(abs(c) for c in p)
+
+
+def structure_ref(tbl, polys, n):
+    """x*P'_{n+1} - (n+1)*P_{n+1} - sum_j c_{n-j} P_{n-j}, scaled by the
+    largest coefficient of x*P'_{n+1}."""
+    coeffs = structure_coeffs(tbl, n)
+    with tbl.workprec():
+        xdp = [mp.mpf(0)] + poly_diff(polys[n + 1])
+        res = poly_sub(xdp, poly_scale(polys[n + 1], mp.mpf(n + 1)))
+        for j in range(4):
+            if n - j >= 0:
+                res = poly_sub(res, poly_scale(polys[n - j], coeffs[j]))
+        return max_abs(res), max_abs(xdp)
+
+
+def lowering_ref(tbl, polys, data):
+    """x P'_{n+1} + D_n P_{n+1} - C_n P_n, scaled by the largest coefficient
+    of C_n P_n (n = data.n)."""
+    n = data.n
+    with tbl.workprec():
+        p_up = polys[n + 1]
+        res = [mp.mpf(0)] + poly_diff(p_up)
+        res = poly_add(res, poly_mul(list(data.D), p_up))
+        cp = poly_mul(list(data.C), polys[n])
+        return max_abs(poly_sub(res, cp)), max_abs(cp)
+
+
+def raising_ref(tbl, polys, data):
+    """-a_{n+1}[x P'_{n+1} + D_n P_{n+1}] + (x - b_{n+1}) C_n P_{n+1}
+    - C_n P_{n+2}, scaled by a_{n+1} times the largest coefficient of C_n P_n."""
+    n = data.n
+    with tbl.workprec():
+        p_up = polys[n + 1]
+        core = [mp.mpf(0)] + poly_diff(p_up)
+        core = poly_add(core, poly_mul(list(data.D), p_up))
+        res = poly_scale(core, -tbl.a[n + 1])
+        xb = [-tbl.b[n + 1], mp.mpf(1)]
+        res = poly_add(res, poly_mul(poly_mul(xb, list(data.C)), p_up))
+        res = poly_sub(res, poly_mul(list(data.C), polys[n + 2]))
+        scale = tbl.a[n + 1] * max_abs(poly_mul(list(data.C), polys[n]))
+        return max_abs(res), scale

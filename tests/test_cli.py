@@ -258,7 +258,7 @@ def test_output_determinism(tmp_path, capsys):
     (("zeros", "--table-check"), 1,
      "0237b2140481b4b9bf066e0ef7e3aa82d12e61f62b3a3d80a0e472e06347140d"),
     (("verify", "--n-max", "8"), 0,
-     "990c2aa3e303afe1440cdf5227b263890d7801592d2bc6e1fffc40e04d29752d"),
+     "f59c86e921265bf16197c8c062c5e2e120128fcf49ac2421906dab74bdc1f030"),
 ])
 def test_zeros_output_bits_pinned(capsys, argv, exit_code, sha256):
     # byte-identical output is a contract: any change to these digests must
@@ -291,7 +291,7 @@ def test_verify_out_file_bits_pinned(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "verify", "--n-max", "8", "--out", str(out))
     assert code == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == \
-        "32a15720d429dc10fb18145f893521be630f204ffa54419c5548fc28d987a86e"
+        "3af02bc89fb067a7242054f65c28397def9488896b0351e7912bead03c504c50"
 
 
 def test_verify_out_csv_keeps_six_fields(tmp_path, capsys):
@@ -334,6 +334,23 @@ def test_config_errors(capsys):
         assert code == 2
         assert err.startswith("error:")
         assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("moments", "--z", "inf"),
+    ("coeffs", "--z", "inf"),
+    ("zeros", "--z", "inf"),
+    ("verify", "--z", "inf"),
+    ("moments", "--z", "nan"),
+    ("verify", "--epsilon", "inf"),
+    ("density", "--t", "1", "--t", "inf"),
+])
+def test_non_finite_arguments_exit_2(argv, capsys):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "positive and finite" in err
+    assert err.count("\n") == 1
 
 
 def test_unknown_command_exits_2():

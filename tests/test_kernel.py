@@ -15,7 +15,6 @@ from tfreud.kernel import (
     RESIDUAL_GUARD_BITS,
     ConvergenceError,
     DomainError,
-    MonicPoly,
     PrecisionContext,
     RationalFn,
     default_bits,
@@ -92,14 +91,6 @@ def test_poly_product_rule(p, q, x):
     lhs = poly_diff(poly_mul(pm, qm))
     rhs = poly_add(poly_mul(poly_diff(pm), qm), poly_mul(pm, poly_diff(qm)))
     assert poly_eval(lhs, mp.mpf(x)) == poly_eval(rhs, mp.mpf(x))
-
-
-def test_monic_poly_guard():
-    with pytest.raises(DomainError):
-        MonicPoly((mp.mpf(1), mp.mpf(2)))
-    p = MonicPoly((mp.mpf(-3), mp.mpf(2), mp.mpf(1)))
-    assert p.degree == 2
-    assert p.eval(1) == 0
 
 
 def test_rational_fn_eval_and_derivative():
@@ -504,8 +495,11 @@ def test_ttrr_matches_the_mpf_loop(zq, n):
         for x, (f, fp, fpp, count, p) in zip(points, want):
             xi = kernel._image(x)
             c, pi = kernel._sturm(nb, na, n, xi, bits)
-            got = [kernel._mpf(v)._mpf_ for v in kernel._ttrr_d2(nb, na, n, xi, bits) + (pi,)]
+            steps = kernel._ttrr_d2(nb, na, n, xi, bits)
+            got = [kernel._mpf(v)._mpf_ for v in steps[-1] + (pi,)]
             assert (got, c) == ([v._mpf_ for v in (f, fp, fpp, p)], count)
+            # every shorter pass is a prefix of this one
+            assert steps[:n // 2 + 1] == kernel._ttrr_d2(nb, na, n // 2, xi, bits)
 
 
 # --- the eigensolver's loops on images against the same loops in mpf -------

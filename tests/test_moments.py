@@ -59,6 +59,17 @@ def test_moment_domain_errors():
         moment(-1, 1, ctx)
 
 
+@pytest.mark.parametrize("z", [0, -1, mp.inf, -mp.inf, mp.nan, "inf", "-inf", "nan"])
+def test_z_must_be_positive_and_finite(z):
+    # one guard for every reader of z: infinities would give zero moments or
+    # a division by zero further down, instead of an error
+    ctx = PrecisionContext(64)
+    for fn in (lambda: moment(0, z, ctx), lambda: moment_sequence(z, 4, ctx),
+               lambda: pearson_product(z, ctx), lambda: chebyshev_coeffs(z, 2, ctx)):
+        with pytest.raises(DomainError, match="positive and finite"):
+            fn()
+
+
 def test_moment_sequence_access():
     ctx = PrecisionContext(128)
     ms = MomentSequence.build(1, 8, ctx)

@@ -4,18 +4,14 @@ import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import lowering_ref, monic_polys, raising_ref, structure_ref
 
 from tfreud.kernel import (
     DomainError,
     PrecisionContext,
     RationalFn,
-    poly_add,
     poly_diff,
     poly_eval,
-    poly_max_abs,
-    poly_mul,
-    poly_scale,
-    poly_sub,
 )
 from tfreud.moments import moment
 from tfreud.operators import (
@@ -33,11 +29,10 @@ from tfreud.operators import (
     lowering_data,
     lowering_raising_apply,
     mat_mul,
-    poly_table,
+    recurrence_passes,
     sample_grid,
     structure_coeffs,
     structure_residual,
-    ttrr_eval_d2,
 )
 from tfreud.recurrence import chebyshev_coeffs
 
@@ -47,7 +42,7 @@ CTX = PrecisionContext(256)
 @pytest.fixture(scope="module")
 def t16():
     tbl = chebyshev_coeffs(1, 16, CTX)
-    return tbl, poly_table(tbl, 16)
+    return tbl, monic_polys(tbl, 16)
 
 
 @pytest.fixture(scope="module")
@@ -58,12 +53,17 @@ def t24():
 @pytest.fixture(scope="module")
 def t16z9():
     tbl = chebyshev_coeffs(9, 16, CTX)
-    return tbl, poly_table(tbl, 16)
+    return tbl, monic_polys(tbl, 16)
 
 
 def log_grid(lo, hi, count):
     llo, lhi = mp.log(mp.mpf(lo)), mp.log(mp.mpf(hi))
     return [mp.exp(llo + (lhi - llo) * k / (count - 1)) for k in range(count)]
+
+
+def grid_passes(tbl, n, degree, count=8):
+    """Passes to `degree` on the sample grid of degree n."""
+    return recurrence_passes(tbl, degree, sample_grid(n, tbl.z, CTX, count=count))
 
 
 # ---------------------------------------------------------------------------
@@ -123,10 +123,12 @@ def test_beta_row_guards(t16):
 # ---------------------------------------------------------------------------
 
 def test_structure_residual_zero_poly(t16, t16z9):
+    # the structure relation on the monomial coefficients, and sampled
     for tbl, polys in (t16, t16z9):
         for n in (0, 5, 9):
-            res, scale = structure_residual(tbl, polys, n)
+            res, scale = structure_ref(tbl, polys, n)
             assert res <= CTX.verify_tol(scale)
+            assert structure_residual(tbl, n, grid_passes(tbl, n, n + 1)) <= CTX.verify_tol(1)
 
 
 def test_structure_c0_forced_at_n0(t16, t16z9):
@@ -138,11 +140,11 @@ def test_structure_c0_forced_at_n0(t16, t16z9):
 
 
 def test_structure_guards(t16):
-    tbl, polys = t16
+    tbl, _ = t16
     with pytest.raises(IndexError):
         structure_coeffs(tbl, tbl.n_max - 1)
     with pytest.raises(IndexError):
-        structure_residual(tbl, polys[:4], 5)
+        structure_residual(tbl, 5, grid_passes(tbl, 5, 5))
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +162,7 @@ def test_orthogonality_from_moments(t16):
     h_max = max(tbl.h[:9])
     for m in range(9):
         for n in range(9):
-            got = inner_from_moments(polys[m].coeffs, polys[n].coeffs, mu)
+            got = inner_from_moments(polys[m], polys[n], mu)
             want = tbl.h[n] if m == n else mp.mpf(0)
             assert abs(got - want) <= CTX.verify_tol(h_max)
 
@@ -169,12 +171,27 @@ def test_orthogonality_from_moments(t16):
     (mp.mpf(1) / 16, 16, 128), (mp.mpf("0.3"), 40, 192), (mp.mpf(1), 64, 256),
     (mp.mpf(9), 24, 320)])
 def test_at_zero_matches_poly_table_bits(z, n_max, bits):
-    # the table's scalar pass and the dense polynomial recurrence run the
-    # same constant-coefficient arithmetic, so the bits agree exactly
+    # the table's pass at x = 0 and the constant terms of the dense
+    # polynomial table run the same constant-coefficient arithmetic
     tbl = chebyshev_coeffs(z, n_max, PrecisionContext(bits))
-    polys = poly_table(tbl, n_max)
-    assert len(tbl.at_zero) == n_max + 1
-    assert [v._mpf_ for v in tbl.at_zero] == [p.coeffs[0]._mpf_ for p in polys]
+    assert [v._mpf_ for v in tbl.at_zero] == [p[0]._mpf_ for p in monic_polys(tbl, n_max)]
+
+
+@given(st.floats(min_value=1 / 16, max_value=16), st.integers(min_value=0, max_value=64),
+       st.integers(min_value=64, max_value=512))
+@settings(max_examples=12, deadline=None)
+def test_at_zero_matches_mpf_recurrence_bits(z, n_max, bits):
+    # the table's pass at x = 0 on integer images gives the bits of
+    # p_{k+1} = -b_k p_k - a_k p_{k-1} in mpf at bits + 32, each rounded
+    ctx = PrecisionContext(bits)
+    tbl = chebyshev_coeffs(z, n_max, ctx)
+    with mp.workprec(bits + 32):
+        p_prev, p = mp.mpf(0), mp.mpf(1)
+        want = [p]
+        for k in range(n_max):
+            p, p_prev = -tbl.b[k] * p - tbl.a[k] * p_prev, p
+            want.append(p)
+    assert [v._mpf_ for v in tbl.at_zero] == [ctx.round(v)._mpf_ for v in want]
 
 
 def test_p2_at_zero_closed_form(t16):
@@ -186,7 +203,7 @@ def test_p2_at_zero_closed_form(t16):
 def test_p3_p1_inner_product_vanishes(t16):
     tbl, polys = t16
     mu = [moment(k, 1, CTX) for k in range(5)]
-    got = inner_from_moments(polys[3].coeffs, polys[1].coeffs, mu)
+    got = inner_from_moments(polys[3], polys[1], mu)
     assert abs(got) <= CTX.verify_tol(tbl.h[2])
 
 
@@ -195,8 +212,8 @@ def test_subleading_coefficient_relations(t16):
     # b_n = lambda_{n,n-1} - lambda_{n+1,n}
     tbl, polys = t16
     for n in range(1, 11):
-        assert abs(tbl.sigma(n) + polys[n].coeffs[-2]) <= CTX.verify_tol(tbl.sigma(n))
-        got = polys[n].coeffs[-2] - polys[n + 1].coeffs[-2]
+        assert abs(tbl.sigma(n) + polys[n][-2]) <= CTX.verify_tol(tbl.sigma(n))
+        got = polys[n][-2] - polys[n + 1][-2]
         assert abs(tbl.b[n] - got) <= CTX.verify_tol(tbl.b[n] + 1)
 
 
@@ -206,21 +223,22 @@ def test_subleading_coefficient_relations(t16):
 
 def test_ttrr_matches_horner(t16):
     tbl, polys = t16
+    xs = log_grid("0.05", 3, 9)
+    passes = recurrence_passes(tbl, 12, xs)
     for n in (0, 1, 7, 12):
-        for x in log_grid("0.05", 3, 9):
-            got = ttrr_eval_d2(tbl, n, x)[0]
-            majorant = mp.fsum(abs(c) * abs(x) ** k
-                               for k, c in enumerate(polys[n].coeffs))
-            assert abs(got - polys[n].eval(x)) <= CTX.verify_tol(majorant)
+        for x, ps in zip(xs, passes):
+            majorant = mp.fsum(abs(c) * abs(x) ** k for k, c in enumerate(polys[n]))
+            assert abs(ps[n][0] - poly_eval(polys[n], x)) <= CTX.verify_tol(majorant)
 
 
 def test_ttrr_derivatives_match_formal(t16):
     tbl, polys = t16
-    p = list(polys[9].coeffs)
+    p = polys[9]
     dp = poly_diff(p)
     ddp = poly_diff(dp)
-    for x in log_grid("0.1", 2, 5):
-        v, d1, d2 = ttrr_eval_d2(tbl, 9, x)
+    xs = log_grid("0.1", 2, 5)
+    for x, ps in zip(xs, recurrence_passes(tbl, 9, xs)):
+        v, d1, d2 = ps[9]
         m1 = mp.fsum(abs(c) * abs(x) ** k for k, c in enumerate(dp))
         m2 = mp.fsum(abs(c) * abs(x) ** k for k, c in enumerate(ddp))
         assert abs(d1 - poly_eval(dp, x)) <= CTX.verify_tol(m1)
@@ -230,7 +248,7 @@ def test_ttrr_derivatives_match_formal(t16):
 def test_ttrr_guard(t16):
     tbl, _ = t16
     with pytest.raises(IndexError):
-        ttrr_eval_d2(tbl, tbl.n_max + 2, mp.mpf(1))
+        recurrence_passes(tbl, tbl.n_max + 2, [mp.mpf(1)])
 
 
 # ---------------------------------------------------------------------------
@@ -273,9 +291,9 @@ def test_identity_ii(t16):
 
 def test_compat_residuals(t16):
     tbl, _ = t16
-    xs = log_grid("0.01", 4, 16)
+    passes = recurrence_passes(tbl, 8, log_grid("0.01", 4, 16))
     for n in (1, 2, 8):
-        r1, r2, _ = ladder_residuals(tbl, n, xs)
+        r1, r2, _ = ladder_residuals(tbl, n, passes)
         assert r1 <= CTX.verify_tol(1)
         assert r2 <= CTX.verify_tol(1)
 
@@ -283,7 +301,7 @@ def test_compat_residuals(t16):
 def test_compat_pole_guard(t16):
     tbl, _ = t16
     with pytest.raises(DomainError):
-        ladder_residuals(tbl, 2, [mp.mpf(0)])
+        ladder_residuals(tbl, 2, recurrence_passes(tbl, 2, [mp.mpf(0)]))
 
 
 # ---------------------------------------------------------------------------
@@ -291,11 +309,14 @@ def test_compat_pole_guard(t16):
 # ---------------------------------------------------------------------------
 
 def test_lowering_raising_zero_polys(t16):
+    # both identities on the monomial coefficients, and sampled
     tbl, polys = t16
     for n in (2, 5, 9):
         data = lowering_data(tbl, n)
-        for res, scale in lowering_raising_apply(tbl, polys, data):
+        for res, scale in (lowering_ref(tbl, polys, data), raising_ref(tbl, polys, data)):
             assert res <= CTX.verify_tol(scale)
+        for res in lowering_raising_apply(tbl, data, grid_passes(tbl, n, n + 2)):
+            assert res <= CTX.verify_tol(1)
 
 
 def test_lowering_degrees(t16):
@@ -323,16 +344,15 @@ def test_holonomic_Dn(t16):
     tbl, _ = t16
     for n in (3, 6, 10):
         data = lowering_data(tbl, n)
-        xs = sample_grid(n, 1, count=16, ctx=CTX)
-        assert holonomic_residual_Dn(tbl, lowering_data(tbl, n - 1), data, xs) \
+        passes = grid_passes(tbl, n, n + 1, count=16)
+        assert holonomic_residual_Dn(tbl, lowering_data(tbl, n - 1), data, passes) \
             <= CTX.verify_tol(1)
 
 
 def test_holonomic_chen(t16):
     tbl, _ = t16
     for n in (1, 2, 5, 12):
-        xs = sample_grid(n, 1, count=16, ctx=CTX)
-        assert ladder_residuals(tbl, n, xs)[2] <= CTX.verify_tol(1)
+        assert ladder_residuals(tbl, n, grid_passes(tbl, n, n, count=16))[2] <= CTX.verify_tol(1)
 
 
 def test_ode_routes_agree_on_common_target(t16):
@@ -340,10 +360,10 @@ def test_ode_routes_agree_on_common_target(t16):
     # samples, same polynomial, both residuals at roundoff.
     tbl, _ = t16
     for n in (3, 6):
-        xs = sample_grid(n + 1, 1, count=12, ctx=CTX)
+        passes = grid_passes(tbl, n + 1, n + 1, count=12)
         data = lowering_data(tbl, n)
-        r_low = holonomic_residual_Dn(tbl, lowering_data(tbl, n - 1), data, xs)
-        r_chen = ladder_residuals(tbl, n + 1, xs)[2]
+        r_low = holonomic_residual_Dn(tbl, lowering_data(tbl, n - 1), data, passes)
+        r_chen = ladder_residuals(tbl, n + 1, passes)[2]
         assert r_low <= CTX.verify_tol(1)
         assert r_chen <= CTX.verify_tol(1)
 
@@ -352,9 +372,9 @@ def test_chen_guards(t16):
     tbl, _ = t16
     for n in (0, tbl.n_max - 1):
         with pytest.raises(IndexError):
-            ladder_residuals(tbl, n, [mp.mpf(1)])
+            ladder_residuals(tbl, n, recurrence_passes(tbl, n, [mp.mpf(1)]))
     with pytest.raises(DomainError):
-        ladder_residuals(tbl, 2, [mp.mpf(0)])
+        ladder_residuals(tbl, 2, recurrence_passes(tbl, 2, [mp.mpf(0)]))
 
 
 def test_Dn_guards(t16):
@@ -363,7 +383,7 @@ def test_Dn_guards(t16):
     for m in (2, 4):
         with pytest.raises(DomainError):
             holonomic_residual_Dn(tbl, lowering_data(tbl, m), lowering_data(tbl, 4),
-                                  [mp.mpf(1)])
+                                  recurrence_passes(tbl, 5, [mp.mpf(1)]))
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +428,7 @@ def _chen_ref(tbl, n, x_samples):
         f = 4 * tbl.z
         worst = mp.mpf(0)
         for x in x_samples:
-            y, y1, y2 = ttrr_eval_d2(tbl, n, x)
+            y, y1, y2 = recurrence_passes(tbl, n, [x])[0][n]
             vA = A_n.eval(x)
             logd = dA.eval(x) / vA
             vB = B_n.eval(x)
@@ -421,48 +441,29 @@ def _chen_ref(tbl, n, x_samples):
         return worst
 
 
-def _lowering_ref(tbl, polys, data):
-    n = data.n
-    with tbl.workprec():
-        p_up = list(polys[n + 1].coeffs)
-        res = [mp.mpf(0)] + poly_diff(p_up)
-        res = poly_add(res, poly_mul(list(data.D), p_up))
-        cp = poly_mul(list(data.C), list(polys[n].coeffs))
-        return poly_max_abs(poly_sub(res, cp)), poly_max_abs(cp)
-
-
-def _raising_ref(tbl, polys, data):
-    n = data.n
-    with tbl.workprec():
-        p_up = list(polys[n + 1].coeffs)
-        core = [mp.mpf(0)] + poly_diff(p_up)
-        core = poly_add(core, poly_mul(list(data.D), p_up))
-        res = poly_scale(core, -tbl.a[n + 1])
-        xb = [-tbl.b[n + 1], mp.mpf(1)]
-        res = poly_add(res, poly_mul(poly_mul(xb, list(data.C)), p_up))
-        res = poly_sub(res, poly_mul(list(data.C), list(polys[n + 2].coeffs)))
-        scale = tbl.a[n + 1] * poly_max_abs(poly_mul(list(data.C), list(polys[n].coeffs)))
-        return poly_max_abs(res), scale
-
-
 def bits_of(values):
     return tuple(v._mpf_ for v in values)
 
 
 @pytest.mark.parametrize("z", [mp.mpf(1) / 4, mp.mpf(1), mp.mpf(4)])
 def test_shared_evaluations_match_separate_routes(z):
+    # the ladder identities share each evaluation and give the separate
+    # routes' bits; lowering and raising, sampled on the shared passes, hold
+    # as the coefficient-level references do
     tbl = chebyshev_coeffs(z, 14, CTX)
-    polys = poly_table(tbl, 14)
+    polys = monic_polys(tbl, 14)
     for n in range(1, 13):
         for count in (8, 16):
             xs = sample_grid(n, z, CTX, count=count)
             want = (*_compat_ref(tbl, n, xs), _chen_ref(tbl, n, xs))
-            assert bits_of(ladder_residuals(tbl, n, xs)) == bits_of(want)
+            assert bits_of(ladder_residuals(tbl, n, recurrence_passes(tbl, n + 2, xs))) \
+                == bits_of(want)
         if n >= 2:
             data = lowering_data(tbl, n)
-            low, up = lowering_raising_apply(tbl, polys, data)
-            assert bits_of(low + up) == \
-                bits_of(_lowering_ref(tbl, polys, data) + _raising_ref(tbl, polys, data))
+            for res, scale in (lowering_ref(tbl, polys, data), raising_ref(tbl, polys, data)):
+                assert res <= CTX.verify_tol(scale)
+            for res in lowering_raising_apply(tbl, data, grid_passes(tbl, n, n + 2)):
+                assert res <= CTX.verify_tol(1)
 
 
 def test_ladder_residuals_evaluate_each_function_once(t16, monkeypatch):
@@ -477,9 +478,9 @@ def test_ladder_residuals_evaluate_each_function_once(t16, monkeypatch):
         return real_eval(self, x)
 
     monkeypatch.setattr(RationalFn, "eval", counted)
-    xs = sample_grid(5, 1, CTX, count=8)
-    ladder_residuals(tbl, 5, xs)
-    assert len(calls) == 7 * len(xs)
+    passes = grid_passes(tbl, 5, 5)
+    ladder_residuals(tbl, 5, passes)
+    assert len(calls) == 7 * len(passes)
 
 
 # ---------------------------------------------------------------------------
@@ -488,11 +489,11 @@ def test_ladder_residuals_evaluate_each_function_once(t16, monkeypatch):
 
 def test_confluent(t16):
     tbl, _ = t16
-    xs = log_grid("0.05", 3, 12)
+    passes = recurrence_passes(tbl, 10, log_grid("0.05", 3, 12))
     # n = 0 is the identity 1/h_0 = P_1' P_0/h_0
-    assert confluent_check(tbl, 0, xs) <= CTX.verify_tol(1)
+    assert confluent_check(tbl, 0, passes) <= CTX.verify_tol(1)
     for n in (4, 9):
-        assert confluent_check(tbl, n, xs) <= CTX.verify_tol(1)
+        assert confluent_check(tbl, n, passes) <= CTX.verify_tol(1)
 
 
 def test_lax_block(t16):
@@ -532,10 +533,10 @@ def test_residuals_stable_at_doubled_precision():
         for bits in (256, 512):
             ctx = PrecisionContext(bits)
             tbl = chebyshev_coeffs(z, 8, ctx)
-            xs = sample_grid(5, z, count=8, ctx=ctx)
-            assert ladder_residuals(tbl, 5, xs)[2] <= ctx.verify_tol(1)
+            passes = recurrence_passes(tbl, 6, sample_grid(5, z, count=8, ctx=ctx))
+            assert ladder_residuals(tbl, 5, passes)[2] <= ctx.verify_tol(1)
             data = lowering_data(tbl, 5)
-            assert holonomic_residual_Dn(tbl, lowering_data(tbl, 4), data, xs) \
+            assert holonomic_residual_Dn(tbl, lowering_data(tbl, 4), data, passes) \
                 <= ctx.verify_tol(1)
             res, scale = identity_i_residual(tbl, 4)
             assert abs(res) <= ctx.verify_tol(scale)

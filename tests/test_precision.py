@@ -43,11 +43,10 @@ from tfreud.operators import (
     lax_block_check,
     lowering_data,
     lowering_raising_apply,
-    poly_table,
+    recurrence_passes,
     sample_grid,
     structure_coeffs,
     structure_residual,
-    ttrr_eval_d2,
 )
 from tfreud.recurrence import (
     asymptotic_ratio,
@@ -87,9 +86,9 @@ from tfreud.zeros import (
 CTX = PrecisionContext(192)
 TBL = chebyshev_coeffs(1, 12, CTX)
 TBL4 = chebyshev_coeffs(4, 12, CTX)
-POLYS = poly_table(TBL, 12)
 MSEQ = MomentSequence.build("0.3", 12, CTX)
 XS = sample_grid(6, 1, CTX, count=5)
+PASSES = recurrence_passes(TBL, 8, XS)
 LOW = lowering_data(TBL, 6)
 LOW_PREV = lowering_data(TBL, 5)
 ZS = zeros(TBL, 6, CTX)
@@ -120,26 +119,26 @@ CASES = {
     "asymptotic_ratio": lambda: asymptotic_ratio(TBL, 7),
     "scaling_check": lambda: scaling_check(TBL4, TBL, 7),
     "h_scaling_check": lambda: h_scaling_check(TBL4, TBL, 7),
-    "poly_table": lambda: poly_table(TBL, 8),
     "sample_grid": lambda: sample_grid(6, "0.3", CTX, count=5),
-    "ttrr_eval_d2": lambda: ttrr_eval_d2(TBL, 9, "0.7"),
+    # recurrence_passes, under the name of the evaluator it replaced
+    "ttrr_eval_d2": lambda: recurrence_passes(TBL, 9, ["0.7", XS[2]]),
     "beta_row": lambda: beta_row(TBL, 5),
     "beta_lower": lambda: beta_lower(TBL, 5),
     "structure_coeffs": lambda: structure_coeffs(TBL, 5),
-    "structure_residual": lambda: structure_residual(TBL, POLYS, 5),
+    "structure_residual": lambda: structure_residual(TBL, 5, PASSES),
     "ladder_A": lambda: ladder_A(TBL, 5),
     "ladder_B": lambda: ladder_B(TBL, 5),
     "identity_i_residual": lambda: [identity_i_residual(TBL, n) for n in range(1, 11)],
     "identity_ii_residual": lambda: [identity_ii_residual(TBL, n) for n in range(1, 11)],
     # each record's column of the shared ladder_residuals and
     # lowering_raising_apply, under the record's former function name
-    "compat_residuals": lambda: ladder_residuals(TBL, 5, XS)[:2],
+    "compat_residuals": lambda: ladder_residuals(TBL, 5, PASSES)[:2],
     "lowering_data": lambda: lowering_data(TBL, 6),
-    "lowering_apply": lambda: lowering_raising_apply(TBL, POLYS, LOW)[0],
-    "raising_apply": lambda: lowering_raising_apply(TBL, POLYS, LOW)[1],
-    "holonomic_residual_Dn": lambda: holonomic_residual_Dn(TBL, LOW_PREV, LOW, XS),
-    "holonomic_residual_chen": lambda: ladder_residuals(TBL, 5, XS)[2],
-    "confluent_check": lambda: confluent_check(TBL, 6, XS),
+    "lowering_apply": lambda: lowering_raising_apply(TBL, LOW, PASSES)[0],
+    "raising_apply": lambda: lowering_raising_apply(TBL, LOW, PASSES)[1],
+    "holonomic_residual_Dn": lambda: holonomic_residual_Dn(TBL, LOW_PREV, LOW, PASSES),
+    "holonomic_residual_chen": lambda: ladder_residuals(TBL, 5, PASSES)[2],
+    "confluent_check": lambda: confluent_check(TBL, 6, PASSES),
     "lax_block_check": lambda: lax_block_check(TBL, 10),
     "zeros": lambda: zeros(TBL, 6, CTX),
     "zero_sweep": lambda: zero_sweep(TBL, 6, CTX),
@@ -174,6 +173,7 @@ EXEMPT = {
     "internal_bits_for": "integer arithmetic on ctx.bits",
     "ladder_residuals": "covered by the compat_residuals and holonomic_residual_chen cases",
     "lowering_raising_apply": "covered by the lowering_apply and raising_apply cases",
+    "recurrence_passes": "covered by the ttrr_eval_d2 case",
 }
 
 

@@ -55,6 +55,27 @@ def test_fault_injection_fails():
     assert "interlacing" in passed
 
 
+FAULT_FAILS = {
+    "lf-eq1", "lf-eq12", "lf-nonlinear", "identity-i", "identity-ii", "compat-first",
+    "compat-second", "structure", "lowering", "raising", "ode-composed", "ode-eliminated",
+    "confluent-kernel", "lax-block", "stationarity",
+}
+
+
+def test_fault_injection_fails_exactly_the_table_records():
+    # a:3:1e-6 corrupts every table; the records that read a table fail,
+    # the sampled structure, lowering and raising forms among them, and
+    # the weight-only, clean-table, zero and density records pass
+    rep = run_verification(n_max=8, fault="a:3:1e-6")
+    assert {r.name for r in rep.records if not r.passed} == FAULT_FAILS
+
+
+def test_fault_fails_the_sampled_polynomial_identities_deeper():
+    rep = run_verification(z_values=(1,), n_max=32, fault="a:3:1e-6")
+    failed = {r.name for r in rep.records if not r.passed}
+    assert {"structure", "lowering", "raising"} <= failed
+
+
 def test_negative_residual_fails():
     # this fault drives the identity-ii residual negative; it must still fail
     rep = run_verification(z_values=(1,), n_max=8, fault="b:5:-1e-40")

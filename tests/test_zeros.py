@@ -6,12 +6,13 @@ import dataclasses
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import monic_polys
 from mpmath import mp
 
 from tfreud.cli import REF_ERRATA, REF_LARGEST, REF_SMALLEST
 from tfreud import kernel
 from tfreud.kernel import DomainError, PrecisionContext, default_bits, tridiag_eigenvalues
-from tfreud.operators import poly_table, ttrr_eval_d2
+from tfreud.operators import recurrence_passes
 from tfreud.recurrence import chebyshev_coeffs
 from tfreud.zeros import (
     DENSITY_CTX,
@@ -100,13 +101,12 @@ def test_reference_table_4dp(zsets):
 
 
 def test_zeros_vanish_on_polynomial(tbl, zsets):
-    polys = poly_table(tbl, 12)
+    polys = monic_polys(tbl, 12)
     for n in (5, 12):
-        coeffs = polys[n].coeffs
-        for x in zsets[n].values:
-            majorant = mp.fsum(abs(c) * x ** k for k, c in enumerate(coeffs))
-            val, _, _ = ttrr_eval_d2(tbl, n, x)
-            assert abs(val) <= CTX.verify_tol(majorant)
+        xs = zsets[n].values
+        for x, ps in zip(xs, recurrence_passes(tbl, n, xs)):
+            majorant = mp.fsum(abs(c) * x ** k for k, c in enumerate(polys[n]))
+            assert abs(ps[n][0]) <= CTX.verify_tol(majorant)
 
 
 @pytest.mark.parametrize("zq", ["0.25", "1", "4"])
@@ -157,11 +157,12 @@ def test_newton_fallback_step_runs(tbl, zsets, route, monkeypatch):
     per_zero = []
 
     def d2(nb, na, n, x, bits):
-        f, fp, fpp = real_d2(nb, na, n, x, bits)
+        out = real_d2(nb, na, n, x, bits)
         if seen["fresh"]:
             seen["fresh"] = False
-            return f, (fp[0], fp[1] - 64), (fpp[0], fpp[1] - 128)
-        return f, fp, fpp
+            f, fp, fpp = out[-1]
+            out[-1] = f, (fp[0], fp[1] - 64), (fpp[0], fpp[1] - 128)
+        return out
 
     def sturm(*args):
         seen["fallback"] += seen["inside"]
@@ -301,8 +302,9 @@ def test_bound_constant_n2():
 def test_largest_zero_bound_guards(tbl):
     with pytest.raises(DomainError):
         largest_zero_bound(tbl, 1)
-    with pytest.raises(DomainError):
-        largest_zero_bound(tbl, 5, eps=0)
+    for eps in (0, mp.inf, mp.nan):
+        with pytest.raises(DomainError):
+            largest_zero_bound(tbl, 5, eps=eps)
 
 
 # ---------------------------------------------------------------------------
@@ -313,8 +315,9 @@ def test_density_model():
     model = DensityModel.for_t(1, CTX)
     c = mp.mpf(140) ** mp.mpf("-0.25")
     assert abs(model.beta_t - 4 * c) <= CTX.verify_tol(4 * c)
-    with pytest.raises(DomainError):
-        DensityModel.for_t(0, CTX)
+    for t in (0, mp.inf, mp.nan):
+        with pytest.raises(DomainError):
+            DensityModel.for_t(t, CTX)
 
 
 def test_density_domain():
