@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import mpmath as mp
 from mpmath.libmp import from_man_exp, round_nearest, to_float
@@ -126,17 +127,10 @@ def poly_diff(p: list) -> list:
     return poly_trim([p[i] * i for i in range(1, len(p))])
 
 
-def poly_eval(p: list, x) -> mp.mpf:
-    """Horner evaluation."""
-    acc = mp.mpf(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
 @dataclass(frozen=True)
 class RationalFn:
-    """Quotient of dense polynomials; denominator not identically zero."""
+    """Quotient of dense polynomials of mpf coefficients; denominator not
+    identically zero.  It evaluates on images only (at)."""
 
     num: tuple
     den: tuple
@@ -145,11 +139,17 @@ class RationalFn:
         if all(c == 0 for c in self.den):
             raise DomainError("RationalFn denominator is identically zero")
 
-    def eval(self, x) -> mp.mpf:
-        d = poly_eval(list(self.den), x)
-        if d == 0:
-            raise ZeroDivisionError(f"RationalFn denominator vanishes at {x}")
-        return poly_eval(list(self.num), x) / d
+    @cached_property
+    def images(self) -> tuple:
+        """(num, den) as tuples of images, converted once."""
+        return tuple(map(_image, self.num)), tuple(map(_image, self.den))
+
+    def at(self, x, bits) -> tuple:
+        """The image of num(x)/den(x) at the image x: each polynomial by
+        _horner, then _div, all at `bits` bits, so it gives the bits of the
+        mpf Horner quotient at `bits`.  ZeroDivisionError where den(x) = 0."""
+        num, den = self.images
+        return _div(_horner(num, x, bits), _horner(den, x, bits), bits)
 
     def derivative(self) -> "RationalFn":
         """Quotient rule; derivative is symbolic, never numerical."""
@@ -208,6 +208,23 @@ def _add(u, v, bits) -> tuple:
     return _round((m << g) + m2, e - g, bits)
 
 
+def _neg(u) -> tuple:
+    return -u[0], u[1]
+
+
+def _sub(u, v, bits) -> tuple:
+    return _add(u, _neg(v), bits)
+
+
+def _sum(us, bits) -> tuple:
+    """u_0 + u_1 + ... (a nonempty sequence) added left to right to 0, each
+    sum rounded, as Python's sum() adds mpf values: 0 + u_0 rounds u_0."""
+    acc = _round(*us[0], bits)
+    for u in us[1:]:
+        acc = _add(acc, u, bits)
+    return acc
+
+
 def _div(u, v, bits) -> tuple:
     """u / v rounded, v not zero: a quotient of at least bits + 3 bits with
     a sticky bit for a nonzero remainder, rounded by _round, as mpf_div
@@ -231,6 +248,16 @@ def _cmp(u, v) -> int:
         return s if t > t2 else -s
     d = (m << e - e2) - m2 if e >= e2 else m - (m2 << e2 - e)
     return (d > 0) - (d < 0)
+
+
+def _horner(cs, x, bits) -> tuple:
+    """The polynomial of ascending coefficient images cs (at least one) at
+    the image x: acc * x + c from acc = 0, each operation rounded, as mpf
+    Horner rounds it; the first step 0 * x + c only rounds c."""
+    acc = _round(*cs[-1], bits)
+    for c in reversed(cs[:-1]):
+        acc = _add(_mul(acc, x, bits), c, bits)
+    return acc
 
 
 def _float(u) -> float:

@@ -20,12 +20,15 @@ The scalar identities i and ii return (residual, scale), to be judged as
 log-spaced sample grid instead, reading P_k, P_k' and P_k'' from one
 RecurrencePass per sample: structure, lowering, raising, compatibility and
 both ODEs return their residual divided by the sum of its term magnitudes
-plus 1, the confluent kernel identity its relative deviation.  Eight
-samples are fewer than the d + 1 points that would prove a polynomial
-identity of degree d, so these are numerical checks of the identities, not
-coefficient-wise proofs.  ladder_residuals evaluates each ladder function
-once per sample for both compatibility identities and the eliminated ODE.
-All derivative work on rational functions is symbolic.
+plus 1, the confluent kernel identity its relative deviation.  Eight samples
+cannot prove a polynomial identity of higher degree, so these are numerical
+checks, not coefficient-wise proofs.  They run on the kernel's integer
+images at the table's working precision, every term, sum and ratio rounded
+in the order of the mpf expression it stands for, so each residual has the
+mpf bits and becomes an mpf once.  Only the symbolic derivatives of the
+rational functions, lowering_data and v' = 4z x^3 run in mpf: past 333
+mantissa bits mpmath's cube is a binary power that is not always correctly
+rounded, so no image form is sure to give its bits.
 """
 from __future__ import annotations
 
@@ -33,22 +36,9 @@ from dataclasses import dataclass
 
 import mpmath as mp
 
-from .kernel import (
-    RESIDUAL_GUARD_BITS,
-    DomainError,
-    PrecisionContext,
-    RationalFn,
-    _image,
-    _mpf,
-    _neg_images,
-    _ttrr_d2,
-    poly_add,
-    poly_eval,
-    poly_mul,
-    poly_scale,
-    poly_sub,
-    poly_trim,
-)
+from .kernel import (RESIDUAL_GUARD_BITS, DomainError, PrecisionContext, RationalFn, _add, _cmp,
+                     _div, _horner, _image, _mpf, _mul, _neg, _neg_images, _sub, _sum, _ttrr_d2,
+                     poly_add, poly_mul, poly_scale, poly_sub, poly_trim)
 from .recurrence import RecurrenceTable, band_lower, band_row, bracket_i
 
 
@@ -69,7 +59,7 @@ class RecurrencePass:
     kernel._ttrr_d2 on integer images) at the table's working precision.
     Near the top of the zero range this is much better conditioned than
     Horner on monomial coefficients, whose alternating signs cancel heavily
-    there.  The values stay images until an entry is read."""
+    there.  The sampled records read `images`; indexing converts to mpf."""
 
     x: mp.mpf
     images: tuple
@@ -91,9 +81,15 @@ def recurrence_passes(tbl: RecurrenceTable, n: int, x_samples) -> tuple:
     return tuple(RecurrencePass(x, tuple(_ttrr_d2(nb, na, n, _image(x), bits))) for x in xs)
 
 
-def _scaled(residual, terms) -> mp.mpf:
-    """|residual| divided by the sum of the term magnitudes plus 1."""
-    return abs(residual) / (sum(abs(t) for t in terms) + 1)
+def _scaled(residual, terms, bits) -> tuple:
+    """|residual| divided by the sum of the term magnitudes plus 1, on images
+    rounded to `bits` in the order of the mpf sum 0 + |t_0| + ... + 1."""
+    scale = _add(_sum([(abs(m), e) for m, e in terms], bits), (1, 0), bits)
+    return _div((abs(residual[0]), residual[1]), scale, bits)
+
+
+def _max(u, v) -> tuple:
+    return v if _cmp(v, u) > 0 else u
 
 
 # ---------------------------------------------------------------------------
@@ -186,15 +182,15 @@ def structure_coeffs(tbl: RecurrenceTable, n: int) -> tuple:
 def structure_residual(tbl: RecurrenceTable, n: int, passes) -> mp.mpf:
     """Scaled max residual of x*P'_{n+1} - (n+1)*P_{n+1} - sum_j c_{n-j} P_{n-j}
     over the passes (each to degree >= n + 1)."""
-    coeffs = structure_coeffs(tbl, n)
-    with tbl.workprec():
-        worst = mp.mpf(0)
-        for ps in passes:
-            p, d, _ = ps[n + 1]
-            terms = [ps.x * d, (n + 1) * p] + [c * ps[n - j][0]
-                                               for j, c in enumerate(coeffs) if n - j >= 0]
-            worst = max(worst, _scaled(terms[0] - sum(terms[1:]), terms))
-        return worst
+    coeffs = [_image(c) for c in structure_coeffs(tbl, n)[:n + 1]]
+    bits = tbl.ctx.bits + RESIDUAL_GUARD_BITS
+    worst = (0, 0)
+    for ps in passes:
+        p, d, _ = ps.images[n + 1]
+        terms = [_mul(_image(ps.x), d, bits), _mul((n + 1, 0), p, bits)] + [
+            _mul(c, ps.images[n - j][0], bits) for j, c in enumerate(coeffs)]
+        worst = _max(worst, _scaled(_sub(terms[0], _sum(terms[1:], bits), bits), terms, bits))
+    return _mpf(worst)
 
 
 # ---------------------------------------------------------------------------
@@ -270,29 +266,31 @@ def ladder_residuals(tbl: RecurrenceTable, n: int, passes) -> tuple:
         raise IndexError(f"need 1 <= n <= {tbl.n_max - 2}, got {n}")
     A_dn, A_n, A_up = (ladder_A(tbl, k) for k in (n - 1, n, n + 1))
     B_n, B_up = ladder_B(tbl, n), ladder_B(tbl, n + 1)
-    a, b = tbl.a, tbl.b
-    worst = [mp.mpf(0)] * 3
+    an, an_up, bn = (_image(v) for v in (tbl.a[n], tbl.a[n + 1], tbl.b[n]))
+    bits = tbl.ctx.bits + RESIDUAL_GUARD_BITS
+    worst = [(0, 0)] * 3
     with tbl.workprec():
-        dA = A_n.derivative()
-        dB = B_n.derivative()
-        f = 4 * tbl.z
-        for ps in passes:
-            x = ps.x
-            if x == 0:
-                raise DomainError("sample grid touches the pole at x = 0")
-            vA, vA_dn, vB, vB_up = A_n.eval(x), A_dn.eval(x), B_n.eval(x), B_up.eval(x)
-            vp = f * x ** 3
-            xb = x - b[n]
-            t1 = (vB_up, vB, xb * vA, vp)
-            t2 = (a[n + 1] * A_up.eval(x), a[n] * vA_dn, xb * (vB_up - vB))
-            y, y1, y2 = ps[n]
-            logd = dA.eval(x) / vA
-            Q = dB.eval(x) - vB * logd - vB * (vp + vB) + a[n] * vA * vA_dn
-            t3 = (y2, (-vp - logd) * y1, Q * y)
-            sums = (t1[0] + t1[1] - t1[2] + t1[3], t2[0] - t2[1] - 1 - t2[2],
-                    t3[0] + t3[1] + t3[2])
-            worst = [max(w, _scaled(r, t)) for w, r, t in zip(worst, sums, (t1, t2, t3))]
-    return tuple(worst)
+        dA, dB, f = A_n.derivative(), B_n.derivative(), 4 * tbl.z
+        vps = [_image(f * ps.x ** 3) for ps in passes]
+    for ps, vp in zip(passes, vps):
+        if ps.x == 0:
+            raise DomainError("sample grid touches the pole at x = 0")
+        x = _image(ps.x)
+        vA, vA_dn, vB, vB_up = (g.at(x, bits) for g in (A_n, A_dn, B_n, B_up))
+        xb = _sub(x, bn, bits)
+        t1 = (vB_up, vB, _mul(xb, vA, bits), vp)
+        t2 = (_mul(an_up, A_up.at(x, bits), bits), _mul(an, vA_dn, bits),
+              _mul(xb, _sub(vB_up, vB, bits), bits))
+        y, y1, y2 = ps.images[n]
+        logd = _div(dA.at(x, bits), vA, bits)
+        Q = _sum((dB.at(x, bits), _neg(_mul(vB, logd, bits)),
+                  _neg(_mul(vB, _add(vp, vB, bits), bits)),
+                  _mul(_mul(an, vA, bits), vA_dn, bits)), bits)
+        t3 = (y2, _mul(_sub(_neg(vp), logd, bits), y1, bits), _mul(Q, y, bits))
+        sums = (_sum((vB_up, vB, _neg(t1[2]), vp), bits),
+                _sum((t2[0], _neg(t2[1]), (-1, 0), _neg(t2[2])), bits), _sum(t3, bits))
+        worst = [_max(w, _scaled(r, t, bits)) for w, r, t in zip(worst, sums, (t1, t2, t3))]
+    return tuple(map(_mpf, worst))
 
 
 # ---------------------------------------------------------------------------
@@ -363,18 +361,22 @@ def lowering_raising_apply(tbl: RecurrenceTable, data: LoweringData, passes) -> 
     over the passes (each to degree >= n + 2); C_n(x), D_n(x) and the terms
     of the lowering identity are formed once per sample for both."""
     n = data.n
-    a_up, b_up = tbl.a[n + 1], tbl.b[n + 1]
-    with tbl.workprec():
-        low = up = mp.mpf(0)
-        for ps in passes:
-            x = ps.x
-            p, d, _ = ps[n + 1]
-            C = poly_eval(data.C, x)
-            t1 = (x * d, poly_eval(data.D, x) * p, C * ps[n][0])
-            t2 = (a_up * t1[0], a_up * t1[1], (x - b_up) * C * p, C * ps[n + 2][0])
-            low = max(low, _scaled(t1[0] + t1[1] - t1[2], t1))
-            up = max(up, _scaled(t2[2] - t2[0] - t2[1] - t2[3], t2))
-        return low, up
+    a_up, b_up = _image(tbl.a[n + 1]), _image(tbl.b[n + 1])
+    D, C = data.B.images
+    bits = tbl.ctx.bits + RESIDUAL_GUARD_BITS
+    low = up = (0, 0)
+    for ps in passes:
+        x = _image(ps.x)
+        p, d, _ = ps.images[n + 1]
+        vC = _horner(C, x, bits)
+        t1 = (_mul(x, d, bits), _mul(_horner(D, x, bits), p, bits),
+              _mul(vC, ps.images[n][0], bits))
+        t2 = (_mul(a_up, t1[0], bits), _mul(a_up, t1[1], bits),
+              _mul(_mul(_sub(x, b_up, bits), vC, bits), p, bits),
+              _mul(vC, ps.images[n + 2][0], bits))
+        low = _max(low, _scaled(_sum((t1[0], t1[1], _neg(t1[2])), bits), t1, bits))
+        up = _max(up, _scaled(_sum((t2[2], *map(_neg, (t2[0], t2[1], t2[3]))), bits), t2, bits))
+    return _mpf(low), _mpf(up)
 
 
 def holonomic_residual_Dn(tbl: RecurrenceTable, prev: LoweringData, data: LoweringData,
@@ -394,22 +396,23 @@ def holonomic_residual_Dn(tbl: RecurrenceTable, prev: LoweringData, data: Loweri
     A_n, B_n = data.A, data.B
     A_p, B_p = prev.A, prev.B
     with tbl.workprec():
-        dA = A_n.derivative()
-        dB = B_n.derivative()
-        an, bn = tbl.a[n], tbl.b[n]
-        worst = mp.mpf(0)
-        for ps in passes:
-            x = ps.x
-            y, y1, y2 = ps[n + 1]
-            An_x, Bn_x = A_n.eval(x), B_n.eval(x)
-            Ap_x, Bp_x = A_p.eval(x), B_p.eval(x)
-            mid = an * Bp_x - x + bn
-            c2 = an * An_x * Ap_x
-            c1 = An_x * mid + an * Ap_x * (dA.eval(x) + Bn_x)
-            c0 = an * dB.eval(x) * Ap_x + Bn_x * mid + 1
-            terms = (c2 * y2, c1 * y1, c0 * y)
-            worst = max(worst, _scaled(terms[0] + terms[1] + terms[2], terms))
-        return worst
+        dA, dB = A_n.derivative(), B_n.derivative()
+    an, bn = _image(tbl.a[n]), _image(tbl.b[n])
+    bits = tbl.ctx.bits + RESIDUAL_GUARD_BITS
+    worst = (0, 0)
+    for ps in passes:
+        x = _image(ps.x)
+        y, y1, y2 = ps.images[n + 1]
+        An_x, Bn_x, Ap_x, Bp_x = (g.at(x, bits) for g in (A_n, B_n, A_p, B_p))
+        mid = _sum((_mul(an, Bp_x, bits), _neg(x), bn), bits)
+        c2 = _mul(_mul(an, An_x, bits), Ap_x, bits)
+        c1 = _add(_mul(An_x, mid, bits),
+                  _mul(_mul(an, Ap_x, bits), _add(dA.at(x, bits), Bn_x, bits), bits), bits)
+        c0 = _sum((_mul(_mul(an, dB.at(x, bits), bits), Ap_x, bits),
+                   _mul(Bn_x, mid, bits), (1, 0)), bits)
+        terms = (_mul(c2, y2, bits), _mul(c1, y1, bits), _mul(c0, y, bits))
+        worst = _max(worst, _scaled(_sum(terms, bits), terms, bits))
+    return _mpf(worst)
 
 
 def confluent_check(tbl: RecurrenceTable, n: int, passes) -> mp.mpf:
@@ -418,17 +421,17 @@ def confluent_check(tbl: RecurrenceTable, n: int, passes) -> mp.mpf:
     >= n + 1)."""
     if n < 0 or n > tbl.n_max:
         raise IndexError(f"need 0 <= n <= {tbl.n_max}, got {n}")
-    with tbl.workprec():
-        worst = mp.mpf(0)
-        for ps in passes:
-            left = mp.mpf(0)
-            for k in range(n + 1):
-                left += ps[k][0] ** 2 / tbl.h[k]
-            p, d, _ = ps[n + 1]
-            p_prev, d_prev, _ = ps[n]
-            right = (d * p_prev - d_prev * p) / tbl.h[n]
-            worst = max(worst, abs(left - right) / abs(left))
-        return worst
+    h = [_image(v) for v in tbl.h[:n + 1]]
+    bits = tbl.ctx.bits + RESIDUAL_GUARD_BITS
+    worst = (0, 0)
+    for ps in passes:
+        left = _sum([_div(_mul(p, p, bits), hk, bits)
+                     for (p, _, _), hk in zip(ps.images, h)], bits)
+        (p, d, _), (p_prev, d_prev, _) = ps.images[n + 1], ps.images[n]
+        right = _div(_sub(_mul(d, p_prev, bits), _mul(d_prev, p, bits), bits), h[n], bits)
+        dev = _sub(left, right, bits)
+        worst = _max(worst, _div((abs(dev[0]), dev[1]), (abs(left[0]), left[1]), bits))
+    return _mpf(worst)
 
 
 def lax_block_check(tbl: RecurrenceTable, M: int) -> mp.mpf:

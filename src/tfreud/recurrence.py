@@ -3,12 +3,11 @@
 The monic orthogonal family satisfies x*P_n = P_{n+1} + b_n*P_n + a_n*P_{n-1}
 with a_0 = 0.  Coefficients are produced from moments (moment_sequence: one
 AGM and the four-step recurrence, no Gamma evaluation) by the modified-moment
-(Chebyshev) algorithm at a boosted internal precision: a reserve of
-LOSS_BITS_PER_DEGREE = 3.5 bits per degree, although the map from moments to
-coefficients measurably loses 4.1-4.2, so past degree ~90 the top entries
-carry fewer correct bits than the context claims.  The O(n^2) elimination
-runs on the kernel's integer images, each step rounded exactly as mpf rounds
-it at the internal precision, so it gives the mpf loop's bits; the O(n)
+(Chebyshev) algorithm at a boosted internal precision, with a reserve of
+LOSS_BITS_PER_DEGREE bits per degree for the bits the map from moments to
+coefficients loses.  The O(n^2) elimination runs on the kernel's integer
+images, each step rounded exactly as mpf rounds it at the internal
+precision, so it gives the mpf loop's bits; the O(n)
 divisions and the guard on the norms run in mpf.  Final values are rounded
 to the caller's context, which the table keeps: every evaluation on a table
 runs at RecurrenceTable.workprec(), whatever mpmath's global precision is.
@@ -44,24 +43,17 @@ from functools import cached_property, partial
 
 import mpmath as mp
 
-from .kernel import (
-    RESIDUAL_GUARD_BITS,
-    ConvergenceError,
-    DomainError,
-    PrecisionContext,
-    PrecisionExhaustionError,
-    _add,
-    _image,
-    _mpf,
-    _mul,
-    _neg_images,
-    _ttrr_d2,
-    positive_finite,
-)
+from .kernel import (RESIDUAL_GUARD_BITS, ConvergenceError, DomainError, PrecisionContext,
+                     PrecisionExhaustionError, _add, _image, _mpf, _mul, _neg_images, _ttrr_d2,
+                     positive_finite)
 from .moments import moment, moment_sequence
 
-# reserve for the moment map's precision loss, bits per degree (measured: 4.1-4.2)
-LOSS_BITS_PER_DEGREE = 3.5
+# Reserve for the moment map's precision loss, bits per degree.  Against
+# tables built with a 7.0-bit reserve, the map loses 4.20-4.24 bits of the
+# internal precision per degree (z = 1/4, 1, 4; n = 128, 160, 256), so 4.5
+# keeps 102-138 bits beyond the context there; a reserve of 3.5 leaves the
+# top rows of tables past degree ~90 wrong.
+LOSS_BITS_PER_DEGREE = 4.5
 BASE_GUARD_BITS = 64
 
 

@@ -13,46 +13,15 @@ from dataclasses import dataclass, replace
 import mpmath as mp
 
 from .kernel import DomainError, PrecisionContext, default_bits
-from .moments import (
-    MomentSequence,
-    moment_recurrence_residual,
-    stieltjes_residual,
-)
-from .operators import (
-    beta_row,
-    confluent_check,
-    holonomic_residual_Dn,
-    identity_i_residual,
-    identity_ii_residual,
-    jacobi_matrix,
-    ladder_residuals,
-    lax_block_check,
-    lowering_data,
-    lowering_raising_apply,
-    mat_mul,
-    recurrence_passes,
-    sample_grid,
-    structure_residual,
-)
-from .recurrence import (
-    RecurrenceTable,
-    chebyshev_coeffs,
-    h_scaling_check,
-    lf_residual_1,
-    lf_residual_2,
-    lf_residual_I,
-    scaling_check,
-)
-from .zeros import (
-    density_consistency,
-    density_normalization,
-    interlacing_margin,
-    largest_zero_bound,
-    stationarity_check,
-    zero_scaling_check,
-    zero_sweep,
-    zeros,
-)
+from .moments import MomentSequence, moment_recurrence_residual, stieltjes_residual
+from .operators import (beta_row, confluent_check, holonomic_residual_Dn, identity_i_residual,
+                        identity_ii_residual, jacobi_matrix, ladder_residuals, lax_block_check,
+                        lowering_data, lowering_raising_apply, mat_mul, recurrence_passes,
+                        sample_grid, structure_residual)
+from .recurrence import (RecurrenceTable, chebyshev_coeffs, h_scaling_check, lf_residual_1,
+                         lf_residual_2, lf_residual_I, scaling_check)
+from .zeros import (density_consistency, density_normalization, interlacing_margin,
+                    largest_zero_bound, stationarity_check, zero_scaling_check, zero_sweep, zeros)
 
 SCALE_Z = (mp.mpf(1) / 16, mp.mpf(1) / 4, mp.mpf(4), mp.mpf(16))
 

@@ -48,7 +48,8 @@ from dataclasses import dataclass
 
 import mpmath as mp
 
-from .kernel import DomainError, PrecisionContext, positive_finite, tridiag_eigenvalues
+from .kernel import (RESIDUAL_GUARD_BITS, DomainError, PrecisionContext, _div, _image, _mpf,
+                     positive_finite, tridiag_eigenvalues)
 from .operators import ladder_A, recurrence_passes
 from .recurrence import RecurrenceTable, chebyshev_coeffs
 
@@ -342,16 +343,19 @@ def _fields(tbl: RecurrenceTable, n: int, xs) -> list:
     """(V_n(x), V_n'(x)) for each x in xs, with calA_n and its derivative
     built once: V_n = z x^4 + ln|calA_n/(4z)|, V_n' = 4z x^3 + calA_n'/calA_n."""
     A_n = ladder_A(tbl, n)
+    bits = tbl.ctx.bits + RESIDUAL_GUARD_BITS
     with tbl.workprec():
         z, dA_n = tbl.z, A_n.derivative()
         out = []
         for x in map(mp.mpf, xs):
             if x == 0:
                 raise DomainError("x = 0 is a pole of the potential")
-            A = A_n.eval(x)
-            if A == 0:
+            xi = _image(x)
+            A = A_n.at(xi, bits)
+            if not A[0]:
                 raise DomainError("log argument vanishes")
-            out.append((z * x ** 4 + mp.log(abs(A / (4 * z))), 4 * z * x ** 3 + dA_n.eval(x) / A))
+            dlog = _mpf(_div(dA_n.at(xi, bits), A, bits))
+            out.append((z * x ** 4 + mp.log(abs(_mpf(A) / (4 * z))), 4 * z * x ** 3 + dlog))
         return out
 
 

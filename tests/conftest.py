@@ -29,6 +29,20 @@ def mpf_close(a, b, tol) -> bool:
     return abs(mp.mpf(a) - mp.mpf(b)) <= mp.mpf(tol)
 
 
+def horner(p, x):
+    """mpf Horner at the caller's precision: the tests' reference for the
+    library's image Horner (kernel._horner and RationalFn.at)."""
+    acc = mp.mpf(0)
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
+
+
+def rat_eval(f, x):
+    """num(x)/den(x) of a RationalFn by mpf Horner at the caller's precision."""
+    return horner(f.num, x) / horner(f.den, x)
+
+
 def monic_polys(tbl, n_max: int) -> list:
     """Ascending monomial coefficients of the monic P_0..P_{n_max}, built by
     P_{k+1} = (x - b_k) P_k - a_k P_{k-1} at the table's bits + 32 and

@@ -270,7 +270,7 @@ def test_zeros_output_bits_pinned(capsys, argv, exit_code, sha256):
 
 @pytest.mark.parametrize("argv, sha256", [
     (("coeffs", "--n-max", "160"),
-     "727d6b409d2bd4f0cd5caf17ba71774f7a72de1d75ac6ebfafbb675dabb2f9a2"),
+     "cc698fd8dfa31d6704e691139f7fadf89535ee6e95e140735fe4c9bc05740f7b"),
     (("moments", "--n-max", "160"),
      "3b54438a5a818398be6b7d7901c53ad9692f825bc15bda64874d7a0df6ab0ab2"),
     (("coeffs", "--n-max", "40", "--z", "0.1"),

@@ -8,6 +8,7 @@ import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import horner, rat_eval
 from mpmath.libmp import from_man_exp, mpf_add, mpf_cmp, mpf_div, mpf_mul, round_nearest
 
 from tfreud import kernel
@@ -20,7 +21,6 @@ from tfreud.kernel import (
     default_bits,
     poly_add,
     poly_diff,
-    poly_eval,
     poly_mul,
     poly_sub,
     poly_trim,
@@ -66,7 +66,7 @@ def test_poly_basic_ops():
     assert poly_mul(p, q) == [0, 0, 3, 6]
     assert poly_diff([mp.mpf(5), mp.mpf(0), mp.mpf(7)]) == [0, 14]
     assert poly_trim([mp.mpf(1), mp.mpf(0), mp.mpf(0)]) == [1]
-    assert poly_eval([1, 2, 3], mp.mpf(2)) == 17
+    assert kernel._horner([(1, 0), (2, 0), (3, 0)], (2, 0), 64) == (17, 0)
 
 
 coeff = st.integers(min_value=-50, max_value=50)
@@ -78,8 +78,8 @@ small_poly = st.lists(coeff, min_size=1, max_size=6)
 def test_poly_mul_matches_pointwise(p, q, x):
     pm = [mp.mpf(c) for c in p]
     qm = [mp.mpf(c) for c in q]
-    lhs = poly_eval(poly_mul(pm, qm), mp.mpf(x))
-    rhs = poly_eval(pm, mp.mpf(x)) * poly_eval(qm, mp.mpf(x))
+    lhs = horner(poly_mul(pm, qm), mp.mpf(x))
+    rhs = horner(pm, mp.mpf(x)) * horner(qm, mp.mpf(x))
     assert lhs == rhs
 
 
@@ -90,25 +90,71 @@ def test_poly_product_rule(p, q, x):
     qm = [mp.mpf(c) for c in q]
     lhs = poly_diff(poly_mul(pm, qm))
     rhs = poly_add(poly_mul(poly_diff(pm), qm), poly_mul(pm, poly_diff(qm)))
-    assert poly_eval(lhs, mp.mpf(x)) == poly_eval(rhs, mp.mpf(x))
+    assert horner(lhs, mp.mpf(x)) == horner(rhs, mp.mpf(x))
 
 
 def test_rational_fn_eval_and_derivative():
-    # f = x / (1 + x^2);  f' = (1 - x^2) / (1 + x^2)^2
+    # f = x / (1 + x^2);  f' = (1 - x^2) / (1 + x^2)^2, evaluated on images
+    # at 1200 bits, the tests' own precision
     f = RationalFn((mp.mpf(0), mp.mpf(1)), (mp.mpf(1), mp.mpf(0), mp.mpf(1)))
     x = mp.mpf(3) / 7
-    assert f.eval(x) == x / (1 + x * x)
+    at = lambda g: kernel._mpf(g.at(kernel._image(x), mp.mp.prec))
+    assert at(f) == x / (1 + x * x)
     df = f.derivative()
     expect = (1 - x * x) / (1 + x * x) ** 2
-    assert abs(df.eval(x) - expect) <= mp.mpf(2) ** -45
+    assert abs(at(df) - expect) <= mp.mpf(2) ** -45
 
 
 def test_rational_fn_algebra():
     one_over_x = RationalFn((mp.mpf(1),), (mp.mpf(0), mp.mpf(1)))
     with pytest.raises(ZeroDivisionError):
-        one_over_x.eval(0)
+        one_over_x.at((0, 0), 64)
     with pytest.raises(DomainError):
         RationalFn((mp.mpf(1),), (mp.mpf(0),))
+
+
+@st.composite
+def _polynomials(draw):
+    """(bits, coefficients, x): mixed-sign mpf coefficients of degree 0..6
+    and x, all of at most `bits` bits; x is anything, 0, or within a few
+    units of its last bit of a root r of the polynomial, which is then
+    (x - r) q(x) expanded and rounded, so Horner cancels heavily there."""
+    bits = draw(st.integers(64, 2400))
+    deg = draw(st.integers(0, 6))
+    frac = st.builds(lambda p, q: mp.mpf(p) / q, st.integers(-10 ** 6, 10 ** 6),
+                     st.integers(1, 999))
+    kind = draw(st.sampled_from(["any", "zero", "root"] if deg else ["any", "zero"]))
+    with mp.workprec(bits):
+        cs = [+c for c in draw(st.lists(frac, min_size=deg + 1, max_size=deg + 1))]
+        x = +draw(frac)
+        if kind == "zero":
+            x = mp.mpf(0)
+        elif kind == "root":
+            cs = poly_mul([-x, mp.mpf(1)], cs[:deg])
+            x += draw(st.integers(-4, 4)) * mp.mpf(2) ** ((mp.mag(x) if x else 0) - bits)
+    return bits, cs, x
+
+
+@given(_polynomials(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_image_horner_and_rational_fn_match_mpf_horner(case, data):
+    bits, cs, x = case
+    with mp.workprec(bits):
+        want = horner(cs, x)
+    assert _raw(kernel._horner([kernel._image(c) for c in cs], kernel._image(x), bits)) \
+        == want._mpf_
+    # the same polynomial over a drawn denominator, or under it
+    den = data.draw(st.lists(st.integers(-9, 9), min_size=1, max_size=4).filter(any))
+    den = tuple(mp.mpf(c) for c in den)
+    for f in [RationalFn(tuple(cs), den)] + ([RationalFn(den, tuple(cs))] if any(cs) else []):
+        with mp.workprec(bits):
+            d = horner(f.den, x)
+            want = rat_eval(f, x) if d else None
+        if want is None:
+            with pytest.raises(ZeroDivisionError):
+                f.at(kernel._image(x), bits)
+        else:
+            assert _raw(f.at(kernel._image(x), bits)) == want._mpf_
 
 
 # --- tridiagonal eigenvalues --------------------------------------------------

@@ -4,14 +4,14 @@ import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from conftest import lowering_ref, monic_polys, raising_ref, structure_ref
+from conftest import horner, lowering_ref, monic_polys, raising_ref, rat_eval, structure_ref
 
 from tfreud.kernel import (
     DomainError,
     PrecisionContext,
     RationalFn,
+    default_bits,
     poly_diff,
-    poly_eval,
 )
 from tfreud.moments import moment
 from tfreud.operators import (
@@ -228,7 +228,7 @@ def test_ttrr_matches_horner(t16):
     for n in (0, 1, 7, 12):
         for x, ps in zip(xs, passes):
             majorant = mp.fsum(abs(c) * abs(x) ** k for k, c in enumerate(polys[n]))
-            assert abs(ps[n][0] - poly_eval(polys[n], x)) <= CTX.verify_tol(majorant)
+            assert abs(ps[n][0] - horner(polys[n], x)) <= CTX.verify_tol(majorant)
 
 
 def test_ttrr_derivatives_match_formal(t16):
@@ -241,8 +241,8 @@ def test_ttrr_derivatives_match_formal(t16):
         v, d1, d2 = ps[9]
         m1 = mp.fsum(abs(c) * abs(x) ** k for k, c in enumerate(dp))
         m2 = mp.fsum(abs(c) * abs(x) ** k for k, c in enumerate(ddp))
-        assert abs(d1 - poly_eval(dp, x)) <= CTX.verify_tol(m1)
-        assert abs(d2 - poly_eval(ddp, x)) <= CTX.verify_tol(m2)
+        assert abs(d1 - horner(dp, x)) <= CTX.verify_tol(m1)
+        assert abs(d2 - horner(ddp, x)) <= CTX.verify_tol(m2)
 
 
 def test_ttrr_guard(t16):
@@ -404,11 +404,11 @@ def _compat_ref(tbl, n, x_samples):
         f = 4 * tbl.z
         for x in x_samples:
             vp = f * x ** 3
-            t1 = [B_up.eval(x), B_n.eval(x), (x - tbl.b[n]) * A_n.eval(x), vp]
+            t1 = [rat_eval(B_up, x), rat_eval(B_n, x), (x - tbl.b[n]) * rat_eval(A_n, x), vp]
             res1 = t1[0] + t1[1] - t1[2] + t1[3]
             s1 = sum(abs(v) for v in t1) + 1
-            t2 = [tbl.a[n + 1] * A_up.eval(x), tbl.a[n] * A_dn.eval(x),
-                  (x - tbl.b[n]) * (B_up.eval(x) - B_n.eval(x))]
+            t2 = [tbl.a[n + 1] * rat_eval(A_up, x), tbl.a[n] * rat_eval(A_dn, x),
+                  (x - tbl.b[n]) * (rat_eval(B_up, x) - rat_eval(B_n, x))]
             res2 = t2[0] - t2[1] - 1 - t2[2]
             s2 = sum(abs(v) for v in t2) + 1
             r1 = max(r1, abs(res1) / s1)
@@ -429,12 +429,12 @@ def _chen_ref(tbl, n, x_samples):
         worst = mp.mpf(0)
         for x in x_samples:
             y, y1, y2 = recurrence_passes(tbl, n, [x])[0][n]
-            vA = A_n.eval(x)
-            logd = dA.eval(x) / vA
-            vB = B_n.eval(x)
+            vA = rat_eval(A_n, x)
+            logd = rat_eval(dA, x) / vA
+            vB = rat_eval(B_n, x)
             vp = f * x ** 3
             S = -vp - logd
-            Q = dB.eval(x) - vB * logd - vB * (vp + vB) + tbl.a[n] * vA * A_dn.eval(x)
+            Q = rat_eval(dB, x) - vB * logd - vB * (vp + vB) + tbl.a[n] * vA * rat_eval(A_dn, x)
             terms = (y2, S * y1, Q * y)
             scale = sum(abs(t) for t in terms) + 1
             worst = max(worst, abs(terms[0] + terms[1] + terms[2]) / scale)
@@ -466,18 +466,115 @@ def test_shared_evaluations_match_separate_routes(z):
                 assert res <= CTX.verify_tol(1)
 
 
+# ---------------------------------------------------------------------------
+# the sampled records, run on images, against the same expressions in mpf
+# ---------------------------------------------------------------------------
+
+def _scaled_mpf(residual, terms):
+    return abs(residual) / (sum(abs(t) for t in terms) + 1)
+
+
+def _structure_mpf(tbl, n, passes):
+    coeffs = structure_coeffs(tbl, n)
+    with tbl.workprec():
+        worst = mp.mpf(0)
+        for ps in passes:
+            p, d, _ = ps[n + 1]
+            terms = [ps.x * d, (n + 1) * p] + [c * ps[n - j][0]
+                                               for j, c in enumerate(coeffs) if n - j >= 0]
+            worst = max(worst, _scaled_mpf(terms[0] - sum(terms[1:]), terms))
+        return worst
+
+
+def _lowering_raising_mpf(tbl, data, passes):
+    n = data.n
+    a_up, b_up = tbl.a[n + 1], tbl.b[n + 1]
+    with tbl.workprec():
+        low = up = mp.mpf(0)
+        for ps in passes:
+            x = ps.x
+            p, d, _ = ps[n + 1]
+            C = horner(data.C, x)
+            t1 = (x * d, horner(data.D, x) * p, C * ps[n][0])
+            t2 = (a_up * t1[0], a_up * t1[1], (x - b_up) * C * p, C * ps[n + 2][0])
+            low = max(low, _scaled_mpf(t1[0] + t1[1] - t1[2], t1))
+            up = max(up, _scaled_mpf(t2[2] - t2[0] - t2[1] - t2[3], t2))
+        return low, up
+
+
+def _holonomic_mpf(tbl, prev, data, passes):
+    n = data.n
+    with tbl.workprec():
+        dA, dB = data.A.derivative(), data.B.derivative()
+        an, bn = tbl.a[n], tbl.b[n]
+        worst = mp.mpf(0)
+        for ps in passes:
+            x = ps.x
+            y, y1, y2 = ps[n + 1]
+            An_x, Bn_x = rat_eval(data.A, x), rat_eval(data.B, x)
+            Ap_x, Bp_x = rat_eval(prev.A, x), rat_eval(prev.B, x)
+            mid = an * Bp_x - x + bn
+            c2 = an * An_x * Ap_x
+            c1 = An_x * mid + an * Ap_x * (rat_eval(dA, x) + Bn_x)
+            c0 = an * rat_eval(dB, x) * Ap_x + Bn_x * mid + 1
+            terms = (c2 * y2, c1 * y1, c0 * y)
+            worst = max(worst, _scaled_mpf(terms[0] + terms[1] + terms[2], terms))
+        return worst
+
+
+def _confluent_mpf(tbl, n, passes):
+    with tbl.workprec():
+        worst = mp.mpf(0)
+        for ps in passes:
+            left = mp.mpf(0)
+            for k in range(n + 1):
+                left += ps[k][0] ** 2 / tbl.h[k]
+            p, d, _ = ps[n + 1]
+            p_prev, d_prev, _ = ps[n]
+            right = (d * p_prev - d_prev * p) / tbl.h[n]
+            worst = max(worst, abs(left - right) / abs(left))
+        return worst
+
+
+@pytest.mark.parametrize("n_max", [8, 32])
+@pytest.mark.parametrize("z", [mp.mpf(1) / 4, mp.mpf(1), mp.mpf(4)])
+def test_sampled_records_keep_the_mpf_bits(z, n_max):
+    # each record rounds every operation on images as its mpf expression
+    # does, at default bits as verify runs it; at n_max 32 the samples' cube
+    # x**3 is past the 1000 bits below which mpmath computes it exactly
+    ctx = PrecisionContext(default_bits(n_max))
+    tbl = chebyshev_coeffs(z, n_max + 2, ctx)
+    for n in range(n_max + 1):
+        xs = sample_grid(n, z, ctx, count=8)
+        passes = recurrence_passes(tbl, n + 2, xs)
+        got = [structure_residual(tbl, n, passes), confluent_check(tbl, n, passes)]
+        want = [_structure_mpf(tbl, n, passes), _confluent_mpf(tbl, n, passes)]
+        if n >= 1:
+            got += ladder_residuals(tbl, n, passes)
+            want += [*_compat_ref(tbl, n, xs), _chen_ref(tbl, n, xs)]
+        if n >= 2:
+            data = lowering_data(tbl, n)
+            got += lowering_raising_apply(tbl, data, passes)
+            want += _lowering_raising_mpf(tbl, data, passes)
+        if n >= 3:
+            prev = lowering_data(tbl, n - 1)
+            got.append(holonomic_residual_Dn(tbl, prev, data, passes))
+            want.append(_holonomic_mpf(tbl, prev, data, passes))
+        assert bits_of(got) == bits_of(want), n
+
+
 def test_ladder_residuals_evaluate_each_function_once(t16, monkeypatch):
     # calA_{n-1}, calA_n, calA_{n+1}, calB_n, calB_{n+1}, calA_n', calB_n':
     # seven evaluations per sample for all three identities
     tbl, _ = t16
     calls = []
-    real_eval = RationalFn.eval
+    real_at = RationalFn.at
 
-    def counted(self, x):
+    def counted(self, x, bits):
         calls.append(x)
-        return real_eval(self, x)
+        return real_at(self, x, bits)
 
-    monkeypatch.setattr(RationalFn, "eval", counted)
+    monkeypatch.setattr(RationalFn, "at", counted)
     passes = grid_passes(tbl, 5, 5)
     ladder_residuals(tbl, 5, passes)
     assert len(calls) == 7 * len(passes)

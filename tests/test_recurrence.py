@@ -301,6 +301,20 @@ def test_elimination_matches_the_mpf_loop(n_max, bits):
         assert [v._mpf_ for v in got] == [ctx.round(v)._mpf_ for v in ref]
 
 
+@pytest.mark.parametrize("n_max, bits", [(128, None), (192, None), (200, 96)])
+def test_reserve_keeps_every_row(monkeypatch, n_max, bits):
+    # the moment map loses about 4.2 bits per degree: every entry must match
+    # a table built with a 7.0-bit reserve at the same storage bits (with a
+    # 3.5-bit reserve the top rows of all three tables did not)
+    ctx = PrecisionContext(bits or default_bits(n_max))
+    tbl = chebyshev_coeffs(1, n_max, ctx)
+    monkeypatch.setattr(recurrence, "LOSS_BITS_PER_DEGREE", 7.0)
+    ref = chebyshev_coeffs(1, n_max, ctx)
+    for got, want in ((tbl.a, ref.a), (tbl.b, ref.b), (tbl.h, ref.h)):
+        assert [k for k, (g, w) in enumerate(zip(got, want))
+                if abs(g - w) > ctx.verify_tol(w)] == []
+
+
 def test_elimination_exhausts_where_the_mpf_loop_does(monkeypatch):
     ctx = PrecisionContext(64)
     monkeypatch.setattr(recurrence, "internal_bits_for", lambda ctx, n_max: 64)
