@@ -30,12 +30,13 @@
   as well.
 * The integral form of the density is (1/(pi t)) int ds/(sqrt(4 c s^(1/4)
   - x) sqrt(x)) taken over s where the radicand is positive, i.e. from
-  s_0 = (x/(4c))^4 up to t; substituting s = s_0 + v^2 removes the
-  inverse-square-root singularity at the lower end.
+  s_0 = (x/(4c))^4 up to t; substituting 4 c s^(1/4) - x = r^2 leaves a
+  polynomial of degree 6 in r, which 4-point Gauss-Legendre integrates
+  exactly.
 * density_consistency() (closed form against the integral form, contract
   1e-8) and density_normalization() (total mass, contract 1e-6) both run in
   the one fixed context DENSITY_CTX (96 bits), whatever the caller's storage
-  precision: their quadratures cost what their tolerances need.
+  precision; both integrals are fixed Gauss rules with closed-form nodes.
 * Each zero configuration minimizes
   E_n = -2 sum_{j<k} ln|x_k - x_j| + sum_k V_n(x_k) with the external field
   V_n(x) = z x^4 + ln|calA_n(x)/(4z)|, calA_n the ladder function
@@ -152,9 +153,10 @@ def largest_zero_bound(tbl: RecurrenceTable, n: int, eps="1e-3") -> mp.mpf:
 # ---------------------------------------------------------------------------
 
 # The density records are judged at 1e-8 (closed form against the integral
-# form) and 1e-6 (total mass).  96 bits leave about 70 bits of headroom below
-# the tighter contract, while tanh-sinh quadrature slows steeply with the
-# precision, so both records run at these bits and not at a table's.
+# form) and 1e-6 (total mass); 96 bits leave about 70 bits of headroom below
+# the tighter contract.  The Gauss rules cost little at any precision, but
+# the records' residuals are rounding gaps at these bits, so they run here
+# and not at a table's, and print the same bytes at every --bits.
 DENSITY_CTX = PrecisionContext(96)
 
 
@@ -205,30 +207,30 @@ def density_integral(x, t, ctx: PrecisionContext) -> mp.mpf:
     """omega(x, t) as (1/(pi t)) int ds/(sqrt(4 c s^(1/4) - x) sqrt(x)) over
     the s with positive radicand, i.e. s in (s_0, t), s_0 = (x/(4c))^4.
 
-    Substituting s = s_0 + v^2 and writing A = (s_0 + v^2)^(1/4), B = x/(4c)
-    turns the radicand into 4 c v^2 / ((A+B)(A^2+B^2)) exactly, so the
-    transformed integrand sqrt((A+B)(A^2+B^2)/c) is smooth on the whole
-    range: no subtraction is left to cancel at the lower endpoint."""
+    Substituting 4 c s^(1/4) - x = r^2 turns the integral into
+    (2/c) int_0^R ((x + r^2)/(4c))^3 dr, R^2 = 4 c t^(1/4) - x: a polynomial
+    of degree 6 in r, which the 4-point Gauss-Legendre rule (exact to
+    degree 7) integrates exactly.  R^2 is formed at the working precision,
+    not from the rounded beta_t, since near the support edge it cancels."""
     with ctx.workprec(32):
         xv, tv = mp.mpf(x), mp.mpf(t)
         model = DensityModel.for_t(tv, ctx)
         if not 0 < xv < model.beta_t:
             raise DomainError(f"x must lie in (0, {mp.nstr(model.beta_t, 8)})")
-        c = model.c
-        B = xv / (4 * c)
-        s0 = B ** 4
-        quarter = mp.mpf("0.25")
-
-        def g(v):
-            A = (s0 + v * v) ** quarter
-            return mp.sqrt((A + B) * (A * A + B * B) / c)
-
-        span = tv - s0
-        if span <= 0:
-            # x within an ulp of the support edge: s_0 rounds onto t and the
-            # s-interval collapses
+        c = mp.mpf(140) ** mp.mpf("-0.25")
+        R2 = 4 * c * tv ** mp.mpf("0.25") - xv
+        if R2 <= 0:
+            # x within an ulp of the support edge: the r-interval collapses
             return ctx.round(mp.mpf(0))
-        val = mp.quad(g, [0, mp.sqrt(span)])
+        half = mp.sqrt(R2) / 2
+        root = 2 * mp.sqrt(mp.mpf(6) / 5)
+        acc = mp.mpf(0)
+        for sign in (-1, 1):
+            node = mp.sqrt((3 + sign * root) / 7)
+            weight = (18 - sign * mp.sqrt(30)) / 36
+            for r in (half * (1 - node), half * (1 + node)):
+                acc += weight * (xv + r * r) ** 3
+        val = 2 * half * acc / (c * (4 * c) ** 3)
         return ctx.round(val / (mp.pi * tv * mp.sqrt(xv)))
 
 
@@ -282,29 +284,22 @@ def density_consistency(t) -> mp.mpf:
 
 
 def density_normalization(t) -> mp.mpf:
-    """int_0^{beta_t} omega(x, t) dx by quadrature of density() itself, with
-    x = beta_t u^2 on the left half and x = beta_t (1 - v^2) on the right to
-    strip the endpoint singularities.  Runs in DENSITY_CTX: the contract on
-    the result is 1e-6.  density_at builds the density once per t."""
+    """int_0^{beta_t} omega(x, t) dx by a Gauss rule over density() itself.
+    With x = beta_t cos^2(theta), omega dx is sin^2(theta) times an even
+    polynomial of degree 6 in cos(theta), which Gauss-Chebyshev of the second
+    kind with N = 6 nodes theta_k = k pi/7 integrates exactly; by symmetry
+    the mass is (pi/7) sum over k = 1, 2, 3 of omega(x_k) beta_t sin(2 theta_k).
+    Runs in DENSITY_CTX: the contract on the result is 1e-6."""
     qctx = DENSITY_CTX
     with qctx.workprec():
         tv = mp.mpf(t)
         beta = DensityModel.for_t(tv, qctx).beta_t
         omega = density_at(tv, qctx)
-        r = mp.sqrt(mp.mpf("0.5"))
-
-        def left(u):
-            return omega(beta * u * u) * 2 * beta * u
-
-        def right(v):
-            xv = beta * (1 - v * v)
-            if xv >= beta:
-                # v so small that 1 - v^2 rounds to 1; the lost mass is
-                # O(v^3), far below the 1e-6 contract
-                return mp.mpf(0)
-            return omega(xv) * 2 * beta * v
-
-        return mp.quad(left, [0, r]) + mp.quad(right, [0, r])
+        total = mp.mpf(0)
+        for k in (1, 2, 3):
+            theta = k * mp.pi / 7
+            total += omega(beta * mp.cos(theta) ** 2) * beta * mp.sin(2 * theta)
+        return mp.pi / 7 * total
 
 
 def empirical_density_distance(n: int, N: int, t, ctx: PrecisionContext) -> mp.mpf:

@@ -4,7 +4,7 @@ from __future__ import annotations
 import pytest
 from mpmath import mp
 
-from tfreud import verify
+from tfreud import verify, zeros as zeros_module
 from tfreud.kernel import DomainError, PrecisionContext, default_bits
 from tfreud.recurrence import chebyshev_coeffs
 from tfreud.verify import SCALE_Z, inject_fault, parse_fault, run_verification
@@ -42,6 +42,37 @@ def test_density_records_independent_of_storage_bits(clean_report):
                             for rep in (clean_report, wide))
         assert narrow._mpf_ == wide_res._mpf_
         assert narrow <= mp.mpf("1e-20")
+
+
+def test_density_consistency_sees_a_wrong_closed_form(monkeypatch):
+    # the closed form with its 21/5 off by one part in 10^6
+    def perturbed(w, ctx):
+        with ctx.workprec(32):
+            wv = mp.mpf(w)
+            V = mp.sqrt(1 - wv)
+            val = V ** 7 + mp.mpf(21) / 5 * (1 + mp.mpf("1e-6")) * wv * V ** 5 \
+                + 7 * wv ** 2 * V ** 3 + 7 * wv ** 3 * V
+            return ctx.round(val)
+
+    monkeypatch.setattr(zeros_module, "density_closed_form", perturbed)
+    rep = run_verification(z_values=(1,), n_max=8)
+    rec = next(r for r in rep.records if r.name == "density-consistency")
+    assert not rec.passed
+    assert not rep.overall
+
+
+def test_density_normalization_sees_a_scaled_density(monkeypatch):
+    exact = zeros_module.density_at
+
+    def scaled(t, ctx):
+        omega = exact(t, ctx)
+        return lambda x: omega(x) * (1 + mp.mpf("1e-5"))
+
+    monkeypatch.setattr(zeros_module, "density_at", scaled)
+    rep = run_verification(z_values=(1,), n_max=8)
+    rec = next(r for r in rep.records if r.name == "density-normalization")
+    assert not rec.passed
+    assert not rep.overall
 
 
 def test_fault_injection_fails():

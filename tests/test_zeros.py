@@ -359,10 +359,14 @@ def test_density_positive_on_support():
         assert density(mp.mpf(wq) * model.beta_t, 1, CTX) > 0
 
 
-@pytest.mark.parametrize("t", [1, 4])
+DENSITY_TS = ("0.0625", "0.3", 1, 4, 16)
+
+
+@pytest.mark.parametrize("t", DENSITY_TS)
 def test_density_normalization(t):
-    total = density_normalization(t)
-    assert abs(total - 1) <= mp.mpf("1e-6")
+    # the Gauss rule is exact, so the mass is 1 to the last bits, far inside
+    # the record's 1e-6 contract
+    assert abs(density_normalization(t) - 1) <= DENSITY_CTX.verify_tol(1)
 
 
 @pytest.mark.parametrize("t", ["0.3", 1])
@@ -380,22 +384,48 @@ def test_density_matches_its_formula_bitwise(t):
 
 
 @pytest.mark.parametrize("t", ["0.3", 1])
-def test_density_normalization_is_quadrature_of_density(t):
-    # the integrand builds its model once per t; it must give the bits of the
-    # same quadrature over density() itself
+def test_density_normalization_is_gauss_rule_over_density(t):
+    # the N = 6 Gauss-Chebyshev rule of the second kind in x = beta cos^2(theta),
+    # written out node by node over density() itself; the nodes k = 4, 5, 6
+    # mirror k = 3, 2, 1
     with DENSITY_CTX.workprec():
         tv = mp.mpf(t)
         beta = DensityModel.for_t(tv, DENSITY_CTX).beta_t
-        r = mp.sqrt(mp.mpf("0.5"))
-
-        def right(v):
-            xv = beta * (1 - v * v)
-            return density(xv, tv, DENSITY_CTX) * 2 * beta * v if xv < beta else mp.mpf(0)
-
-        want = (mp.quad(lambda u: density(beta * u * u, tv, DENSITY_CTX) * 2 * beta * u,
-                        [0, r])
-                + mp.quad(right, [0, r]))
+        terms = []
+        for k in (1, 2, 3):
+            theta = k * mp.pi / 7
+            x = beta * mp.cos(theta) ** 2
+            terms.append(density(x, tv, DENSITY_CTX) * beta * mp.sin(2 * theta))
+        want = mp.pi / 7 * (terms[0] + terms[1] + terms[2])
     assert density_normalization(t)._mpf_ == want._mpf_
+
+
+def s_form(x, t, bits):
+    """(1/(pi t)) int_{s_0}^t ds/(sqrt(4 c s^(1/4) - x) sqrt(x)) by tanh-sinh at
+    `bits`, with s = s_0 + v^2 taking out the lower endpoint's singularity:
+    the tests' reference for the Gauss rule of density_integral."""
+    with mp.workprec(bits):
+        c = mp.mpf(140) ** mp.mpf("-0.25")
+        B = x / (4 * c)
+        s0 = B ** 4
+
+        def g(v):
+            A = (s0 + v * v) ** mp.mpf("0.25")
+            return mp.sqrt((A + B) * (A * A + B * B) / c)
+
+        return mp.quad(g, [0, mp.sqrt(t - s0)]) / (mp.pi * t * mp.sqrt(x))
+
+
+@pytest.mark.parametrize("t", DENSITY_TS)
+def test_density_integral_is_exact(t):
+    # the rule is exact for its degree-6 integrand, so it lands within an ulp
+    # of a reference 200 bits wider (2^-SLACK_BITS of verify_tol), also next
+    # to the support edge, where R^2 = 4 c t^(1/4) - x cancels
+    model = DensityModel.for_t(t, DENSITY_CTX)
+    for wq in ("0.001", "0.05", "0.5", "0.97", "0.999"):
+        x = mp.mpf(wq) * model.beta_t
+        ref = s_form(x, mp.mpf(t), DENSITY_CTX.bits + 200)
+        assert abs(density_integral(x, t, DENSITY_CTX) - ref) <= DENSITY_CTX.eps * ref
 
 
 def test_density_cdf_endpoints():
