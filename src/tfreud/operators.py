@@ -42,7 +42,7 @@ from .kernel import (RESIDUAL_GUARD_BITS, DomainError, PrecisionContext, Rationa
 from .recurrence import RecurrenceTable, band_lower, band_row, bracket_i
 
 
-def sample_grid(n: int, z, ctx: PrecisionContext, count: int = 16):
+def sample_grid(n: int, z, ctx: PrecisionContext, count: int):
     """Log-spaced sample points in (0.01, 4*(n/(140z))^(1/4) + 1): covers the
     oscillatory region of P_n and a margin of tail."""
     with ctx.workprec(64):

@@ -123,8 +123,8 @@ def run_verification(z_values=(mp.mpf(1) / 4, 1, 4), n_max: int = 14,
                      fault: str | None = None) -> VerificationReport:
     """Run every residual family and return the collected records.
 
-    Each table and each zero set is built once per call, and each sample
-    of the sampled records runs one recurrence pass.  `fault`
+    Each table, zero set and sample grid is built once per call, and every
+    sampled record reads the one recurrence pass per grid point.  `fault`
     ('a:3:1e-6' style) perturbs one entry of the table of every z in
     `z_values`, so a corrupted run must come back failing; the scaling
     records compare clean tables."""
@@ -179,18 +179,17 @@ def run_verification(z_values=(mp.mpf(1) / 4, 1, 4), n_max: int = 14,
             worst = _worst(fn(tables[z], n) for z in zs for n in range(1, n_max + 1))
             records.append(_rec(name, nrange, zdesc, worst, tol1))
 
-        # the sampled records: every record of degree n reads one recurrence
-        # pass to degree n + 2 at each point of the grid of degree n
+        # the sampled records of every degree read one pass to n_max + 2 (which
+        # holds each lower degree) at the 8 points of the grid of P_{n_max+1}
         ladder, structure, lowraise, composed, confluent = [], [], [], [], []
         for z in zs:
             tbl = tables[z]
+            passes = recurrence_passes(tbl, n_tbl, sample_grid(n_max + 1, z, ctx, count=8))
             for n in range(n_max + 1):
-                passes = recurrence_passes(tbl, n + 2, sample_grid(n, z, ctx, count=8))
                 structure.append(structure_residual(tbl, n, passes))
+                confluent.append(confluent_check(tbl, n, passes))
                 if n >= 1:
                     ladder.append(ladder_residuals(tbl, n, passes))
-                if n in (0, n_max // 2, n_max):
-                    confluent.append(confluent_check(tbl, n, passes))
                 if n >= 2:
                     data = lowering_data(tbl, n)
                     lowraise.append(lowering_raising_apply(tbl, data, passes))

@@ -258,7 +258,7 @@ def test_output_determinism(tmp_path, capsys):
     (("zeros", "--table-check"), 1,
      "0237b2140481b4b9bf066e0ef7e3aa82d12e61f62b3a3d80a0e472e06347140d"),
     (("verify", "--n-max", "8"), 0,
-     "f59c86e921265bf16197c8c062c5e2e120128fcf49ac2421906dab74bdc1f030"),
+     "29a07d4b752ae42f8324e973a821f9412e3217afc3976d79141f18d67b9bb02b"),
 ])
 def test_zeros_output_bits_pinned(capsys, argv, exit_code, sha256):
     # byte-identical output is a contract: any change to these digests must
@@ -291,7 +291,7 @@ def test_verify_out_file_bits_pinned(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "verify", "--n-max", "8", "--out", str(out))
     assert code == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == \
-        "3af02bc89fb067a7242054f65c28397def9488896b0351e7912bead03c504c50"
+        "b95cf07abe4a37913f4038bb749bd88c8b8efc96476a85f51295028e946e7316"
 
 
 def test_verify_out_csv_keeps_six_fields(tmp_path, capsys):

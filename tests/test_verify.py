@@ -6,6 +6,7 @@ from mpmath import mp
 
 from tfreud import verify, zeros as zeros_module
 from tfreud.kernel import DomainError, PrecisionContext, default_bits
+from tfreud.operators import recurrence_passes
 from tfreud.recurrence import chebyshev_coeffs
 from tfreud.verify import SCALE_Z, inject_fault, parse_fault, run_verification
 from tfreud.zeros import zeros
@@ -133,6 +134,22 @@ def test_tables_and_zero_sets_built_once(monkeypatch):
     # one table per z of the default triple and of SCALE_Z, plus the
     # doubled-precision table of the precision-doubling check
     assert len(builds) == len({mp.mpf(1) / 4, mp.mpf(1), mp.mpf(4), *SCALE_Z}) + 1
+
+
+def test_one_recurrence_pass_per_z(monkeypatch):
+    degrees = []
+
+    def counted_passes(tbl, n, x_samples):
+        degrees.append(n)
+        return recurrence_passes(tbl, n, x_samples)
+
+    monkeypatch.setattr(verify, "recurrence_passes", counted_passes)
+    z_values = (mp.mpf(1) / 4, 1, 4)
+    run_verification(z_values=z_values, n_max=8)
+    # one pass per z to degree n_max + 2 feeds every sampled record of every
+    # degree; the two more are the precision-doubling check's ladder passes
+    assert len(degrees) == len(z_values) + 2
+    assert degrees[:len(z_values)] == [8 + 2] * len(z_values)
 
 
 def test_policy_gate_flags_low_bits():
