@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 
@@ -256,8 +257,8 @@ def cmd_density(cfg: RunConfig) -> int:
                              "beta_t": model.beta_t, "normalization": total})
         out = cfg.out
         if out is not None and multi:
-            stem, dot, ext = out.rpartition(".")
-            out = f"{stem}_t{_t_label(t)}.{ext}" if dot else f"{out}_t{_t_label(t)}"
+            stem, ext = os.path.splitext(out)
+            out = f"{stem}_t{_t_label(t)}{ext}"
         elif out is None and multi:
             out = f"density_t{_t_label(t)}.{cfg.fmt}"
         write_table(cfg, ["x", "omega", "beta_t", "normalization"], rows, out_path=out)
@@ -280,8 +281,6 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def cmd_figures(cfg: RunConfig) -> int:
-    import os
-
     ctx = PrecisionContext(cfg.bits)
     out_dir = cfg.out if cfg.out is not None else "."
     os.makedirs(out_dir, exist_ok=True)

@@ -18,21 +18,24 @@ the distributional Pearson equation of the weight exp(-z*x^4) on (0, inf):
 The scalar identities i and ii return (residual, scale), to be judged as
 |residual| <= verify_tol(scale).  Every identity in x is checked on a
 log-spaced sample grid instead, reading P_k, P_k' and P_k'' from one
-RecurrencePass per sample: structure, lowering, raising, compatibility and
-both ODEs return their residual divided by the sum of its term magnitudes
-plus 1, the confluent kernel identity its relative deviation.  Eight samples
-cannot prove a polynomial identity of higher degree, so these are numerical
-checks, not coefficient-wise proofs.  They run on the kernel's integer
-images at the table's working precision, every term, sum and ratio rounded
-in the order of the mpf expression it stands for, so each residual has the
-mpf bits and becomes an mpf once.  Only the symbolic derivatives of the
-rational functions, lowering_data and v' = 4z x^3 run in mpf: past 333
-mantissa bits mpmath's cube is a binary power that is not always correctly
-rounded, so no image form is sure to give its bits.
+RecurrencePass per sample; one call scores a range of degrees, one result
+per degree, and evaluates each ladder function once per sample.  Structure,
+lowering, raising, compatibility and both ODEs give their residual divided
+by the sum of its term magnitudes plus 1, the confluent kernel identity its
+relative deviation.  Eight samples cannot prove a polynomial identity of
+higher degree, so these are numerical checks, not coefficient-wise proofs.
+They run on the kernel's integer images at the table's working precision,
+every term, sum and ratio rounded in the order of the mpf expression it
+stands for, so each residual has the mpf bits and becomes an mpf once.
+Only the symbolic derivatives of the rational functions, lowering_data and
+v' = 4z x^3 run in mpf: past 333 mantissa bits mpmath's cube is a binary
+power that is not always correctly rounded, so no image form is sure to
+give its bits.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import mpmath as mp
 
@@ -179,18 +182,21 @@ def structure_coeffs(tbl: RecurrenceTable, n: int) -> tuple:
         return tuple(4 * tbl.z * lower[n - j] for j in range(4))
 
 
-def structure_residual(tbl: RecurrenceTable, n: int, passes) -> mp.mpf:
+def structure_residual(tbl: RecurrenceTable, n_max: int, passes) -> tuple:
     """Scaled max residual of x*P'_{n+1} - (n+1)*P_{n+1} - sum_j c_{n-j} P_{n-j}
-    over the passes (each to degree >= n + 1)."""
-    coeffs = [_image(c) for c in structure_coeffs(tbl, n)[:n + 1]]
+    over the passes (each to degree >= n_max + 1), one per n = 0..n_max."""
+    coeffs = [[_image(c) for c in structure_coeffs(tbl, n)[:n + 1]] for n in range(n_max + 1)]
     bits = tbl.ctx.bits + RESIDUAL_GUARD_BITS
-    worst = (0, 0)
+    worst = [(0, 0)] * (n_max + 1)
     for ps in passes:
-        p, d, _ = ps.images[n + 1]
-        terms = [_mul(_image(ps.x), d, bits), _mul((n + 1, 0), p, bits)] + [
-            _mul(c, ps.images[n - j][0], bits) for j, c in enumerate(coeffs)]
-        worst = _max(worst, _scaled(_sub(terms[0], _sum(terms[1:], bits), bits), terms, bits))
-    return _mpf(worst)
+        x = _image(ps.x)
+        for n, cs in enumerate(coeffs):
+            p, d, _ = ps.images[n + 1]
+            terms = [_mul(x, d, bits), _mul((n + 1, 0), p, bits)] + [
+                _mul(c, ps.images[n - j][0], bits) for j, c in enumerate(cs)]
+            residual = _sub(terms[0], _sum(terms[1:], bits), bits)
+            worst[n] = _max(worst[n], _scaled(residual, terms, bits))
+    return tuple(map(_mpf, worst))
 
 
 # ---------------------------------------------------------------------------
@@ -245,8 +251,9 @@ def identity_ii_residual(tbl: RecurrenceTable, n: int) -> tuple:
         return lhs - rhs, max(abs(lhs), abs(rhs))
 
 
-def ladder_residuals(tbl: RecurrenceTable, n: int, passes) -> tuple:
-    """Scaled max residuals (compat_first, compat_second, ode_eliminated):
+def ladder_residuals(tbl: RecurrenceTable, n_max: int, passes) -> tuple:
+    """Scaled max residuals (compat_first, compat_second, ode_eliminated),
+    one triple per n = 1..n_max:
 
         calB_{n+1} + calB_n = (x - b_n) calA_n - v'
         a_{n+1} calA_{n+1} - a_n calA_{n-1} = 1 + (x - b_n)(calB_{n+1} - calB_n)
@@ -255,42 +262,44 @@ def ladder_residuals(tbl: RecurrenceTable, n: int, passes) -> tuple:
 
     (v = z x^4); the ODE eliminates P_{n-1} from the first-order ladder pair
     (d/dx + calB_n) P_n = a_n calA_n P_{n-1}, -(d/dx - calB_n - v') P_{n-1}
-    = calA_{n-1} P_n.  Each ladder function is evaluated once per sample and
-    read by every identity that needs it.  Each residual is divided by the
-    sum of its term magnitudes plus 1, so all three compare against
-    verify_tol(1).  calA_n has no zero on (0, inf); the pole x = 0 is
-    refused.  y, y', y'' are degree n of the passes (each to degree >= n),
-    which keeps the ODE residual floor near unit roundoff of the table
-    entries."""
-    if n < 1 or n > tbl.n_max - 2:
-        raise IndexError(f"need 1 <= n <= {tbl.n_max - 2}, got {n}")
-    A_dn, A_n, A_up = (ladder_A(tbl, k) for k in (n - 1, n, n + 1))
-    B_n, B_up = ladder_B(tbl, n), ladder_B(tbl, n + 1)
-    an, an_up, bn = (_image(v) for v in (tbl.a[n], tbl.a[n + 1], tbl.b[n]))
+    = calA_{n-1} P_n.  calA_0..calA_{n_max+1}, calB_1..calB_{n_max+1}, the
+    derivatives of degrees 1..n_max and v' are evaluated once per sample and
+    read by every degree and identity that needs them.  All three compare
+    against verify_tol(1).  calA_n has no zero on (0, inf); the pole x = 0
+    is refused.  y, y', y'' are degree n of the passes (each to degree >=
+    n_max), which keeps the ODE residual floor near unit roundoff."""
+    if n_max < 1 or n_max > tbl.n_max - 2:
+        raise IndexError(f"need 1 <= n_max <= {tbl.n_max - 2}, got {n_max}")
+    A = [ladder_A(tbl, k) for k in range(n_max + 2)]
+    B = [ladder_B(tbl, k) for k in range(1, n_max + 2)]
     bits = tbl.ctx.bits + RESIDUAL_GUARD_BITS
-    worst = [(0, 0)] * 3
+    worst = [[(0, 0)] * 3 for _ in range(n_max)]
     with tbl.workprec():
-        dA, dB, f = A_n.derivative(), B_n.derivative(), 4 * tbl.z
-        vps = [_image(f * ps.x ** 3) for ps in passes]
+        dA, dB = ([g.derivative() for g in fns] for fns in (A[1:-1], B[:-1]))
+        vps = [_image(4 * tbl.z * ps.x ** 3) for ps in passes]
     for ps, vp in zip(passes, vps):
         if ps.x == 0:
             raise DomainError("sample grid touches the pole at x = 0")
         x = _image(ps.x)
-        vA, vA_dn, vB, vB_up = (g.at(x, bits) for g in (A_n, A_dn, B_n, B_up))
-        xb = _sub(x, bn, bits)
-        t1 = (vB_up, vB, _mul(xb, vA, bits), vp)
-        t2 = (_mul(an_up, A_up.at(x, bits), bits), _mul(an, vA_dn, bits),
-              _mul(xb, _sub(vB_up, vB, bits), bits))
-        y, y1, y2 = ps.images[n]
-        logd = _div(dA.at(x, bits), vA, bits)
-        Q = _sum((dB.at(x, bits), _neg(_mul(vB, logd, bits)),
-                  _neg(_mul(vB, _add(vp, vB, bits), bits)),
-                  _mul(_mul(an, vA, bits), vA_dn, bits)), bits)
-        t3 = (y2, _mul(_sub(_neg(vp), logd, bits), y1, bits), _mul(Q, y, bits))
-        sums = (_sum((vB_up, vB, _neg(t1[2]), vp), bits),
-                _sum((t2[0], _neg(t2[1]), (-1, 0), _neg(t2[2])), bits), _sum(t3, bits))
-        worst = [_max(w, _scaled(r, t, bits)) for w, r, t in zip(worst, sums, (t1, t2, t3))]
-    return tuple(map(_mpf, worst))
+        vA = [g.at(x, bits) for g in A]
+        vB = [None] + [g.at(x, bits) for g in B]
+        for n in range(1, n_max + 1):
+            an, bn, vB_n, vB_up = _image(tbl.a[n]), _image(tbl.b[n]), vB[n], vB[n + 1]
+            xb = _sub(x, bn, bits)
+            t1 = (vB_up, vB_n, _mul(xb, vA[n], bits), vp)
+            t2 = (_mul(_image(tbl.a[n + 1]), vA[n + 1], bits), _mul(an, vA[n - 1], bits),
+                  _mul(xb, _sub(vB_up, vB_n, bits), bits))
+            y, y1, y2 = ps.images[n]
+            logd = _div(dA[n - 1].at(x, bits), vA[n], bits)
+            Q = _sum((dB[n - 1].at(x, bits), _neg(_mul(vB_n, logd, bits)),
+                      _neg(_mul(vB_n, _add(vp, vB_n, bits), bits)),
+                      _mul(_mul(an, vA[n], bits), vA[n - 1], bits)), bits)
+            t3 = (y2, _mul(_sub(_neg(vp), logd, bits), y1, bits), _mul(Q, y, bits))
+            sums = (_sum((vB_up, vB_n, _neg(t1[2]), vp), bits),
+                    _sum((t2[0], _neg(t2[1]), (-1, 0), _neg(t2[2])), bits), _sum(t3, bits))
+            worst[n - 1] = [_max(w, _scaled(r, t, bits))
+                            for w, r, t in zip(worst[n - 1], sums, (t1, t2, t3))]
+    return tuple(tuple(map(_mpf, w)) for w in worst)
 
 
 # ---------------------------------------------------------------------------
@@ -352,86 +361,89 @@ def lowering_data(tbl: RecurrenceTable, n: int) -> LoweringData:
                             RationalFn(tuple(D), tuple(C)))
 
 
-def lowering_raising_apply(tbl: RecurrenceTable, data: LoweringData, passes) -> tuple:
-    """Scaled max residuals (lowering, raising) at n = data.n of
+def lowering_raising_apply(tbl: RecurrenceTable, lowering, passes) -> tuple:
+    """Scaled max residuals (lowering, raising), one pair per n = data.n in
+    `lowering`, of
 
         x P'_{n+1} + D_n P_{n+1} - C_n P_n
         -a_{n+1}[x P'_{n+1} + D_n P_{n+1}] + (x - b_{n+1}) C_n P_{n+1} - C_n P_{n+2}
 
     over the passes (each to degree >= n + 2); C_n(x), D_n(x) and the terms
     of the lowering identity are formed once per sample for both."""
-    n = data.n
-    a_up, b_up = _image(tbl.a[n + 1]), _image(tbl.b[n + 1])
-    D, C = data.B.images
     bits = tbl.ctx.bits + RESIDUAL_GUARD_BITS
-    low = up = (0, 0)
-    for ps in passes:
-        x = _image(ps.x)
-        p, d, _ = ps.images[n + 1]
-        vC = _horner(C, x, bits)
-        t1 = (_mul(x, d, bits), _mul(_horner(D, x, bits), p, bits),
-              _mul(vC, ps.images[n][0], bits))
-        t2 = (_mul(a_up, t1[0], bits), _mul(a_up, t1[1], bits),
-              _mul(_mul(_sub(x, b_up, bits), vC, bits), p, bits),
-              _mul(vC, ps.images[n + 2][0], bits))
-        low = _max(low, _scaled(_sum((t1[0], t1[1], _neg(t1[2])), bits), t1, bits))
-        up = _max(up, _scaled(_sum((t2[2], *map(_neg, (t2[0], t2[1], t2[3]))), bits), t2, bits))
-    return _mpf(low), _mpf(up)
+    xs = [_image(ps.x) for ps in passes]
+    out = []
+    for data in lowering:
+        n = data.n
+        a_up, b_up = _image(tbl.a[n + 1]), _image(tbl.b[n + 1])
+        D, C = data.B.images
+        low = up = (0, 0)
+        for x, ps in zip(xs, passes):
+            p, d, _ = ps.images[n + 1]
+            vC = _horner(C, x, bits)
+            t1 = (_mul(x, d, bits), _mul(_horner(D, x, bits), p, bits),
+                  _mul(vC, ps.images[n][0], bits))
+            t2 = (_mul(a_up, t1[0], bits), _mul(a_up, t1[1], bits),
+                  _mul(_mul(_sub(x, b_up, bits), vC, bits), p, bits),
+                  _mul(vC, ps.images[n + 2][0], bits))
+            low = _max(low, _scaled(_sum((t1[0], t1[1], _neg(t1[2])), bits), t1, bits))
+            up = _max(up, _scaled(_sum((t2[2], *map(_neg, t2[:2] + t2[3:])), bits), t2, bits))
+        out.append((_mpf(low), _mpf(up)))
+    return tuple(out)
 
 
-def holonomic_residual_Dn(tbl: RecurrenceTable, prev: LoweringData, data: LoweringData,
-                          passes) -> mp.mpf:
+def holonomic_residual_Dn(tbl: RecurrenceTable, lowering, passes) -> tuple:
     """Scaled max residual of the composed second-order operator
 
         a_n A_n A_{n-1} y'' + [A_n(a_n B_{n-1} - x + b_n) + a_n A_{n-1}(A_n' + B_n)] y'
         + [a_n B_n' A_{n-1} + B_n(a_n B_{n-1} - x + b_n) + 1] y
 
-    applied to y = P_{n+1}, n = data.n; prev is the lowering data of degree
-    n - 1.  A', B' are symbolic rational derivatives.  y, y', y'' are
-    degree n + 1 of the passes (each to degree >= n + 1), which keeps the
-    residual floor near unit roundoff of the table entries."""
-    n = data.n
-    if prev.n != n - 1:
-        raise DomainError(f"prev must hold degree {n - 1}, got {prev.n}")
-    A_n, B_n = data.A, data.B
-    A_p, B_p = prev.A, prev.B
+    applied to y = P_{n+1}, one per degree n of `lowering` (LoweringData of
+    consecutive degrees) after its first.  Each A_k, B_k is evaluated once
+    per sample, for n = k and n = k + 1; A', B' are symbolic rational
+    derivatives.  y, y', y'' are degree n + 1 of the passes (each to degree
+    >= n + 1), which keeps the residual floor near unit roundoff."""
     with tbl.workprec():
-        dA, dB = A_n.derivative(), B_n.derivative()
-    an, bn = _image(tbl.a[n]), _image(tbl.b[n])
+        ders = [(data.A.derivative(), data.B.derivative()) for data in lowering[1:]]
     bits = tbl.ctx.bits + RESIDUAL_GUARD_BITS
-    worst = (0, 0)
+    worst = [(0, 0)] * len(ders)
     for ps in passes:
         x = _image(ps.x)
-        y, y1, y2 = ps.images[n + 1]
-        An_x, Bn_x, Ap_x, Bp_x = (g.at(x, bits) for g in (A_n, B_n, A_p, B_p))
-        mid = _sum((_mul(an, Bp_x, bits), _neg(x), bn), bits)
-        c2 = _mul(_mul(an, An_x, bits), Ap_x, bits)
-        c1 = _add(_mul(An_x, mid, bits),
-                  _mul(_mul(an, Ap_x, bits), _add(dA.at(x, bits), Bn_x, bits), bits), bits)
-        c0 = _sum((_mul(_mul(an, dB.at(x, bits), bits), Ap_x, bits),
-                   _mul(Bn_x, mid, bits), (1, 0)), bits)
-        terms = (_mul(c2, y2, bits), _mul(c1, y1, bits), _mul(c0, y, bits))
-        worst = _max(worst, _scaled(_sum(terms, bits), terms, bits))
-    return _mpf(worst)
+        vals = [(data.A.at(x, bits), data.B.at(x, bits)) for data in lowering]
+        for i, data in enumerate(lowering[1:]):
+            (Ap_x, Bp_x), (An_x, Bn_x) = vals[i], vals[i + 1]
+            (dA, dB), n = ders[i], data.n
+            an, bn, (y, y1, y2) = _image(tbl.a[n]), _image(tbl.b[n]), ps.images[n + 1]
+            mid = _sum((_mul(an, Bp_x, bits), _neg(x), bn), bits)
+            c2 = _mul(_mul(an, An_x, bits), Ap_x, bits)
+            c1 = _add(_mul(An_x, mid, bits),
+                      _mul(_mul(an, Ap_x, bits), _add(dA.at(x, bits), Bn_x, bits), bits), bits)
+            c0 = _sum((_mul(_mul(an, dB.at(x, bits), bits), Ap_x, bits),
+                       _mul(Bn_x, mid, bits), (1, 0)), bits)
+            terms = (_mul(c2, y2, bits), _mul(c1, y1, bits), _mul(c0, y, bits))
+            worst[i] = _max(worst[i], _scaled(_sum(terms, bits), terms, bits))
+    return tuple(map(_mpf, worst))
 
 
-def confluent_check(tbl: RecurrenceTable, n: int, passes) -> mp.mpf:
-    """Max relative deviation between sum_{k<=n} P_k(x)^2/h_k and
-    (P'_{n+1} P_n - P'_n P_{n+1})/h_n over the passes (each to degree
-    >= n + 1)."""
-    if n < 0 or n > tbl.n_max:
-        raise IndexError(f"need 0 <= n <= {tbl.n_max}, got {n}")
-    h = [_image(v) for v in tbl.h[:n + 1]]
+def confluent_check(tbl: RecurrenceTable, n_max: int, passes) -> tuple:
+    """Max relative deviation between sum_{k<=n} P_k(x)^2/h_k (one running
+    sum per sample, added left to right) and (P'_{n+1} P_n - P'_n P_{n+1})/h_n
+    over the passes (each to degree >= n_max + 1), one per n = 0..n_max."""
+    if n_max < 0 or n_max > tbl.n_max:
+        raise IndexError(f"need 0 <= n_max <= {tbl.n_max}, got {n_max}")
+    h = [_image(v) for v in tbl.h[:n_max + 1]]
     bits = tbl.ctx.bits + RESIDUAL_GUARD_BITS
-    worst = (0, 0)
+    worst = [(0, 0)] * (n_max + 1)
     for ps in passes:
-        left = _sum([_div(_mul(p, p, bits), hk, bits)
-                     for (p, _, _), hk in zip(ps.images, h)], bits)
-        (p, d, _), (p_prev, d_prev, _) = ps.images[n + 1], ps.images[n]
-        right = _div(_sub(_mul(d, p_prev, bits), _mul(d_prev, p, bits), bits), h[n], bits)
-        dev = _sub(left, right, bits)
-        worst = _max(worst, _div((abs(dev[0]), dev[1]), (abs(left[0]), left[1]), bits))
-    return _mpf(worst)
+        im = ps.images
+        lefts = accumulate((_div(_mul(p, p, bits), hk, bits) for (p, _, _), hk in zip(im, h)),
+                           lambda u, v: _add(u, v, bits))
+        for n, left in enumerate(lefts):
+            (p_prev, d_prev, _), (p, d, _) = im[n], im[n + 1]
+            right = _div(_sub(_mul(d, p_prev, bits), _mul(d_prev, p, bits), bits), h[n], bits)
+            dev = _sub(left, right, bits)
+            worst[n] = _max(worst[n], _div((abs(dev[0]), dev[1]), (abs(left[0]), left[1]), bits))
+    return tuple(map(_mpf, worst))
 
 
 def lax_block_check(tbl: RecurrenceTable, M: int) -> mp.mpf:

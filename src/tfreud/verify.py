@@ -59,14 +59,14 @@ class VerificationReport:
 
 
 def parse_fault(spec: str):
-    """'a:3:1e-6' -> ('a', 3, mpf('1e-6')); additive perturbation."""
+    """'a:3:1e-6' -> ('a', 3, mpf('1e-6')); additive, finite perturbation."""
     parts = spec.split(":")
-    if len(parts) != 3 or parts[0] not in ("a", "b"):
-        raise DomainError(f"fault spec must be a|b:index:delta, got {spec!r}")
     try:
-        idx = int(parts[1])
-        delta = mp.mpf(parts[2])
-    except (ValueError, TypeError):
+        idx, delta = int(parts[1]), mp.mpf(parts[2])
+        ok = len(parts) == 3 and parts[0] in ("a", "b") and mp.isfinite(delta)
+    except (ValueError, TypeError, IndexError):
+        ok = False
+    if not ok:
         raise DomainError(f"fault spec must be a|b:index:delta, got {spec!r}")
     if idx < 0:
         raise DomainError("fault index must be nonnegative")
@@ -114,7 +114,7 @@ def _algebraic_verdicts(tbl: RecurrenceTable, n_max: int) -> tuple:
                       for fn in (lf_residual_1, lf_residual_I, identity_i_residual)]
         n = min(5, n_max)
         passes = recurrence_passes(tbl, n, sample_grid(n, tbl.z, ctx, count=8))
-        flags.append(ladder_residuals(tbl, n, passes)[2] <= tol)
+        flags.append(ladder_residuals(tbl, n, passes)[-1][2] <= tol)
         return tuple(flags)
 
 
@@ -179,23 +179,18 @@ def run_verification(z_values=(mp.mpf(1) / 4, 1, 4), n_max: int = 14,
             worst = _worst(fn(tables[z], n) for z in zs for n in range(1, n_max + 1))
             records.append(_rec(name, nrange, zdesc, worst, tol1))
 
-        # the sampled records of every degree read one pass to n_max + 2 (which
-        # holds each lower degree) at the 8 points of the grid of P_{n_max+1}
+        # one call per sampled record function and z scores every degree on one
+        # pass to n_max + 2 at the 8 points of the grid of P_{n_max+1}
         ladder, structure, lowraise, composed, confluent = [], [], [], [], []
         for z in zs:
             tbl = tables[z]
             passes = recurrence_passes(tbl, n_tbl, sample_grid(n_max + 1, z, ctx, count=8))
-            for n in range(n_max + 1):
-                structure.append(structure_residual(tbl, n, passes))
-                confluent.append(confluent_check(tbl, n, passes))
-                if n >= 1:
-                    ladder.append(ladder_residuals(tbl, n, passes))
-                if n >= 2:
-                    data = lowering_data(tbl, n)
-                    lowraise.append(lowering_raising_apply(tbl, data, passes))
-                    if n >= 3:
-                        composed.append(holonomic_residual_Dn(tbl, prev, data, passes))
-                    prev = data
+            lowering = [lowering_data(tbl, n) for n in range(2, n_max + 1)]
+            structure += structure_residual(tbl, n_max, passes)
+            confluent += confluent_check(tbl, n_max, passes)
+            ladder += ladder_residuals(tbl, n_max, passes)
+            lowraise += lowering_raising_apply(tbl, lowering, passes)
+            composed += holonomic_residual_Dn(tbl, lowering, passes)
         for k, name in enumerate(("compat-first", "compat-second")):
             records.append(_rec(name, nrange, zdesc, max(r[k] for r in ladder), tol1))
         records.append(_rec("structure", f"0..{n_max}", zdesc, max(structure), tol1))

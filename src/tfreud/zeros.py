@@ -164,17 +164,13 @@ DENSITY_CTX = PrecisionContext(96)
 class DensityModel:
     """Support data of the rescaled-zero density at time t."""
 
-    t: mp.mpf
-    c: mp.mpf
     beta_t: mp.mpf
 
     @classmethod
     def for_t(cls, t, ctx: PrecisionContext) -> "DensityModel":
         with ctx.workprec(32):
-            tv = positive_finite(t, "t")
-            c = mp.mpf(140) ** mp.mpf("-0.25")
-            beta = 4 * c * tv ** mp.mpf("0.25")
-        return cls(ctx.round(tv), ctx.round(c), ctx.round(beta))
+            beta = 4 * mp.mpf(140) ** mp.mpf("-0.25") * positive_finite(t, "t") ** mp.mpf("0.25")
+        return cls(ctx.round(beta))
 
 
 def density_at(t, ctx: PrecisionContext):
@@ -327,9 +323,6 @@ def empirical_density_distance(n: int, N: int, t, ctx: PrecisionContext) -> mp.m
 
 @dataclass(frozen=True)
 class ElectroSystem:
-    positions: tuple
-    n: int
-    z: mp.mpf
     energy: mp.mpf
     gradient: tuple
 
@@ -370,7 +363,7 @@ def electro_energy(tbl: RecurrenceTable, positions) -> ElectroSystem:
         for k in range(n):
             coul = mp.fsum(1 / (pts[k] - pts[j]) for j in range(n) if j != k)
             grad.append(-2 * coul + fields[k][1])
-        return ElectroSystem(tuple(pts), n, tbl.z, energy, tuple(grad))
+        return ElectroSystem(energy, tuple(grad))
 
 
 def stationarity_check(tbl: RecurrenceTable, zs: ZeroSet) -> mp.mpf:

@@ -171,6 +171,19 @@ def test_density_multiple_t_files(tmp_path, capsys):
     assert made == ["dens_t0.5.csv", "dens_t1.csv", "dens_t2.csv"]
 
 
+def test_density_multiple_t_files_in_a_dotted_directory(tmp_path, capsys):
+    # only the file name's suffix is split: a dot in a directory name stays
+    out_dir = tmp_path / "out.d"
+    out_dir.mkdir()
+    for name in ("dens", "dens.csv"):
+        code, _, _ = run_cli(capsys, "density", "--t", "1", "--t", "2", "--bits", "128",
+                             "--out", str(out_dir / name))
+        assert code == 0
+    made = sorted(p.name for p in out_dir.iterdir())
+    assert made == ["dens_t1", "dens_t1.csv", "dens_t2", "dens_t2.csv"]
+    assert [p.name for p in tmp_path.iterdir()] == ["out.d"]
+
+
 def test_decimal_arguments_parsed_at_run_precision(capsys):
     # a fresh interpreter runs at 53 bits: --z and --t must be read at the
     # run's precision, not rounded to that
@@ -218,6 +231,12 @@ def test_verify_bad_fault_spec(capsys):
     code, _, err = run_cli(capsys, "verify", "--fault-inject", "nope")
     assert code == 2
     assert err.startswith("error:")
+    # a delta that is not finite is a bad spec too, refused before any table
+    for spec in ("a:3:inf", "b:3:inf", "b:3:nan", "a:3:nan"):
+        code, _, err = run_cli(capsys, "verify", "--n-max", "8", "--z", "1",
+                               "--fault-inject", spec)
+        assert code == 2, spec
+        assert err.startswith("error: fault spec"), spec
 
 
 def test_figures_writes_five_files(tmp_path, capsys):
@@ -292,6 +311,16 @@ def test_verify_out_file_bits_pinned(tmp_path, capsys):
     assert code == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == \
         "b95cf07abe4a37913f4038bb749bd88c8b8efc96476a85f51295028e946e7316"
+
+
+def test_verify_out_file_bits_pinned_n_max_32(tmp_path, capsys):
+    # every degree's residual of the sampled records at n_max 32 comes from
+    # one range call per function and z; its full-precision bits are pinned
+    out = tmp_path / "f.csv"
+    code, _, _ = run_cli(capsys, "verify", "--n-max", "32", "--out", str(out))
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        "344c124a902f2ac0587e2f584187c65a141537737b963ac41cced37e102c88cd"
 
 
 def test_verify_out_csv_keeps_six_fields(tmp_path, capsys):

@@ -128,7 +128,7 @@ def test_structure_residual_zero_poly(t16, t16z9):
         for n in (0, 5, 9):
             res, scale = structure_ref(tbl, polys, n)
             assert res <= CTX.verify_tol(scale)
-            assert structure_residual(tbl, n, grid_passes(tbl, n, n + 1)) <= CTX.verify_tol(1)
+            assert structure_residual(tbl, n, grid_passes(tbl, n, n + 1))[n] <= CTX.verify_tol(1)
 
 
 def test_structure_c0_forced_at_n0(t16, t16z9):
@@ -292,8 +292,7 @@ def test_identity_ii(t16):
 def test_compat_residuals(t16):
     tbl, _ = t16
     passes = recurrence_passes(tbl, 8, log_grid("0.01", 4, 16))
-    for n in (1, 2, 8):
-        r1, r2, _ = ladder_residuals(tbl, n, passes)
+    for r1, r2, _ in ladder_residuals(tbl, 8, passes):
         assert r1 <= CTX.verify_tol(1)
         assert r2 <= CTX.verify_tol(1)
 
@@ -315,7 +314,7 @@ def test_lowering_raising_zero_polys(t16):
         data = lowering_data(tbl, n)
         for res, scale in (lowering_ref(tbl, polys, data), raising_ref(tbl, polys, data)):
             assert res <= CTX.verify_tol(scale)
-        for res in lowering_raising_apply(tbl, data, grid_passes(tbl, n, n + 2)):
+        for res in lowering_raising_apply(tbl, [data], grid_passes(tbl, n, n + 2))[0]:
             assert res <= CTX.verify_tol(1)
 
 
@@ -345,14 +344,15 @@ def test_holonomic_Dn(t16):
     for n in (3, 6, 10):
         data = lowering_data(tbl, n)
         passes = grid_passes(tbl, n, n + 1, count=16)
-        assert holonomic_residual_Dn(tbl, lowering_data(tbl, n - 1), data, passes) \
+        assert holonomic_residual_Dn(tbl, [lowering_data(tbl, n - 1), data], passes)[0] \
             <= CTX.verify_tol(1)
 
 
 def test_holonomic_chen(t16):
     tbl, _ = t16
     for n in (1, 2, 5, 12):
-        assert ladder_residuals(tbl, n, grid_passes(tbl, n, n, count=16))[2] <= CTX.verify_tol(1)
+        assert ladder_residuals(tbl, n, grid_passes(tbl, n, n, count=16))[n - 1][2] \
+            <= CTX.verify_tol(1)
 
 
 def test_ode_routes_agree_on_common_target(t16):
@@ -362,8 +362,8 @@ def test_ode_routes_agree_on_common_target(t16):
     for n in (3, 6):
         passes = grid_passes(tbl, n + 1, n + 1, count=12)
         data = lowering_data(tbl, n)
-        r_low = holonomic_residual_Dn(tbl, lowering_data(tbl, n - 1), data, passes)
-        r_chen = ladder_residuals(tbl, n + 1, passes)[2]
+        r_low, = holonomic_residual_Dn(tbl, [lowering_data(tbl, n - 1), data], passes)
+        r_chen = ladder_residuals(tbl, n + 1, passes)[n][2]
         assert r_low <= CTX.verify_tol(1)
         assert r_chen <= CTX.verify_tol(1)
 
@@ -375,15 +375,6 @@ def test_chen_guards(t16):
             ladder_residuals(tbl, n, recurrence_passes(tbl, n, [mp.mpf(1)]))
     with pytest.raises(DomainError):
         ladder_residuals(tbl, 2, recurrence_passes(tbl, 2, [mp.mpf(0)]))
-
-
-def test_Dn_guards(t16):
-    tbl, _ = t16
-    # prev must be the lowering data one degree below
-    for m in (2, 4):
-        with pytest.raises(DomainError):
-            holonomic_residual_Dn(tbl, lowering_data(tbl, m), lowering_data(tbl, 4),
-                                  recurrence_passes(tbl, 5, [mp.mpf(1)]))
 
 
 # ---------------------------------------------------------------------------
@@ -447,23 +438,24 @@ def bits_of(values):
 
 @pytest.mark.parametrize("z", [mp.mpf(1) / 4, mp.mpf(1), mp.mpf(4)])
 def test_shared_evaluations_match_separate_routes(z):
-    # the ladder identities share each evaluation and give the separate
-    # routes' bits; lowering and raising, sampled on the shared passes, hold
-    # as the coefficient-level references do
+    # one range call shares each evaluation over every degree and identity
+    # and gives each degree the separate routes' bits; lowering and raising,
+    # sampled on the shared passes, hold as the coefficient-level references do
     tbl = chebyshev_coeffs(z, 14, CTX)
     polys = monic_polys(tbl, 14)
-    for n in range(1, 13):
-        for count in (8, 16):
-            xs = sample_grid(n, z, CTX, count=count)
+    for count in (8, 16):
+        xs = sample_grid(13, z, CTX, count=count)
+        got = ladder_residuals(tbl, 12, recurrence_passes(tbl, 14, xs))
+        for n in range(1, 13):
             want = (*_compat_ref(tbl, n, xs), _chen_ref(tbl, n, xs))
-            assert bits_of(ladder_residuals(tbl, n, recurrence_passes(tbl, n + 2, xs))) \
-                == bits_of(want)
-        if n >= 2:
-            data = lowering_data(tbl, n)
-            for res, scale in (lowering_ref(tbl, polys, data), raising_ref(tbl, polys, data)):
-                assert res <= CTX.verify_tol(scale)
-            for res in lowering_raising_apply(tbl, data, grid_passes(tbl, n, n + 2)):
-                assert res <= CTX.verify_tol(1)
+            assert bits_of(got[n - 1]) == bits_of(want), (count, n)
+    lowering = [lowering_data(tbl, n) for n in range(2, 13)]
+    for data in lowering:
+        for res, scale in (lowering_ref(tbl, polys, data), raising_ref(tbl, polys, data)):
+            assert res <= CTX.verify_tol(scale)
+    for pair in lowering_raising_apply(tbl, lowering, grid_passes(tbl, 13, 14)):
+        for res in pair:
+            assert res <= CTX.verify_tol(1)
 
 
 # ---------------------------------------------------------------------------
@@ -540,44 +532,59 @@ def _confluent_mpf(tbl, n, passes):
 @pytest.mark.parametrize("z", [mp.mpf(1) / 4, mp.mpf(1), mp.mpf(4)])
 def test_sampled_records_keep_the_mpf_bits(z, n_max):
     # each record rounds every operation on images as its mpf expression
-    # does, at default bits as verify runs it; at n_max 32 the samples' cube
-    # x**3 is past the 1000 bits below which mpmath computes it exactly
+    # does, at default bits and on the one grid and pass verify runs them
+    # on, one range call per function; at n_max 32 the samples' cube x**3 is
+    # past the 1000 bits below which mpmath computes it exactly
     ctx = PrecisionContext(default_bits(n_max))
     tbl = chebyshev_coeffs(z, n_max + 2, ctx)
+    xs = sample_grid(n_max + 1, z, ctx, count=8)
+    passes = recurrence_passes(tbl, n_max + 2, xs)
+    lowering = [lowering_data(tbl, n) for n in range(2, n_max + 1)]
+    structure = structure_residual(tbl, n_max, passes)
+    confluent = confluent_check(tbl, n_max, passes)
+    ladder = ladder_residuals(tbl, n_max, passes)
+    lowraise = lowering_raising_apply(tbl, lowering, passes)
+    composed = holonomic_residual_Dn(tbl, lowering, passes)
     for n in range(n_max + 1):
-        xs = sample_grid(n, z, ctx, count=8)
-        passes = recurrence_passes(tbl, n + 2, xs)
-        got = [structure_residual(tbl, n, passes), confluent_check(tbl, n, passes)]
+        got = [structure[n], confluent[n]]
         want = [_structure_mpf(tbl, n, passes), _confluent_mpf(tbl, n, passes)]
         if n >= 1:
-            got += ladder_residuals(tbl, n, passes)
+            got += ladder[n - 1]
             want += [*_compat_ref(tbl, n, xs), _chen_ref(tbl, n, xs)]
         if n >= 2:
-            data = lowering_data(tbl, n)
-            got += lowering_raising_apply(tbl, data, passes)
+            data = lowering[n - 2]
+            got += lowraise[n - 2]
             want += _lowering_raising_mpf(tbl, data, passes)
         if n >= 3:
-            prev = lowering_data(tbl, n - 1)
-            got.append(holonomic_residual_Dn(tbl, prev, data, passes))
-            want.append(_holonomic_mpf(tbl, prev, data, passes))
+            got.append(composed[n - 3])
+            want.append(_holonomic_mpf(tbl, lowering[n - 3], data, passes))
         assert bits_of(got) == bits_of(want), n
 
 
 def test_ladder_residuals_evaluate_each_function_once(t16, monkeypatch):
-    # calA_{n-1}, calA_n, calA_{n+1}, calB_n, calB_{n+1}, calA_n', calB_n':
-    # seven evaluations per sample for all three identities
+    # over degrees 1..n_max: calA_0..calA_{n_max+1}, calB_1..calB_{n_max+1}
+    # and calA_n', calB_n' of every degree, each once per sample for all
+    # three identities of every degree; the composed ODE reads each lowering
+    # A_k, B_k once per sample for degrees k and k + 1, and A_n', B_n' once
     tbl, _ = t16
     calls = []
     real_at = RationalFn.at
 
     def counted(self, x, bits):
-        calls.append(x)
+        calls.append((self.num, self.den, x))
         return real_at(self, x, bits)
 
     monkeypatch.setattr(RationalFn, "at", counted)
-    passes = grid_passes(tbl, 5, 5)
-    ladder_residuals(tbl, 5, passes)
-    assert len(calls) == 7 * len(passes)
+    n_max = 12
+    passes = grid_passes(tbl, n_max + 1, n_max + 2)
+    ladder_residuals(tbl, n_max, passes)
+    assert len(calls) == ((n_max + 2) + (n_max + 1) + 2 * n_max) * len(passes)
+    assert len(set(calls)) == len(calls)
+    calls.clear()
+    lowering = [lowering_data(tbl, n) for n in range(2, n_max + 1)]
+    holonomic_residual_Dn(tbl, lowering, passes)
+    assert len(calls) == (2 * (n_max - 1) + 2 * (n_max - 2)) * len(passes)
+    assert len(set(calls)) == len(calls)
 
 
 # ---------------------------------------------------------------------------
@@ -588,9 +595,10 @@ def test_confluent(t16):
     tbl, _ = t16
     passes = recurrence_passes(tbl, 10, log_grid("0.05", 3, 12))
     # n = 0 is the identity 1/h_0 = P_1' P_0/h_0
-    assert confluent_check(tbl, 0, passes) <= CTX.verify_tol(1)
-    for n in (4, 9):
-        assert confluent_check(tbl, n, passes) <= CTX.verify_tol(1)
+    res = confluent_check(tbl, 9, passes)
+    assert len(res) == 10
+    for n in (0, 4, 9):
+        assert res[n] <= CTX.verify_tol(1)
 
 
 def test_lax_block(t16):
@@ -631,9 +639,8 @@ def test_residuals_stable_at_doubled_precision():
             ctx = PrecisionContext(bits)
             tbl = chebyshev_coeffs(z, 8, ctx)
             passes = recurrence_passes(tbl, 6, sample_grid(5, z, count=8, ctx=ctx))
-            assert ladder_residuals(tbl, 5, passes)[2] <= ctx.verify_tol(1)
-            data = lowering_data(tbl, 5)
-            assert holonomic_residual_Dn(tbl, lowering_data(tbl, 4), data, passes) \
-                <= ctx.verify_tol(1)
+            assert ladder_residuals(tbl, 5, passes)[4][2] <= ctx.verify_tol(1)
+            lowering = [lowering_data(tbl, 4), lowering_data(tbl, 5)]
+            assert holonomic_residual_Dn(tbl, lowering, passes)[0] <= ctx.verify_tol(1)
             res, scale = identity_i_residual(tbl, 4)
             assert abs(res) <= ctx.verify_tol(scale)

@@ -89,8 +89,7 @@ TBL4 = chebyshev_coeffs(4, 12, CTX)
 MSEQ = MomentSequence.build("0.3", 12, CTX)
 XS = sample_grid(6, 1, CTX, count=5)
 PASSES = recurrence_passes(TBL, 8, XS)
-LOW = lowering_data(TBL, 6)
-LOW_PREV = lowering_data(TBL, 5)
+LOWERING = tuple(lowering_data(TBL, n) for n in range(2, 7))
 ZS = zeros(TBL, 6, CTX)
 FAULT = ("a", 3, mp.mpf(2) ** -200 / 3)
 
@@ -132,12 +131,12 @@ CASES = {
     "identity_ii_residual": lambda: [identity_ii_residual(TBL, n) for n in range(1, 11)],
     # each record's column of the shared ladder_residuals and
     # lowering_raising_apply, under the record's former function name
-    "compat_residuals": lambda: ladder_residuals(TBL, 5, PASSES)[:2],
+    "compat_residuals": lambda: [r[:2] for r in ladder_residuals(TBL, 5, PASSES)],
     "lowering_data": lambda: lowering_data(TBL, 6),
-    "lowering_apply": lambda: lowering_raising_apply(TBL, LOW, PASSES)[0],
-    "raising_apply": lambda: lowering_raising_apply(TBL, LOW, PASSES)[1],
-    "holonomic_residual_Dn": lambda: holonomic_residual_Dn(TBL, LOW_PREV, LOW, PASSES),
-    "holonomic_residual_chen": lambda: ladder_residuals(TBL, 5, PASSES)[2],
+    "lowering_apply": lambda: [r[0] for r in lowering_raising_apply(TBL, LOWERING, PASSES)],
+    "raising_apply": lambda: [r[1] for r in lowering_raising_apply(TBL, LOWERING, PASSES)],
+    "holonomic_residual_Dn": lambda: holonomic_residual_Dn(TBL, LOWERING, PASSES),
+    "holonomic_residual_chen": lambda: [r[2] for r in ladder_residuals(TBL, 5, PASSES)],
     "confluent_check": lambda: confluent_check(TBL, 6, PASSES),
     "lax_block_check": lambda: lax_block_check(TBL, 10),
     "zeros": lambda: zeros(TBL, 6, CTX),

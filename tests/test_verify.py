@@ -152,6 +152,26 @@ def test_one_recurrence_pass_per_z(monkeypatch):
     assert degrees[:len(z_values)] == [8 + 2] * len(z_values)
 
 
+def test_one_call_per_record_function_per_z(monkeypatch):
+    calls = {}
+
+    def counted(fn):
+        def wrapper(tbl, arg, passes):
+            calls[fn.__name__] = calls.get(fn.__name__, 0) + 1
+            return fn(tbl, arg, passes)
+        return wrapper
+
+    for name in ("structure_residual", "confluent_check", "ladder_residuals",
+                 "lowering_raising_apply", "holonomic_residual_Dn"):
+        monkeypatch.setattr(verify, name, counted(getattr(verify, name)))
+    z_values = (mp.mpf(1) / 4, 1, 4)
+    run_verification(z_values=z_values, n_max=8)
+    # each call scores every degree of its record; ladder_residuals has one
+    # more call for each of the precision-doubling check's two tables
+    assert calls == {"structure_residual": 3, "confluent_check": 3, "ladder_residuals": 5,
+                     "lowering_raising_apply": 3, "holonomic_residual_Dn": 3}
+
+
 def test_policy_gate_flags_low_bits():
     rep = run_verification(z_values=(1,), n_max=8, bits=default_bits(8) // 2)
     rec = next(r for r in rep.records if r.name == "self-consistency")
@@ -163,7 +183,8 @@ def test_parse_fault():
     field, idx, delta = parse_fault("a:3:1e-6")
     assert (field, idx) == ("a", 3)
     assert delta == mp.mpf("1e-6")
-    for bad in ("bogus", "c:3:1e-6", "a:x:1e-6", "a:3", "a:0:1e-6", "b:-1:1e-6"):
+    for bad in ("bogus", "c:3:1e-6", "a:x:1e-6", "a:3", "a:0:1e-6", "b:-1:1e-6",
+                "a:3:inf", "b:3:-inf", "a:3:nan", "b:3:nan"):
         with pytest.raises(DomainError):
             parse_fault(bad)
     with pytest.raises(DomainError, match="nonnegative"):
