@@ -11,10 +11,11 @@ whose truncation residual telescopes to an explicit four-term tail.
 Two routes give the same context-rounded moments:
 
 * `moment(n, z, ctx)` evaluates the closed form through mp.gamma.  It is the
-  reference: MomentSequence reads it, and so do verify's moment-recurrence,
-  stieltjes-ode-tail and scaling-moments records, which must not check the
-  recurrence against itself; pearson_product and lf_forward's h_0 read it
-  too.
+  reference.  MomentSequence holds the same bits, evaluating each
+  Gamma((n+1)/4) once for all the z of a build_many; verify's
+  moment-recurrence, stieltjes-ode-tail and scaling-moments records read
+  it, as they must not check the recurrence against itself.
+  pearson_product and lf_forward's h_0 read moment().
 * `moment_sequence(z, N, ctx)` seeds mu_0..mu_3 from one AGM and runs the
   four-step recurrence, with no Gamma evaluation.  chebyshev_coeffs and
   `tfreud moments` read it: at a few thousand bits mpmath's Gamma set-up
@@ -29,14 +30,25 @@ import mpmath as mp
 from .kernel import RESIDUAL_GUARD_BITS, DomainError, PrecisionContext, positive_finite
 
 
+def _gamma_quarter(n: int) -> mp.mpf:
+    """Gamma((n+1)/4) at the caller's precision: the factor of mu_n that does
+    not depend on z."""
+    return mp.gamma(mp.mpf(n + 1) / 4)
+
+
+def _closed_form(n: int, zv, gamma) -> mp.mpf:
+    """z^(-(n+1)/4) * gamma / 4, gamma = Gamma((n+1)/4), at the caller's
+    precision."""
+    return zv ** (-(mp.mpf(n + 1) / 4)) * gamma / 4
+
+
 def moment(n: int, z, ctx: PrecisionContext) -> mp.mpf:
     """mu_n(z) = z^(-(n+1)/4) * Gamma((n+1)/4) / 4 for n >= 0, z > 0."""
     if n < 0:
         raise DomainError(f"moment index must be >= 0, got {n}")
     with ctx.workprec(16):
         zv = positive_finite(z, "z")
-        e = mp.mpf(n + 1) / 4
-        val = zv ** (-e) * mp.gamma(e) / 4
+        val = _closed_form(n, zv, _gamma_quarter(n))
     return ctx.round(val)
 
 
@@ -85,11 +97,20 @@ class MomentSequence:
 
     @classmethod
     def build(cls, z, N: int, ctx: PrecisionContext) -> "MomentSequence":
+        return cls.build_many([z], N, ctx)[0]
+
+    @classmethod
+    def build_many(cls, zs, N: int, ctx: PrecisionContext) -> list:
+        """One sequence mu_0..mu_N per z in zs, each entry the bits moment()
+        gives: every Gamma((n+1)/4) is evaluated once, at moment()'s working
+        precision, and serves every z."""
         if N < 0:
             raise DomainError(f"N must be >= 0, got {N}")
         with ctx.workprec(16):
-            zv = +mp.mpf(z)
-        return cls(zv, tuple(moment(n, zv, ctx) for n in range(N + 1)), ctx)
+            gammas = [_gamma_quarter(n) for n in range(N + 1)]
+            zvs = [positive_finite(z, "z") for z in zs]
+            return [cls(zv, tuple(ctx.round(_closed_form(n, zv, g)) for n, g in enumerate(gammas)),
+                        ctx) for zv in zvs]
 
     def __len__(self) -> int:
         return len(self.values)

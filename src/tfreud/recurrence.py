@@ -8,7 +8,12 @@ LOSS_BITS_PER_DEGREE bits per degree for the bits the map from moments to
 coefficients loses.  The O(n^2) elimination runs on the kernel's integer
 images, each step rounded exactly as mpf rounds it at the internal
 precision, so it gives the mpf loop's bits; the O(n)
-divisions and the guard on the norms run in mpf.  Final values are rounded
+divisions and the guard on the norms run in mpf.  From degree
+SPLIT_MIN_DEGREE on, on a process that may use two CPUs, each row is split
+at l = n_max + 1 between the caller and one helper forked for that table
+alone, which exchange one short message per row over pipes; both halves run
+the same row function with the same roundings, so the table has the same
+bits on one CPU or two.  Final values are rounded
 to the caller's context, which the table keeps: every evaluation on a table
 runs at RecurrenceTable.workprec(), whatever mpmath's global precision is.
 The table also carries P_n(0), the value at the truncation point x = 0,
@@ -36,7 +41,11 @@ z^(-(2n+1)/4)*h_n(1).
 """
 from __future__ import annotations
 
+import marshal
 import math
+import os
+import threading
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
@@ -55,6 +64,13 @@ from .moments import moment, moment_sequence
 # top rows of tables past degree ~90 wrong.
 LOSS_BITS_PER_DEGREE = 4.5
 BASE_GUARD_BITS = 64
+# Degree from which chebyshev_coeffs splits each elimination row with a
+# forked helper (_splits).  Below it the fork and the two messages per row
+# cost more than half of each row saves: at z = 1 and default bits, medians
+# of 11 alternating pairs on a 2-core box took 11.3 ms serial and 12.9 ms
+# split at n = 40, 17.9 and 17.1 ms at n = 48, 26.6 and 21.2 ms at n = 56
+# (BENCH_split_rows.json).
+SPLIT_MIN_DEGREE = 48
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +216,101 @@ def internal_bits_for(ctx: PrecisionContext, n_max: int) -> int:
     return ctx.bits + math.ceil(LOSS_BITS_PER_DEGREE * n_max) + BASE_GUARD_BITS
 
 
+def _row(cur, prev, nb, na, lo, hi, bits, top):
+    """Entries l = lo..hi-1 of the next elimination row, sigma_{k+1,l} =
+    sigma_{k,l+1} + (-b_k) sigma_{k,l} + (-a_k) sigma_{k-1,l}, from the images
+    nb = -b_k and na = -a_k and the rows cur = sigma_k, prev = sigma_{k-1}
+    (absolute l-indexing), each step rounded at `bits` as the mpf loop rounds
+    it; and the larger of `top` and the largest mp.mag among the entries."""
+    out = []
+    for l in range(lo, hi):
+        m, e = u = _add(_add(cur[l + 1], _mul(nb, cur[l], bits), bits),
+                        _mul(na, prev[l], bits), bits)
+        out.append(u)
+        if m and m.bit_length() + e > top:
+            top = m.bit_length() + e
+    return out, top
+
+
+def _splits(n_max: int) -> bool:
+    """Whether chebyshev_coeffs shares each row of a degree-n_max table with
+    a forked helper: from SPLIT_MIN_DEGREE on, where fork exists, the process
+    may run on two CPUs and has no other thread (a fork copies no thread, and
+    a lock another thread holds stays held in the child)."""
+    return (n_max >= SPLIT_MIN_DEGREE and hasattr(os, "fork")
+            and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
+            and threading.active_count() == 1)
+
+
+def _send(pipe, msg) -> None:
+    """Write msg (ints and tuples of them) to the binary file pipe:
+    marshal, length-prefixed, flushed."""
+    data = marshal.dumps(msg)
+    pipe.write(len(data).to_bytes(8, "little") + data)
+    pipe.flush()
+
+
+def _receive(pipe):
+    """The next message _send wrote to pipe, or None at end of file."""
+    head = pipe.read(8)
+    size = int.from_bytes(head, "little")
+    data = pipe.read(size)
+    return marshal.loads(data) if len(head) == 8 and len(data) == size else None
+
+
+def _serve_rows(down, up, cur: list, lo: int, L: int, bits: int, top: int):
+    """The helper's loop: for each (nb, na) received on `down`, the entries
+    l = lo..L-1-k of row k+1 by _row, and (entry at lo, running top magnitude)
+    sent back on `up`; it returns at end of file."""
+    prev, k = [(0, 0)] * (L + 1), 0
+    while (msg := _receive(down)) is not None:
+        new = [(0, 0)] * (L + 1)
+        new[lo:L - k], top = _row(cur, prev, *msg, lo, L - k, bits, top)
+        _send(up, (new[lo], top))
+        prev, cur, k = cur, new, k + 1
+
+
+@contextmanager
+def _upper_rows(cur: list, lo: int, L: int, bits: int, top: int):
+    """Fork a helper that runs _serve_rows on the entries l >= lo of every
+    row, and yield (send, receive): send((nb, na)) starts a row, receive()
+    returns the helper's (entry at lo, top magnitude).  If the helper has
+    ended, receive raises RuntimeError and send BrokenPipeError.  The helper
+    leaves by os._exit at end of file or on any exception, flushing nothing
+    it inherited; on exit the parent closes both pipes and reaps it."""
+    down_r, down_w = os.pipe()
+    up_r, up_w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        for fd in (down_r, down_w, up_r, up_w):
+            os.close(fd)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(down_w)
+            os.close(up_r)
+            _serve_rows(open(down_r, "rb"), open(up_w, "wb"), cur, lo, L, bits, top)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(down_r)
+    os.close(up_w)
+
+    def receive():
+        msg = _receive(up)
+        if msg is None:
+            raise RuntimeError("the elimination helper process ended early")
+        return msg
+
+    try:
+        with open(down_w, "wb") as down, open(up_r, "rb") as up:
+            yield partial(_send, down), receive
+    finally:
+        os.waitpid(pid, 0)
+
+
 def chebyshev_coeffs(z, n_max: int, ctx: PrecisionContext) -> RecurrenceTable:
     """Recurrence coefficients from the moments mu_0..mu_{2*n_max+1}.
 
@@ -208,6 +319,13 @@ def chebyshev_coeffs(z, n_max: int, ctx: PrecisionContext) -> RecurrenceTable:
     PrecisionExhaustionError (with the failing index) when a diagonal entry
     has lost all significant bits, which is the k at which every digit of
     h_k is roundoff.  The internal precision is internal_bits_for(ctx, n_max).
+
+    From degree SPLIT_MIN_DEGREE on (see _splits) each row is split at
+    l = n_max + 1: this process computes the entries below, one forked
+    helper those above, both by _row.  The helper lives for this call only.
+    Every entry is rounded as in the serial loop, so the table has the same
+    bits either way.  RuntimeError or BrokenPipeError if the helper ends
+    early; it is reaped whatever ends the call.
     """
     if n_max < 0:
         raise DomainError(f"n_max must be >= 0, got {n_max}")
@@ -218,34 +336,38 @@ def chebyshev_coeffs(z, n_max: int, ctx: PrecisionContext) -> RecurrenceTable:
         L = 2 * n_max + 1
         mu = moment_sequence(zv, L, ictx)
         max_mag = max(mp.mag(m) for m in mu)
-        floor = max_mag - ictx.bits + 8
 
         a = [mp.mpf(0)]
         b = [mu[1] / mu[0]]
         h = [mu[0]]
-        # the rows are integer images; only the divisions and the guard on
-        # the diagonal entry read mpf values
+        # the rows are integer images with absolute l-indexing; row k+1
+        # holds l = k+1 .. L-(k+1).  Only the divisions and the guard on the
+        # diagonal entry read mpf values.
         prev = [(0, 0)] * (L + 1)          # sigma_{-1,l}
         cur = [_image(v) for v in mu]      # sigma_{0,l}
-        for k in range(n_max):
-            # row k+1 holds l = k+1 .. L-(k+1); keep absolute l-indexing
-            new = [(0, 0)] * (L + 1)
-            bk, ak = _image(-b[k]), _image(-a[k])
-            for l in range(k + 1, L - k):
-                m, e = new[l] = _add(_add(cur[l + 1], _mul(bk, cur[l], bits), bits),
-                                     _mul(ak, prev[l], bits), bits)
-                if m and m.bit_length() + e > max_mag:   # mp.mag of the entry
-                    max_mag = m.bit_length() + e
-                    floor = max_mag - ictx.bits + 8
-            hk1, ck = _mpf(new[k + 1]), _mpf(cur[k])
-            if hk1 <= 0 or mp.mag(hk1) < floor:
-                raise PrecisionExhaustionError(
-                    f"norm h_{k + 1} lost all significant bits "
-                    f"(increase precision beyond {ictx.bits})", k + 1)
-            a.append(hk1 / ck)
-            b.append(_mpf(new[k + 2]) / hk1 - _mpf(cur[k + 1]) / ck)
-            h.append(hk1)
-            prev, cur = cur, new
+        mid = n_max + 1                    # first l of the helper's half
+        helper = (_upper_rows(cur, mid, L, bits, max_mag) if _splits(n_max)
+                  else nullcontext((None, None)))
+        with helper as (send, receive):
+            for k in range(n_max):
+                new = [(0, 0)] * (L + 1)
+                nb, na = _image(-b[k]), _image(-a[k])
+                if send:
+                    send((nb, na))
+                hi = mid if send else L - k
+                new[k + 1:hi], max_mag = _row(cur, prev, nb, na, k + 1, hi, bits, max_mag)
+                if send:
+                    new[mid], top = receive()
+                    max_mag = max(max_mag, top)
+                hk1, ck = _mpf(new[k + 1]), _mpf(cur[k])
+                if hk1 <= 0 or mp.mag(hk1) < max_mag - ictx.bits + 8:
+                    raise PrecisionExhaustionError(
+                        f"norm h_{k + 1} lost all significant bits "
+                        f"(increase precision beyond {ictx.bits})", k + 1)
+                a.append(hk1 / ck)
+                b.append(_mpf(new[k + 2]) / hk1 - _mpf(cur[k + 1]) / ck)
+                h.append(hk1)
+                prev, cur = cur, new
         return RecurrenceTable(ctx.round(zv),
                                tuple(ctx.round(v) for v in a),
                                tuple(ctx.round(v) for v in b),

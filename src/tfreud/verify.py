@@ -162,7 +162,7 @@ def run_verification(z_values=(mp.mpf(1) / 4, 1, 4), n_max: int = 14,
 
         # moment recurrence and the Stieltjes tail (weight side, no tables);
         # the scaling records read the same closed-form sequences
-        moms = {z: MomentSequence.build(z, 2 * n_max + 5, ctx) for z in every_z}
+        moms = dict(zip(every_z, MomentSequence.build_many(every_z, 2 * n_max + 5, ctx)))
         worst = _worst(moment_recurrence_residual(moms[z], n)
                        for z in zs for n in range(2 * n_max + 1))
         records.append(_rec("moment-recurrence", f"0..{2 * n_max}", zdesc, worst, tol1))

@@ -78,6 +78,17 @@ def test_moment_sequence_access():
     assert all(v > 0 for v in ms.values)
 
 
+def test_build_many_keeps_the_bits_of_moment():
+    # one Gamma((n+1)/4) per index serves every z: each entry must still be
+    # the bits moment() gives at that z
+    ctx = PrecisionContext(256)
+    zs = [mp.mpf(1) / 4, 1, "4", 16, mp.mpf(1) / 16]
+    for z, ms in zip(zs, MomentSequence.build_many(zs, 30, ctx)):
+        assert [v._mpf_ for v in ms.values] == [moment(n, z, ctx)._mpf_ for n in range(31)]
+    with pytest.raises(DomainError):
+        MomentSequence.build_many([1, 0], 4, ctx)
+
+
 def test_recurrence_residual_exact_integer_case():
     # z=1, n=3: both sides are Gamma at integer arguments, so the residual
     # is exactly zero in binary arithmetic

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import os
+import signal
 from fractions import Fraction
 
 import mpmath as mp
@@ -323,6 +325,109 @@ def test_elimination_exhausts_where_the_mpf_loop_does(monkeypatch):
     with pytest.raises(PrecisionExhaustionError) as want:
         _chebyshev_mpf(1, 40, ctx)
     assert got.value.index == want.value.index
+
+
+@pytest.fixture
+def split_rows(monkeypatch):
+    """chebyshev_coeffs splits the rows of every table from degree 1 on, as
+    on a box with two CPUs, whatever this one has; yields the list of calls
+    to _upper_rows, one per helper forked."""
+    forks = []
+    upper_rows = recurrence._upper_rows
+
+    def counted(*args):
+        forks.append(args[1:3])
+        return upper_rows(*args)
+
+    monkeypatch.setattr(recurrence, "SPLIT_MIN_DEGREE", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(recurrence, "_upper_rows", counted)
+    yield forks
+
+
+def assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_split_exhausts_where_the_mpf_loop_does(monkeypatch, split_rows):
+    # the split rows keep the guard in this process: it raises at the mpf
+    # loop's index, and the helper is reaped on the way out
+    ctx = PrecisionContext(64)
+    monkeypatch.setattr(recurrence, "internal_bits_for", lambda ctx, n_max: 64)
+    with pytest.raises(PrecisionExhaustionError) as got:
+        chebyshev_coeffs(1, 40, ctx)
+    assert split_rows == [(41, 81)]
+    assert_no_child()
+    with pytest.raises(PrecisionExhaustionError) as want:
+        _chebyshev_mpf(1, 40, ctx)
+    assert got.value.index == want.value.index
+
+
+def test_split_matches_the_mpf_loop_and_reaps_its_helper(split_rows):
+    ctx = PrecisionContext(default_bits(24))
+    tbl = chebyshev_coeffs(1, 24, ctx)
+    assert split_rows == [(25, 49)]
+    assert_no_child()
+    for got, ref in zip((tbl.a, tbl.b, tbl.h), _chebyshev_mpf(1, 24, ctx)):
+        assert [v._mpf_ for v in got] == [ctx.round(v)._mpf_ for v in ref]
+
+
+def test_split_raises_when_the_helper_fails(monkeypatch, split_rows):
+    # the helper's row function raises in the helper only: the parent reads
+    # end of file and raises, where it would otherwise wait for the row
+    parent, row = os.getpid(), recurrence._row
+
+    def failing(*args):
+        if os.getpid() != parent:
+            raise ArithmeticError("fault injected into the helper")
+        return row(*args)
+
+    def hung(signum, frame):
+        raise TimeoutError("chebyshev_coeffs waited on a dead helper")
+
+    monkeypatch.setattr(recurrence, "_row", failing)
+    old = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(30)
+    try:
+        with pytest.raises(RuntimeError, match="helper"):
+            chebyshev_coeffs(1, 24, PrecisionContext(default_bits(24)))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+    assert split_rows
+    assert_no_child()
+
+
+def test_split_guard_reads_the_helper_top(monkeypatch, split_rows):
+    # no table measured has an entry above its largest moment, so the helper
+    # is made to report one: the guard's floor must rise and raise at row 1
+    parent, row = os.getpid(), recurrence._row
+
+    def inflated(*args):
+        out, top = row(*args)
+        return out, top + (10 ** 6 if os.getpid() != parent else 0)
+
+    monkeypatch.setattr(recurrence, "_row", inflated)
+    with pytest.raises(PrecisionExhaustionError) as exc:
+        chebyshev_coeffs(1, 24, PrecisionContext(default_bits(24)))
+    assert exc.value.index == 1
+    assert_no_child()
+
+
+@pytest.mark.parametrize("z", ["0.25", "1", "4"])
+def test_table_does_not_depend_on_the_cpu_count(monkeypatch, z):
+    # two CPUs split the rows of a degree-160 table and one CPU does not;
+    # the bits are the same
+    ctx = PrecisionContext(default_bits(160))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert recurrence._splits(160)
+    split = chebyshev_coeffs(mp.mpf(z), 160, ctx)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert not recurrence._splits(160)
+    serial = chebyshev_coeffs(mp.mpf(z), 160, ctx)
+    for got, want in ((split.a, serial.a), (split.b, serial.b), (split.h, serial.h)):
+        assert [v._mpf_ for v in got] == [v._mpf_ for v in want]
 
 
 def test_internal_boost_does_not_change_values(monkeypatch):
