@@ -7,7 +7,6 @@ from .kernel import (
     DomainError,
     PrecisionContext,
     PrecisionExhaustionError,
-    RationalFn,
     default_bits,
 )
 
@@ -18,7 +17,6 @@ __all__ = [
     "DomainError",
     "PrecisionContext",
     "PrecisionExhaustionError",
-    "RationalFn",
     "default_bits",
     "__version__",
 ]

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import mpmath as mp
 from mpmath.libmp import from_man_exp, round_nearest, to_float
@@ -79,83 +78,6 @@ def positive_finite(v, name: str) -> mp.mpf:
     if not 0 < value < mp.inf:
         raise DomainError(f"{name} must be positive and finite, got {v}")
     return value
-
-
-# ---------------------------------------------------------------------------
-# dense polynomials (ascending coefficient lists)
-# ---------------------------------------------------------------------------
-
-def poly_trim(p: list) -> list:
-    i = len(p)
-    while i > 1 and p[i - 1] == 0:
-        i -= 1
-    return p[:i]
-
-
-def poly_add(p: list, q: list) -> list:
-    n = max(len(p), len(q))
-    out = []
-    for i in range(n):
-        pi = p[i] if i < len(p) else mp.mpf(0)
-        qi = q[i] if i < len(q) else mp.mpf(0)
-        out.append(pi + qi)
-    return poly_trim(out)
-
-
-def poly_sub(p: list, q: list) -> list:
-    return poly_add(p, [-c for c in q])
-
-
-def poly_scale(p: list, c) -> list:
-    return poly_trim([ci * c for ci in p])
-
-
-def poly_mul(p: list, q: list) -> list:
-    out = [mp.mpf(0)] * (len(p) + len(q) - 1)
-    for i, pi in enumerate(p):
-        if pi == 0:
-            continue
-        for j, qj in enumerate(q):
-            out[i + j] += pi * qj
-    return poly_trim(out)
-
-
-def poly_diff(p: list) -> list:
-    """Formal derivative."""
-    if len(p) <= 1:
-        return [mp.mpf(0)]
-    return poly_trim([p[i] * i for i in range(1, len(p))])
-
-
-@dataclass(frozen=True)
-class RationalFn:
-    """Quotient of dense polynomials of mpf coefficients; denominator not
-    identically zero.  It evaluates on images only (at)."""
-
-    num: tuple
-    den: tuple
-
-    def __post_init__(self):
-        if all(c == 0 for c in self.den):
-            raise DomainError("RationalFn denominator is identically zero")
-
-    @cached_property
-    def images(self) -> tuple:
-        """(num, den) as tuples of images, converted once."""
-        return tuple(map(_image, self.num)), tuple(map(_image, self.den))
-
-    def at(self, x, bits) -> tuple:
-        """The image of num(x)/den(x) at the image x: each polynomial by
-        _horner, then _div, all at `bits` bits, so it gives the bits of the
-        mpf Horner quotient at `bits`.  ZeroDivisionError where den(x) = 0."""
-        num, den = self.images
-        return _div(_horner(num, x, bits), _horner(den, x, bits), bits)
-
-    def derivative(self) -> "RationalFn":
-        """Quotient rule; derivative is symbolic, never numerical."""
-        n, d = list(self.num), list(self.den)
-        num = poly_sub(poly_mul(poly_diff(n), d), poly_mul(n, poly_diff(d)))
-        return RationalFn(tuple(num), tuple(poly_mul(d, d)))
 
 
 # ---------------------------------------------------------------------------
@@ -250,14 +172,19 @@ def _cmp(u, v) -> int:
     return (d > 0) - (d < 0)
 
 
-def _horner(cs, x, bits) -> tuple:
-    """The polynomial of ascending coefficient images cs (at least one) at
-    the image x: acc * x + c from acc = 0, each operation rounded, as mpf
-    Horner rounds it; the first step 0 * x + c only rounds c."""
-    acc = _round(*cs[-1], bits)
+def _horner_d(cs, x, bits) -> tuple:
+    """(p(x), p'(x)) for the polynomial of ascending coefficient images cs
+    (at least one) at the image x, from one Horner pass, each operation
+    rounded as the mpf loop rounds it:
+
+        d = d * x + p;  p = p * x + c,   from p = 0 * x + cs[-1], d = 0.
+
+    The first step 0 * x + c only rounds c."""
+    p, d = _round(*cs[-1], bits), (0, 0)
     for c in reversed(cs[:-1]):
-        acc = _add(_mul(acc, x, bits), c, bits)
-    return acc
+        d = _add(_mul(d, x, bits), p, bits)
+        p = _add(_mul(p, x, bits), c, bits)
+    return p, d
 
 
 def _float(u) -> float:

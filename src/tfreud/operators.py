@@ -11,7 +11,11 @@ the distributional Pearson equation of the weight exp(-z*x^4) on (0, inf):
   relation into lowering/raising operators with rational coefficients
   A_n = x/C_n, B_n = D_n/C_n, and composing them gives one second-order ODE;
   the ladder functions calA_n, calB_n (quadratic resp. linear plus a simple
-  pole at 0) give an independent second-order ODE.
+  pole at 0) give an independent second-order ODE.  Each of these rational
+  functions is stored as coefficients and read as a value and a slope at a
+  sample point: one Horner pass gives a polynomial and its slope
+  (kernel._horner_d), and the quotient rule on those values gives the rest,
+  (N/x)' = (N' - N/x)/x, A' = (1 - A C')/C and B' = (D' - B C')/C.
 * The degree-graded operator L = 4z*(J^4)_lower + diag(0,1,2,...) satisfies
   the compatibility identity J L - L J = J on rows unaffected by truncation.
 
@@ -27,10 +31,9 @@ higher degree, so these are numerical checks, not coefficient-wise proofs.
 They run on the kernel's integer images at the table's working precision,
 every term, sum and ratio rounded in the order of the mpf expression it
 stands for, so each residual has the mpf bits and becomes an mpf once.
-Only the symbolic derivatives of the rational functions, lowering_data and
-v' = 4z x^3 run in mpf: past 333 mantissa bits mpmath's cube is a binary
-power that is not always correctly rounded, so no image form is sure to
-give its bits.
+Only the coefficients (ladder_A, ladder_B, lowering_data) and v' = 4z x^3
+run in mpf: past 333 mantissa bits mpmath's cube is a binary power that is
+not always correctly rounded, so no image form is sure to give its bits.
 """
 from __future__ import annotations
 
@@ -39,9 +42,8 @@ from itertools import accumulate
 
 import mpmath as mp
 
-from .kernel import (RESIDUAL_GUARD_BITS, DomainError, PrecisionContext, RationalFn, _add, _cmp,
-                     _div, _horner, _image, _mpf, _mul, _neg, _neg_images, _sub, _sum, _ttrr_d2,
-                     poly_add, poly_mul, poly_scale, poly_sub, poly_trim)
+from .kernel import (RESIDUAL_GUARD_BITS, DomainError, PrecisionContext, _add, _cmp, _div,
+                     _horner_d, _image, _mpf, _mul, _neg, _neg_images, _sub, _sum, _ttrr_d2)
 from .recurrence import RecurrenceTable, band_lower, band_row, bracket_i
 
 
@@ -203,28 +205,35 @@ def structure_residual(tbl: RecurrenceTable, n_max: int, passes) -> tuple:
 # ladder functions calA_n, calB_n and their identities
 # ---------------------------------------------------------------------------
 
-def ladder_A(tbl: RecurrenceTable, n: int) -> RationalFn:
-    """calA_n = 4z(x^2 + b_n x + R_n) + P_n(0)^2/(h_n x), stored over the
-    denominator x; defined for 0 <= n <= n_max - 1."""
+def ladder_A(tbl: RecurrenceTable, n: int) -> tuple:
+    """calA_n = 4z(x^2 + b_n x + R_n) + P_n(0)^2/(h_n x): the ascending
+    coefficients of its cubic numerator over the denominator x; defined for
+    0 <= n <= n_max - 1."""
     if n < 0 or n > tbl.n_max - 1:
         raise IndexError(f"need 0 <= n <= {tbl.n_max - 1}, got {n}")
     with tbl.workprec():
         f = 4 * tbl.z
-        return RationalFn((tbl.at_zero[n] ** 2 / tbl.h[n], f * tbl.R(n), f * tbl.b[n], f),
-                          (mp.mpf(0), mp.mpf(1)))
+        return tbl.at_zero[n] ** 2 / tbl.h[n], f * tbl.R(n), f * tbl.b[n], f
 
 
-def ladder_B(tbl: RecurrenceTable, n: int) -> RationalFn:
-    """calB_n = 4z a_n (x + b_n + b_{n-1}) + P_n(0) P_{n-1}(0)/(h_{n-1} x),
-    stored over the denominator x; defined for 1 <= n <= n_max - 1."""
+def ladder_B(tbl: RecurrenceTable, n: int) -> tuple:
+    """calB_n = 4z a_n (x + b_n + b_{n-1}) + P_n(0) P_{n-1}(0)/(h_{n-1} x):
+    the ascending coefficients of its quadratic numerator over the
+    denominator x; defined for 1 <= n <= n_max - 1."""
     if n < 1 or n > tbl.n_max - 1:
         raise IndexError(f"need 1 <= n <= {tbl.n_max - 1}, got {n}")
     p0 = tbl.at_zero
     with tbl.workprec():
         f = 4 * tbl.z
-        return RationalFn((p0[n] * p0[n - 1] / tbl.h[n - 1],
-                           f * tbl.T(n), f * tbl.a[n]),
-                          (mp.mpf(0), mp.mpf(1)))
+        return p0[n] * p0[n - 1] / tbl.h[n - 1], f * tbl.T(n), f * tbl.a[n]
+
+
+def _over_x(cs, x, bits) -> tuple:
+    """The images of N(x)/x and its slope (N'(x) - N(x)/x)/x at the image x,
+    for the numerator of ascending coefficient images cs."""
+    p, d = _horner_d(cs, x, bits)
+    v = _div(p, x, bits)
+    return v, _div(_sub(d, v, bits), x, bits)
 
 
 def identity_i_residual(tbl: RecurrenceTable, n: int) -> tuple:
@@ -262,40 +271,40 @@ def ladder_residuals(tbl: RecurrenceTable, n_max: int, passes) -> tuple:
 
     (v = z x^4); the ODE eliminates P_{n-1} from the first-order ladder pair
     (d/dx + calB_n) P_n = a_n calA_n P_{n-1}, -(d/dx - calB_n - v') P_{n-1}
-    = calA_{n-1} P_n.  calA_0..calA_{n_max+1}, calB_1..calB_{n_max+1}, the
-    derivatives of degrees 1..n_max and v' are evaluated once per sample and
-    read by every degree and identity that needs them.  All three compare
-    against verify_tol(1).  calA_n has no zero on (0, inf); the pole x = 0
-    is refused.  y, y', y'' are degree n of the passes (each to degree >=
-    n_max), which keeps the ODE residual floor near unit roundoff."""
+    = calA_{n-1} P_n.  The value and slope of calA_0..calA_{n_max+1} and
+    calB_1..calB_{n_max+1} (_over_x) and v' are evaluated once per sample
+    and read by every degree and identity that needs them.  All three
+    compare against verify_tol(1).  calA_n has no zero on (0, inf); the pole
+    x = 0 is refused.  y, y', y'' are degree n of the passes (each to degree
+    >= n_max), which keeps the ODE residual floor near unit roundoff."""
     if n_max < 1 or n_max > tbl.n_max - 2:
         raise IndexError(f"need 1 <= n_max <= {tbl.n_max - 2}, got {n_max}")
-    A = [ladder_A(tbl, k) for k in range(n_max + 2)]
-    B = [ladder_B(tbl, k) for k in range(1, n_max + 2)]
+    A = [tuple(map(_image, ladder_A(tbl, k))) for k in range(n_max + 2)]
+    B = [tuple(map(_image, ladder_B(tbl, k))) for k in range(1, n_max + 2)]
     bits = tbl.ctx.bits + RESIDUAL_GUARD_BITS
     worst = [[(0, 0)] * 3 for _ in range(n_max)]
     with tbl.workprec():
-        dA, dB = ([g.derivative() for g in fns] for fns in (A[1:-1], B[:-1]))
         vps = [_image(4 * tbl.z * ps.x ** 3) for ps in passes]
     for ps, vp in zip(passes, vps):
         if ps.x == 0:
             raise DomainError("sample grid touches the pole at x = 0")
         x = _image(ps.x)
-        vA = [g.at(x, bits) for g in A]
-        vB = [None] + [g.at(x, bits) for g in B]
+        vA = [_over_x(cs, x, bits) for cs in A]
+        vB = [None] + [_over_x(cs, x, bits) for cs in B]
         for n in range(1, n_max + 1):
-            an, bn, vB_n, vB_up = _image(tbl.a[n]), _image(tbl.b[n]), vB[n], vB[n + 1]
+            an, bn = _image(tbl.a[n]), _image(tbl.b[n])
+            (A_n, dA_n), (B_n, dB_n), B_up = vA[n], vB[n], vB[n + 1][0]
             xb = _sub(x, bn, bits)
-            t1 = (vB_up, vB_n, _mul(xb, vA[n], bits), vp)
-            t2 = (_mul(_image(tbl.a[n + 1]), vA[n + 1], bits), _mul(an, vA[n - 1], bits),
-                  _mul(xb, _sub(vB_up, vB_n, bits), bits))
+            t1 = (B_up, B_n, _mul(xb, A_n, bits), vp)
+            t2 = (_mul(_image(tbl.a[n + 1]), vA[n + 1][0], bits),
+                  _mul(an, vA[n - 1][0], bits), _mul(xb, _sub(B_up, B_n, bits), bits))
             y, y1, y2 = ps.images[n]
-            logd = _div(dA[n - 1].at(x, bits), vA[n], bits)
-            Q = _sum((dB[n - 1].at(x, bits), _neg(_mul(vB_n, logd, bits)),
-                      _neg(_mul(vB_n, _add(vp, vB_n, bits), bits)),
-                      _mul(_mul(an, vA[n], bits), vA[n - 1], bits)), bits)
+            logd = _div(dA_n, A_n, bits)
+            Q = _sum((dB_n, _neg(_mul(B_n, logd, bits)),
+                      _neg(_mul(B_n, _add(vp, B_n, bits), bits)),
+                      _mul(_mul(an, A_n, bits), vA[n - 1][0], bits)), bits)
             t3 = (y2, _mul(_sub(_neg(vp), logd, bits), y1, bits), _mul(Q, y, bits))
-            sums = (_sum((vB_up, vB_n, _neg(t1[2]), vp), bits),
+            sums = (_sum((B_up, B_n, _neg(t1[2]), vp), bits),
                     _sum((t2[0], _neg(t2[1]), (-1, 0), _neg(t2[2])), bits), _sum(t3, bits))
             worst[n - 1] = [_max(w, _scaled(r, t, bits))
                             for w, r, t in zip(worst[n - 1], sums, (t1, t2, t3))]
@@ -308,18 +317,26 @@ def ladder_residuals(tbl: RecurrenceTable, n_max: int, passes) -> tuple:
 
 @dataclass(frozen=True)
 class LoweringData:
-    """x P'_{n+1} + D_n P_{n+1} = C_n P_n; A_n = x/C_n, B_n = D_n/C_n."""
+    """x P'_{n+1} + D_n P_{n+1} = C_n P_n: the ascending coefficients of C_n
+    and D_n; the lowering operator reads A_n = x/C_n and B_n = D_n/C_n."""
 
     n: int
     C: tuple
     D: tuple
-    A: RationalFn
-    B: RationalFn
 
 
 def lowering_data(tbl: RecurrenceTable, n: int) -> LoweringData:
     """C_n (cubic) and D_n (quadratic) by eliminating P_{n-1}, P_{n-2},
-    P_{n-3} from the structure relation through the recurrence.
+    P_{n-3} from the structure relation c0 P_n + c1 P_{n-1} + c2 P_{n-2}
+    + c3 P_{n-3} through the recurrence:
+
+        P_{n-1} = (x - b_n)/a_n P_n - P_{n+1}/a_n
+        P_{n-2} = e/(a_n a_{n-1}) P_n - (x - b_{n-1})/(a_n a_{n-1}) P_{n+1}
+        P_{n-3} = f/(a_n a_{n-1} a_{n-2}) P_n - g/(a_n a_{n-1} a_{n-2}) P_{n+1}
+
+    with e = (x - b_{n-1})(x - b_n) - a_n, f = (x - b_{n-2}) e - a_{n-1}(x - b_n)
+    and g = (x - b_{n-2})(x - b_{n-1}) - a_{n-1}; C_n collects the P_n parts
+    plus c0, D_n the P_{n+1} parts (sign flipped) minus n + 1.
 
     At n = 2 there is no P_{n-3} term (its coefficient c3 contains the
     factor a_0 = 0), so C_2 is quadratic and D_2 linear; the cubic/quadratic
@@ -329,100 +346,80 @@ def lowering_data(tbl: RecurrenceTable, n: int) -> LoweringData:
     c0, c1, c2, c3 = structure_coeffs(tbl, n)
     a, b = tbl.a, tbl.b
     with tbl.workprec():
-        # P_{n-1} = q1*P_n - (1/a_n)*P_{n+1}, q1 = (x-b_n)/a_n
-        # P_{n-2} = q2*P_n - ((x-b_{n-1})/(a_n a_{n-1}))*P_{n+1}
-        # P_{n-3} = q3*P_n - (((x-b_{n-2})(x-b_{n-1})-a_{n-1})/(a_n a_{n-1} a_{n-2}))*P_{n+1}
-        xb_n = [-b[n], mp.mpf(1)]
-        xb_m1 = [-b[n - 1], mp.mpf(1)]
-        inner = poly_sub(poly_mul(xb_m1, xb_n), [a[n]])       # (x-b_{n-1})(x-b_n) - a_n
-        q1 = poly_scale(xb_n, 1 / a[n])
-        q2 = poly_scale(inner, 1 / (a[n] * a[n - 1]))
-
-        C = poly_add([c0], poly_scale(q1, c1))
-        C = poly_add(C, poly_scale(q2, c2))
-
-        # D_n = -(n+1) + c1/a_n + c2*(x-b_{n-1})/(a_n a_{n-1})
-        #       + c3*((x-b_{n-2})(x-b_{n-1}) - a_{n-1})/(a_n a_{n-1} a_{n-2})
-        D = [-mp.mpf(n + 1) + c1 / a[n]]
-        D = poly_add(D, poly_scale(xb_m1, c2 / (a[n] * a[n - 1])))
-
+        ia, a2 = 1 / a[n], a[n] * a[n - 1]
+        i2, k2 = 1 / a2, c2 / a2
+        e = (b[n - 1] * b[n] - a[n], -b[n - 1] - b[n])
+        C = [c0 + -b[n] * ia * c1 + e[0] * i2 * c2, ia * c1 + e[1] * i2 * c2, i2 * c2]
+        D = [c1 / a[n] - (n + 1) + -b[n - 1] * k2, k2]
         if n >= 3:
-            xb_m2 = [-b[n - 2], mp.mpf(1)]
-            q3_num = poly_sub(poly_mul(xb_m2, inner), poly_scale(xb_n, a[n - 1]))
-            q3 = poly_scale(q3_num, 1 / (a[n] * a[n - 1] * a[n - 2]))
-            C = poly_add(C, poly_scale(q3, c3))
-            quad = poly_sub(poly_mul(xb_m2, xb_m1), [a[n - 1]])
-            D = poly_add(D, poly_scale(quad, c3 / (a[n] * a[n - 1] * a[n - 2])))
-
-        C = poly_trim(C)
-        D = poly_trim(D)
-        return LoweringData(n, tuple(C), tuple(D),
-                            RationalFn((mp.mpf(0), mp.mpf(1)), tuple(C)),
-                            RationalFn(tuple(D), tuple(C)))
+            a3 = a2 * a[n - 2]
+            i3, k3 = 1 / a3, c3 / a3
+            f = (-b[n - 2] * e[0] + b[n] * a[n - 1], -b[n - 2] * e[1] + e[0] - a[n - 1],
+                 -b[n - 2] + e[1])
+            g = (b[n - 2] * b[n - 1] - a[n - 1], -b[n - 2] - b[n - 1])
+            C = [C[k] + f[k] * i3 * c3 for k in range(3)] + [i3 * c3]
+            D = [D[0] + g[0] * k3, D[1] + g[1] * k3, k3]
+        return LoweringData(n, tuple(C), tuple(D))
 
 
-def lowering_raising_apply(tbl: RecurrenceTable, lowering, passes) -> tuple:
-    """Scaled max residuals (lowering, raising), one pair per n = data.n in
-    `lowering`, of
+def _lowering_at(C, D, x, bits) -> tuple:
+    """(C(x), D(x), A, B, A', B') as images at the image x, from the
+    coefficient images C and D of lowering_data: A = x/C, B = D/C, A' =
+    (1 - A C')/C and B' = (D' - B C')/C, each polynomial and its slope from
+    one Horner pass."""
+    (c, dc), (d, dd) = _horner_d(C, x, bits), _horner_d(D, x, bits)
+    A, B = _div(x, c, bits), _div(d, c, bits)
+    return (c, d, A, B, _div(_sub((1, 0), _mul(A, dc, bits), bits), c, bits),
+            _div(_sub(dd, _mul(B, dc, bits), bits), c, bits))
+
+
+def lowering_residuals(tbl: RecurrenceTable, n_max: int, passes) -> tuple:
+    """Scaled max residuals (lowering, raising, ode_composed) over the passes
+    (each to degree >= n_max + 2): lowering and raising one per n = 2..n_max,
 
         x P'_{n+1} + D_n P_{n+1} - C_n P_n
-        -a_{n+1}[x P'_{n+1} + D_n P_{n+1}] + (x - b_{n+1}) C_n P_{n+1} - C_n P_{n+2}
+        -a_{n+1}[x P'_{n+1} + D_n P_{n+1}] + (x - b_{n+1}) C_n P_{n+1} - C_n P_{n+2},
 
-    over the passes (each to degree >= n + 2); C_n(x), D_n(x) and the terms
-    of the lowering identity are formed once per sample for both."""
-    bits = tbl.ctx.bits + RESIDUAL_GUARD_BITS
-    xs = [_image(ps.x) for ps in passes]
-    out = []
-    for data in lowering:
-        n = data.n
-        a_up, b_up = _image(tbl.a[n + 1]), _image(tbl.b[n + 1])
-        D, C = data.B.images
-        low = up = (0, 0)
-        for x, ps in zip(xs, passes):
-            p, d, _ = ps.images[n + 1]
-            vC = _horner(C, x, bits)
-            t1 = (_mul(x, d, bits), _mul(_horner(D, x, bits), p, bits),
-                  _mul(vC, ps.images[n][0], bits))
-            t2 = (_mul(a_up, t1[0], bits), _mul(a_up, t1[1], bits),
-                  _mul(_mul(_sub(x, b_up, bits), vC, bits), p, bits),
-                  _mul(vC, ps.images[n + 2][0], bits))
-            low = _max(low, _scaled(_sum((t1[0], t1[1], _neg(t1[2])), bits), t1, bits))
-            up = _max(up, _scaled(_sum((t2[2], *map(_neg, t2[:2] + t2[3:])), bits), t2, bits))
-        out.append((_mpf(low), _mpf(up)))
-    return tuple(out)
-
-
-def holonomic_residual_Dn(tbl: RecurrenceTable, lowering, passes) -> tuple:
-    """Scaled max residual of the composed second-order operator
+    and the composed second-order operator one per n = 3..n_max,
 
         a_n A_n A_{n-1} y'' + [A_n(a_n B_{n-1} - x + b_n) + a_n A_{n-1}(A_n' + B_n)] y'
-        + [a_n B_n' A_{n-1} + B_n(a_n B_{n-1} - x + b_n) + 1] y
+        + [a_n B_n' A_{n-1} + B_n(a_n B_{n-1} - x + b_n) + 1] y,   y = P_{n+1},
 
-    applied to y = P_{n+1}, one per degree n of `lowering` (LoweringData of
-    consecutive degrees) after its first.  Each A_k, B_k is evaluated once
-    per sample, for n = k and n = k + 1; A', B' are symbolic rational
-    derivatives.  y, y', y'' are degree n + 1 of the passes (each to degree
-    >= n + 1), which keeps the residual floor near unit roundoff."""
-    with tbl.workprec():
-        ders = [(data.A.derivative(), data.B.derivative()) for data in lowering[1:]]
+    with A_k = x/C_k, B_k = D_k/C_k, A_k' = (1 - A_k C_k')/C_k and B_k' =
+    (D_k' - B_k C_k')/C_k (_lowering_at).  Each C_k and D_k (lowering_data)
+    is evaluated with its slope once per sample, for all three identities
+    and for both degrees k and k + 1 of the composed operator."""
+    if n_max < 2 or n_max > tbl.n_max - 2:
+        raise IndexError(f"need 2 <= n_max <= {tbl.n_max - 2}, got {n_max}")
+    polys = [tuple(tuple(map(_image, cs)) for cs in (data.C, data.D))
+             for data in (lowering_data(tbl, n) for n in range(2, n_max + 1))]
+    a, b = (tuple(map(_image, v[:n_max + 2])) for v in (tbl.a, tbl.b))
     bits = tbl.ctx.bits + RESIDUAL_GUARD_BITS
-    worst = [(0, 0)] * len(ders)
+    low, up, composed = [(0, 0)] * (n_max - 1), [(0, 0)] * (n_max - 1), [(0, 0)] * (n_max - 2)
     for ps in passes:
-        x = _image(ps.x)
-        vals = [(data.A.at(x, bits), data.B.at(x, bits)) for data in lowering]
-        for i, data in enumerate(lowering[1:]):
-            (Ap_x, Bp_x), (An_x, Bn_x) = vals[i], vals[i + 1]
-            (dA, dB), n = ders[i], data.n
-            an, bn, (y, y1, y2) = _image(tbl.a[n]), _image(tbl.b[n]), ps.images[n + 1]
-            mid = _sum((_mul(an, Bp_x, bits), _neg(x), bn), bits)
-            c2 = _mul(_mul(an, An_x, bits), Ap_x, bits)
-            c1 = _add(_mul(An_x, mid, bits),
-                      _mul(_mul(an, Ap_x, bits), _add(dA.at(x, bits), Bn_x, bits), bits), bits)
-            c0 = _sum((_mul(_mul(an, dB.at(x, bits), bits), Ap_x, bits),
-                       _mul(Bn_x, mid, bits), (1, 0)), bits)
-            terms = (_mul(c2, y2, bits), _mul(c1, y1, bits), _mul(c0, y, bits))
-            worst[i] = _max(worst[i], _scaled(_sum(terms, bits), terms, bits))
-    return tuple(map(_mpf, worst))
+        x, prev = _image(ps.x), None
+        for i, n in enumerate(range(2, n_max + 1)):
+            C, D, A, B, dA, dB = _lowering_at(*polys[i], x, bits)
+            y, y1, y2 = ps.images[n + 1]
+            t1 = (_mul(x, y1, bits), _mul(D, y, bits), _mul(C, ps.images[n][0], bits))
+            t2 = (_mul(a[n + 1], t1[0], bits), _mul(a[n + 1], t1[1], bits),
+                  _mul(_mul(_sub(x, b[n + 1], bits), C, bits), y, bits),
+                  _mul(C, ps.images[n + 2][0], bits))
+            low[i] = _max(low[i], _scaled(_sum((t1[0], t1[1], _neg(t1[2])), bits), t1, bits))
+            up[i] = _max(up[i], _scaled(_sum((t2[2], *map(_neg, t2[:2] + t2[3:])), bits),
+                                        t2, bits))
+            if prev:
+                Ap, Bp = prev
+                mid = _sum((_mul(a[n], Bp, bits), _neg(x), b[n]), bits)
+                c2 = _mul(_mul(a[n], A, bits), Ap, bits)
+                c1 = _add(_mul(A, mid, bits), _mul(_mul(a[n], Ap, bits), _add(dA, B, bits), bits),
+                          bits)
+                c0 = _sum((_mul(_mul(a[n], dB, bits), Ap, bits), _mul(B, mid, bits), (1, 0)),
+                          bits)
+                terms = (_mul(c2, y2, bits), _mul(c1, y1, bits), _mul(c0, y, bits))
+                composed[i - 1] = _max(composed[i - 1], _scaled(_sum(terms, bits), terms, bits))
+            prev = A, B
+    return tuple(map(_mpf, low)), tuple(map(_mpf, up)), tuple(map(_mpf, composed))
 
 
 def confluent_check(tbl: RecurrenceTable, n_max: int, passes) -> tuple:

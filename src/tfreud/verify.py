@@ -14,10 +14,9 @@ import mpmath as mp
 
 from .kernel import DomainError, PrecisionContext, default_bits
 from .moments import MomentSequence, moment_recurrence_residual, stieltjes_residual
-from .operators import (beta_row, confluent_check, holonomic_residual_Dn, identity_i_residual,
-                        identity_ii_residual, jacobi_matrix, ladder_residuals, lax_block_check,
-                        lowering_data, lowering_raising_apply, mat_mul, recurrence_passes,
-                        sample_grid, structure_residual)
+from .operators import (beta_row, confluent_check, identity_i_residual, identity_ii_residual,
+                        jacobi_matrix, ladder_residuals, lax_block_check, lowering_residuals,
+                        mat_mul, recurrence_passes, sample_grid, structure_residual)
 from .recurrence import (RecurrenceTable, chebyshev_coeffs, h_scaling_check, lf_residual_1,
                          lf_residual_2, lf_residual_I, scaling_check)
 from .zeros import (density_consistency, density_normalization, interlacing_margin,
@@ -181,22 +180,21 @@ def run_verification(z_values=(mp.mpf(1) / 4, 1, 4), n_max: int = 14,
 
         # one call per sampled record function and z scores every degree on one
         # pass to n_max + 2 at the 8 points of the grid of P_{n_max+1}
-        ladder, structure, lowraise, composed, confluent = [], [], [], [], []
+        ladder, structure, confluent, lowered = [], [], [], ([], [], [])
         for z in zs:
             tbl = tables[z]
             passes = recurrence_passes(tbl, n_tbl, sample_grid(n_max + 1, z, ctx, count=8))
-            lowering = [lowering_data(tbl, n) for n in range(2, n_max + 1)]
             structure += structure_residual(tbl, n_max, passes)
             confluent += confluent_check(tbl, n_max, passes)
             ladder += ladder_residuals(tbl, n_max, passes)
-            lowraise += lowering_raising_apply(tbl, lowering, passes)
-            composed += holonomic_residual_Dn(tbl, lowering, passes)
+            for acc, res in zip(lowered, lowering_residuals(tbl, n_max, passes)):
+                acc += res
         for k, name in enumerate(("compat-first", "compat-second")):
             records.append(_rec(name, nrange, zdesc, max(r[k] for r in ladder), tol1))
         records.append(_rec("structure", f"0..{n_max}", zdesc, max(structure), tol1))
         for k, name in enumerate(("lowering", "raising")):
-            records.append(_rec(name, f"2..{n_max}", zdesc, max(r[k] for r in lowraise), tol1))
-        records.append(_rec("ode-composed", f"3..{n_max}", zdesc, max(composed), tol1))
+            records.append(_rec(name, f"2..{n_max}", zdesc, max(lowered[k]), tol1))
+        records.append(_rec("ode-composed", f"3..{n_max}", zdesc, max(lowered[2]), tol1))
         records.append(_rec("ode-eliminated", nrange, zdesc, max(r[2] for r in ladder), tol1))
         records.append(_rec("confluent-kernel", f"0..{n_max}", zdesc, max(confluent), tol1))
 

@@ -51,7 +51,7 @@ import mpmath as mp
 
 from .kernel import (RESIDUAL_GUARD_BITS, DomainError, PrecisionContext, _div, _image, _mpf,
                      positive_finite, tridiag_eigenvalues)
-from .operators import ladder_A, recurrence_passes
+from .operators import _over_x, ladder_A, recurrence_passes
 from .recurrence import RecurrenceTable, chebyshev_coeffs
 
 
@@ -328,21 +328,21 @@ class ElectroSystem:
 
 
 def _fields(tbl: RecurrenceTable, n: int, xs) -> list:
-    """(V_n(x), V_n'(x)) for each x in xs, with calA_n and its derivative
-    built once: V_n = z x^4 + ln|calA_n/(4z)|, V_n' = 4z x^3 + calA_n'/calA_n."""
-    A_n = ladder_A(tbl, n)
+    """(V_n(x), V_n'(x)) for each x in xs, with the value and slope of
+    calA_n from one Horner pass on its numerator: V_n = z x^4 +
+    ln|calA_n/(4z)|, V_n' = 4z x^3 + calA_n'/calA_n."""
+    num = tuple(map(_image, ladder_A(tbl, n)))
     bits = tbl.ctx.bits + RESIDUAL_GUARD_BITS
     with tbl.workprec():
-        z, dA_n = tbl.z, A_n.derivative()
+        z = tbl.z
         out = []
         for x in map(mp.mpf, xs):
             if x == 0:
                 raise DomainError("x = 0 is a pole of the potential")
-            xi = _image(x)
-            A = A_n.at(xi, bits)
+            A, dA = _over_x(num, _image(x), bits)
             if not A[0]:
                 raise DomainError("log argument vanishes")
-            dlog = _mpf(_div(dA_n.at(xi, bits), A, bits))
+            dlog = _mpf(_div(dA, A, bits))
             out.append((z * x ** 4 + mp.log(abs(_mpf(A) / (4 * z))), 4 * z * x ** 3 + dlog))
         return out
 

@@ -3,7 +3,7 @@ from __future__ import annotations
 import mpmath as mp
 import pytest
 
-from tfreud.kernel import PrecisionContext, poly_add, poly_diff, poly_mul, poly_scale, poly_sub
+from tfreud.kernel import PrecisionContext
 from tfreud.operators import structure_coeffs
 
 # The pin sets the precision of the tests' own arithmetic: parsing decimal
@@ -29,18 +29,70 @@ def mpf_close(a, b, tol) -> bool:
     return abs(mp.mpf(a) - mp.mpf(b)) <= mp.mpf(tol)
 
 
+# Dense mpf polynomials (ascending coefficient lists) at the caller's
+# precision: the tests' symbolic references.  The library never forms a
+# polynomial product or derivative; it reads values and slopes on images.
+
+def poly_trim(p: list) -> list:
+    i = len(p)
+    while i > 1 and p[i - 1] == 0:
+        i -= 1
+    return p[:i]
+
+
+def poly_add(p: list, q: list) -> list:
+    zero = mp.mpf(0)
+    return poly_trim([(p[i] if i < len(p) else zero) + (q[i] if i < len(q) else zero)
+                      for i in range(max(len(p), len(q)))])
+
+
+def poly_sub(p: list, q: list) -> list:
+    return poly_add(p, [-c for c in q])
+
+
+def poly_scale(p: list, c) -> list:
+    return poly_trim([ci * c for ci in p])
+
+
+def poly_mul(p: list, q: list) -> list:
+    out = [mp.mpf(0)] * (len(p) + len(q) - 1)
+    for i, pi in enumerate(p):
+        for j, qj in enumerate(q):
+            out[i + j] += pi * qj
+    return poly_trim(out)
+
+
+def poly_diff(p: list) -> list:
+    """Formal derivative."""
+    if len(p) <= 1:
+        return [mp.mpf(0)]
+    return poly_trim([p[i] * i for i in range(1, len(p))])
+
+
 def horner(p, x):
-    """mpf Horner at the caller's precision: the tests' reference for the
-    library's image Horner (kernel._horner and RationalFn.at)."""
+    """mpf Horner at the caller's precision."""
     acc = mp.mpf(0)
     for c in reversed(p):
         acc = acc * x + c
     return acc
 
 
-def rat_eval(f, x):
-    """num(x)/den(x) of a RationalFn by mpf Horner at the caller's precision."""
-    return horner(f.num, x) / horner(f.den, x)
+def horner_d(p, x):
+    """(p(x), p'(x)) by mpf Horner with its derivative at the caller's
+    precision: the tests' reference for kernel._horner_d, in its order."""
+    acc, d = mp.mpf(0), mp.mpf(0)
+    for c in reversed(p):
+        d = d * x + acc
+        acc = acc * x + c
+    return acc, d
+
+
+def quotient_slope(num, den, x):
+    """(num/den)'(x) from the symbolic quotient rule (num' den - num den')/den^2,
+    its polynomials formed and then evaluated at the caller's precision."""
+    top = poly_sub(poly_mul(poly_diff(list(num)), list(den)),
+                   poly_mul(list(num), poly_diff(list(den))))
+    return horner(top, x) / horner(poly_mul(list(den), list(den)), x)
 
 
 def monic_polys(tbl, n_max: int) -> list:

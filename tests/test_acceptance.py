@@ -24,14 +24,13 @@ from tfreud.kernel import (
 from tfreud.moments import moment
 from tfreud.operators import (
     beta_row,
-    holonomic_residual_Dn,
     identity_i_residual,
     identity_ii_residual,
     jacobi_matrix,
     ladder_residuals,
     lax_block_check,
     lowering_data,
-    lowering_raising_apply,
+    lowering_residuals,
     mat_mul,
     recurrence_passes,
     sample_grid,
@@ -171,10 +170,9 @@ def test_criterion_04_operator_identities():
     # one range call per identity on one pass to degree 32, as verify runs
     # them; the ODEs over degrees 1..20 and 3..20
     passes = recurrence_passes(tbl, 32, sample_grid(31, z, ctx, count=12))
-    sampled = [*structure_residual(tbl, 30, passes),
-               *(r for pair in lowering_raising_apply(tbl, lowering, passes) for r in pair)]
-    odes = [*(r[2] for r in ladder_residuals(tbl, 20, passes)),
-            *holonomic_residual_Dn(tbl, lowering[:19], passes)]
+    low, up, composed = lowering_residuals(tbl, 30, passes)
+    sampled = [*structure_residual(tbl, 30, passes), *low, *up]
+    odes = [*(r[2] for r in ladder_residuals(tbl, 20, passes)), *composed[:18]]
     poly_ok = poly_ok and max(sampled) <= tol
     ode_ok = max(odes) <= tol
 

@@ -310,7 +310,7 @@ def test_verify_out_file_bits_pinned(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "verify", "--n-max", "8", "--out", str(out))
     assert code == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == \
-        "b95cf07abe4a37913f4038bb749bd88c8b8efc96476a85f51295028e946e7316"
+        "b08c2a44fb20eb069c3e4f9fa4f1a0926e164acf02b07f26cbb60c7a11a02e6d"
 
 
 def test_verify_out_file_bits_pinned_n_max_32(tmp_path, capsys):

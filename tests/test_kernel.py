@@ -8,7 +8,8 @@ import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from conftest import horner, rat_eval
+from conftest import horner, horner_d, poly_add, poly_diff, poly_mul, poly_sub, poly_trim, \
+    quotient_slope
 from mpmath.libmp import from_man_exp, mpf_add, mpf_cmp, mpf_div, mpf_mul, round_nearest
 
 from tfreud import kernel
@@ -17,13 +18,7 @@ from tfreud.kernel import (
     ConvergenceError,
     DomainError,
     PrecisionContext,
-    RationalFn,
     default_bits,
-    poly_add,
-    poly_diff,
-    poly_mul,
-    poly_sub,
-    poly_trim,
     tridiag_eigenvalues,
 )
 from tfreud.recurrence import chebyshev_coeffs
@@ -57,6 +52,8 @@ def test_round_is_idempotent():
 
 
 # --- polynomial helpers -------------------------------------------------------
+# The dense mpf polynomials are the tests' own symbolic references (conftest);
+# the library reads a polynomial only as a value and a slope (_horner_d).
 
 def test_poly_basic_ops():
     p = [mp.mpf(1), mp.mpf(2)]          # 1 + 2x
@@ -66,7 +63,7 @@ def test_poly_basic_ops():
     assert poly_mul(p, q) == [0, 0, 3, 6]
     assert poly_diff([mp.mpf(5), mp.mpf(0), mp.mpf(7)]) == [0, 14]
     assert poly_trim([mp.mpf(1), mp.mpf(0), mp.mpf(0)]) == [1]
-    assert kernel._horner([(1, 0), (2, 0), (3, 0)], (2, 0), 64) == (17, 0)
+    assert kernel._horner_d([(1, 0), (2, 0), (3, 0)], (2, 0), 64) == ((17, 0), (14, 0))
 
 
 coeff = st.integers(min_value=-50, max_value=50)
@@ -94,23 +91,29 @@ def test_poly_product_rule(p, q, x):
 
 
 def test_rational_fn_eval_and_derivative():
-    # f = x / (1 + x^2);  f' = (1 - x^2) / (1 + x^2)^2, evaluated on images
-    # at 1200 bits, the tests' own precision
-    f = RationalFn((mp.mpf(0), mp.mpf(1)), (mp.mpf(1), mp.mpf(0), mp.mpf(1)))
+    # the symbolic quotient-rule reference on f = x / (1 + x^2), f' = (1 -
+    # x^2) / (1 + x^2)^2, at 1200 bits, the tests' own precision
     x = mp.mpf(3) / 7
-    at = lambda g: kernel._mpf(g.at(kernel._image(x), mp.mp.prec))
-    assert at(f) == x / (1 + x * x)
-    df = f.derivative()
     expect = (1 - x * x) / (1 + x * x) ** 2
-    assert abs(at(df) - expect) <= mp.mpf(2) ** -45
+    got = quotient_slope([mp.mpf(0), mp.mpf(1)], [mp.mpf(1), mp.mpf(0), mp.mpf(1)], x)
+    assert abs(got - expect) <= mp.mpf(2) ** -1100
 
 
-def test_rational_fn_algebra():
-    one_over_x = RationalFn((mp.mpf(1),), (mp.mpf(0), mp.mpf(1)))
-    with pytest.raises(ZeroDivisionError):
-        one_over_x.at((0, 0), 64)
-    with pytest.raises(DomainError):
-        RationalFn((mp.mpf(1),), (mp.mpf(0),))
+@pytest.mark.parametrize("bits", [64, 300, 1500])
+def test_horner_d_constant_and_zero(bits):
+    # a constant has slope 0 and is only rounded; at x = 0 the value is the
+    # constant coefficient and the slope the linear one, both rounded
+    with mp.workprec(bits + 40):
+        cs = [mp.mpf(1) / 3, -mp.mpf(2) / 7, mp.mpf(5) / 11]
+    im = [kernel._image(c) for c in cs]
+    for poly, x in (([im[0]], (3, -1)), (im, (0, 0)), ([im[2]], (0, 0))):
+        p, d = kernel._horner_d(poly, x, bits)
+        with mp.workprec(bits):
+            want = horner_d([kernel._mpf(c) for c in poly], kernel._mpf(x))
+        assert (_raw(p), _raw(d)) == (want[0]._mpf_, want[1]._mpf_)
+    with mp.workprec(bits):
+        assert kernel._mpf(kernel._horner_d(im, (0, 0), bits)[1]) == +cs[1]
+        assert kernel._horner_d([im[0]], (3, -1), bits)[1] == (0, 0)
 
 
 @st.composite
@@ -135,26 +138,14 @@ def _polynomials(draw):
     return bits, cs, x
 
 
-@given(_polynomials(), st.data())
+@given(_polynomials())
 @settings(max_examples=300, deadline=None)
-def test_image_horner_and_rational_fn_match_mpf_horner(case, data):
+def test_image_horner_d_matches_mpf_horner(case):
     bits, cs, x = case
     with mp.workprec(bits):
-        want = horner(cs, x)
-    assert _raw(kernel._horner([kernel._image(c) for c in cs], kernel._image(x), bits)) \
-        == want._mpf_
-    # the same polynomial over a drawn denominator, or under it
-    den = data.draw(st.lists(st.integers(-9, 9), min_size=1, max_size=4).filter(any))
-    den = tuple(mp.mpf(c) for c in den)
-    for f in [RationalFn(tuple(cs), den)] + ([RationalFn(den, tuple(cs))] if any(cs) else []):
-        with mp.workprec(bits):
-            d = horner(f.den, x)
-            want = rat_eval(f, x) if d else None
-        if want is None:
-            with pytest.raises(ZeroDivisionError):
-                f.at(kernel._image(x), bits)
-        else:
-            assert _raw(f.at(kernel._image(x), bits)) == want._mpf_
+        want = horner_d(cs, x)
+    p, d = kernel._horner_d([kernel._image(c) for c in cs], kernel._image(x), bits)
+    assert (_raw(p), _raw(d)) == (want[0]._mpf_, want[1]._mpf_)
 
 
 # --- tridiagonal eigenvalues --------------------------------------------------

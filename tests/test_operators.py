@@ -4,21 +4,17 @@ import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from conftest import horner, lowering_ref, monic_polys, raising_ref, rat_eval, structure_ref
+from conftest import (horner, horner_d, lowering_ref, monic_polys, poly_diff, quotient_slope,
+                      raising_ref, structure_ref)
 
-from tfreud.kernel import (
-    DomainError,
-    PrecisionContext,
-    RationalFn,
-    default_bits,
-    poly_diff,
-)
+from tfreud import operators
+from tfreud.kernel import RESIDUAL_GUARD_BITS, DomainError, PrecisionContext, _image, _mpf, \
+    default_bits
 from tfreud.moments import moment
 from tfreud.operators import (
     beta_lower,
     beta_row,
     confluent_check,
-    holonomic_residual_Dn,
     identity_i_residual,
     identity_ii_residual,
     jacobi_matrix,
@@ -27,7 +23,7 @@ from tfreud.operators import (
     ladder_residuals,
     lax_block_check,
     lowering_data,
-    lowering_raising_apply,
+    lowering_residuals,
     mat_mul,
     recurrence_passes,
     sample_grid,
@@ -258,17 +254,14 @@ def test_ttrr_guard(t16):
 def test_ladder_shapes(t16):
     tbl, _ = t16
     for n in (1, 4, 9):
-        cal_A, cal_B = ladder_A(tbl, n), ladder_B(tbl, n)
-        # both stored over denominator x
-        assert cal_A.den == (mp.mpf(0), mp.mpf(1))
-        assert cal_B.den == (mp.mpf(0), mp.mpf(1))
-        # x*calA_n is a cubic with leading 4z, x*calB_n a quadratic with
-        # leading 4 z a_n
-        assert len(cal_A.num) == 4
-        assert abs(cal_A.num[3] - 4 * tbl.z) <= CTX.verify_tol(tbl.z)
-        assert len(cal_B.num) == 3
+        # the numerators over the denominator x: x*calA_n is a cubic with
+        # leading 4z, x*calB_n a quadratic with leading 4 z a_n
+        num_A, num_B = ladder_A(tbl, n), ladder_B(tbl, n)
+        assert len(num_A) == 4
+        assert abs(num_A[3] - 4 * tbl.z) <= CTX.verify_tol(tbl.z)
+        assert len(num_B) == 3
         want = 4 * tbl.z * tbl.a[n]
-        assert abs(cal_B.num[2] - want) <= CTX.verify_tol(want)
+        assert abs(num_B[2] - want) <= CTX.verify_tol(want)
 
 
 def test_identity_i(t16):
@@ -310,12 +303,13 @@ def test_compat_pole_guard(t16):
 def test_lowering_raising_zero_polys(t16):
     # both identities on the monomial coefficients, and sampled
     tbl, polys = t16
+    low, up, _ = lowering_residuals(tbl, 9, grid_passes(tbl, 9, 11))
     for n in (2, 5, 9):
         data = lowering_data(tbl, n)
         for res, scale in (lowering_ref(tbl, polys, data), raising_ref(tbl, polys, data)):
             assert res <= CTX.verify_tol(scale)
-        for res in lowering_raising_apply(tbl, [data], grid_passes(tbl, n, n + 2))[0]:
-            assert res <= CTX.verify_tol(1)
+        assert low[n - 2] <= CTX.verify_tol(1)
+        assert up[n - 2] <= CTX.verify_tol(1)
 
 
 def test_lowering_degrees(t16):
@@ -333,6 +327,9 @@ def test_lowering_guards(t16):
     tbl, _ = t16
     with pytest.raises(IndexError):
         lowering_data(tbl, 1)
+    for n_max in (1, tbl.n_max - 1):
+        with pytest.raises(IndexError):
+            lowering_residuals(tbl, n_max, recurrence_passes(tbl, tbl.n_max, [mp.mpf(1)]))
 
 
 # ---------------------------------------------------------------------------
@@ -342,10 +339,8 @@ def test_lowering_guards(t16):
 def test_holonomic_Dn(t16):
     tbl, _ = t16
     for n in (3, 6, 10):
-        data = lowering_data(tbl, n)
-        passes = grid_passes(tbl, n, n + 1, count=16)
-        assert holonomic_residual_Dn(tbl, [lowering_data(tbl, n - 1), data], passes)[0] \
-            <= CTX.verify_tol(1)
+        passes = grid_passes(tbl, n, n + 2, count=16)
+        assert lowering_residuals(tbl, n, passes)[2][-1] <= CTX.verify_tol(1)
 
 
 def test_holonomic_chen(t16):
@@ -360,9 +355,8 @@ def test_ode_routes_agree_on_common_target(t16):
     # samples, same polynomial, both residuals at roundoff.
     tbl, _ = t16
     for n in (3, 6):
-        passes = grid_passes(tbl, n + 1, n + 1, count=12)
-        data = lowering_data(tbl, n)
-        r_low, = holonomic_residual_Dn(tbl, [lowering_data(tbl, n - 1), data], passes)
+        passes = grid_passes(tbl, n + 1, n + 2, count=12)
+        r_low = lowering_residuals(tbl, n, passes)[2][-1]
         r_chen = ladder_residuals(tbl, n + 1, passes)[n][2]
         assert r_low <= CTX.verify_tol(1)
         assert r_chen <= CTX.verify_tol(1)
@@ -381,6 +375,22 @@ def test_chen_guards(t16):
 # the shared evaluations against the separate routes they replaced
 # ---------------------------------------------------------------------------
 
+def over_x(num, x):
+    """N(x)/x and its slope (N' - N/x)/x in mpf at the caller's precision,
+    in the order of operators._over_x."""
+    p, d = horner_d(num, x)
+    v = p / x
+    return v, (d - v) / x
+
+
+def lowering_at(data, x):
+    """(C, D, A, B, A', B') of data in mpf at the caller's precision, in the
+    order of operators._lowering_at."""
+    (c, dc), (d, dd) = horner_d(data.C, x), horner_d(data.D, x)
+    A, B = x / c, d / c
+    return c, d, A, B, (1 - A * dc) / c, (dd - B * dc) / c
+
+
 def _compat_ref(tbl, n, x_samples):
     """Both compatibility residuals, each ladder function built and
     evaluated on its own: the reference for ladder_residuals[:2]."""
@@ -394,12 +404,13 @@ def _compat_ref(tbl, n, x_samples):
     with tbl.workprec():
         f = 4 * tbl.z
         for x in x_samples:
+            at = lambda num: over_x(num, x)[0]
             vp = f * x ** 3
-            t1 = [rat_eval(B_up, x), rat_eval(B_n, x), (x - tbl.b[n]) * rat_eval(A_n, x), vp]
+            t1 = [at(B_up), at(B_n), (x - tbl.b[n]) * at(A_n), vp]
             res1 = t1[0] + t1[1] - t1[2] + t1[3]
             s1 = sum(abs(v) for v in t1) + 1
-            t2 = [tbl.a[n + 1] * rat_eval(A_up, x), tbl.a[n] * rat_eval(A_dn, x),
-                  (x - tbl.b[n]) * (rat_eval(B_up, x) - rat_eval(B_n, x))]
+            t2 = [tbl.a[n + 1] * at(A_up), tbl.a[n] * at(A_dn),
+                  (x - tbl.b[n]) * (at(B_up) - at(B_n))]
             res2 = t2[0] - t2[1] - 1 - t2[2]
             s2 = sum(abs(v) for v in t2) + 1
             r1 = max(r1, abs(res1) / s1)
@@ -414,18 +425,16 @@ def _chen_ref(tbl, n, x_samples):
     A_dn = ladder_A(tbl, n - 1)
     B_n = ladder_B(tbl, n)
     with tbl.workprec():
-        dA = A_n.derivative()
-        dB = B_n.derivative()
         f = 4 * tbl.z
         worst = mp.mpf(0)
         for x in x_samples:
             y, y1, y2 = recurrence_passes(tbl, n, [x])[0][n]
-            vA = rat_eval(A_n, x)
-            logd = rat_eval(dA, x) / vA
-            vB = rat_eval(B_n, x)
+            vA, dA = over_x(A_n, x)
+            logd = dA / vA
+            vB, dB = over_x(B_n, x)
             vp = f * x ** 3
             S = -vp - logd
-            Q = rat_eval(dB, x) - vB * logd - vB * (vp + vB) + tbl.a[n] * vA * rat_eval(A_dn, x)
+            Q = dB - vB * logd - vB * (vp + vB) + tbl.a[n] * vA * over_x(A_dn, x)[0]
             terms = (y2, S * y1, Q * y)
             scale = sum(abs(t) for t in terms) + 1
             worst = max(worst, abs(terms[0] + terms[1] + terms[2]) / scale)
@@ -449,13 +458,12 @@ def test_shared_evaluations_match_separate_routes(z):
         for n in range(1, 13):
             want = (*_compat_ref(tbl, n, xs), _chen_ref(tbl, n, xs))
             assert bits_of(got[n - 1]) == bits_of(want), (count, n)
-    lowering = [lowering_data(tbl, n) for n in range(2, 13)]
-    for data in lowering:
+    for n in range(2, 13):
+        data = lowering_data(tbl, n)
         for res, scale in (lowering_ref(tbl, polys, data), raising_ref(tbl, polys, data)):
             assert res <= CTX.verify_tol(scale)
-    for pair in lowering_raising_apply(tbl, lowering, grid_passes(tbl, 13, 14)):
-        for res in pair:
-            assert res <= CTX.verify_tol(1)
+    for res in lowering_residuals(tbl, 12, grid_passes(tbl, 13, 14))[:2]:
+        assert max(res) <= CTX.verify_tol(1)
 
 
 # ---------------------------------------------------------------------------
@@ -497,18 +505,17 @@ def _lowering_raising_mpf(tbl, data, passes):
 def _holonomic_mpf(tbl, prev, data, passes):
     n = data.n
     with tbl.workprec():
-        dA, dB = data.A.derivative(), data.B.derivative()
         an, bn = tbl.a[n], tbl.b[n]
         worst = mp.mpf(0)
         for ps in passes:
             x = ps.x
             y, y1, y2 = ps[n + 1]
-            An_x, Bn_x = rat_eval(data.A, x), rat_eval(data.B, x)
-            Ap_x, Bp_x = rat_eval(prev.A, x), rat_eval(prev.B, x)
+            An_x, Bn_x, dA, dB = lowering_at(data, x)[2:]
+            Ap_x, Bp_x = lowering_at(prev, x)[2:4]
             mid = an * Bp_x - x + bn
             c2 = an * An_x * Ap_x
-            c1 = An_x * mid + an * Ap_x * (rat_eval(dA, x) + Bn_x)
-            c0 = an * rat_eval(dB, x) * Ap_x + Bn_x * mid + 1
+            c1 = An_x * mid + an * Ap_x * (dA + Bn_x)
+            c0 = an * dB * Ap_x + Bn_x * mid + 1
             terms = (c2 * y2, c1 * y1, c0 * y)
             worst = max(worst, _scaled_mpf(terms[0] + terms[1] + terms[2], terms))
         return worst
@@ -543,8 +550,7 @@ def test_sampled_records_keep_the_mpf_bits(z, n_max):
     structure = structure_residual(tbl, n_max, passes)
     confluent = confluent_check(tbl, n_max, passes)
     ladder = ladder_residuals(tbl, n_max, passes)
-    lowraise = lowering_raising_apply(tbl, lowering, passes)
-    composed = holonomic_residual_Dn(tbl, lowering, passes)
+    low, up, composed = lowering_residuals(tbl, n_max, passes)
     for n in range(n_max + 1):
         got = [structure[n], confluent[n]]
         want = [_structure_mpf(tbl, n, passes), _confluent_mpf(tbl, n, passes)]
@@ -553,7 +559,7 @@ def test_sampled_records_keep_the_mpf_bits(z, n_max):
             want += [*_compat_ref(tbl, n, xs), _chen_ref(tbl, n, xs)]
         if n >= 2:
             data = lowering[n - 2]
-            got += lowraise[n - 2]
+            got += [low[n - 2], up[n - 2]]
             want += _lowering_raising_mpf(tbl, data, passes)
         if n >= 3:
             got.append(composed[n - 3])
@@ -562,29 +568,62 @@ def test_sampled_records_keep_the_mpf_bits(z, n_max):
 
 
 def test_ladder_residuals_evaluate_each_function_once(t16, monkeypatch):
-    # over degrees 1..n_max: calA_0..calA_{n_max+1}, calB_1..calB_{n_max+1}
-    # and calA_n', calB_n' of every degree, each once per sample for all
-    # three identities of every degree; the composed ODE reads each lowering
-    # A_k, B_k once per sample for degrees k and k + 1, and A_n', B_n' once
+    # one Horner pass per polynomial and sample gives its value and slope:
+    # over degrees 1..n_max the numerators of calA_0..calA_{n_max+1} and
+    # calB_1..calB_{n_max+1} for all three ladder identities of every
+    # degree, and over degrees 2..n_max each C_k and D_k for lowering,
+    # raising and the composed ODE of degrees k and k + 1
     tbl, _ = t16
     calls = []
-    real_at = RationalFn.at
+    real = operators._horner_d
 
-    def counted(self, x, bits):
-        calls.append((self.num, self.den, x))
-        return real_at(self, x, bits)
+    def counted(cs, x, bits):
+        calls.append((cs, x))
+        return real(cs, x, bits)
 
-    monkeypatch.setattr(RationalFn, "at", counted)
+    monkeypatch.setattr(operators, "_horner_d", counted)
     n_max = 12
     passes = grid_passes(tbl, n_max + 1, n_max + 2)
     ladder_residuals(tbl, n_max, passes)
-    assert len(calls) == ((n_max + 2) + (n_max + 1) + 2 * n_max) * len(passes)
+    assert len(calls) == ((n_max + 2) + (n_max + 1)) * len(passes)
     assert len(set(calls)) == len(calls)
     calls.clear()
-    lowering = [lowering_data(tbl, n) for n in range(2, n_max + 1)]
-    holonomic_residual_Dn(tbl, lowering, passes)
-    assert len(calls) == (2 * (n_max - 1) + 2 * (n_max - 2)) * len(passes)
+    lowering_residuals(tbl, n_max, passes)
+    assert len(calls) == 2 * (n_max - 1) * len(passes)
     assert len(set(calls)) == len(calls)
+
+
+@pytest.mark.parametrize("z", [mp.mpf(1) / 4, mp.mpf(1), mp.mpf(4)])
+def test_slopes_match_the_quotient_rule(z):
+    # the slopes of calA_n, calB_n (N/x) and of the lowering A_k = x/C_k,
+    # B_k = D_k/C_k, read from one Horner pass and the quotient rule on its
+    # values, against the symbolic quotient rule at the tests' precision,
+    # each scaled by the magnitudes of its own terms, on verify's grid
+    ctx = PrecisionContext(default_bits(12))
+    tbl = chebyshev_coeffs(z, 14, ctx)
+    bits = ctx.bits + RESIDUAL_GUARD_BITS
+    over = [mp.mpf(0), mp.mpf(1)]
+    ladder = [ladder_A(tbl, n) for n in range(13)] + [ladder_B(tbl, n) for n in range(1, 13)]
+    lowering = [lowering_data(tbl, n) for n in range(2, 13)]
+    checked = 0
+    for x in sample_grid(13, z, ctx, count=8):
+        xi = _image(x)
+        for num in ladder:
+            got = operators._over_x(tuple(map(_image, num)), xi, bits)[1]
+            v, d = horner(num, x) / x, horner(poly_diff(list(num)), x)
+            assert abs(_mpf(got) - quotient_slope(num, over, x)) \
+                <= ctx.verify_tol((abs(d) + abs(v)) / x)
+            checked += 1
+        for data in lowering:
+            got = operators._lowering_at(*(tuple(map(_image, cs)) for cs in (data.C, data.D)),
+                                         xi, bits)[4:]
+            (c, dc), (dv, dd) = horner_d(data.C, x), horner_d(data.D, x)
+            scales = ((1 + abs(x * dc / c)) / abs(c), (abs(dd) + abs(dv * dc / c)) / abs(c))
+            for g, want, scale in zip(got, (quotient_slope(over, data.C, x),
+                                            quotient_slope(data.D, data.C, x)), scales):
+                assert abs(_mpf(g) - want) <= ctx.verify_tol(scale)
+                checked += 1
+    assert checked == 8 * (25 + 2 * 11)
 
 
 # ---------------------------------------------------------------------------
@@ -638,9 +677,8 @@ def test_residuals_stable_at_doubled_precision():
         for bits in (256, 512):
             ctx = PrecisionContext(bits)
             tbl = chebyshev_coeffs(z, 8, ctx)
-            passes = recurrence_passes(tbl, 6, sample_grid(5, z, count=8, ctx=ctx))
+            passes = recurrence_passes(tbl, 7, sample_grid(5, z, count=8, ctx=ctx))
             assert ladder_residuals(tbl, 5, passes)[4][2] <= ctx.verify_tol(1)
-            lowering = [lowering_data(tbl, 4), lowering_data(tbl, 5)]
-            assert holonomic_residual_Dn(tbl, lowering, passes)[0] <= ctx.verify_tol(1)
+            assert lowering_residuals(tbl, 5, passes)[2][-1] <= ctx.verify_tol(1)
             res, scale = identity_i_residual(tbl, 4)
             assert abs(res) <= ctx.verify_tol(scale)

@@ -34,7 +34,6 @@ from tfreud.operators import (
     beta_lower,
     beta_row,
     confluent_check,
-    holonomic_residual_Dn,
     identity_i_residual,
     identity_ii_residual,
     ladder_A,
@@ -42,7 +41,7 @@ from tfreud.operators import (
     ladder_residuals,
     lax_block_check,
     lowering_data,
-    lowering_raising_apply,
+    lowering_residuals,
     recurrence_passes,
     sample_grid,
     structure_coeffs,
@@ -89,7 +88,6 @@ TBL4 = chebyshev_coeffs(4, 12, CTX)
 MSEQ = MomentSequence.build("0.3", 12, CTX)
 XS = sample_grid(6, 1, CTX, count=5)
 PASSES = recurrence_passes(TBL, 8, XS)
-LOWERING = tuple(lowering_data(TBL, n) for n in range(2, 7))
 ZS = zeros(TBL, 6, CTX)
 FAULT = ("a", 3, mp.mpf(2) ** -200 / 3)
 
@@ -130,12 +128,12 @@ CASES = {
     "identity_i_residual": lambda: [identity_i_residual(TBL, n) for n in range(1, 11)],
     "identity_ii_residual": lambda: [identity_ii_residual(TBL, n) for n in range(1, 11)],
     # each record's column of the shared ladder_residuals and
-    # lowering_raising_apply, under the record's former function name
+    # lowering_residuals, under the record's former function name
     "compat_residuals": lambda: [r[:2] for r in ladder_residuals(TBL, 5, PASSES)],
     "lowering_data": lambda: lowering_data(TBL, 6),
-    "lowering_apply": lambda: [r[0] for r in lowering_raising_apply(TBL, LOWERING, PASSES)],
-    "raising_apply": lambda: [r[1] for r in lowering_raising_apply(TBL, LOWERING, PASSES)],
-    "holonomic_residual_Dn": lambda: holonomic_residual_Dn(TBL, LOWERING, PASSES),
+    "lowering_apply": lambda: lowering_residuals(TBL, 6, PASSES)[0],
+    "raising_apply": lambda: lowering_residuals(TBL, 6, PASSES)[1],
+    "holonomic_residual_Dn": lambda: lowering_residuals(TBL, 6, PASSES)[2],
     "holonomic_residual_chen": lambda: [r[2] for r in ladder_residuals(TBL, 5, PASSES)],
     "confluent_check": lambda: confluent_check(TBL, 6, PASSES),
     "lax_block_check": lambda: lax_block_check(TBL, 10),
@@ -171,7 +169,8 @@ EXEMPT = {
     "jacobi_matrix": "copies table entries; no arithmetic",
     "internal_bits_for": "integer arithmetic on ctx.bits",
     "ladder_residuals": "covered by the compat_residuals and holonomic_residual_chen cases",
-    "lowering_raising_apply": "covered by the lowering_apply and raising_apply cases",
+    "lowering_residuals": "covered by the lowering_apply, raising_apply and "
+                          "holonomic_residual_Dn cases",
     "recurrence_passes": "covered by the ttrr_eval_d2 case",
 }
 

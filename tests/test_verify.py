@@ -162,14 +162,14 @@ def test_one_call_per_record_function_per_z(monkeypatch):
         return wrapper
 
     for name in ("structure_residual", "confluent_check", "ladder_residuals",
-                 "lowering_raising_apply", "holonomic_residual_Dn"):
+                 "lowering_residuals"):
         monkeypatch.setattr(verify, name, counted(getattr(verify, name)))
     z_values = (mp.mpf(1) / 4, 1, 4)
     run_verification(z_values=z_values, n_max=8)
     # each call scores every degree of its record; ladder_residuals has one
     # more call for each of the precision-doubling check's two tables
     assert calls == {"structure_residual": 3, "confluent_check": 3, "ladder_residuals": 5,
-                     "lowering_raising_apply": 3, "holonomic_residual_Dn": 3}
+                     "lowering_residuals": 3}
 
 
 def test_policy_gate_flags_low_bits():
