@@ -237,27 +237,35 @@ def _over_x(cs, x, bits) -> tuple:
 
 
 def identity_i_residual(tbl: RecurrenceTable, n: int) -> tuple:
-    """4z(T_{n+1} + b_n R_n + T_n) - P_n(0)^2/h_n and the magnitude of the
-    matching side (for tolerance scaling)."""
+    """4z(T_{n+1} + b_n R_n + T_n) - P_n(0)^2/h_n and, as its scale, the sum
+    of the magnitudes of its terms.  a_k and b_k are positive for this
+    weight, so each side is a sum of positive terms and its own term sum."""
     if n < 0 or n > tbl.n_max - 1:
         raise IndexError(f"need 0 <= n <= {tbl.n_max - 1}, got {n}")
     with tbl.workprec():
         lhs = 4 * tbl.z * bracket_i(tbl.a, tbl.b, n)
         rhs = tbl.at_zero[n] ** 2 / tbl.h[n]
-        return lhs - rhs, max(abs(lhs), abs(rhs))
+        return lhs - rhs, abs(lhs) + abs(rhs)
 
 
 def identity_ii_residual(tbl: RecurrenceTable, n: int) -> tuple:
     """4z(a_{n+1}R_{n+1} - a_n R_{n-1} + b_n(T_{n+1} - T_n))
-    - [1 + P_n(0)(P_{n+1}(0) - a_n P_{n-1}(0))/h_n], plus the scale."""
+    - [1 + P_n(0)(P_{n+1}(0) - a_n P_{n-1}(0))/h_n], plus the sum of the
+    magnitudes of its terms as the scale (a product counts the product of
+    its factors' term sums): each side is a difference of terms much larger
+    than itself."""
     if n < 1 or n > tbl.n_max - 2:
         raise IndexError(f"need 1 <= n <= {tbl.n_max - 2}, got {n}")
-    p0 = tbl.at_zero
+    p0, a, b = tbl.at_zero, tbl.a, tbl.b
     with tbl.workprec():
-        lhs = 4 * tbl.z * (tbl.a[n + 1] * tbl.R(n + 1) - tbl.a[n] * tbl.R(n - 1)
-                           + tbl.b[n] * (tbl.T(n + 1) - tbl.T(n)))
-        rhs = 1 + p0[n] * (p0[n + 1] - tbl.a[n] * p0[n - 1]) / tbl.h[n]
-        return lhs - rhs, max(abs(lhs), abs(rhs))
+        f = 4 * tbl.z
+        up, down, t_up, t_dn = a[n + 1] * tbl.R(n + 1), a[n] * tbl.R(n - 1), tbl.T(n + 1), tbl.T(n)
+        lhs = f * (up - down + b[n] * (t_up - t_dn))
+        p_up, p_dn = p0[n + 1], a[n] * p0[n - 1]
+        rhs = 1 + p0[n] * (p_up - p_dn) / tbl.h[n]
+        scale = (f * (abs(up) + abs(down) + abs(b[n]) * (abs(t_up) + abs(t_dn)))
+                 + 1 + abs(p0[n]) * (abs(p_up) + abs(p_dn)) / tbl.h[n])
+        return lhs - rhs, scale
 
 
 def ladder_residuals(tbl: RecurrenceTable, n_max: int, passes) -> tuple:

@@ -319,6 +319,12 @@ def chebyshev_coeffs(z, n_max: int, ctx: PrecisionContext) -> RecurrenceTable:
     PrecisionExhaustionError (with the failing index) when a diagonal entry
     has lost all significant bits, which is the k at which every digit of
     h_k is roundoff.  The internal precision is internal_bits_for(ctx, n_max).
+    The elimination runs on the moments of the weight at z / 2^(4t), t the
+    nearest integer to a quarter of z's binary exponent, and scales a, b
+    and h back by 2^(-2t), 2^(-t) and 2^(-(2k+1)t).  Powers of two scale
+    every rounded step exactly, so only the guard sees the difference: it
+    compares h_{k+1} with the largest moment, which x -> s x does not leave
+    invariant, and would otherwise fail well-conditioned tables at extreme z.
 
     From degree SPLIT_MIN_DEGREE on (see _splits) each row is split at
     l = n_max + 1: this process computes the entries below, one forked
@@ -334,7 +340,11 @@ def chebyshev_coeffs(z, n_max: int, ctx: PrecisionContext) -> RecurrenceTable:
     with mp.workprec(bits):
         zv = positive_finite(z, "z")
         L = 2 * n_max + 1
-        mu = moment_sequence(zv, L, ictx)
+        # x -> 2^t x, t = round(log2(z)/4) from z's exponent: the moments
+        # 2^((j+1)t) mu_j are those of a weight with 1/4 <= z < 4, where the
+        # guard's comparison with the largest moment means what it says
+        t = (mp.mag(zv) + 1) // 4
+        mu = [mp.ldexp(m, (j + 1) * t) for j, m in enumerate(moment_sequence(zv, L, ictx))]
         max_mag = max(mp.mag(m) for m in mu)
 
         a = [mp.mpf(0)]
@@ -369,9 +379,10 @@ def chebyshev_coeffs(z, n_max: int, ctx: PrecisionContext) -> RecurrenceTable:
                 h.append(hk1)
                 prev, cur = cur, new
         return RecurrenceTable(ctx.round(zv),
-                               tuple(ctx.round(v) for v in a),
-                               tuple(ctx.round(v) for v in b),
-                               tuple(ctx.round(v) for v in h), ctx)
+                               tuple(ctx.round(mp.ldexp(v, -2 * t)) for v in a),
+                               tuple(ctx.round(mp.ldexp(v, -t)) for v in b),
+                               tuple(ctx.round(mp.ldexp(v, -(2 * k + 1) * t))
+                                     for k, v in enumerate(h)), ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -408,15 +419,17 @@ def lf_residual_I(tbl: RecurrenceTable, n: int) -> tuple:
         a_{n+1} [T_{n+2} + b_{n+1} R_{n+1} + T_{n+1}] [T_{n+1} + b_n R_n + T_n]
         - (a_{n+1} R_{n+1} + b_n T_{n+1} + a_{n+1} a_n - (n+1)/(4z))^2,
 
-    and the magnitude of the larger side as its scale."""
+    and the sum of the magnitudes of its terms as its scale, the square
+    counting the square of its base's term sum (the product form is a
+    product of sums of positive terms for this weight)."""
     _check_lf_range(tbl, n, 0)
     a, b = tbl.a, tbl.b
     _, R, T = band_readers(a, b)
     with tbl.workprec():
         lhs = a[n + 1] * bracket_i(a, b, n + 1) * bracket_i(a, b, n)
-        rhs = (a[n + 1] * R(n + 1) + b[n] * T(n + 1) + a[n + 1] * a[n]
-               - mp.mpf(n + 1) / (4 * tbl.z)) ** 2
-        return lhs - rhs, max(abs(lhs), abs(rhs))
+        base = (a[n + 1] * R(n + 1), b[n] * T(n + 1), a[n + 1] * a[n],
+                -mp.mpf(n + 1) / (4 * tbl.z))
+        return lhs - sum(base) ** 2, abs(lhs) + sum(map(abs, base)) ** 2
 
 
 def lf_forward(seed, n_max: int, reference: RecurrenceTable):

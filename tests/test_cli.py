@@ -227,6 +227,17 @@ def test_verify_fault_injection_exit(capsys):
     assert "FAIL lf-eq1" in stdout
 
 
+@pytest.mark.parametrize("argv", [("coeffs", "--z", "1e-30", "--n-max", "16"),
+                                  ("coeffs", "--z", "1e200", "--n-max", "16"),
+                                  ("zeros", "--z", "1e-400", "--n-max", "3")])
+def test_extreme_z_tables_build(argv, capsys):
+    # well-conditioned tables at z far from 1 (1e-400 is below the binary64
+    # range) are no precision exhaustion
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert len(csv_rows(out)[1]) == int(argv[-1]) + (argv[0] == "coeffs")
+
+
 def test_verify_bad_fault_spec(capsys):
     code, _, err = run_cli(capsys, "verify", "--fault-inject", "nope")
     assert code == 2
@@ -277,7 +288,7 @@ def test_output_determinism(tmp_path, capsys):
     (("zeros", "--table-check"), 1,
      "0237b2140481b4b9bf066e0ef7e3aa82d12e61f62b3a3d80a0e472e06347140d"),
     (("verify", "--n-max", "8"), 0,
-     "29a07d4b752ae42f8324e973a821f9412e3217afc3976d79141f18d67b9bb02b"),
+     "3e203c3fb99f81a7ded37e74917b855c2a3191db0defbf59236cafe8160b1609"),
 ])
 def test_zeros_output_bits_pinned(capsys, argv, exit_code, sha256):
     # byte-identical output is a contract: any change to these digests must
@@ -310,7 +321,7 @@ def test_verify_out_file_bits_pinned(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "verify", "--n-max", "8", "--out", str(out))
     assert code == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == \
-        "b08c2a44fb20eb069c3e4f9fa4f1a0926e164acf02b07f26cbb60c7a11a02e6d"
+        "d68b56f4c534698b7bd228e1a1aae56e7e18f212c8336d4ee0785570b9306cda"
 
 
 def test_verify_out_file_bits_pinned_n_max_32(tmp_path, capsys):
@@ -320,7 +331,7 @@ def test_verify_out_file_bits_pinned_n_max_32(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "verify", "--n-max", "32", "--out", str(out))
     assert code == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == \
-        "344c124a902f2ac0587e2f584187c65a141537737b963ac41cced37e102c88cd"
+        "190b3a060cd712deff04d16c4a7e4a3aa5ca9e6ca0593d6148ef833826b6e984"
 
 
 def test_verify_out_csv_keeps_six_fields(tmp_path, capsys):

@@ -30,7 +30,7 @@ from tfreud.operators import (
     structure_coeffs,
     structure_residual,
 )
-from tfreud.recurrence import chebyshev_coeffs
+from tfreud.recurrence import chebyshev_coeffs, lf_residual_I
 
 CTX = PrecisionContext(256)
 
@@ -280,6 +280,19 @@ def test_identity_ii(t16):
     for n in range(1, 15):
         res, scale = identity_ii_residual(tbl, n)
         assert abs(res) <= CTX.verify_tol(scale)
+
+
+def test_identities_keep_their_margin_at_degree_196():
+    # each side of identity ii is a difference of much larger terms: scaled
+    # by the sum of its term magnitudes it keeps more than 6 bits of margin
+    # at n = 196, where max(|lhs|, |rhs|) left it 4 (and past 1 near n = 200)
+    ctx = PrecisionContext(default_bits(198))
+    tbl = chebyshev_coeffs(1, 198, ctx)
+    for fn in (identity_i_residual, identity_ii_residual, lf_residual_I):
+        res, scale = fn(tbl, 196)
+        assert abs(res) <= ctx.verify_tol(scale)
+    res, scale = identity_ii_residual(tbl, 196)
+    assert abs(res) <= ctx.verify_tol(scale) / 64
 
 
 def test_compat_residuals(t16):

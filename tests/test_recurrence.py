@@ -430,6 +430,43 @@ def test_table_does_not_depend_on_the_cpu_count(monkeypatch, z):
         assert [v._mpf_ for v in got] == [v._mpf_ for v in want]
 
 
+@pytest.mark.parametrize("z, n_max", [("0.0625", 16), ("0.1", 16), ("0.2", 40), ("3", 16),
+                                      ("4", 40), ("16", 16), ("1000", 16), ("1e-6", 16)])
+def test_scaled_moments_keep_the_mpf_loop_bits(z, n_max):
+    # the elimination runs on the moments scaled by 2^((j+1)t), t != 0 at
+    # every z here but 3, and scales a, b, h back: powers of two scale each
+    # rounded step exactly, so the table has the unscaled loop's bits
+    ctx = PrecisionContext(default_bits(n_max))
+    tbl = chebyshev_coeffs(z, n_max, ctx)
+    for got, ref in zip((tbl.a, tbl.b, tbl.h), _chebyshev_mpf(z, n_max, ctx)):
+        assert [v._mpf_ for v in got] == [ctx.round(v)._mpf_ for v in ref]
+
+
+def test_split_scaled_moments_keep_the_mpf_loop_bits(split_rows):
+    ctx = PrecisionContext(default_bits(24))
+    tbl = chebyshev_coeffs("1000", 24, ctx)
+    assert split_rows == [(25, 49)]
+    assert_no_child()
+    for got, ref in zip((tbl.a, tbl.b, tbl.h), _chebyshev_mpf("1000", 24, ctx)):
+        assert [v._mpf_ for v in got] == [ctx.round(v)._mpf_ for v in ref]
+
+
+@pytest.mark.parametrize("z, n_max", [("1e-30", 16), ("1e200", 16), ("1e-400", 3)])
+def test_extreme_z_tables_follow_the_scaling_law(z, n_max):
+    # with the unscaled moments the guard raised on these well-conditioned
+    # tables; they follow a_n(z) = z^(-1/2) a_n(1), b_n(z) = z^(-1/4) b_n(1)
+    # and h_n(z) = z^(-(2n+1)/4) h_n(1)
+    ctx = PrecisionContext(default_bits(n_max))
+    tbl, one = chebyshev_coeffs(z, n_max, ctx), chebyshev_coeffs(1, n_max, ctx)
+    s = mp.mpf(z) ** mp.mpf("0.25")
+    tol = ctx.verify_tol(1)
+    for n in range(n_max + 1):
+        assert abs(tbl.b[n] * s / one.b[n] - 1) <= tol
+        assert abs(tbl.h[n] * s ** (2 * n + 1) / one.h[n] - 1) <= tol
+        if n:
+            assert abs(tbl.a[n] * s ** 2 / one.a[n] - 1) <= tol
+
+
 def test_internal_boost_does_not_change_values(monkeypatch):
     ctx = PrecisionContext(128)
     tbl = chebyshev_coeffs(1, 8, ctx)
