@@ -173,13 +173,9 @@ def _cmp(u, v) -> int:
 
 
 def _horner_d(cs, x, bits) -> tuple:
-    """(p(x), p'(x)) for the polynomial of ascending coefficient images cs
-    (at least one) at the image x, from one Horner pass, each operation
-    rounded as the mpf loop rounds it:
-
-        d = d * x + p;  p = p * x + c,   from p = 0 * x + cs[-1], d = 0.
-
-    The first step 0 * x + c only rounds c."""
+    """(p(x), p'(x)) for the ascending coefficient images cs (at least one)
+    at the image x, by one Horner pass from p = cs[-1], d = 0: d = d x + p,
+    then p = p x + c, each operation rounded as mpf rounds it."""
     p, d = _round(*cs[-1], bits), (0, 0)
     for c in reversed(cs[:-1]):
         d = _add(_mul(d, x, bits), p, bits)

@@ -11,11 +11,8 @@ the distributional Pearson equation of the weight exp(-z*x^4) on (0, inf):
   relation into lowering/raising operators with rational coefficients
   A_n = x/C_n, B_n = D_n/C_n, and composing them gives one second-order ODE;
   the ladder functions calA_n, calB_n (quadratic resp. linear plus a simple
-  pole at 0) give an independent second-order ODE.  Each of these rational
-  functions is stored as coefficients and read as a value and a slope at a
-  sample point: one Horner pass gives a polynomial and its slope
-  (kernel._horner_d), and the quotient rule on those values gives the rest,
-  (N/x)' = (N' - N/x)/x, A' = (1 - A C')/C and B' = (D' - B C')/C.
+  pole at 0) give an independent second-order ODE.  Each is read as a value
+  and a slope per sample, by kernel._horner_d and the quotient rule.
 * The degree-graded operator L = 4z*(J^4)_lower + diag(0,1,2,...) satisfies
   the compatibility identity J L - L J = J on rows unaffected by truncation.
 
@@ -250,10 +247,9 @@ def identity_i_residual(tbl: RecurrenceTable, n: int) -> tuple:
 
 def identity_ii_residual(tbl: RecurrenceTable, n: int) -> tuple:
     """4z(a_{n+1}R_{n+1} - a_n R_{n-1} + b_n(T_{n+1} - T_n))
-    - [1 + P_n(0)(P_{n+1}(0) - a_n P_{n-1}(0))/h_n], plus the sum of the
-    magnitudes of its terms as the scale (a product counts the product of
-    its factors' term sums): each side is a difference of terms much larger
-    than itself."""
+    - [1 + P_n(0)(P_{n+1}(0) - a_n P_{n-1}(0))/h_n], and the sum of its term
+    magnitudes (a product's is the product of its factors') as the scale:
+    each side is a difference of terms much larger than itself."""
     if n < 1 or n > tbl.n_max - 2:
         raise IndexError(f"need 1 <= n <= {tbl.n_max - 2}, got {n}")
     p0, a, b = tbl.at_zero, tbl.a, tbl.b
@@ -371,10 +367,8 @@ def lowering_data(tbl: RecurrenceTable, n: int) -> LoweringData:
 
 
 def _lowering_at(C, D, x, bits) -> tuple:
-    """(C(x), D(x), A, B, A', B') as images at the image x, from the
-    coefficient images C and D of lowering_data: A = x/C, B = D/C, A' =
-    (1 - A C')/C and B' = (D' - B C')/C, each polynomial and its slope from
-    one Horner pass."""
+    """(C(x), D(x), A, B, A', B') at the image x from the coefficient images
+    C, D: A = x/C, B = D/C, A' = (1 - A C')/C and B' = (D' - B C')/C."""
     (c, dc), (d, dd) = _horner_d(C, x, bits), _horner_d(D, x, bits)
     A, B = _div(x, c, bits), _div(d, c, bits)
     return (c, d, A, B, _div(_sub((1, 0), _mul(A, dc, bits), bits), c, bits),
@@ -393,10 +387,9 @@ def lowering_residuals(tbl: RecurrenceTable, n_max: int, passes) -> tuple:
         a_n A_n A_{n-1} y'' + [A_n(a_n B_{n-1} - x + b_n) + a_n A_{n-1}(A_n' + B_n)] y'
         + [a_n B_n' A_{n-1} + B_n(a_n B_{n-1} - x + b_n) + 1] y,   y = P_{n+1},
 
-    with A_k = x/C_k, B_k = D_k/C_k, A_k' = (1 - A_k C_k')/C_k and B_k' =
-    (D_k' - B_k C_k')/C_k (_lowering_at).  Each C_k and D_k (lowering_data)
-    is evaluated with its slope once per sample, for all three identities
-    and for both degrees k and k + 1 of the composed operator."""
+    with A_k = x/C_k and B_k = D_k/C_k (_lowering_at).  Each C_k and D_k is
+    evaluated with its slope once per sample, for all three identities and
+    both degrees k and k + 1 of the composed operator."""
     if n_max < 2 or n_max > tbl.n_max - 2:
         raise IndexError(f"need 2 <= n_max <= {tbl.n_max - 2}, got {n_max}")
     polys = [tuple(tuple(map(_image, cs)) for cs in (data.C, data.D))

@@ -319,12 +319,10 @@ def chebyshev_coeffs(z, n_max: int, ctx: PrecisionContext) -> RecurrenceTable:
     PrecisionExhaustionError (with the failing index) when a diagonal entry
     has lost all significant bits, which is the k at which every digit of
     h_k is roundoff.  The internal precision is internal_bits_for(ctx, n_max).
-    The elimination runs on the moments of the weight at z / 2^(4t), t the
-    nearest integer to a quarter of z's binary exponent, and scales a, b
-    and h back by 2^(-2t), 2^(-t) and 2^(-(2k+1)t).  Powers of two scale
-    every rounded step exactly, so only the guard sees the difference: it
-    compares h_{k+1} with the largest moment, which x -> s x does not leave
-    invariant, and would otherwise fail well-conditioned tables at extreme z.
+    It runs on the moments 2^((j+1)t) mu_j of the weight at z / 2^(4t), t =
+    round(log2(z)/4), and scales a, b, h back by 2^(-2t), 2^(-t) and
+    2^(-(2k+1)t): powers of two keep every rounded step exact, and the guard,
+    which compares h_{k+1} with the largest moment, holds at extreme z.
 
     From degree SPLIT_MIN_DEGREE on (see _splits) each row is split at
     l = n_max + 1: this process computes the entries below, one forked
@@ -340,10 +338,7 @@ def chebyshev_coeffs(z, n_max: int, ctx: PrecisionContext) -> RecurrenceTable:
     with mp.workprec(bits):
         zv = positive_finite(z, "z")
         L = 2 * n_max + 1
-        # x -> 2^t x, t = round(log2(z)/4) from z's exponent: the moments
-        # 2^((j+1)t) mu_j are those of a weight with 1/4 <= z < 4, where the
-        # guard's comparison with the largest moment means what it says
-        t = (mp.mag(zv) + 1) // 4
+        t = (mp.mag(zv) + 1) // 4          # round(log2(z) / 4) in integers
         mu = [mp.ldexp(m, (j + 1) * t) for j, m in enumerate(moment_sequence(zv, L, ictx))]
         max_mag = max(mp.mag(m) for m in mu)
 
