@@ -1,14 +1,22 @@
 """Extended-precision numerical primitives shared by all modules.
 
-Everything here is pure: results depend only on the arguments and the
-PrecisionContext.  Reals are mpmath mpf values; helpers run at a guarded
-working precision and round the result to the context precision, so that
-recomputing at higher precision reproduces the same context-rounded value.
+Everything here but the forked helper process (_forked), through which
+callers compute part of a result on a second CPU, is pure: results depend
+only on the arguments and the PrecisionContext.  Reals are mpmath mpf
+values; helpers run at a guarded working precision and round the result to
+the context precision, so that recomputing at higher precision reproduces
+the same context-rounded value.
 """
 from __future__ import annotations
 
+import marshal
 import math
+import os
+import signal
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 
 import mpmath as mp
 from mpmath.libmp import from_man_exp, round_nearest, to_float
@@ -78,6 +86,92 @@ def positive_finite(v, name: str) -> mp.mpf:
     if not 0 < value < mp.inf:
         raise DomainError(f"{name} must be positive and finite, got {v}")
     return value
+
+
+# ---------------------------------------------------------------------------
+# one forked helper process: the row split of chebyshev_coeffs and the
+# per-z records of verify hand work to it.  Messages are marshal-ed ints and
+# tuples of them, length-prefixed, over two pipes.
+# ---------------------------------------------------------------------------
+
+# True in a forked helper only, whose memory is its own: no helper forks another.
+_IN_HELPER = False
+
+
+def _two_cpus() -> bool:
+    """Whether this process may hand work to one forked helper: fork exists,
+    the process may run on at least two CPUs, it runs no other thread (a
+    fork copies no thread, and a lock another thread holds stays held in
+    the child), and it is not itself a helper."""
+    return (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2 and threading.active_count() == 1
+            and not _IN_HELPER)
+
+
+def _send(pipe, msg) -> None:
+    """Write msg (ints and tuples of them) to the binary file pipe:
+    marshal, length-prefixed, flushed."""
+    data = marshal.dumps(msg)
+    pipe.write(len(data).to_bytes(8, "little") + data)
+    pipe.flush()
+
+
+def _receive(pipe):
+    """The next message _send wrote to pipe, or None at end of file."""
+    head = pipe.read(8)
+    size = int.from_bytes(head, "little")
+    data = pipe.read(size)
+    return marshal.loads(data) if len(head) == 8 and len(data) == size else None
+
+
+@contextmanager
+def _forked(serve):
+    """Fork one helper that runs serve(receive, send) and yield the caller's
+    (send, receive), or None if no helper could be forked.  In the helper,
+    receive() returns the caller's next message or None once the caller has
+    closed its end, and send(msg) answers.  In the caller, receive() raises
+    RuntimeError if the helper ended before it answered, and send raises
+    BrokenPipeError once the helper has ended.  The helper leaves by
+    os._exit when serve returns or raises, flushing nothing it inherited.
+    However the caller leaves the block, it closes both pipes, kills the
+    helper, which has then nothing left to send, and reaps it."""
+    fds, pid = [], None
+    try:
+        fds += os.pipe()
+        fds += os.pipe()
+        pid = os.fork()
+    except OSError:
+        for fd in fds:
+            os.close(fd)
+    if pid is None:
+        yield None
+        return
+    down_r, down_w, up_r, up_w = fds
+    if pid == 0:
+        global _IN_HELPER
+        _IN_HELPER, status = True, 1
+        try:
+            os.close(down_w)
+            os.close(up_r)
+            serve(partial(_receive, open(down_r, "rb")), partial(_send, open(up_w, "wb")))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(down_r)
+    os.close(up_w)
+
+    def receive():
+        msg = _receive(up)
+        if msg is None:
+            raise RuntimeError("the helper process ended early")
+        return msg
+
+    try:
+        with open(down_w, "wb") as down, open(up_r, "rb") as up:
+            yield partial(_send, down), receive
+    finally:
+        os.kill(pid, signal.SIGKILL)      # an exited, unreaped helper takes it too
+        os.waitpid(pid, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -41,11 +41,8 @@ z^(-(2n+1)/4)*h_n(1).
 """
 from __future__ import annotations
 
-import marshal
 import math
-import os
-import threading
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
@@ -53,8 +50,8 @@ from functools import cached_property, partial
 import mpmath as mp
 
 from .kernel import (RESIDUAL_GUARD_BITS, ConvergenceError, DomainError, PrecisionContext,
-                     PrecisionExhaustionError, _add, _image, _mpf, _mul, _neg_images, _ttrr_d2,
-                     positive_finite)
+                     PrecisionExhaustionError, _add, _forked, _image, _mpf, _mul, _neg_images,
+                     _ttrr_d2, _two_cpus, positive_finite)
 from .moments import moment, moment_sequence
 
 # Reserve for the moment map's precision loss, bits per degree.  Against
@@ -234,81 +231,28 @@ def _row(cur, prev, nb, na, lo, hi, bits, top):
 
 def _splits(n_max: int) -> bool:
     """Whether chebyshev_coeffs shares each row of a degree-n_max table with
-    a forked helper: from SPLIT_MIN_DEGREE on, where fork exists, the process
-    may run on two CPUs and has no other thread (a fork copies no thread, and
-    a lock another thread holds stays held in the child)."""
-    return (n_max >= SPLIT_MIN_DEGREE and hasattr(os, "fork")
-            and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
-            and threading.active_count() == 1)
+    a forked helper: from SPLIT_MIN_DEGREE on, where the process may use two
+    CPUs (kernel._two_cpus)."""
+    return n_max >= SPLIT_MIN_DEGREE and _two_cpus()
 
 
-def _send(pipe, msg) -> None:
-    """Write msg (ints and tuples of them) to the binary file pipe:
-    marshal, length-prefixed, flushed."""
-    data = marshal.dumps(msg)
-    pipe.write(len(data).to_bytes(8, "little") + data)
-    pipe.flush()
-
-
-def _receive(pipe):
-    """The next message _send wrote to pipe, or None at end of file."""
-    head = pipe.read(8)
-    size = int.from_bytes(head, "little")
-    data = pipe.read(size)
-    return marshal.loads(data) if len(head) == 8 and len(data) == size else None
-
-
-def _serve_rows(down, up, cur: list, lo: int, L: int, bits: int, top: int):
-    """The helper's loop: for each (nb, na) received on `down`, the entries
+def _serve_rows(receive, send, cur: list, lo: int, L: int, bits: int, top: int):
+    """The helper's loop: for each (nb, na) received, the entries
     l = lo..L-1-k of row k+1 by _row, and (entry at lo, running top magnitude)
-    sent back on `up`; it returns at end of file."""
+    sent back; it returns at end of file."""
     prev, k = [(0, 0)] * (L + 1), 0
-    while (msg := _receive(down)) is not None:
+    while (msg := receive()) is not None:
         new = [(0, 0)] * (L + 1)
         new[lo:L - k], top = _row(cur, prev, *msg, lo, L - k, bits, top)
-        _send(up, (new[lo], top))
+        send((new[lo], top))
         prev, cur, k = cur, new, k + 1
 
 
-@contextmanager
 def _upper_rows(cur: list, lo: int, L: int, bits: int, top: int):
-    """Fork a helper that runs _serve_rows on the entries l >= lo of every
-    row, and yield (send, receive): send((nb, na)) starts a row, receive()
-    returns the helper's (entry at lo, top magnitude).  If the helper has
-    ended, receive raises RuntimeError and send BrokenPipeError.  The helper
-    leaves by os._exit at end of file or on any exception, flushing nothing
-    it inherited; on exit the parent closes both pipes and reaps it."""
-    down_r, down_w = os.pipe()
-    up_r, up_w = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        for fd in (down_r, down_w, up_r, up_w):
-            os.close(fd)
-        raise
-    if pid == 0:
-        status = 1
-        try:
-            os.close(down_w)
-            os.close(up_r)
-            _serve_rows(open(down_r, "rb"), open(up_w, "wb"), cur, lo, L, bits, top)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(down_r)
-    os.close(up_w)
-
-    def receive():
-        msg = _receive(up)
-        if msg is None:
-            raise RuntimeError("the elimination helper process ended early")
-        return msg
-
-    try:
-        with open(down_w, "wb") as down, open(up_r, "rb") as up:
-            yield partial(_send, down), receive
-    finally:
-        os.waitpid(pid, 0)
+    """A helper forked by kernel._forked that runs _serve_rows on the
+    entries l >= lo of every row: send((nb, na)) starts a row, receive()
+    returns the helper's (entry at lo, top magnitude)."""
+    return _forked(lambda receive, send: _serve_rows(receive, send, cur, lo, L, bits, top))
 
 
 def chebyshev_coeffs(z, n_max: int, ctx: PrecisionContext) -> RecurrenceTable:
@@ -328,8 +272,9 @@ def chebyshev_coeffs(z, n_max: int, ctx: PrecisionContext) -> RecurrenceTable:
     l = n_max + 1: this process computes the entries below, one forked
     helper those above, both by _row.  The helper lives for this call only.
     Every entry is rounded as in the serial loop, so the table has the same
-    bits either way.  RuntimeError or BrokenPipeError if the helper ends
-    early; it is reaped whatever ends the call.
+    bits either way; if no helper can be forked, this process computes the
+    whole row.  RuntimeError or BrokenPipeError if the helper ends early; it
+    is killed and reaped whatever ends the call.
     """
     if n_max < 0:
         raise DomainError(f"n_max must be >= 0, got {n_max}")
@@ -351,9 +296,9 @@ def chebyshev_coeffs(z, n_max: int, ctx: PrecisionContext) -> RecurrenceTable:
         prev = [(0, 0)] * (L + 1)          # sigma_{-1,l}
         cur = [_image(v) for v in mu]      # sigma_{0,l}
         mid = n_max + 1                    # first l of the helper's half
-        helper = (_upper_rows(cur, mid, L, bits, max_mag) if _splits(n_max)
-                  else nullcontext((None, None)))
-        with helper as (send, receive):
+        helper = _upper_rows(cur, mid, L, bits, max_mag) if _splits(n_max) else nullcontext()
+        with helper as link:
+            send, receive = link or (None, None)
             for k in range(n_max):
                 new = [(0, 0)] * (L + 1)
                 nb, na = _image(-b[k]), _image(-a[k])

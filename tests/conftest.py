@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import os
+import signal
+from contextlib import contextmanager
+
 import mpmath as mp
 import pytest
 
@@ -23,6 +27,36 @@ def ctx256() -> PrecisionContext:
 @pytest.fixture
 def ctx128() -> PrecisionContext:
     return PrecisionContext(128)
+
+
+def assert_no_child():
+    """No child of this process is left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fails every test that leaves a child process behind: each helper the
+    library forks must be reaped before the call that forked it returns."""
+    yield
+    assert_no_child()
+
+
+@contextmanager
+def deadline(seconds: int, what: str):
+    """Raise TimeoutError(what) in this process if the block runs longer
+    than `seconds`, so a wait on a dead or stalled helper fails the test."""
+    def expired(signum, frame):
+        raise TimeoutError(what)
+
+    old = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
 
 
 def mpf_close(a, b, tol) -> bool:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import functools
+import os
 import random
 from fractions import Fraction
 
@@ -8,11 +9,11 @@ import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from conftest import horner, horner_d, poly_add, poly_diff, poly_mul, poly_sub, poly_trim, \
-    quotient_slope
+from conftest import assert_no_child, horner, horner_d, poly_add, poly_diff, poly_mul, poly_sub, \
+    poly_trim, quotient_slope
 from mpmath.libmp import from_man_exp, mpf_add, mpf_cmp, mpf_div, mpf_mul, round_nearest
 
-from tfreud import kernel
+from tfreud import kernel, recurrence
 from tfreud.kernel import (
     RESIDUAL_GUARD_BITS,
     ConvergenceError,
@@ -787,3 +788,15 @@ def test_zero_eigenvalue_is_exactly_zero():
     for cuts in (None, [mp.mpf(1)]):
         ev = tridiag_eigenvalues(diag, off2, ctx, cuts=cuts)
         assert _raws(ev) == _raws([mp.mpf(0), mp.mpf(2)])
+
+
+def test_no_helper_forks_another(monkeypatch):
+    # the process may use two CPUs, its helper may not: neither the row
+    # split nor verify forks again inside a helper
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert kernel._two_cpus() and recurrence._splits(160)
+    with kernel._forked(lambda receive, send:
+                        send((kernel._two_cpus(), recurrence._splits(160)))) as link:
+        assert link[1]() == (False, False)
+    assert_no_child()
+    assert kernel._two_cpus()

@@ -1,11 +1,11 @@
 from __future__ import annotations
 
 import os
-import signal
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from conftest import assert_no_child, deadline
 
 from tfreud import recurrence
 from tfreud.kernel import (
@@ -345,11 +345,6 @@ def split_rows(monkeypatch):
     yield forks
 
 
-def assert_no_child():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def test_split_exhausts_where_the_mpf_loop_does(monkeypatch, split_rows):
     # the split rows keep the guard in this process: it raises at the mpf
     # loop's index, and the helper is reaped on the way out
@@ -383,20 +378,24 @@ def test_split_raises_when_the_helper_fails(monkeypatch, split_rows):
             raise ArithmeticError("fault injected into the helper")
         return row(*args)
 
-    def hung(signum, frame):
-        raise TimeoutError("chebyshev_coeffs waited on a dead helper")
-
     monkeypatch.setattr(recurrence, "_row", failing)
-    old = signal.signal(signal.SIGALRM, hung)
-    signal.alarm(30)
-    try:
-        with pytest.raises(RuntimeError, match="helper"):
-            chebyshev_coeffs(1, 24, PrecisionContext(default_bits(24)))
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, old)
+    with deadline(30, "chebyshev_coeffs waited on a dead helper"), \
+            pytest.raises(RuntimeError, match="helper"):
+        chebyshev_coeffs(1, 24, PrecisionContext(default_bits(24)))
     assert split_rows
     assert_no_child()
+
+
+def test_split_builds_whole_rows_where_fork_fails(monkeypatch, split_rows):
+    def refused():
+        raise OSError("fork refused")
+
+    monkeypatch.setattr(os, "fork", refused)
+    ctx = PrecisionContext(default_bits(24))
+    tbl = chebyshev_coeffs(1, 24, ctx)
+    assert split_rows == [(25, 49)]
+    for got, ref in zip((tbl.a, tbl.b, tbl.h), _chebyshev_mpf(1, 24, ctx)):
+        assert [v._mpf_ for v in got] == [ctx.round(v)._mpf_ for v in ref]
 
 
 def test_split_guard_reads_the_helper_top(monkeypatch, split_rows):

@@ -1,7 +1,11 @@
 """The aggregated verification suite and its fault-injection negative control."""
 from __future__ import annotations
 
+import os
+import time
+
 import pytest
+from conftest import assert_no_child, deadline
 from mpmath import mp
 
 from tfreud import verify, zeros as zeros_module
@@ -116,48 +120,69 @@ def test_negative_residual_fails():
     assert not rep.overall
 
 
-def test_tables_and_zero_sets_built_once(monkeypatch):
-    builds, solves = [], []
+class CallLog:
+    """A count of calls made in this process and in any helper it forks:
+    each call appends one line to a file that a forked helper inherits."""
 
+    def __init__(self, path):
+        self.path, self.pid = path, os.getpid()
+        path.touch()
+
+    def __call__(self, text: str) -> None:
+        with open(self.path, "a") as fh:
+            fh.write(f"{os.getpid()} {text}\n")
+
+    def texts(self) -> list:
+        """The texts logged in this process, then those logged in helpers,
+        each in call order."""
+        rows = [line.split(" ", 1) for line in self.path.read_text().splitlines()]
+        return [text for pid, text in sorted(rows, key=lambda row: int(row[0]) != self.pid)]
+
+
+@pytest.fixture
+def call_log(tmp_path):
+    return CallLog(tmp_path / "calls")
+
+
+def test_tables_and_zero_sets_built_once(monkeypatch, call_log):
     def counted_build(z, n_max, ctx, *rest):
-        builds.append(mp.mpf(z))
+        call_log(f"build {mp.mpf(z)}")
         return chebyshev_coeffs(z, n_max, ctx, *rest)
 
     def counted_zeros(tbl, n, ctx, *rest):
-        solves.append((tbl, n))
+        call_log(f"solve {hash((tbl, n))}")
         return zeros(tbl, n, ctx, *rest)
 
     monkeypatch.setattr(verify, "chebyshev_coeffs", counted_build)
     monkeypatch.setattr(verify, "zeros", counted_zeros)
     run_verification(n_max=8)
+    builds = [t for t in call_log.texts() if t.startswith("build")]
+    solves = [t for t in call_log.texts() if t.startswith("solve")]
     assert len(solves) == len(set(solves))
     # one table per z of the default triple and of SCALE_Z, plus the
     # doubled-precision table of the precision-doubling check
     assert len(builds) == len({mp.mpf(1) / 4, mp.mpf(1), mp.mpf(4), *SCALE_Z}) + 1
 
 
-def test_one_recurrence_pass_per_z(monkeypatch):
-    degrees = []
-
+def test_one_recurrence_pass_per_z(monkeypatch, call_log):
     def counted_passes(tbl, n, x_samples):
-        degrees.append(n)
+        call_log(str(n))
         return recurrence_passes(tbl, n, x_samples)
 
     monkeypatch.setattr(verify, "recurrence_passes", counted_passes)
     z_values = (mp.mpf(1) / 4, 1, 4)
     run_verification(z_values=z_values, n_max=8)
+    degrees = [int(t) for t in call_log.texts()]
     # one pass per z to degree n_max + 2 feeds every sampled record of every
     # degree; the two more are the precision-doubling check's ladder passes
     assert len(degrees) == len(z_values) + 2
     assert degrees[:len(z_values)] == [8 + 2] * len(z_values)
 
 
-def test_one_call_per_record_function_per_z(monkeypatch):
-    calls = {}
-
+def test_one_call_per_record_function_per_z(monkeypatch, call_log):
     def counted(fn):
         def wrapper(tbl, arg, passes):
-            calls[fn.__name__] = calls.get(fn.__name__, 0) + 1
+            call_log(fn.__name__)
             return fn(tbl, arg, passes)
         return wrapper
 
@@ -166,10 +191,113 @@ def test_one_call_per_record_function_per_z(monkeypatch):
         monkeypatch.setattr(verify, name, counted(getattr(verify, name)))
     z_values = (mp.mpf(1) / 4, 1, 4)
     run_verification(z_values=z_values, n_max=8)
+    calls = {}
+    for name in call_log.texts():
+        calls[name] = calls.get(name, 0) + 1
     # each call scores every degree of its record; ladder_residuals has one
     # more call for each of the precision-doubling check's two tables
     assert calls == {"structure_residual": 3, "confluent_check": 3, "ladder_residuals": 5,
                      "lowering_residuals": 3}
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The helpers forked in the test, as seen by this process; cpus(k)
+    makes the process report k CPUs, so k = 1 takes the serial route."""
+    pids, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
+
+
+def cpus(monkeypatch, count: int) -> None:
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def record_bits(report) -> list:
+    return [(r.name, r.n_range, r.z_values, r.residual._mpf_, r.tolerance._mpf_, r.passed)
+            for r in report.records]
+
+
+@pytest.mark.parametrize("kwargs", [dict(n_max=8), dict(n_max=14),
+                                    dict(n_max=8, fault="a:3:1e-6"),
+                                    dict(n_max=8, z_values=(1,))],
+                         ids=["n8", "n14", "fault", "z1"])
+def test_helper_route_gives_the_serial_records(monkeypatch, forks, kwargs):
+    # one helper computes the records of every z but 1 and the doubled
+    # table; its worst values come back with every bit
+    cpus(monkeypatch, 2)
+    helped = run_verification(**kwargs)
+    assert len(forks) == 1
+    assert_no_child()
+    cpus(monkeypatch, 1)
+    serial = run_verification(**kwargs)
+    assert len(forks) == 1
+    assert record_bits(helped) == record_bits(serial)
+
+
+def test_no_fork_gives_the_serial_records(monkeypatch):
+    cpus(monkeypatch, 1)
+    serial = run_verification(n_max=8)
+
+    def refused():
+        raise OSError("fork refused")
+
+    cpus(monkeypatch, 2)
+    monkeypatch.setattr(os, "fork", refused)
+    assert record_bits(run_verification(n_max=8)) == record_bits(serial)
+
+
+def test_a_failing_helper_leaves_the_serial_report(monkeypatch, forks):
+    # the Lax check raises in the helper only: this process reads end of
+    # file, computes the helper's share itself and returns the serial report
+    cpus(monkeypatch, 1)
+    serial = run_verification(n_max=8)
+    parent, check = os.getpid(), verify.lax_block_check
+
+    def failing(*args):
+        if os.getpid() != parent:
+            raise ArithmeticError("fault injected into the helper")
+        return check(*args)
+
+    monkeypatch.setattr(verify, "lax_block_check", failing)
+    cpus(monkeypatch, 2)
+    with deadline(30, "run_verification waited on a dead helper"):
+        helped = run_verification(n_max=8)
+    assert len(forks) == 1
+    assert record_bits(helped) == record_bits(serial)
+    assert_no_child()
+
+
+def test_a_parent_error_propagates_and_the_helper_is_killed(monkeypatch, forks):
+    # the helper stalls and this process raises: the error leaves unchanged,
+    # and the helper is killed and reaped, not waited for
+    parent, check = os.getpid(), verify.lax_block_check
+    error = ArithmeticError("fault injected into the parent")
+
+    def stalled(*args):
+        if os.getpid() != parent:
+            time.sleep(60)
+        return check(*args)
+
+    def raising(t):
+        raise error
+
+    monkeypatch.setattr(verify, "lax_block_check", stalled)
+    monkeypatch.setattr(verify, "density_consistency", raising)
+    cpus(monkeypatch, 2)
+    with deadline(30, "run_verification waited on a stalled helper"), \
+            pytest.raises(ArithmeticError) as got:
+        run_verification(n_max=8)
+    assert got.value is error
+    assert len(forks) == 1
+    assert_no_child()
 
 
 def test_policy_gate_flags_low_bits():
