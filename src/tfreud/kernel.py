@@ -300,8 +300,10 @@ def _neg_images(b, a, n) -> tuple:
 # the monic three-term recurrence and the eigenvalues of its Jacobi matrix:
 # n - 1 cut points with one eigenvalue between each pair of neighbours, then
 # a Newton-Halley polish in each gap, seeded by the same iteration run in
-# binary64 (Python floats), so that only its last steps run at the working
-# precision (Brent & Zimmermann, Modern Computer Arithmetic, 2010, 4.2).
+# binary64 (Python floats) and carried on by one step at each level of a
+# precision ladder of 150, 450, 1350, ... bits, so that usually one step
+# runs at the working precision (Brent & Zimmermann, Modern Computer
+# Arithmetic, 2010, 4.2).
 # The eigensolver converts -b and -a to images once per matrix and runs the
 # recurrence on them in two loops, _ttrr_d2 for the Halley steps and _sturm
 # for a Sturm count with the sign of P_n, at an explicit precision `bits`,
@@ -440,56 +442,102 @@ def _seed(fb, fa, n, lo, hi, bits) -> tuple:
     return x if _cmp(lo, x) < 0 < _cmp(hi, x) else mid
 
 
-def _polish(nb, na, fb, fa, n, lo, hi, lo_up, tol, steps, bits) -> tuple:
-    """The image of the one zero of P_n in [lo, hi] (images, as `tol` is):
-    guarded Newton iteration on P_n from the binary64 seed of _seed (fb and
-    fa are the float images of b and a), each step corrected by P_n''
-    (Halley's method; _ttrr_d2 returns P_n'' anyway).  A step is accepted
-    only if it stays in the bracket; otherwise the bracket is halved at its
-    midpoint m, keeping the half where P_n changes sign (`lo_up` is true
-    when P_n(lo) > 0), and the iteration restarts from the new midpoint.
-    It stops once a step is within `tol`.  Every operation is rounded to
-    `bits` bits.  A zero within `tol` of 0 is exactly 0 where P_n(0) is."""
-    x = _seed(fb, fa, n, lo, hi, bits)
-    for _ in range(steps):
-        f, fp, fpp = _ttrr_d2(nb, na, n, x, bits)[-1]
-        if not f[0] or not fp[0]:
+def _step(level, work, x, bracket) -> tuple:
+    """One guarded Halley step on P_n from the image x: (x, bracket, dx).
+    P_n, P_n' and P_n'' come from _ttrr_d2 on `level`, (bits, nb, na) with
+    -b and -a rounded to `bits`, and every operation is rounded to `bits`.
+    The step is taken only if it stays in `bracket`, (lo, hi, lo_up) with
+    lo_up true when P_n(lo) > 0.  Otherwise the bracket is halved at its
+    midpoint m by the _sign of P_n at the working precision, read on the
+    level `work`, keeping the half where P_n changes sign; x becomes the
+    new midpoint and dx is None.  Where P_n or P_n' is 0, x stays and dx
+    is 0."""
+    bits, nb, na = level
+    lo, hi, lo_up = bracket
+    f, fp, fpp = _ttrr_d2(nb, na, len(nb), x, bits)[-1]
+    if not f[0] or not fp[0]:
+        return x, bracket, (0, 0)
+    dx = _div(f, fp, bits)
+    t = _div(_mul(dx, fpp, bits), (fp[0], fp[1] + 1), bits)
+    h = _add((1, 0), _neg(t), bits)
+    if h[0]:
+        dx = _div(dx, h, bits)
+    x1 = _sub(x, dx, bits)
+    if _cmp(lo, x1) <= 0 <= _cmp(hi, x1):
+        return x1, bracket, dx
+    bits, nb, na = work
+    m = _mid(lo, hi, bits)
+    bracket = (lo, m, lo_up) if _sign(nb, na, len(nb), m, bits) != lo_up else (m, hi, lo_up)
+    return _mid(bracket[0], bracket[1], bits), bracket, None
+
+
+def _exact_sum(u, v) -> tuple:
+    """u + v as an image, exactly."""
+    e = min(u[1], v[1])
+    return (u[0] << u[1] - e) + (v[0] << v[1] - e), e
+
+
+def _settled(x, dx, bracket, n, tol, bits) -> bool:
+    """Whether the accepted Halley step dx onto the image x left nothing
+    for a next step to change in x rounded to `bits` bits, as long as
+    evaluation noise stays within `tol`, as the stopping rule of _polish
+    assumes.  Two tests:
+    - the cubic bound n^2 |dx|^3 / (2 d^2) on the error of x is at most
+      tol 2^-8, d the distance from x to the nearer end of the bracket.
+      Every other zero of P_n lies outside the bracket, so Halley's
+      constant (S1^2 + S2) / 2, S_k the sum of 1 / (x - x_j)^k over the
+      other zeros x_j, is at most n (n - 1) / (2 d^2);
+    - x lies more than 2 tol from a tie of the rounding to `bits`:
+      x - 2 tol and x + 2 tol round alike.  Such ties lie closer together
+      than 2 tol near 0, so the zero rule of _polish is never skipped.
+    The next step would then move x by at most tol 2^-8 plus the noise."""
+    lo, hi, _ = bracket
+    d, d2 = _exact_sum(x, _neg(lo)), _exact_sum(hi, _neg(x))
+    if _cmp(d2, d) < 0:
+        d = d2
+    (m, e), (mt, et) = dx, tol
+    if _cmp((n * n * abs(m) ** 3, 3 * e), (mt * d[0] ** 2, et + 2 * d[1] - 7)) > 0:
+        return False
+    t = mt, et + 1
+    return _cmp(_round(*_exact_sum(x, _neg(t)), bits), _round(*_exact_sum(x, t), bits)) == 0
+
+
+def _polish(levels, fb, fa, lo, hi, lo_up, tol, bits) -> tuple:
+    """The image of the one zero of P_n in [lo, hi] (images, as `tol` is),
+    which the caller rounds to `bits` bits: guarded Halley steps (_step)
+    from the binary64 seed of _seed (fb and fa are the float images of b
+    and a).  `levels` is the precision ladder, its last level the working
+    precision; each level below takes one step, as a Halley step triples
+    the correct bits.  At most `bits` steps follow at the working
+    precision, until a step is within `tol` or _settled.  A zero within
+    `tol` of 0 is exactly 0 where P_n(0) is."""
+    *ladder, work = levels
+    wbits, nb, na = work
+    n, bracket = len(nb), (lo, hi, lo_up)
+    x = _seed(fb, fa, n, lo, hi, wbits)
+    for level in ladder:
+        x, bracket, _ = _step(level, work, x, bracket)
+    for _ in range(bits):
+        x, bracket, dx = _step(work, work, x, bracket)
+        if dx is not None and (_cmp((abs(dx[0]), dx[1]), tol) <= 0
+                               or _settled(x, dx, bracket, n, tol, bits)):
             break
-        dx = _div(f, fp, bits)
-        t = _div(_mul(dx, fpp, bits), (fp[0], fp[1] + 1), bits)
-        h = _add((1, 0), (-t[0], t[1]), bits)
-        if h[0]:
-            dx = _div(dx, h, bits)
-        x1 = _add(x, (-dx[0], dx[1]), bits)
-        if _cmp(lo, x1) > 0 or _cmp(x1, hi) > 0:
-            m = _mid(lo, hi, bits)
-            if _sign(nb, na, n, m, bits) != lo_up:
-                hi = m
-            else:
-                lo = m
-            x = _mid(lo, hi, bits)
-            continue
-        x = x1
-        if _cmp((abs(dx[0]), dx[1]), tol) <= 0:
-            break
-    if _cmp((abs(x[0]), x[1]), tol) <= 0 and _sign(nb, na, n, (0, 0), bits) is None:
+    if _cmp((abs(x[0]), x[1]), tol) <= 0 and _sign(nb, na, n, (0, 0), wbits) is None:
         return 0, 0
     return x
 
 
-def _interlaced(nb, na, fb, fa, ends, up, tol, steps, bits):
+def _interlaced(levels, fb, fa, ends, up, tol, bits):
     """The images of the n zeros of P_n, one polished in each gap of the
-    n + 1 ascending images `ends`, where P_n has the _sign `up`; None
-    unless P_n alternates in sign across them without vanishing, which
-    proves each gap holds exactly one zero."""
+    n + 1 ascending images `ends`, where P_n has the _sign `up`, for
+    rounding to `bits` bits; None unless P_n alternates in sign across them
+    without vanishing, which proves each gap holds exactly one zero."""
     if any(_cmp(lo, hi) >= 0 for lo, hi in zip(ends, ends[1:])):
         return None
     if None in up or any(s == t for s, t in zip(up, up[1:])):
         return None
-    n = len(nb)
-    return [_polish(nb, na, fb, fa, n, ends[k], ends[k + 1], up[k],
-                    tol(ends[k], ends[k + 1]), steps, bits)
-            for k in range(n)]
+    return [_polish(levels, fb, fa, ends[k], ends[k + 1], up[k], tol(ends[k], ends[k + 1]), bits)
+            for k in range(len(ends) - 1)]
 
 
 def tridiag_eigenvalues(diag, off2, ctx: PrecisionContext, cuts=None) -> list:
@@ -507,10 +555,13 @@ def tridiag_eigenvalues(diag, off2, ctx: PrecisionContext, cuts=None) -> list:
     through _ttrr_d2 polishes it to full context precision, and the sign of
     P_n halves the gap whenever the iteration leaves it.  The iteration
     starts where the same iteration in binary64 stopped, on float images of
-    the coefficients converted once per call, so that about three steps at
-    the working precision remain; it starts at the midpoint of the gap when
-    binary64 cannot hold the coefficients or P_n.  The loops run on integer
-    images of the coefficients, also converted once per call.  The cuts are
+    the coefficients converted once per call, or at the midpoint of the gap
+    when binary64 cannot hold the coefficients or P_n.  One step at each
+    level of 150, 450, 1350, ... bits below the working precision, on
+    images of the coefficients rounded to that level once per call, leaves
+    usually one step at the working precision, which the cubic error bound
+    stops away from a rounding tie.  The loops run on integer images of
+    the coefficients, also converted once per call.  The cuts are
     `cuts`, the n - 1 ascending zeros of P_{n-1}, which interlace with the
     eigenvalues; if none are given or P_n does not alternate across them,
     bisection places one cut between each pair of neighbouring eigenvalues,
@@ -542,6 +593,13 @@ def tridiag_eigenvalues(diag, off2, ctx: PrecisionContext, cuts=None) -> list:
         # integer images of -b and -a for every loop at `work`
         fd, fa = [float(v) for v in d], [float(v) for v in a_rec]
         nb, na = _neg_images(d, a_rec, n)
+        # the precision ladder of _polish: nb and na rounded to 150, 450,
+        # 1350, ... bits below `work` (the last at least work / 3), then `work`
+        levels, bits = [], 150
+        while bits < work:
+            levels.append((bits, [_round(*u, bits) for u in nb], [_round(*u, bits) for u in na]))
+            bits *= 3
+        levels.append((work, nb, na))
         # square roots only for the Gershgorin bracket
         e = [mp.sqrt(v) for v in off2]
 
@@ -570,12 +628,12 @@ def tridiag_eigenvalues(diag, off2, ctx: PrecisionContext, cuts=None) -> list:
         out = None
         if cuts is not None:
             ends = [lo] + [_image(mp.mpf(c)) for c in cuts] + [hi]
-            out = _interlaced(nb, na, fd, fa, ends,
-                              [_sign(nb, na, n, x, work) for x in ends], tol, ctx.bits, work)
+            out = _interlaced(levels, fd, fa, ends,
+                              [_sign(nb, na, n, x, work) for x in ends], tol, ctx.bits)
         if out is None:
             cut = _separators(nb, na, lo, hi, work)
             if cut is not None:
-                out = _interlaced(nb, na, fd, fa, *cut, tol, ctx.bits, work)
+                out = _interlaced(levels, fd, fa, *cut, tol, ctx.bits)
         if out is None:
             raise ConvergenceError("the working precision cannot separate the eigenvalues")
     return [_mpf(_round(*x, ctx.bits)) for x in out]

@@ -289,7 +289,7 @@ def test_output_determinism(tmp_path, capsys):
      "0237b2140481b4b9bf066e0ef7e3aa82d12e61f62b3a3d80a0e472e06347140d"),
     (("verify", "--n-max", "8"), 0,
      "3e203c3fb99f81a7ded37e74917b855c2a3191db0defbf59236cafe8160b1609"),
-])
+], ids=["zeros-all-12", "zeros-table-check", "verify-8"])
 def test_zeros_output_bits_pinned(capsys, argv, exit_code, sha256):
     # byte-identical output is a contract: any change to these digests must
     # be a deliberate, documented change of the computed zeros or records
@@ -305,7 +305,7 @@ def test_zeros_output_bits_pinned(capsys, argv, exit_code, sha256):
      "3b54438a5a818398be6b7d7901c53ad9692f825bc15bda64874d7a0df6ab0ab2"),
     (("coeffs", "--n-max", "40", "--z", "0.1"),
      "3397923b5c79000981646618a193be694ec4819c95efe2fe7d6f5ceaa331c2f2"),
-])
+], ids=["coeffs-160", "moments-160", "coeffs-40-z0.1"])
 def test_moment_route_output_bits_pinned(capsys, argv, sha256):
     # the moments and coefficients do not depend on which route computed
     # the moments: the recurrence route must print the closed form's bits

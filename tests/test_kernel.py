@@ -620,7 +620,10 @@ def _sign_mpf(b, a, n, x):
 
 
 def _polish_mpf(b, a, fb, fa, n, lo, hi, lo_up, tol, steps):
-    """kernel._polish in mpf, from the same binary64 seed."""
+    """kernel._polish in mpf, from the same binary64 seed, as it ran before
+    its precision ladder and its cubic-bound stop: every step at the
+    working precision, stopping only on a step within tol.  Its iterates
+    differ, its zeros rounded to the context precision may not."""
     x = kernel._mpf(kernel._seed(fb, fa, n, kernel._image(lo), kernel._image(hi), mp.mp.prec))
     for _ in range(steps):
         f, fp, fpp = _ttrr_d2_mpf(b, a, n, x)
@@ -788,6 +791,24 @@ def test_zero_eigenvalue_is_exactly_zero():
     for cuts in (None, [mp.mpf(1)]):
         ev = tridiag_eigenvalues(diag, off2, ctx, cuts=cuts)
         assert _raws(ev) == _raws([mp.mpf(0), mp.mpf(2)])
+
+
+def test_settled_needs_the_cubic_bound_and_no_tie():
+    # x = 3/2 in [1, 2]: d = 1/2, n = 2, tol = 2^-140, rounding to 128 bits,
+    # whose ties near x lie at odd multiples of 2^-128
+    bracket, tol = ((1, 0), (2, 0), True), (1, -140)
+    x = (3, -1)
+    # n^2 |dx|^3 = 2^-298 is far below tol 2^-8 (2 d^2) = 2^-149
+    assert kernel._settled(x, (1, -100), bracket, 2, tol, 128)
+    # a step of 2^-40 bounds the error by 2^-117 only
+    assert not kernel._settled(x, (1, -40), bracket, 2, tol, 128)
+    # within 2 tol = 2^-139 of the tie 3/2 + 2^-128, and just beyond it
+    near = ((3 << 140) + (1 << 13) + 1, -141)
+    beyond = ((3 << 140) + (1 << 13) + (1 << 4), -141)
+    assert not kernel._settled(near, (1, -100), bracket, 2, tol, 128)
+    assert kernel._settled(beyond, (1, -100), bracket, 2, tol, 128)
+    # near 0 the ties lie closer together than 2 tol
+    assert not kernel._settled((1, -200), (1, -100), ((-1, 0), (1, 0), True), 2, tol, 128)
 
 
 def test_no_helper_forks_another(monkeypatch):

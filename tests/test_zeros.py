@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 
 import pytest
 from hypothesis import given, settings
@@ -146,9 +147,10 @@ def test_zero_sweep_guard(tbl):
 
 @pytest.mark.parametrize("route", ["per-degree", "sweep"])
 def test_newton_fallback_step_runs(tbl, zsets, route, monkeypatch):
-    # the first Newton step of every polish is made 2^64 times too long, so
-    # it leaves the bracket and the fallback halves the bracket by the sign
-    # of P_n at its midpoint, read through _sturm; the bisection of
+    # the first Newton step of every polish, here the step of the ladder at
+    # 150 bits, is made 2^64 times too long, so it leaves the bracket and
+    # the fallback halves the bracket by the sign of P_n at its midpoint,
+    # read through _sturm at the working precision; the bisection of
     # _separators is never entered from the polish, nor on the sweep route
     real_polish, real_d2 = kernel._polish, kernel._ttrr_d2
     real_sturm, real_separators = kernel._sturm, kernel._separators
@@ -611,8 +613,9 @@ def test_float_seed_keeps_the_bits(zq, monkeypatch):
 
 
 def test_float_seed_leaves_three_full_precision_steps(monkeypatch):
-    # from a seed good to about 50 bits, Halley's cubic convergence needs
-    # three evaluations at 384 + 32 bits; the midpoint start needed about 6
+    # from a seed good to about 50 bits, every pass of the polish at any
+    # precision, the ladder's included, stays within 3.5 per zero; the
+    # midpoint start needed about 6 at 384 + 32 bits
     ctx = PrecisionContext(default_bits(16))
     t = chebyshev_coeffs(1, 16, ctx)
     calls = []
@@ -620,6 +623,48 @@ def test_float_seed_leaves_three_full_precision_steps(monkeypatch):
     monkeypatch.setattr(kernel, "_ttrr_d2", lambda *a: calls.append(1) or real(*a))
     sets = zero_sweep(t, 16, ctx)
     assert len(calls) <= 3.5 * sum(zs.n for zs in sets)
+
+
+@pytest.mark.parametrize("n, sweep, per_zero", [(16, True, 2.1), (64, False, 1.5),
+                                              (128, False, 1.5)],
+                         ids=["sweep16", "zeros64", "zeros128"])
+def test_polish_passes_at_the_working_precision(n, sweep, per_zero, monkeypatch):
+    # one Halley step at each level of the ladder leaves the iterate good to
+    # a third of the working bits, so one step at the working precision
+    # converges and _settled spares the step that would only confirm it;
+    # a full-precision polish alone made 2.98, 4.2 and 5.1 passes per zero
+    ctx = PrecisionContext(default_bits(n))
+    t = chebyshev_coeffs(1, n, ctx)
+    real, work, full = kernel._ttrr_d2, ctx.bits + 32, []
+
+    def d2(nb, na, k, x, bits):
+        full.append(bits == work)
+        return real(nb, na, k, x, bits)
+
+    monkeypatch.setattr(kernel, "_ttrr_d2", d2)
+    sets = zero_sweep(t, n, ctx) if sweep else [zeros(t, n, ctx)]
+    assert sum(full) <= per_zero * sum(zs.n for zs in sets)
+
+
+def _digest(sets):
+    return hashlib.sha256(repr([[tuple(map(int, v._mpf_)) for v in zs.values]
+                                for zs in sets]).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("zq, n, sweep, sha256", [
+    ("1", 160, False, "7872c7bf0150c42e2c2299dc844fc118647d368707fa3452eadd898e593e82ef"),
+    ("0.25", 48, True, "3265bfce40abcd428172751818280377e07c39cdceb11ef7d5f602e13d94c576"),
+    ("1", 48, True, "e5d1b66aa25bccd575ce798472e37fa41b128df66383919c273c28efcf8edcad"),
+    ("4", 48, True, "e007802577d09822a9bc0c49c61e31ec42e9b5697d0d1d09b8803a38cef034a1"),
+], ids=["zeros160-z1", "sweep48-z0.25", "sweep48-z1", "sweep48-z4"])
+def test_polish_keeps_the_bits_of_the_full_precision_loop(zq, n, sweep, sha256):
+    # the digests of zeros(tbl, 160) and of zero_sweep to 48 at default bits
+    # as the polish computed them when every step ran at the working
+    # precision and only a step within tol stopped it: the precision ladder
+    # and the cubic-bound stop keep every bit
+    ctx = PrecisionContext(default_bits(n))
+    t = chebyshev_coeffs(mp.mpf(zq), n, ctx)
+    assert _digest(zero_sweep(t, n, ctx) if sweep else [zeros(t, n, ctx)]) == sha256
 
 
 def test_sturm_cuts_are_evaluated_once(monkeypatch):
