@@ -1,8 +1,8 @@
 """Extended-precision numerical primitives shared by all modules.
 
-Everything here but the forked helper process (_forked), through which
-callers compute part of a result on a second CPU, is pure: results depend
-only on the arguments and the PrecisionContext.  Reals are mpmath mpf
+Everything here but the forked helper process (_forked, _answer), through
+which callers compute part of a result on a second CPU, is pure: results
+depend only on the arguments and the PrecisionContext.  Reals are mpmath mpf
 values; helpers run at a guarded working precision and round the result to
 the context precision, so that recomputing at higher precision reproduces
 the same context-rounded value.
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import partial
 
 import mpmath as mp
-from mpmath.libmp import from_man_exp, round_nearest, to_float
+from mpmath.libmp import MPZ, from_man_exp, round_nearest, to_float
 
 # Fixed slack absorbing benign rounding accumulation across O(n^2) arithmetic.
 SLACK_BITS = 12
@@ -89,23 +89,26 @@ def positive_finite(v, name: str) -> mp.mpf:
 
 
 # ---------------------------------------------------------------------------
-# one forked helper process: the row split of chebyshev_coeffs and the
-# per-z records of verify hand work to it.  Messages are marshal-ed ints and
-# tuples of them, length-prefixed, over two pipes.
+# one forked helper process: the row split of chebyshev_coeffs, the per-z
+# records of verify and the top degrees of zero_sweep hand work to it.
+# Messages are marshal-ed ints and tuples of them, length-prefixed, over two
+# pipes; an mpf crosses as its exact bits (_pack, _unpack).
 # ---------------------------------------------------------------------------
 
-# True in a forked helper only, whose memory is its own: no helper forks another.
-_IN_HELPER = False
+# True in a forked helper, whose memory is its own, and in its caller for as
+# long as the helper lives: neither forks another helper, which would put
+# three processes on two CPUs.
+_NO_FORK = False
 
 
 def _two_cpus() -> bool:
     """Whether this process may hand work to one forked helper: fork exists,
     the process may run on at least two CPUs, it runs no other thread (a
     fork copies no thread, and a lock another thread holds stays held in
-    the child), and it is not itself a helper."""
+    the child), and it neither is a helper nor has one alive (_NO_FORK)."""
     return (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
             and len(os.sched_getaffinity(0)) >= 2 and threading.active_count() == 1
-            and not _IN_HELPER)
+            and not _NO_FORK)
 
 
 def _send(pipe, msg) -> None:
@@ -124,6 +127,41 @@ def _receive(pipe):
     return marshal.loads(data) if len(head) == 8 and len(data) == size else None
 
 
+def _pack(v: mp.mpf) -> tuple:
+    """The bits of the mpf v as a tuple of ints that marshal sends."""
+    sign, man, exp, bc = v._mpf_
+    return sign, int(man), exp, bc
+
+
+def _unpack(t) -> mp.mpf:
+    """The mpf _pack packed, exactly."""
+    sign, man, exp, bc = t
+    return mp.make_mpf((sign, MPZ(man), exp, bc))
+
+
+def _current_cpu():
+    """The CPU this process last ran on, field 39 of /proc/self/stat, or
+    None where that cannot be read."""
+    try:
+        with open("/proc/self/stat", "rb") as stat:
+            return int(stat.read().rsplit(b")", 1)[1].split()[36])
+    except (OSError, ValueError, IndexError):
+        return None
+
+
+def _leave_cpu(cpu) -> None:
+    """Restrict this process to the CPUs it may use other than `cpu`, if
+    `cpu` is known and any others remain; nothing if that is refused."""
+    if cpu is None:
+        return
+    others = os.sched_getaffinity(0) - {cpu}
+    if others:
+        try:
+            os.sched_setaffinity(0, others)
+        except OSError:
+            pass
+
+
 @contextmanager
 def _forked(serve):
     """Fork one helper that runs serve(receive, send) and yield the caller's
@@ -134,8 +172,14 @@ def _forked(serve):
     BrokenPipeError once the helper has ended.  The helper leaves by
     os._exit when serve returns or raises, flushing nothing it inherited.
     However the caller leaves the block, it closes both pipes, kills the
-    helper, which has then nothing left to send, and reaps it."""
-    fds, pid = [], None
+    helper, which has then nothing left to send, and reaps it.  Inside the
+    block, and in the helper, _two_cpus() is False.
+
+    The helper first moves itself off the CPU the caller ran on at the fork,
+    where it may: a cpuset without load balancing keeps a forked child on
+    its parent's CPU, and the two processes would then share one CPU."""
+    global _NO_FORK
+    fds, pid, cpu = [], None, _current_cpu()
     try:
         fds += os.pipe()
         fds += os.pipe()
@@ -148,9 +192,9 @@ def _forked(serve):
         return
     down_r, down_w, up_r, up_w = fds
     if pid == 0:
-        global _IN_HELPER
-        _IN_HELPER, status = True, 1
+        _NO_FORK, status = True, 1
         try:
+            _leave_cpu(cpu)
             os.close(down_w)
             os.close(up_r)
             serve(partial(_receive, open(down_r, "rb")), partial(_send, open(up_w, "wb")))
@@ -166,12 +210,26 @@ def _forked(serve):
             raise RuntimeError("the helper process ended early")
         return msg
 
+    outer, _NO_FORK = _NO_FORK, True
     try:
         with open(down_w, "wb") as down, open(up_r, "rb") as up:
             yield partial(_send, down), receive
     finally:
+        _NO_FORK = outer
         os.kill(pid, signal.SIGKILL)      # an exited, unreaped helper takes it too
         os.waitpid(pid, 0)
+
+
+def _answer(link, work):
+    """The helper's answer on `link`, as _forked yields it, or work()
+    computed here if no helper was forked or it ended without answering, so
+    a failing helper leaves the serial result and the serial exception."""
+    if link is not None:
+        try:
+            return link[1]()
+        except RuntimeError:
+            pass
+    return work()
 
 
 # ---------------------------------------------------------------------------

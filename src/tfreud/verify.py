@@ -14,24 +14,26 @@ precision-doubling rebuild, while the caller computes the z = 1 block and
 the shared records (moments, scaling laws, the z = 1 zeros, the density).
 Worst values cross the pipe as the exact bits of each mpf, and merge by
 the same max and min in the same order, so the report has the same bits
-on one CPU or two."""
+on one CPU or two.  With no fault injected, the helper also sends back the
+zero sets of its sweeps that scaling-zeros reads."""
 from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
 import mpmath as mp
-from mpmath.libmp import MPZ
 
-from .kernel import DomainError, PrecisionContext, _forked, _two_cpus, default_bits
+from .kernel import (DomainError, PrecisionContext, _answer, _forked, _pack, _two_cpus, _unpack,
+                     default_bits)
 from .moments import MomentSequence, moment_recurrence_residual, stieltjes_residual
 from .operators import (beta_row, confluent_check, identity_i_residual, identity_ii_residual,
                         jacobi_matrix, ladder_residuals, lax_block_check, lowering_residuals,
                         mat_mul, recurrence_passes, sample_grid, structure_residual)
 from .recurrence import (RecurrenceTable, chebyshev_coeffs, h_scaling_check, lf_residual_1,
                          lf_residual_2, lf_residual_I, scaling_check)
-from .zeros import (density_consistency, density_normalization, interlacing_margin,
-                    largest_zero_bound, stationarity_check, zero_scaling_check, zero_sweep, zeros)
+from .zeros import (ZeroSet, _packed, density_consistency, density_normalization,
+                    interlacing_margin, largest_zero_bound, stationarity_check,
+                    zero_scaling_check, zero_sweep, zeros)
 
 SCALE_Z = (mp.mpf(1) / 16, mp.mpf(1) / 4, mp.mpf(4), mp.mpf(16))
 
@@ -182,37 +184,13 @@ def _z_records(z, tbl: RecurrenceTable, n_max: int, ctx: PrecisionContext, sweep
     return tuple(out)
 
 
-def _pack(v: mp.mpf) -> tuple:
-    """The bits of v as a tuple of ints that marshal sends."""
-    sign, man, exp, bc = v._mpf_
-    return sign, int(man), exp, bc
-
-
-def _unpack(t) -> mp.mpf:
-    """The mpf _pack packed, exactly."""
-    sign, man, exp, bc = t
-    return mp.make_mpf((sign, MPZ(man), exp, bc))
-
-
-def _answer(link, work):
-    """The helper's answer on `link` (see kernel._forked), or work() computed
-    here if no helper was forked or it ended without answering, so a failing
-    helper leaves the serial exception."""
-    if link is not None:
-        try:
-            return link[1]()
-        except RuntimeError:
-            pass
-    return work()
-
-
 def run_verification(z_values=(mp.mpf(1) / 4, 1, 4), n_max: int = 14,
                      bits: int | None = None, epsilon="1e-3",
                      fault: str | None = None) -> VerificationReport:
     """Run every residual family and return the collected records.
 
     Each table and sample grid is built once per call, each zero set once
-    per process, and every sampled record reads the one recurrence pass per
+    per call, and every sampled record reads the one recurrence pass per
     grid point.  `fault`
     ('a:3:1e-6' style) perturbs one entry of the table of every z in
     `z_values`, so a corrupted run must come back failing; the scaling
@@ -244,12 +222,19 @@ def run_verification(z_values=(mp.mpf(1) / 4, 1, 4), n_max: int = 14,
         tables = {z: inject_fault(clean[z], fault_parsed) if fault_parsed else clean[z]
                   for z in zs}
         far_zs = [z for z in zs if z != 1]
+        # scaling-zeros reads the degree-n_zero zeros of the clean tables;
+        # with no fault the sweeps of the far z in SCALE_Z hold them
+        n_zero = min(n_max, 10)
+        swept = [z for z in far_zs if z in SCALE_Z] if fault_parsed is None else []
 
         def far_share():
-            blocks = (_z_records(z, tables[z], n_max, ctx, zero_sweep(tables[z], n_top, ctx))
-                      for z in far_zs)
-            return (tuple(tuple(map(_pack, block)) for block in blocks),
-                    _doubling_stable(tbl_one, n_snap))
+            blocks, sets = [], []
+            for z in far_zs:
+                sweep = zero_sweep(tables[z], n_top, ctx)
+                blocks.append(tuple(map(_pack, _z_records(z, tables[z], n_max, ctx, sweep))))
+                if z in swept:
+                    sets.append(sweep[n_zero - 1])
+            return tuple(blocks), _doubling_stable(tbl_one, n_snap), _packed(sets)
 
         helper = _forked(lambda receive, send: send(far_share())) if _two_cpus() else nullcontext()
         with helper as link:
@@ -306,12 +291,11 @@ def run_verification(z_values=(mp.mpf(1) / 4, 1, 4), n_max: int = 14,
                     worst = max(worst, abs(ratio - 1))
             scaling.append(_rec("scaling-sigma", nrange, sdesc, worst, tol1))
 
-            n_zero = min(n_max, 10)
+            # the zero sets scaling-zeros reads that the helper does not send
             zs_one = zero_set(tbl_one, n_zero)
-            worst = max(zero_scaling_check(zero_set(clean[z], n_zero), zs_one, ctx)
-                        for z in SCALE_Z)
-            scaling.append(_rec("scaling-zeros", f"n={n_zero}", sdesc, worst,
-                             ctx.verify_tol(zs_one[n_zero - 1])))
+            for z in SCALE_Z:
+                if z not in swept:
+                    zero_set(clean[z], n_zero)
 
             # the z = 1 zeros: equilibrium and the largest-zero bound
             worst = mp.mpf(0)
@@ -335,8 +319,15 @@ def run_verification(z_values=(mp.mpf(1) / 4, 1, 4), n_max: int = 14,
             worst = abs(density_normalization(1) - 1)
             rest.append(_rec("density-normalization", "-", "t=1", worst, mp.mpf("1e-6")))
 
-            far, stable = _answer(link, far_share)
+            far, stable, sets = _answer(link, far_share)
         blocks += [tuple(map(_unpack, block)) for block in far]
+        for z, packed in zip(swept, sets):
+            solved[clean[z], n_zero] = ZeroSet(n_zero, ctx.round(clean[z].z),
+                                               tuple(map(_unpack, packed)))
+        worst = max(zero_scaling_check(zero_set(clean[z], n_zero), zs_one, ctx)
+                    for z in SCALE_Z)
+        scaling.append(_rec("scaling-zeros", f"n={n_zero}", sdesc, worst,
+                            ctx.verify_tol(zs_one[n_zero - 1])))
 
         # the per-z records: the worst over every z, the interlacing margin
         # the smallest

@@ -8,11 +8,16 @@
   from one pass of the recurrence; zero_sweep() solves degrees 1..n_max in
   turn and brackets each zero of P_n between consecutive zeros of P_{n-1},
   which interlace with them, so a degree costs a few polishing steps per
-  zero and no Sturm count.  Both return the same bits.  Each
-  polish starts from the same iteration run in binary64 (Python floats)
-  and takes one step at each level of a precision ladder (150, 450, 1350,
-  ... bits), so that usually one of its steps runs at the working
-  precision: about 1.04 per zero at n = 16 and 1.1-1.3 at n = 64-256.
+  zero and no Sturm count.  Both return the same bits.  From degree
+  SWEEP_SPLIT_MIN_DEGREE on, on a process that may use two CPUs,
+  zero_sweep cuts its degrees into two shares of about equal cost and one
+  forked helper solves the top share, its first degree as zeros() does;
+  the zeros come back with all their bits, so the sweep has the same bits
+  on one CPU or two.  Each polish starts from the same iteration run in
+  binary64 (Python floats) and takes one step at each level of a precision
+  ladder (150, 450, 1350, ... bits), so that usually one of its steps runs
+  at the working precision: about 1.04 per zero at n = 16 and 1.1-1.3 at
+  n = 64-256.
 * The weight |y| exp(-z y^8) on the whole line has even moments equal to the
   moments of exp(-z x^4) on (0, inf), so its monic family satisfies
   S_{2n}(y) = P_n(y^2) and a chain gamma_1, gamma_2, ... with
@@ -46,14 +51,35 @@
 """
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
+from itertools import accumulate
 
 import mpmath as mp
 
-from .kernel import (RESIDUAL_GUARD_BITS, DomainError, PrecisionContext, _div, _image, _mpf,
-                     positive_finite, tridiag_eigenvalues)
+from .kernel import (RESIDUAL_GUARD_BITS, DomainError, PrecisionContext, _answer, _div,
+                     _forked, _image, _mpf, _pack, _two_cpus, _unpack, positive_finite,
+                     tridiag_eigenvalues)
 from .operators import _over_x, ladder_A, recurrence_passes
 from .recurrence import RecurrenceTable, chebyshev_coeffs
+
+# Degree from which zero_sweep hands its top degrees to a forked helper
+# (_sweep_cut).  Below it the fork and the helper's start cost about what
+# the split saves: at z = 1 and default bits, medians of 11 alternating
+# pairs on a 2-core box took 11.9 ms serial and 12.4 ms split at n = 11,
+# 14.7 and 12.0 ms at n = 12 (BENCH_sweep_two_cpus.json).
+SWEEP_SPLIT_MIN_DEGREE = 12
+# The cost model that places the cut, in recurrence steps: degree n costs
+# n (n + SWEEP_ZERO_STEPS), n zeros, each a few recurrence passes of n steps
+# plus a per-zero constant; least-squares fits of per-degree times at
+# default bits gave 5.5 at n_max = 16, 2.1 at 32 and 2.3 at 64, and any
+# value from 2 to 8 moves the cut by at most one degree.  The helper's share also
+# pays its start (fork, first touch of its pages, cold caches), about 3 ms
+# or SWEEP_HELPER_STEPS steps at n_max = 16: with it the cut is one degree
+# higher at n_max = 12 and 16, where forced cuts timed in fresh interpreters
+# ran faster (BENCH_sweep_two_cpus.json).
+SWEEP_ZERO_STEPS = 4
+SWEEP_HELPER_STEPS = 200
 
 
 @dataclass(frozen=True)
@@ -89,19 +115,64 @@ def zeros(tbl: RecurrenceTable, n: int, ctx: PrecisionContext) -> ZeroSet:
     return ZeroSet(n, ctx.round(tbl.z), tuple(eig))
 
 
+def _sweep(tbl: RecurrenceTable, ctx: PrecisionContext, prev, n_top: int) -> list:
+    """The ZeroSets of the degrees after the ZeroSet prev (None: from degree
+    1) up to n_top, each solved in the brackets that the zeros of the degree
+    before it cut."""
+    z, out = ctx.round(tbl.z), []
+    for n in range(prev.n + 1 if prev else 1, n_top + 1):
+        eig = tridiag_eigenvalues(tbl.b[:n], tbl.a[1:n], ctx, cuts=prev.values if prev else ())
+        prev = ZeroSet(n, z, tuple(eig))
+        out.append(prev)
+    return out
+
+
+def _packed(sets) -> tuple:
+    """The zeros of each ZeroSet in sets as kernel._pack packs them, for a
+    helper's message."""
+    return tuple(tuple(map(_pack, zs.values)) for zs in sets)
+
+
+def _sweep_cut(n_max: int) -> int:
+    """The top degree zero_sweep solves in this process: n_max, or, from
+    SWEEP_SPLIT_MIN_DEGREE on where the process may use two CPUs
+    (kernel._two_cpus), the m that cuts degrees 1..n_max into the most
+    nearly equal shares, 1..m here and m+1..n_max in the helper, degree n
+    costing n (n + SWEEP_ZERO_STEPS) and the helper's start
+    SWEEP_HELPER_STEPS."""
+    if n_max < SWEEP_SPLIT_MIN_DEGREE or not _two_cpus():
+        return n_max
+    below = list(accumulate(n * (n + SWEEP_ZERO_STEPS) for n in range(n_max + 1)))
+    return min(range(1, n_max),
+               key=lambda m: max(below[m], below[-1] - below[m] + SWEEP_HELPER_STEPS))
+
+
 def zero_sweep(tbl: RecurrenceTable, n_max: int, ctx: PrecisionContext) -> list:
     """The ZeroSets of degrees 1..n_max, each equal to zeros(tbl, n, ctx).
     The zeros of P_{n-1} interlace with those of P_n, so they cut the n
-    brackets degree n is solved in."""
+    brackets degree n is solved in.
+
+    Where the cut m = _sweep_cut(n_max) lies below n_max, one helper
+    forked by kernel._forked solves degrees m+1..n_max while this process
+    solves 1..m: degree m+1 on its own, as zeros() does, which gives the
+    same bits, and each later degree cut by the one before.  Its zeros come
+    back with all their bits in one message.  If it cannot be forked, fails or dies,
+    this process carries the sweep on from its own degree m, so the result
+    and any exception are those of the serial sweep; the helper is killed
+    and reaped however the call ends."""
     if n_max < 1 or n_max > tbl.n_max:
         raise IndexError(f"need 1 <= n_max <= {tbl.n_max}, got {n_max}")
+    m = _sweep_cut(n_max)
+
+    def top_share(receive, send):
+        first = zeros(tbl, m + 1, ctx)
+        send(_packed([first] + _sweep(tbl, ctx, first, n_max)))
+
+    with _forked(top_share) if m < n_max else nullcontext() as link:
+        out = _sweep(tbl, ctx, None, m)
+        top = _answer(link, lambda: _packed(_sweep(tbl, ctx, out[-1], n_max)))
     z = ctx.round(tbl.z)
-    out = []
-    for n in range(1, n_max + 1):
-        cuts = out[-1].values if out else ()
-        eig = tridiag_eigenvalues(tbl.b[:n], tbl.a[1:n], ctx, cuts=cuts)
-        out.append(ZeroSet(n, z, tuple(eig)))
-    return out
+    return out + [ZeroSet(n, z, tuple(map(_unpack, packed))) for n, packed in enumerate(top, m + 1)]
 
 
 def interlacing_margin(outer: ZeroSet, inner: ZeroSet) -> mp.mpf:

@@ -13,7 +13,7 @@ from conftest import assert_no_child, horner, horner_d, poly_add, poly_diff, pol
     poly_trim, quotient_slope
 from mpmath.libmp import from_man_exp, mpf_add, mpf_cmp, mpf_div, mpf_mul, round_nearest
 
-from tfreud import kernel, recurrence
+from tfreud import kernel, recurrence, zeros as zeros_module
 from tfreud.kernel import (
     RESIDUAL_GUARD_BITS,
     ConvergenceError,
@@ -812,12 +812,31 @@ def test_settled_needs_the_cubic_bound_and_no_tie():
 
 
 def test_no_helper_forks_another(monkeypatch):
-    # the process may use two CPUs, its helper may not: neither the row
-    # split nor verify forks again inside a helper
+    # the process may use two CPUs; neither its helper nor the process while
+    # the helper lives may fork another: not the row split, not verify and
+    # not the zero sweep
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    assert kernel._two_cpus() and recurrence._splits(160)
+    assert kernel._two_cpus() and recurrence._splits(160) and zeros_module._sweep_cut(48) < 48
     with kernel._forked(lambda receive, send:
-                        send((kernel._two_cpus(), recurrence._splits(160)))) as link:
-        assert link[1]() == (False, False)
+                        send((kernel._two_cpus(), recurrence._splits(160),
+                              zeros_module._sweep_cut(48)))) as link:
+        assert not kernel._two_cpus()
+        assert not recurrence._splits(160) and zeros_module._sweep_cut(48) == 48
+        assert link[1]() == (False, False, 48)
     assert_no_child()
     assert kernel._two_cpus()
+
+
+def test_the_helper_leaves_the_callers_cpu(monkeypatch):
+    # a cpuset without load balancing keeps a forked child on its parent's
+    # CPU, so the helper restricts itself to the CPUs other than the one the
+    # caller ran on at the fork, where there are any
+    cpus = os.sched_getaffinity(0)
+    assert kernel._current_cpu() in cpus | {None}
+    here = min(cpus)
+    monkeypatch.setattr(kernel, "_current_cpu", lambda: here)
+    with kernel._forked(lambda receive, send: send(tuple(sorted(os.sched_getaffinity(0))))) \
+            as link:
+        assert set(link[1]()) == (cpus - {here} or cpus)
+    assert_no_child()
+    assert os.sched_getaffinity(0) == cpus

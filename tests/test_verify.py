@@ -164,6 +164,25 @@ def test_tables_and_zero_sets_built_once(monkeypatch, call_log):
     assert len(builds) == len({mp.mpf(1) / 4, mp.mpf(1), mp.mpf(4), *SCALE_Z}) + 1
 
 
+@pytest.mark.parametrize("count", [1, 2], ids=["one-cpu", "two-cpus"])
+@pytest.mark.parametrize("fault, solved", [(None, (SCALE_Z[0], SCALE_Z[3])),
+                                           ("a:3:1e-6", (*SCALE_Z, mp.mpf(1)))],
+                         ids=["clean", "fault"])
+def test_scaling_zeros_reads_the_far_sweeps(monkeypatch, call_log, count, fault, solved):
+    # with no fault the sweeps of z = 1/4 and z = 4 hold the degree-8 zero
+    # sets that scaling-zeros reads, and come back with them; a faulted run
+    # sweeps faulted tables, so every clean set is solved on its own
+    def counted_zeros(tbl, n, ctx, *rest):
+        call_log(f"{tbl.z} {n}")
+        return zeros(tbl, n, ctx, *rest)
+
+    monkeypatch.setattr(verify, "zeros", counted_zeros)
+    cpus(monkeypatch, count)
+    run_verification(n_max=8, fault=fault)
+    solves = [text.split() for text in call_log.texts()]
+    assert sorted(mp.mpf(z) for z, n in solves if n == "8") == sorted(solved)
+
+
 def test_one_recurrence_pass_per_z(monkeypatch, call_log):
     def counted_passes(tbl, n, x_samples):
         call_log(str(n))

@@ -3,16 +3,20 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import os
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from conftest import monic_polys
+from conftest import assert_no_child, deadline, monic_polys
 from mpmath import mp
 
+import tfreud.zeros as zeros_module
 from tfreud.cli import REF_ERRATA, REF_LARGEST, REF_SMALLEST
 from tfreud import kernel
-from tfreud.kernel import DomainError, PrecisionContext, default_bits, tridiag_eigenvalues
+from tfreud.kernel import (ConvergenceError, DomainError, PrecisionContext, default_bits,
+                           tridiag_eigenvalues)
 from tfreud.operators import recurrence_passes
 from tfreud.recurrence import chebyshev_coeffs
 from tfreud.zeros import (
@@ -59,6 +63,31 @@ def tbl():
 @pytest.fixture(scope="module")
 def zsets(tbl):
     return {n: zeros(tbl, n, CTX) for n in range(1, 15)}
+
+
+def one_cpu(monkeypatch) -> None:
+    """The process reports one CPU, so zero_sweep solves every degree
+    itself: for tests that count what this process computes."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+
+
+@pytest.fixture
+def split_sweep(monkeypatch):
+    """zero_sweep hands its top degrees to a forked helper from degree 2 on,
+    as on a box with two CPUs, whatever this one has; yields the pids of
+    the helpers forked, as this process sees them."""
+    pids, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(zeros_module, "SWEEP_SPLIT_MIN_DEGREE", 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "fork", counted)
+    yield pids
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +218,7 @@ def test_newton_fallback_step_runs(tbl, zsets, route, monkeypatch):
     monkeypatch.setattr(kernel, "_sturm", sturm)
     monkeypatch.setattr(kernel, "_polish", polish)
     monkeypatch.setattr(kernel, "_separators", separators)
+    one_cpu(monkeypatch)
     if route == "per-degree":
         got = [zeros(tbl, n, CTX) for n in range(2, 15)]
         assert seen["separators"] > 0
@@ -621,6 +651,7 @@ def test_float_seed_leaves_three_full_precision_steps(monkeypatch):
     calls = []
     real = kernel._ttrr_d2
     monkeypatch.setattr(kernel, "_ttrr_d2", lambda *a: calls.append(1) or real(*a))
+    one_cpu(monkeypatch)
     sets = zero_sweep(t, 16, ctx)
     assert len(calls) <= 3.5 * sum(zs.n for zs in sets)
 
@@ -642,6 +673,7 @@ def test_polish_passes_at_the_working_precision(n, sweep, per_zero, monkeypatch)
         return real(nb, na, k, x, bits)
 
     monkeypatch.setattr(kernel, "_ttrr_d2", d2)
+    one_cpu(monkeypatch)
     sets = zero_sweep(t, n, ctx) if sweep else [zeros(t, n, ctx)]
     assert sum(full) <= per_zero * sum(zs.n for zs in sets)
 
@@ -651,11 +683,17 @@ def _digest(sets):
                                 for zs in sets]).encode()).hexdigest()
 
 
+# zero_sweep to degree 48 at default bits, by z
+SWEEP48_SHA256 = {
+    "0.25": "3265bfce40abcd428172751818280377e07c39cdceb11ef7d5f602e13d94c576",
+    "1": "e5d1b66aa25bccd575ce798472e37fa41b128df66383919c273c28efcf8edcad",
+    "4": "e007802577d09822a9bc0c49c61e31ec42e9b5697d0d1d09b8803a38cef034a1",
+}
+
+
 @pytest.mark.parametrize("zq, n, sweep, sha256", [
     ("1", 160, False, "7872c7bf0150c42e2c2299dc844fc118647d368707fa3452eadd898e593e82ef"),
-    ("0.25", 48, True, "3265bfce40abcd428172751818280377e07c39cdceb11ef7d5f602e13d94c576"),
-    ("1", 48, True, "e5d1b66aa25bccd575ce798472e37fa41b128df66383919c273c28efcf8edcad"),
-    ("4", 48, True, "e007802577d09822a9bc0c49c61e31ec42e9b5697d0d1d09b8803a38cef034a1"),
+    *((zq, 48, True, sha256) for zq, sha256 in SWEEP48_SHA256.items()),
 ], ids=["zeros160-z1", "sweep48-z0.25", "sweep48-z1", "sweep48-z4"])
 def test_polish_keeps_the_bits_of_the_full_precision_loop(zq, n, sweep, sha256):
     # the digests of zeros(tbl, 160) and of zero_sweep to 48 at default bits
@@ -695,3 +733,107 @@ def test_sturm_cuts_are_evaluated_once(monkeypatch):
         seen["points"] = []
         zeros(t, n, ctx)
         assert len(seen["points"]) == len(set(seen["points"])) >= n + 1, n
+
+
+# ---------------------------------------------------------------------------
+# the sweep on two CPUs
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("zq", ["0.25", "1", "4"])
+def test_split_sweep_gives_the_serial_bits(zq, monkeypatch, split_sweep):
+    # the helper solves degrees m+1..n, the first on its own with Sturm
+    # cuts; whatever the cut, its zeros come back with every bit, and the
+    # sweep to 48 keeps its pinned digest
+    ctx = PrecisionContext(default_bits(48))
+    t = chebyshev_coeffs(mp.mpf(zq), 48, ctx)
+    built = len(split_sweep)            # the table's own row split
+    split = {n: zero_sweep(t, n, ctx) for n in (2, 3, 17, 48)}
+    assert len(split_sweep) == built + 4
+    assert_no_child()
+    assert _digest(split[48]) == SWEEP48_SHA256[zq]
+    one_cpu(monkeypatch)
+    serial = zero_sweep(t, 48, ctx)
+    assert len(split_sweep) == built + 4
+    for n, sets in split.items():
+        assert [zs.n for zs in sets] == list(range(1, n + 1))
+        assert [_bits(zs) for zs in sets] == [_bits(zs) for zs in serial[:n]], n
+
+
+def test_a_failing_helper_leaves_the_serial_sweep(monkeypatch, split_sweep):
+    # the helper's degree on its own raises ConvergenceError in the helper
+    # only: this process reads end of file and carries the sweep on from
+    # its own top degree
+    ctx = PrecisionContext(default_bits(16))
+    t = chebyshev_coeffs(1, 16, ctx)
+    parent, solve = os.getpid(), zeros_module.zeros
+
+    def failing(*args):
+        if os.getpid() != parent:
+            raise ConvergenceError("fault injected into the helper")
+        return solve(*args)
+
+    monkeypatch.setattr(zeros_module, "zeros", failing)
+    with deadline(30, "zero_sweep waited on a dead helper"):
+        got = zero_sweep(t, 16, ctx)
+    assert len(split_sweep) == 1
+    one_cpu(monkeypatch)
+    assert [_bits(zs) for zs in got] == [_bits(zs) for zs in zero_sweep(t, 16, ctx)]
+
+
+def test_a_convergence_error_in_the_callers_share_is_the_serial_one(monkeypatch, split_sweep):
+    # degree 3 fails in this process while the helper stalls: the sweep
+    # raises the error the serial sweep raises, and the helper is killed
+    # and reaped, not waited for
+    ctx = PrecisionContext(default_bits(16))
+    t = chebyshev_coeffs(1, 16, ctx)
+    parent, solve = os.getpid(), zeros_module.tridiag_eigenvalues
+    error = ConvergenceError("fault injected at degree 3")
+
+    def stalled_or_failing(diag, off2, ctx, cuts=None):
+        if os.getpid() != parent:
+            time.sleep(60)
+        elif len(diag) == 3:
+            raise error
+        return solve(diag, off2, ctx, cuts=cuts)
+
+    monkeypatch.setattr(zeros_module, "tridiag_eigenvalues", stalled_or_failing)
+    with deadline(30, "zero_sweep waited on a stalled helper"), \
+            pytest.raises(ConvergenceError) as got:
+        zero_sweep(t, 16, ctx)
+    assert got.value is error
+    assert len(split_sweep) == 1
+    assert_no_child()
+    one_cpu(monkeypatch)
+    with pytest.raises(ConvergenceError) as serial:
+        zero_sweep(t, 16, ctx)
+    assert serial.value is error
+
+
+def test_split_sweep_solves_every_degree_where_fork_fails(monkeypatch, split_sweep):
+    def refused():
+        raise OSError("fork refused")
+
+    ctx = PrecisionContext(default_bits(16))
+    t = chebyshev_coeffs(1, 16, ctx)
+    monkeypatch.setattr(os, "fork", refused)
+    got = zero_sweep(t, 16, ctx)
+    one_cpu(monkeypatch)
+    assert [_bits(zs) for zs in got] == [_bits(zs) for zs in zero_sweep(t, 16, ctx)]
+
+
+def test_sweep_cut_balances_the_cost_model(monkeypatch):
+    # one CPU or a low degree keeps the whole sweep here; otherwise the cut
+    # leaves the more costly share, the helper's with its start, at most
+    # one degree's cost above the other
+    one_cpu(monkeypatch)
+    assert zeros_module._sweep_cut(64) == 64
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    low = zeros_module.SWEEP_SPLIT_MIN_DEGREE - 1
+    assert zeros_module._sweep_cut(low) == low
+    for n_max in range(zeros_module.SWEEP_SPLIT_MIN_DEGREE, 130):
+        m = zeros_module._sweep_cut(n_max)
+        cost = [n * (n + zeros_module.SWEEP_ZERO_STEPS) for n in range(n_max + 1)]
+        here, there = sum(cost[:m + 1]), sum(cost[m + 1:]) + zeros_module.SWEEP_HELPER_STEPS
+        assert 1 <= m < n_max
+        assert abs(here - there) <= cost[m + 1], n_max
+    assert [zeros_module._sweep_cut(n) for n in (12, 14, 16, 32, 64)] == [10, 11, 13, 25, 50]
