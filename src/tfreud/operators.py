@@ -16,6 +16,9 @@ the distributional Pearson equation of the weight exp(-z*x^4) on (0, inf):
 * The degree-graded operator L = 4z*(J^4)_lower + diag(0,1,2,...) satisfies
   the compatibility identity J L - L J = J on rows unaffected by truncation.
 
+R_n, T_n and the band beta_{n,k} are written once, in the recurrence module;
+everything here reads them from the table's band (RecurrenceTable.band).
+
 The scalar identities i and ii return (residual, scale), to be judged as
 |residual| <= verify_tol(scale).  Every identity in x is checked on a
 log-spaced sample grid instead, reading P_k, P_k' and P_k'' from one
@@ -39,9 +42,9 @@ from itertools import accumulate
 
 import mpmath as mp
 
-from .kernel import (RESIDUAL_GUARD_BITS, DomainError, PrecisionContext, _add, _cmp, _div,
-                     _horner_d, _image, _mpf, _mul, _neg, _neg_images, _sub, _sum, _ttrr_d2)
-from .recurrence import RecurrenceTable, band_lower, band_row, bracket_i
+from .kernel import (DomainError, PrecisionContext, _add, _cmp, _div, _horner_d, _image, _mpf,
+                     _mul, _neg, _neg_images, _sub, _sum, _ttrr_d2)
+from .recurrence import RecurrenceTable
 
 
 def sample_grid(n: int, z, ctx: PrecisionContext, count: int):
@@ -77,7 +80,7 @@ def recurrence_passes(tbl: RecurrenceTable, n: int, x_samples) -> tuple:
     if n < 0 or n > tbl.n_max + 1:
         raise IndexError(f"need 0 <= n <= {tbl.n_max + 1}, got {n}")
     nb, na = _neg_images(tbl.b, tbl.a, n)
-    bits = tbl.ctx.bits + RESIDUAL_GUARD_BITS
+    bits = tbl.work_bits
     with tbl.workprec():
         xs = [mp.mpf(x) for x in x_samples]
     return tuple(RecurrencePass(x, tuple(_ttrr_d2(nb, na, n, _image(x), bits))) for x in xs)
@@ -118,22 +121,20 @@ class BetaRow:
 
 
 def beta_row(tbl: RecurrenceTable, n: int) -> BetaRow:
-    """The eight explicit coefficients; rows with n < 4 drop the k < 0 slots
-    (their formulas vanish through a_0 = 0 in exact arithmetic)."""
+    """The eight explicit coefficients: the three above the diagonal from b,
+    R and T, the diagonal and the lower band from the table's band; rows
+    with n < 4 drop the k < 0 slots (their formulas vanish through a_0 = 0
+    in exact arithmetic)."""
     if n < 0 or n > tbl.n_max - 3:
         raise IndexError(f"beta row needs 0 <= n <= {tbl.n_max - 3}, got {n}")
+    b, band, R, T = tbl.b, tbl.band, tbl.band.R, tbl.band.T
     with tbl.workprec():
-        return BetaRow(n, band_row(tbl.a, tbl.b, n))
-
-
-def beta_lower(tbl: RecurrenceTable, m: int) -> dict:
-    """Only beta_{m,m-1}..beta_{m,m-4}: what the structure relation needs.
-    Valid for m <= n_max - 1 (less lookahead than a full row); negative keys
-    carry exact zeros through the a_0 = 0 convention."""
-    if m < 1 or m > tbl.n_max - 1:
-        raise IndexError(f"need 1 <= m <= {tbl.n_max - 1}, got {m}")
-    with tbl.workprec():
-        return band_lower(tbl.a, tbl.b, m)
+        row = {n + 3: b[n] + b[n + 1] + b[n + 2] + b[n + 3],
+               n + 2: R[n + 2] + (b[n + 1] + b[n]) * (b[n + 2] + b[n + 1]) + R[n],
+               n + 1: T[n + 2] + (b[n + 1] + b[n]) * (R[n + 1] + R[n]) + T[n],
+               n: band.diagonal[n]}
+    row.update((n - 1 - j, v) for j, v in enumerate(band.lower[n][:n]))
+    return BetaRow(n, row)
 
 
 def jacobi_matrix(tbl: RecurrenceTable, size: int) -> list:
@@ -176,16 +177,15 @@ def structure_coeffs(tbl: RecurrenceTable, n: int) -> tuple:
     coefficients of x*P'_{n+1} - (n+1)*P_{n+1} over P_{n-3}..P_n."""
     if n < 0 or n > tbl.n_max - 2:
         raise IndexError(f"need 0 <= n <= {tbl.n_max - 2}, got {n}")
-    lower = beta_lower(tbl, n + 1)
     with tbl.workprec():
-        return tuple(4 * tbl.z * lower[n - j] for j in range(4))
+        return tuple(4 * tbl.z * v for v in tbl.band.lower[n + 1])
 
 
 def structure_residual(tbl: RecurrenceTable, n_max: int, passes) -> tuple:
     """Scaled max residual of x*P'_{n+1} - (n+1)*P_{n+1} - sum_j c_{n-j} P_{n-j}
     over the passes (each to degree >= n_max + 1), one per n = 0..n_max."""
     coeffs = [[_image(c) for c in structure_coeffs(tbl, n)[:n + 1]] for n in range(n_max + 1)]
-    bits = tbl.ctx.bits + RESIDUAL_GUARD_BITS
+    bits = tbl.work_bits
     worst = [(0, 0)] * (n_max + 1)
     for ps in passes:
         x = _image(ps.x)
@@ -210,7 +210,7 @@ def ladder_A(tbl: RecurrenceTable, n: int) -> tuple:
         raise IndexError(f"need 0 <= n <= {tbl.n_max - 1}, got {n}")
     with tbl.workprec():
         f = 4 * tbl.z
-        return tbl.at_zero[n] ** 2 / tbl.h[n], f * tbl.R(n), f * tbl.b[n], f
+        return tbl.at_zero[n] ** 2 / tbl.h[n], f * tbl.band.R[n], f * tbl.b[n], f
 
 
 def ladder_B(tbl: RecurrenceTable, n: int) -> tuple:
@@ -222,7 +222,7 @@ def ladder_B(tbl: RecurrenceTable, n: int) -> tuple:
     p0 = tbl.at_zero
     with tbl.workprec():
         f = 4 * tbl.z
-        return p0[n] * p0[n - 1] / tbl.h[n - 1], f * tbl.T(n), f * tbl.a[n]
+        return p0[n] * p0[n - 1] / tbl.h[n - 1], f * tbl.band.T[n], f * tbl.a[n]
 
 
 def _over_x(cs, x, bits) -> tuple:
@@ -240,7 +240,7 @@ def identity_i_residual(tbl: RecurrenceTable, n: int) -> tuple:
     if n < 0 or n > tbl.n_max - 1:
         raise IndexError(f"need 0 <= n <= {tbl.n_max - 1}, got {n}")
     with tbl.workprec():
-        lhs = 4 * tbl.z * bracket_i(tbl.a, tbl.b, n)
+        lhs = 4 * tbl.z * tbl.band.bracket[n]
         rhs = tbl.at_zero[n] ** 2 / tbl.h[n]
         return lhs - rhs, abs(lhs) + abs(rhs)
 
@@ -252,10 +252,10 @@ def identity_ii_residual(tbl: RecurrenceTable, n: int) -> tuple:
     each side is a difference of terms much larger than itself."""
     if n < 1 or n > tbl.n_max - 2:
         raise IndexError(f"need 1 <= n <= {tbl.n_max - 2}, got {n}")
-    p0, a, b = tbl.at_zero, tbl.a, tbl.b
+    p0, a, b, R, T = tbl.at_zero, tbl.a, tbl.b, tbl.band.R, tbl.band.T
     with tbl.workprec():
         f = 4 * tbl.z
-        up, down, t_up, t_dn = a[n + 1] * tbl.R(n + 1), a[n] * tbl.R(n - 1), tbl.T(n + 1), tbl.T(n)
+        up, down, t_up, t_dn = a[n + 1] * R[n + 1], a[n] * R[n - 1], T[n + 1], T[n]
         lhs = f * (up - down + b[n] * (t_up - t_dn))
         p_up, p_dn = p0[n + 1], a[n] * p0[n - 1]
         rhs = 1 + p0[n] * (p_up - p_dn) / tbl.h[n]
@@ -285,7 +285,7 @@ def ladder_residuals(tbl: RecurrenceTable, n_max: int, passes) -> tuple:
         raise IndexError(f"need 1 <= n_max <= {tbl.n_max - 2}, got {n_max}")
     A = [tuple(map(_image, ladder_A(tbl, k))) for k in range(n_max + 2)]
     B = [tuple(map(_image, ladder_B(tbl, k))) for k in range(1, n_max + 2)]
-    bits = tbl.ctx.bits + RESIDUAL_GUARD_BITS
+    bits = tbl.work_bits
     worst = [[(0, 0)] * 3 for _ in range(n_max)]
     with tbl.workprec():
         vps = [_image(4 * tbl.z * ps.x ** 3) for ps in passes]
@@ -395,7 +395,7 @@ def lowering_residuals(tbl: RecurrenceTable, n_max: int, passes) -> tuple:
     polys = [tuple(tuple(map(_image, cs)) for cs in (data.C, data.D))
              for data in (lowering_data(tbl, n) for n in range(2, n_max + 1))]
     a, b = (tuple(map(_image, v[:n_max + 2])) for v in (tbl.a, tbl.b))
-    bits = tbl.ctx.bits + RESIDUAL_GUARD_BITS
+    bits = tbl.work_bits
     low, up, composed = [(0, 0)] * (n_max - 1), [(0, 0)] * (n_max - 1), [(0, 0)] * (n_max - 2)
     for ps in passes:
         x, prev = _image(ps.x), None
@@ -430,7 +430,7 @@ def confluent_check(tbl: RecurrenceTable, n_max: int, passes) -> tuple:
     if n_max < 0 or n_max > tbl.n_max:
         raise IndexError(f"need 0 <= n_max <= {tbl.n_max}, got {n_max}")
     h = [_image(v) for v in tbl.h[:n_max + 1]]
-    bits = tbl.ctx.bits + RESIDUAL_GUARD_BITS
+    bits = tbl.work_bits
     worst = [(0, 0)] * (n_max + 1)
     for ps in passes:
         im = ps.images

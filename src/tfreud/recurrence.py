@@ -27,10 +27,11 @@ Laguerre-Freud system as two band identities,
 
     4z*beta_{n,n} = 2n+1,    4z*(beta_{n+1,n} - beta_{n,n-1}) = b_n,
 
-plus one nonlinear difference identity quadratic in the same data.  R, T,
-the band entries and the bracket T_{n+1} + b_n R_n + T_n are functions of
-the coefficient sequences (a, b), so they evaluate on a table and on trial
-sequences alike.  Forward generation from a seed is supported as a
+plus one nonlinear difference identity quadratic in the same data.  R, T
+and the band entries are functions of the coefficient sequences (a, b), so
+they evaluate on trial sequences too; a table evaluates them once, with the
+identity-i bracket T_{n+1} + b_n R_n + T_n, into its cached Band, which
+every record on it reads.  Forward generation from a seed is supported as a
 diagnostic only: it amplifies seed error at a rate of a few bits per step.
 
 Large-n behaviour: a_n ~ sqrt(n/(140z)) and b_n ~ 2*(n/(140z))^(1/4).  The
@@ -73,13 +74,13 @@ SPLIT_MIN_DEGREE = 48
 # ---------------------------------------------------------------------------
 # R, T and the x^4 band as functions of the coefficient sequences (a, b)
 # ---------------------------------------------------------------------------
-# Each runs at its caller's precision.  a_i and T_i read as zero for i < 1
-# and R_i for i < 0: a_0 = T_0 = 0 hold anyway, and the negative indices only
-# ever appear multiplied by a vanishing factor.
+# Each runs at its caller's precision.  The readers take a_i and T_i as zero
+# for i < 1 and R_i for i < 0: a_0 = T_0 = 0 hold anyway, and the negative
+# indices only ever appear multiplied by a vanishing factor.
 
-def _a_i(a, i: int):
-    """a_i, read as 0 for i < 1."""
-    return a[i] if i >= 1 else mp.mpf(0)
+def _entry(seq, lo: int, i: int):
+    """seq[i], read as 0 for i < lo."""
+    return seq[i] if i >= lo else mp.mpf(0)
 
 
 def _R_i(a, b, i: int):
@@ -93,54 +94,48 @@ def _T_i(a, b, i: int):
 
 
 def band_readers(a, b) -> tuple:
-    """(A, R, T): a_i, R_i and T_i of these sequences as functions of i."""
-    return partial(_a_i, a), partial(_R_i, a, b), partial(_T_i, a, b)
+    """(A, R, T): a_i, R_i and T_i of these sequences as functions of i,
+    each evaluated when it is read, so they follow a and b as they grow."""
+    return partial(_entry, a, 1), partial(_R_i, a, b), partial(_T_i, a, b)
 
 
-def band_diagonal(a, b, n: int):
-    """beta_{n,n}; reads a up to a_{n+2} and b up to b_{n+1}."""
-    A, R, T = band_readers(a, b)
+def band_diagonal(b, readers, n: int):
+    """beta_{n,n} from b and the readers (A, R, T) of a and b; reads a up to
+    a_{n+2} and b up to b_{n+1}."""
+    A, R, T = readers
     return (A(n + 2) * A(n + 1) + (b[n + 1] + b[n]) * T(n + 1) + R(n) ** 2
             + ((b[n - 1] + b[n]) * T(n) if n >= 1 else mp.mpf(0))
             + A(n) * A(n - 1))
 
 
-def band_lower(a, b, m: int) -> dict:
-    """beta_{m,m-1}..beta_{m,m-4}, negative keys included (they hold exact
-    zeros); reads a and b up to index m + 1."""
-    A, R, T = band_readers(a, b)
-    return {
-        m - 1: A(m) * (T(m + 1) + T(m - 1)) + T(m) * (R(m) + R(m - 1)),
-        m - 2: A(m) * A(m - 1) * (R(m) + R(m - 2)) + T(m) * T(m - 1),
-        m - 3: A(m - 1) * A(m - 2) * T(m) + A(m) * A(m - 1) * T(m - 2),
-        m - 4: A(m) * A(m - 1) * A(m - 2) * A(m - 3),
-    }
+def band_lower(readers, m: int) -> tuple:
+    """(beta_{m,m-1}, .., beta_{m,m-4}) from the readers (A, R, T), exact
+    zeros in negative columns; reads a and b up to index m + 1."""
+    A, R, T = readers
+    return (A(m) * (T(m + 1) + T(m - 1)) + T(m) * (R(m) + R(m - 1)),
+            A(m) * A(m - 1) * (R(m) + R(m - 2)) + T(m) * T(m - 1),
+            A(m - 1) * A(m - 2) * T(m) + A(m) * A(m - 1) * T(m - 2),
+            A(m) * A(m - 1) * A(m - 2) * A(m - 3))
 
 
-def band_row(a, b, n: int) -> dict:
-    """beta_{n,k} for k = max(0, n-4)..n+3, where x^4 P_n = P_{n+4}
-    + sum_k beta_{n,k} P_k; reads a and b up to index n + 3."""
-    _, R, T = band_readers(a, b)
-    row = {
-        n + 3: b[n] + b[n + 1] + b[n + 2] + b[n + 3],
-        n + 2: R(n + 2) + (b[n + 1] + b[n]) * (b[n + 2] + b[n + 1]) + R(n),
-        n + 1: T(n + 2) + (b[n + 1] + b[n]) * (R(n + 1) + R(n)) + T(n),
-        n: band_diagonal(a, b, n),
-    }
-    row.update((k, v) for k, v in band_lower(a, b, n).items() if k >= 0)
-    return row
+@dataclass(frozen=True)
+class Band:
+    """R[i] = R_i (i < n_max), T[i] = T_i (i <= n_max), bracket[n] =
+    T_{n+1} + b_n R_n + T_n (n < n_max; 4z times it is P_n(0)^2/h_n),
+    diagonal[n] = beta_{n,n} (n < n_max - 1) and lower[m] = band_lower at m
+    (m < n_max) of one table."""
 
-
-def bracket_i(a, b, n: int):
-    """T_{n+1} + b_n R_n + T_n: 4z times it is P_n(0)^2/h_n (identity i)."""
-    _, R, T = band_readers(a, b)
-    return T(n + 1) + b[n] * R(n) + T(n)
+    R: tuple
+    T: tuple
+    bracket: tuple
+    diagonal: tuple
+    lower: tuple
 
 
 @dataclass(frozen=True)
 class RecurrenceTable:
     """a_0..a_{n_max}, b_0..b_{n_max}, h_0..h_{n_max} at a fixed z and at the
-    precision of `ctx`; a_0 = 0.  R, T and sigma run at workprec(); at_zero
+    precision of `ctx`; a_0 = 0.  band and sigma run at workprec(); at_zero
     holds P_0(0)..P_{n_max}(0), and gamma the chain built from them."""
 
     z: mp.mpf
@@ -159,9 +154,14 @@ class RecurrenceTable:
     def n_max(self) -> int:
         return len(self.b) - 1
 
-    def workprec(self):
+    @property
+    def work_bits(self) -> int:
         """The working precision of every evaluation on this table."""
-        return self.ctx.workprec(RESIDUAL_GUARD_BITS)
+        return self.ctx.bits + RESIDUAL_GUARD_BITS
+
+    def workprec(self):
+        """mpmath's working precision set to work_bits."""
+        return mp.workprec(self.work_bits)
 
     @cached_property
     def at_zero(self) -> tuple:
@@ -172,6 +172,20 @@ class RecurrenceTable:
         nb, na = _neg_images(self.b, self.a, self.n_max)
         steps = _ttrr_d2(nb, na, self.n_max, (0, 0), self.ctx.bits + 32)
         return tuple(self.ctx.round(_mpf(p)) for p, _, _ in steps)
+
+    @cached_property
+    def band(self) -> Band:
+        """The Band at workprec(), derived on first use like at_zero: R and
+        T from a and b, the rest from the stored R and T under the zero rule
+        of band_readers."""
+        n, b = self.n_max, self.b
+        A, R, T = band_readers(self.a, b)
+        with self.workprec():
+            Rs, Ts = tuple(map(R, range(n))), tuple(map(T, range(n + 1)))
+            readers = A, partial(_entry, Rs, 0), partial(_entry, Ts, 1)
+            return Band(Rs, Ts, tuple(Ts[k + 1] + b[k] * Rs[k] + Ts[k] for k in range(n)),
+                        tuple(band_diagonal(b, readers, k) for k in range(n - 1)),
+                        tuple(band_lower(readers, m) for m in range(n)))
 
     @cached_property
     def gamma(self) -> tuple:
@@ -186,20 +200,6 @@ class RecurrenceTable:
                     out.append(-self.a[k] * p0[k - 1] / p0[k])
                 out.append(-p0[k + 1] / p0[k])
         return tuple(out)
-
-    def R(self, n: int) -> mp.mpf:
-        """R_n = a_{n+1} + b_n^2 + a_n; defined for 0 <= n <= n_max - 1."""
-        if n < 0 or n + 1 > self.n_max:
-            raise IndexError(f"R_{n} needs a_{n + 1}, table holds 0..{self.n_max}")
-        with self.workprec():
-            return _R_i(self.a, self.b, n)
-
-    def T(self, n: int) -> mp.mpf:
-        """T_n = a_n*(b_n + b_{n-1}); T_0 = 0, so b_{-1} is never read."""
-        if n < 0 or n > self.n_max:
-            raise IndexError(f"T_{n} outside table range 0..{self.n_max}")
-        with self.workprec():
-            return _T_i(self.a, self.b, n)
 
     def sigma(self, n: int) -> mp.mpf:
         """sigma_n = sum_{k<n} b_k: minus the subleading monic coefficient."""
@@ -273,8 +273,10 @@ def chebyshev_coeffs(z, n_max: int, ctx: PrecisionContext) -> RecurrenceTable:
     helper those above, both by _row.  The helper lives for this call only.
     Every entry is rounded as in the serial loop, so the table has the same
     bits either way; if no helper can be forked, this process computes the
-    whole row.  RuntimeError or BrokenPipeError if the helper ends early; it
-    is killed and reaped whatever ends the call.
+    whole row.  If the helper ends early, this process builds the whole table
+    again on its own once the helper is reaped, so the table and any
+    exception are the serial ones; the helper is killed and reaped whatever
+    ends the call.
     """
     if n_max < 0:
         raise DomainError(f"n_max must be >= 0, got {n_max}")
@@ -285,20 +287,22 @@ def chebyshev_coeffs(z, n_max: int, ctx: PrecisionContext) -> RecurrenceTable:
         L = 2 * n_max + 1
         t = (mp.mag(zv) + 1) // 4          # round(log2(z) / 4) in integers
         mu = [mp.ldexp(m, (j + 1) * t) for j, m in enumerate(moment_sequence(zv, L, ictx))]
-        max_mag = max(mp.mag(m) for m in mu)
-
-        a = [mp.mpf(0)]
-        b = [mu[1] / mu[0]]
-        h = [mu[0]]
-        # the rows are integer images with absolute l-indexing; row k+1
-        # holds l = k+1 .. L-(k+1).  Only the divisions and the guard on the
-        # diagonal entry read mpf values.
-        prev = [(0, 0)] * (L + 1)          # sigma_{-1,l}
-        cur = [_image(v) for v in mu]      # sigma_{0,l}
+        top = max(mp.mag(m) for m in mu)
+        sigma0 = [_image(v) for v in mu]   # sigma_{0,l}
         mid = n_max + 1                    # first l of the helper's half
-        helper = _upper_rows(cur, mid, L, bits, max_mag) if _splits(n_max) else nullcontext()
-        with helper as link:
-            send, receive = link or (None, None)
+
+        def eliminate(send, receive):
+            """(a, b, h); the entries l >= mid of each row come from the
+            helper if send is not None."""
+            max_mag = top
+            a = [mp.mpf(0)]
+            b = [mu[1] / mu[0]]
+            h = [mu[0]]
+            # the rows are integer images with absolute l-indexing; row k+1
+            # holds l = k+1 .. L-(k+1).  Only the divisions and the guard on
+            # the diagonal entry read mpf values.
+            prev = [(0, 0)] * (L + 1)          # sigma_{-1,l}
+            cur = sigma0
             for k in range(n_max):
                 new = [(0, 0)] * (L + 1)
                 nb, na = _image(-b[k]), _image(-a[k])
@@ -307,8 +311,8 @@ def chebyshev_coeffs(z, n_max: int, ctx: PrecisionContext) -> RecurrenceTable:
                 hi = mid if send else L - k
                 new[k + 1:hi], max_mag = _row(cur, prev, nb, na, k + 1, hi, bits, max_mag)
                 if send:
-                    new[mid], top = receive()
-                    max_mag = max(max_mag, top)
+                    new[mid], top_up = receive()
+                    max_mag = max(max_mag, top_up)
                 hk1, ck = _mpf(new[k + 1]), _mpf(cur[k])
                 if hk1 <= 0 or mp.mag(hk1) < max_mag - ictx.bits + 8:
                     raise PrecisionExhaustionError(
@@ -318,6 +322,14 @@ def chebyshev_coeffs(z, n_max: int, ctx: PrecisionContext) -> RecurrenceTable:
                 b.append(_mpf(new[k + 2]) / hk1 - _mpf(cur[k + 1]) / ck)
                 h.append(hk1)
                 prev, cur = cur, new
+            return a, b, h
+
+        with (_upper_rows(sigma0, mid, L, bits, top) if _splits(n_max) else nullcontext()) as link:
+            try:
+                rows = eliminate(*(link or (None, None)))
+            except (RuntimeError, BrokenPipeError):      # the helper ended early
+                rows = None
+        a, b, h = rows or eliminate(None, None)          # alone, once the helper is reaped
         return RecurrenceTable(ctx.round(zv),
                                tuple(ctx.round(mp.ldexp(v, -2 * t)) for v in a),
                                tuple(ctx.round(mp.ldexp(v, -t)) for v in b),
@@ -338,19 +350,17 @@ def lf_residual_1(tbl: RecurrenceTable, n: int) -> tuple:
     """4z*beta_{n,n} - (2n+1) and the scale 2n+1 of the right-hand side."""
     _check_lf_range(tbl, n, 0)
     with tbl.workprec():
-        return 4 * tbl.z * band_diagonal(tbl.a, tbl.b, n) - (2 * n + 1), mp.mpf(2 * n + 1)
+        return 4 * tbl.z * tbl.band.diagonal[n] - (2 * n + 1), mp.mpf(2 * n + 1)
 
 
 def lf_residual_2(tbl: RecurrenceTable, n: int) -> tuple:
     """4z*(beta_{n+1,n} - beta_{n,n-1}) - b_n and its scale: the larger of
     |b_n| and 4z a_{n+1}|T_{n+2} + T_n|, the leading term of 4z*beta_{n+1,n}."""
     _check_lf_range(tbl, n, 1)
-    a, b = tbl.a, tbl.b
-    _, _, T = band_readers(a, b)
+    b, band = tbl.b, tbl.band
     with tbl.workprec():
-        up, down = band_lower(a, b, n + 1)[n], band_lower(a, b, n)[n - 1]
-        scale = max(abs(b[n]), 4 * tbl.z * a[n + 1] * abs(T(n + 2) + T(n)))
-        return 4 * tbl.z * (up - down) - b[n], scale
+        scale = max(abs(b[n]), 4 * tbl.z * tbl.a[n + 1] * abs(band.T[n + 2] + band.T[n]))
+        return 4 * tbl.z * (band.lower[n + 1][0] - band.lower[n][0]) - b[n], scale
 
 
 def lf_residual_I(tbl: RecurrenceTable, n: int) -> tuple:
@@ -363,11 +373,10 @@ def lf_residual_I(tbl: RecurrenceTable, n: int) -> tuple:
     counting the square of its base's term sum (the product form is a
     product of sums of positive terms for this weight)."""
     _check_lf_range(tbl, n, 0)
-    a, b = tbl.a, tbl.b
-    _, R, T = band_readers(a, b)
+    a, b, band = tbl.a, tbl.b, tbl.band
     with tbl.workprec():
-        lhs = a[n + 1] * bracket_i(a, b, n + 1) * bracket_i(a, b, n)
-        base = (a[n + 1] * R(n + 1), b[n] * T(n + 1), a[n + 1] * a[n],
+        lhs = a[n + 1] * band.bracket[n + 1] * band.bracket[n]
+        base = (a[n + 1] * band.R[n + 1], b[n] * band.T[n + 1], a[n + 1] * a[n],
                 -mp.mpf(n + 1) / (4 * tbl.z))
         return lhs - sum(base) ** 2, abs(lhs) + sum(map(abs, base)) ** 2
 
@@ -389,13 +398,14 @@ def lf_forward(seed, n_max: int, reference: RecurrenceTable):
     with ctx.workprec(32):
         a = [mp.mpf(0), mp.mpf(a1)]
         b = [mp.mpf(b0), mp.mpf(b1)]
+        readers = band_readers(a, b)
         for n in range(n_max - 1):
             if a[n + 1] == 0:
                 raise ConvergenceError(f"forward recursion hit a_{n + 1} = 0 at step {n}")
             # a_{n+2} enters beta_{n,n} only through a_{n+2} a_{n+1}, so the
             # placeholder a_{n+2} = 0 leaves the known part of the entry
             a.append(mp.mpf(0))
-            a_next = (mp.mpf(2 * n + 1) / (4 * zv) - band_diagonal(a, b, n)) / a[n + 1]
+            a_next = (mp.mpf(2 * n + 1) / (4 * zv) - band_diagonal(b, readers, n)) / a[n + 1]
             if a_next <= 0:
                 raise ConvergenceError(
                     f"forward recursion produced a_{n + 2} = {mp.nstr(a_next, 8)} <= 0 at step {n}")
@@ -403,8 +413,8 @@ def lf_forward(seed, n_max: int, reference: RecurrenceTable):
             # b_{n+2} enters beta_{n+1,n} only through a_{n+1} T_{n+2}; the
             # placeholder b_{n+2} = -b_{n+1} makes T_{n+2} = 0
             b.append(-b[n + 1])
-            known = band_lower(a, b, n + 1)[n]
-            t_next = (b[n] / (4 * zv) + band_lower(a, b, n)[n - 1] - known) / a[n + 1]
+            known = band_lower(readers, n + 1)[0]
+            t_next = (b[n] / (4 * zv) + band_lower(readers, n)[0] - known) / a[n + 1]
             b[n + 2] = t_next / a_next - b[n + 1]
 
         h = [moment(0, zv, ctx)]

@@ -57,9 +57,8 @@ from itertools import accumulate
 
 import mpmath as mp
 
-from .kernel import (RESIDUAL_GUARD_BITS, DomainError, PrecisionContext, _answer, _div,
-                     _forked, _image, _mpf, _pack, _two_cpus, _unpack, positive_finite,
-                     tridiag_eigenvalues)
+from .kernel import (DomainError, PrecisionContext, _answer, _div, _forked, _image, _mpf, _pack,
+                     _two_cpus, _unpack, positive_finite, tridiag_eigenvalues)
 from .operators import _over_x, ladder_A, recurrence_passes
 from .recurrence import RecurrenceTable, chebyshev_coeffs
 
@@ -404,7 +403,7 @@ def _fields(tbl: RecurrenceTable, n: int, xs) -> list:
     calA_n from one Horner pass on its numerator: V_n = z x^4 +
     ln|calA_n/(4z)|, V_n' = 4z x^3 + calA_n'/calA_n."""
     num = tuple(map(_image, ladder_A(tbl, n)))
-    bits = tbl.ctx.bits + RESIDUAL_GUARD_BITS
+    bits = tbl.work_bits
     with tbl.workprec():
         z = tbl.z
         out = []

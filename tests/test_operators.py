@@ -12,7 +12,6 @@ from tfreud.kernel import RESIDUAL_GUARD_BITS, DomainError, PrecisionContext, _i
     default_bits
 from tfreud.moments import moment
 from tfreud.operators import (
-    beta_lower,
     beta_row,
     confluent_check,
     identity_i_residual,
@@ -30,7 +29,7 @@ from tfreud.operators import (
     structure_coeffs,
     structure_residual,
 )
-from tfreud.recurrence import chebyshev_coeffs, lf_residual_I
+from tfreud.recurrence import chebyshev_coeffs, lf_residual_1, lf_residual_2, lf_residual_I
 
 CTX = PrecisionContext(256)
 
@@ -110,8 +109,11 @@ def test_beta_row_guards(t16):
         beta_row(tbl, -1)
     with pytest.raises(IndexError):
         beta_row(tbl, tbl.n_max - 2)
+    # the lower band, which beta_row and structure_coeffs read, ends at
+    # m = n_max - 1, the last m whose entries the table holds
+    assert len(tbl.band.lower) == tbl.n_max
     with pytest.raises(IndexError):
-        beta_lower(tbl, 0)
+        tbl.band.lower[tbl.n_max]
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +295,18 @@ def test_identities_keep_their_margin_at_degree_196():
         assert abs(res) <= ctx.verify_tol(scale)
     res, scale = identity_ii_residual(tbl, 196)
     assert abs(res) <= ctx.verify_tol(scale) / 64
+    # the five scalar records of verify at z = 1 and default bits keep 3 bits
+    # of margin over n = 1..n_max (the worst measured, identity-i at n_max
+    # 200, reads 0.086 of verify_tol(1))
+    for n_max in (64, 128, 200):
+        ctx = PrecisionContext(default_bits(n_max))
+        tbl = chebyshev_coeffs(1, n_max + 2, ctx)
+        with ctx.workprec(64):
+            for fn in (lf_residual_1, lf_residual_2, lf_residual_I, identity_i_residual,
+                       identity_ii_residual):
+                worst = max(abs(res) / scale for res, scale in
+                            (fn(tbl, n) for n in range(1, n_max + 1)))
+                assert worst <= ctx.verify_tol(1) / 8, (n_max, fn.__name__)
 
 
 def test_compat_residuals(t16):

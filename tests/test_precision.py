@@ -31,7 +31,6 @@ from tfreud.moments import (
     stieltjes_residual,
 )
 from tfreud.operators import (
-    beta_lower,
     beta_row,
     confluent_check,
     identity_i_residual,
@@ -106,11 +105,14 @@ CASES = {
     "lf_residual_1": lambda: [lf_residual_1(TBL, n) for n in range(1, 11)],
     "lf_residual_2": lambda: [lf_residual_2(TBL, n) for n in range(1, 11)],
     "lf_residual_I": lambda: [lf_residual_I(TBL, n) for n in range(1, 11)],
-    "RecurrenceTable.R": lambda: [TBL.R(n) for n in range(10)],
-    "RecurrenceTable.T": lambda: [TBL.T(n) for n in range(10)],
+    # R, T and the lower band of a fresh copy's band, under the names of the
+    # accessors they replaced
+    "RecurrenceTable.R": lambda: dataclasses.replace(TBL).band.R,
+    "RecurrenceTable.T": lambda: dataclasses.replace(TBL).band.T,
     "RecurrenceTable.sigma": lambda: [TBL.sigma(n) for n in range(14)],
     # a fresh copy, so the cached value of TBL cannot answer for it
     "RecurrenceTable.at_zero": lambda: dataclasses.replace(TBL).at_zero,
+    "RecurrenceTable.band": lambda: dataclasses.replace(TBL).band,
     "RecurrenceTable.gamma": lambda: dataclasses.replace(TBL).gamma,
     "lf_forward": lambda: lf_forward((TBL.b[0], TBL.a[1], TBL.b[1]), 8, TBL),
     "asymptotic_ratio": lambda: asymptotic_ratio(TBL, 7),
@@ -120,7 +122,7 @@ CASES = {
     # recurrence_passes, under the name of the evaluator it replaced
     "ttrr_eval_d2": lambda: recurrence_passes(TBL, 9, ["0.7", XS[2]]),
     "beta_row": lambda: beta_row(TBL, 5),
-    "beta_lower": lambda: beta_lower(TBL, 5),
+    "beta_lower": lambda: dataclasses.replace(TBL).band.lower,
     "structure_coeffs": lambda: structure_coeffs(TBL, 5),
     "structure_residual": lambda: structure_residual(TBL, 5, PASSES),
     "ladder_A": lambda: ladder_A(TBL, 5),

@@ -8,6 +8,7 @@ import pytest
 from conftest import assert_no_child, deadline
 
 from tfreud import recurrence
+from tfreud.cli import main
 from tfreud.kernel import (
     ConvergenceError,
     DomainError,
@@ -91,16 +92,17 @@ def test_table_invariants():
     for n in range(1, 17):
         assert abs(tbl.h[n] - tbl.a[n] * tbl.h[n - 1]) <= ctx.verify_tol(tbl.h[n - 1])
     assert tbl.h[0] == moment(0, mp.mpf("0.5"), ctx)
-    assert tbl.T(0) == 0
+    assert tbl.band.T[0] == 0
 
 
 def test_accessor_guards():
     ctx = PrecisionContext(128)
     tbl = chebyshev_coeffs(1, 4, ctx)
+    # the band holds R_0..R_{n_max-1} and T_0..T_{n_max}
     with pytest.raises(IndexError):
-        tbl.R(4)
+        tbl.band.R[4]
     with pytest.raises(IndexError):
-        tbl.T(5)
+        tbl.band.T[5]
     with pytest.raises(IndexError):
         tbl.sigma(6)
     assert tbl.sigma(0) == 0
@@ -369,8 +371,9 @@ def test_split_matches_the_mpf_loop_and_reaps_its_helper(split_rows):
 
 
 def test_split_raises_when_the_helper_fails(monkeypatch, split_rows):
-    # the helper's row function raises in the helper only: the parent reads
-    # end of file and raises, where it would otherwise wait for the row
+    # the helper's row function raises in the helper only: the caller reads
+    # end of file where it would otherwise wait for the row, reaps the
+    # helper and builds the whole table alone, with the serial bits
     parent, row = os.getpid(), recurrence._row
 
     def failing(*args):
@@ -379,11 +382,36 @@ def test_split_raises_when_the_helper_fails(monkeypatch, split_rows):
         return row(*args)
 
     monkeypatch.setattr(recurrence, "_row", failing)
-    with deadline(30, "chebyshev_coeffs waited on a dead helper"), \
-            pytest.raises(RuntimeError, match="helper"):
-        chebyshev_coeffs(1, 24, PrecisionContext(default_bits(24)))
-    assert split_rows
+    ctx = PrecisionContext(default_bits(24))
+    with deadline(30, "chebyshev_coeffs waited on a dead helper"):
+        tbl = chebyshev_coeffs(1, 24, ctx)
+    assert split_rows == [(25, 49)]
     assert_no_child()
+    for got, ref in zip((tbl.a, tbl.b, tbl.h), _chebyshev_mpf(1, 24, ctx)):
+        assert [v._mpf_ for v in got] == [ctx.round(v)._mpf_ for v in ref]
+
+
+def test_coeffs_falls_back_when_the_helper_exits(monkeypatch, capsys, split_rows):
+    # the helper exits in its fourth row, so the caller's next send or
+    # receive fails: the command still exits 0 with the serial table
+    parent, row, rows = os.getpid(), recurrence._row, []
+
+    def exiting(*args):
+        if os.getpid() != parent:
+            rows.append(args[4])
+            if len(rows) == 4:
+                os._exit(0)
+        return row(*args)
+
+    monkeypatch.setattr(recurrence, "_row", exiting)
+    with deadline(30, "coeffs waited on a dead helper"):
+        assert main(["coeffs", "--n-max", "24"]) == 0
+    split = capsys.readouterr().out
+    assert split_rows == [(25, 49)]
+    assert_no_child()
+    monkeypatch.setattr(recurrence, "_splits", lambda n_max: False)
+    assert main(["coeffs", "--n-max", "24"]) == 0
+    assert capsys.readouterr().out == split
 
 
 def test_split_builds_whole_rows_where_fork_fails(monkeypatch, split_rows):

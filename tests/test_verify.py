@@ -8,12 +8,13 @@ import pytest
 from conftest import assert_no_child, deadline
 from mpmath import mp
 
-from tfreud import verify, zeros as zeros_module
+from tfreud import recurrence, verify, zeros as zeros_module
 from tfreud.kernel import DomainError, PrecisionContext, default_bits
+from tfreud.moments import MomentSequence
 from tfreud.operators import recurrence_passes
-from tfreud.recurrence import chebyshev_coeffs
+from tfreud.recurrence import chebyshev_coeffs, h_scaling_check, scaling_check
 from tfreud.verify import SCALE_Z, inject_fault, parse_fault, run_verification
-from tfreud.zeros import zeros
+from tfreud.zeros import zero_scaling_check, zero_sweep, zeros
 
 LF_NAMES = {"lf-eq1", "lf-eq12", "lf-nonlinear"}
 
@@ -217,6 +218,51 @@ def test_one_call_per_record_function_per_z(monkeypatch, call_log):
     # more call for each of the precision-doubling check's two tables
     assert calls == {"structure_residual": 3, "confluent_check": 3, "ladder_residuals": 5,
                      "lowering_residuals": 3}
+
+
+def test_z_records_evaluate_each_band_entry_once(monkeypatch):
+    # every record of one z reads R_i and T_i from the table's band, which
+    # evaluates each once: R_0..R_{n_max-1} and T_0..T_{n_max}
+    ctx = PrecisionContext(default_bits(32))
+    tbl = chebyshev_coeffs(1, 34, ctx)
+    sweep = zero_sweep(tbl, 14, ctx)
+    calls = []
+    for name in ("_R_i", "_T_i"):
+        def counted(a, b, i, fn=getattr(recurrence, name), name=name):
+            calls.append((name, i))
+            return fn(a, b, i)
+        monkeypatch.setattr(recurrence, name, counted)
+    verify._z_records(mp.mpf(1), tbl, 32, ctx, sweep)
+    assert sorted(calls) == [("_R_i", i) for i in range(34)] + [("_T_i", i) for i in range(35)]
+
+
+def test_sixteen_to_the_k_is_an_exact_image_of_z_one():
+    # at z = 16^k the elimination runs on the moments of z = 1 scaled by
+    # powers of two, so tables, moments and zeros are those of z = 1 times
+    # 2^(-2k), 2^(-k), 2^(-(2n+1)k), 2^(-(j+1)k) and 2^(-k), bit for bit;
+    # the scaling records read exactly 0 at z = 1/16 and 16
+    def image(values, shift) -> list:
+        return [mp.ldexp(v, shift(j))._mpf_ for j, v in enumerate(values)]
+
+    for n in (10, 16, 60):
+        ctx = PrecisionContext(default_bits(n))
+        one, moms = chebyshev_coeffs(1, n, ctx), MomentSequence.build(1, 2 * n + 1, ctx)
+        sweep = zero_sweep(one, n, ctx) if n <= 16 else None
+        for k in (-2, -1, 1, 2):
+            z = mp.mpf(16) ** k
+            tbl = chebyshev_coeffs(z, n, ctx)
+            assert [v._mpf_ for v in tbl.a] == image(one.a, lambda j: -2 * k)
+            assert [v._mpf_ for v in tbl.b] == image(one.b, lambda j: -k)
+            assert [v._mpf_ for v in tbl.h] == image(one.h, lambda j: -(2 * j + 1) * k)
+            assert [v._mpf_ for v in MomentSequence.build(z, 2 * n + 1, ctx).values] == \
+                image(moms.values, lambda j: -(j + 1) * k)
+            assert all(scaling_check(tbl, one, j) == (0, 0) for j in range(n + 1))
+            assert h_scaling_check(tbl, one, n) == 0
+            if n <= 16:
+                for got, want in zip(zero_sweep(tbl, n, ctx), sweep):
+                    assert [v._mpf_ for v in got] == image(want, lambda j: -k)
+                assert [v._mpf_ for v in zeros(tbl, n, ctx)] == image(sweep[-1], lambda j: -k)
+                assert zero_scaling_check(zeros(tbl, 10, ctx), sweep[9], ctx) == 0
 
 
 @pytest.fixture
