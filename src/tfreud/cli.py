@@ -134,11 +134,8 @@ def _fmt_value(v, cfg: RunConfig) -> str:
 
 
 def _json_value(v, cfg: RunConfig):
-    if isinstance(v, (int, bool)) or v is None:
-        return v
-    if isinstance(v, str):
-        return v
-    return _fmt_value(v, cfg)
+    """v as _fmt_value writes it, but an int, a bool or None as itself."""
+    return v if isinstance(v, (int, bool)) or v is None else _fmt_value(v, cfg)
 
 
 def _csv_cell(v: str) -> str:
@@ -159,8 +156,10 @@ def write_table(cfg: RunConfig, columns: list, rows: list, out_path=None) -> Non
             lines.append(",".join(_csv_cell(_fmt_value(row[c], cfg)) for c in columns))
         text = "\n".join(lines) + "\n"
     else:
-        # only the subcommands that read --z report it
-        z = {"z": mp.nstr(cfg.z, cfg.dps)} if "z" in ACCEPTS[cfg.command] else {}
+        # only the subcommands that read --z report it; verify reads it only
+        # where it is given, and checks its default triple otherwise
+        reads_z = "z" in ACCEPTS[cfg.command] and (cfg.z_given or cfg.command != "verify")
+        z = {"z": mp.nstr(cfg.z, cfg.dps)} if reads_z else {}
         payload = {
             "meta": {**z, "n_max": cfg.n_max, "bits": cfg.bits, "version": __version__},
             "data": [{c: _json_value(row[c], cfg) for c in columns} for row in rows],
@@ -242,19 +241,25 @@ def _t_label(t) -> str:
     return s.rstrip("0").rstrip(".") if "." in s else s
 
 
+def _density_grid(t, ctx: PrecisionContext) -> tuple:
+    """beta_t and the pairs (x, omega(x, t)) at the DENSITY_POINTS midpoints
+    x = beta_t (2j + 1) / (2 DENSITY_POINTS) of the support, x at the
+    caller's precision."""
+    beta = DensityModel.for_t(t, ctx).beta_t
+    omega = density_at(t, ctx)
+    xs = [beta * (2 * j + 1) / (2 * DENSITY_POINTS) for j in range(DENSITY_POINTS)]
+    return beta, [(x, omega(x)) for x in xs]
+
+
 def cmd_density(cfg: RunConfig) -> int:
     ctx = PrecisionContext(cfg.bits)
     multi = len(cfg.ts) > 1
     for t in cfg.ts:
         with ctx.workprec(64):
-            model = DensityModel.for_t(t, ctx)
-            omega = density_at(t, ctx)
+            beta, grid = _density_grid(t, ctx)
             total = density_normalization(t)
-            rows = []
-            for j in range(DENSITY_POINTS):
-                x = model.beta_t * (2 * j + 1) / (2 * DENSITY_POINTS)
-                rows.append({"x": x, "omega": omega(x),
-                             "beta_t": model.beta_t, "normalization": total})
+            rows = [{"x": x, "omega": w, "beta_t": beta, "normalization": total}
+                    for x, w in grid]
         out = cfg.out
         if out is not None and multi:
             stem, ext = os.path.splitext(out)
@@ -293,14 +298,9 @@ def cmd_figures(cfg: RunConfig) -> int:
         written.append(path)
 
     with ctx.workprec(64):
-        rows = []
-        for t in (mp.mpf("0.5"), mp.mpf(1), mp.mpf(2)):
-            model = DensityModel.for_t(t, ctx)
-            omega = density_at(t, ctx)
-            for j in range(DENSITY_POINTS):
-                x = model.beta_t * (2 * j + 1) / (2 * DENSITY_POINTS)
-                rows.append({"t": t, "x": x, "omega": omega(x)})
-        emit("figure1_density", ["t", "x", "omega"], rows)
+        emit("figure1_density", ["t", "x", "omega"],
+             [{"t": t, "x": x, "omega": w} for t in (mp.mpf("0.5"), mp.mpf(1), mp.mpf(2))
+              for x, w in _density_grid(t, ctx)[1]])
 
         tbl = chebyshev_coeffs(1, n_top, ctx)
         extremes = [(zs.n, zs[0], zs[-1]) for zs in zero_sweep(tbl, n_top, ctx)]

@@ -1,6 +1,6 @@
 """Extended-precision numerical primitives shared by all modules.
 
-Everything here but the forked helper process (_forked, _answer), through
+Everything here but the forked helper process (_forked, _beside), through
 which callers compute part of a result on a second CPU, is pure: results
 depend only on the arguments and the PrecisionContext.  Reals are mpmath mpf
 values; helpers run at a guarded working precision and round the result to
@@ -165,25 +165,28 @@ def _leave_cpu(cpu) -> None:
 @contextmanager
 def _forked(serve):
     """Fork one helper that runs serve(receive, send) and yield the caller's
-    (send, receive), or None if no helper could be forked.  In the helper,
-    receive() returns the caller's next message or None once the caller has
-    closed its end, and send(msg) answers.  In the caller, receive() raises
-    RuntimeError if the helper ended before it answered, and send raises
-    BrokenPipeError once the helper has ended.  The helper leaves by
-    os._exit when serve returns or raises, flushing nothing it inherited.
-    However the caller leaves the block, it closes both pipes, kills the
-    helper, which has then nothing left to send, and reaps it.  Inside the
-    block, and in the helper, _two_cpus() is False.
+    (send, receive), or None, forking nothing, where _two_cpus() is False
+    or the fork fails.  In the helper, receive() returns the caller's next
+    message or None once the caller has closed its end, and send(msg)
+    answers.  In the caller, receive() raises RuntimeError if the helper
+    ended before it answered, and send raises BrokenPipeError once the
+    helper has ended.  The helper leaves by os._exit when serve returns or
+    raises, flushing nothing it inherited.  However the caller leaves the
+    block, it closes both pipes, kills the helper, which has then nothing
+    left to send, and reaps it.  Inside the block, and in the helper,
+    _two_cpus() is False.
 
     The helper first moves itself off the CPU the caller ran on at the fork,
     where it may: a cpuset without load balancing keeps a forked child on
     its parent's CPU, and the two processes would then share one CPU."""
     global _NO_FORK
-    fds, pid, cpu = [], None, _current_cpu()
+    fds, pid = [], None
     try:
-        fds += os.pipe()
-        fds += os.pipe()
-        pid = os.fork()
+        if _two_cpus():
+            cpu = _current_cpu()
+            fds += os.pipe()
+            fds += os.pipe()
+            pid = os.fork()
     except OSError:
         for fd in fds:
             os.close(fd)
@@ -220,16 +223,23 @@ def _forked(serve):
         os.waitpid(pid, 0)
 
 
-def _answer(link, work):
-    """The helper's answer on `link`, as _forked yields it, or work()
-    computed here if no helper was forked or it ended without answering, so
-    a failing helper leaves the serial result and the serial exception."""
-    if link is not None:
-        try:
-            return link[1]()
-        except RuntimeError:
-            pass
-    return work()
+@contextmanager
+def _beside(work):
+    """Fork one helper that sends back work() and yield answer: answer()
+    returns the helper's answer, or work() computed here if no helper was
+    forked or it ended without answering, so a failing helper leaves the
+    serial result and the serial exception.  The helper is killed and
+    reaped however the block ends, as _forked does."""
+    with _forked(lambda receive, send: send(work())) as link:
+        def answer():
+            if link is not None:
+                try:
+                    return link[1]()
+                except RuntimeError:
+                    pass
+            return work()
+
+        yield answer
 
 
 # ---------------------------------------------------------------------------

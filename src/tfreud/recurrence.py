@@ -7,15 +7,15 @@ AGM and the four-step recurrence, no Gamma evaluation) by the modified-moment
 LOSS_BITS_PER_DEGREE bits per degree for the bits the map from moments to
 coefficients loses.  The O(n^2) elimination runs on the kernel's integer
 images, each step rounded exactly as mpf rounds it at the internal
-precision, so it gives the mpf loop's bits; the O(n)
-divisions and the guard on the norms run in mpf.  From degree
-SPLIT_MIN_DEGREE on, on a process that may use two CPUs, each row is split
-at l = n_max + 1 between the caller and one helper forked for that table
-alone, which exchange one short message per row over pipes; both halves run
-the same row function with the same roundings, so the table has the same
-bits on one CPU or two.  Final values are rounded
-to the caller's context, which the table keeps: every evaluation on a table
-runs at RecurrenceTable.workprec(), whatever mpmath's global precision is.
+precision, so it gives the mpf loop's bits; the O(n) divisions and the
+guard on the norms run in mpf.  From degree SPLIT_MIN_DEGREE on, on a
+process that may use two CPUs, each row is split at l = n_max + 1 between
+the caller and one helper that kernel._forked forks for that table alone,
+which exchange one short message per row over pipes; both halves run the
+same row function with the same roundings, so the table has the same bits
+on one CPU or two.  Final values are rounded to the caller's context,
+which the table keeps: every evaluation on a table runs at
+RecurrenceTable.workprec(), whatever mpmath's global precision is.
 The table also carries P_n(0), the value at the truncation point x = 0,
 from one pass of the kernel's recurrence: the ladder functions, identities
 i/ii, the external field and the largest-zero chain (gamma) read only that.
@@ -52,7 +52,7 @@ import mpmath as mp
 
 from .kernel import (RESIDUAL_GUARD_BITS, ConvergenceError, DomainError, PrecisionContext,
                      PrecisionExhaustionError, _add, _forked, _image, _mpf, _mul, _neg_images,
-                     _ttrr_d2, _two_cpus, positive_finite)
+                     _ttrr_d2, positive_finite)
 from .moments import moment, moment_sequence
 
 # Reserve for the moment map's precision loss, bits per degree.  Against
@@ -63,11 +63,11 @@ from .moments import moment, moment_sequence
 LOSS_BITS_PER_DEGREE = 4.5
 BASE_GUARD_BITS = 64
 # Degree from which chebyshev_coeffs splits each elimination row with a
-# forked helper (_splits).  Below it the fork and the two messages per row
-# cost more than half of each row saves: at z = 1 and default bits, medians
-# of 11 alternating pairs on a 2-core box took 11.3 ms serial and 12.9 ms
-# split at n = 40, 17.9 and 17.1 ms at n = 48, 26.6 and 21.2 ms at n = 56
-# (BENCH_split_rows.json).
+# helper forked by kernel._forked.  Below it the fork and the two messages
+# per row cost more than half of each row saves: at z = 1 and default bits,
+# medians of 11 alternating pairs on a 2-core box took 11.3 ms serial and
+# 12.9 ms split at n = 40, 17.9 and 17.1 ms at n = 48, 26.6 and 21.2 ms at
+# n = 56 (BENCH_split_rows.json).
 SPLIT_MIN_DEGREE = 48
 
 
@@ -229,13 +229,6 @@ def _row(cur, prev, nb, na, lo, hi, bits, top):
     return out, top
 
 
-def _splits(n_max: int) -> bool:
-    """Whether chebyshev_coeffs shares each row of a degree-n_max table with
-    a forked helper: from SPLIT_MIN_DEGREE on, where the process may use two
-    CPUs (kernel._two_cpus)."""
-    return n_max >= SPLIT_MIN_DEGREE and _two_cpus()
-
-
 def _serve_rows(receive, send, cur: list, lo: int, L: int, bits: int, top: int):
     """The helper's loop: for each (nb, na) received, the entries
     l = lo..L-1-k of row k+1 by _row, and (entry at lo, running top magnitude)
@@ -246,13 +239,6 @@ def _serve_rows(receive, send, cur: list, lo: int, L: int, bits: int, top: int):
         new[lo:L - k], top = _row(cur, prev, *msg, lo, L - k, bits, top)
         send((new[lo], top))
         prev, cur, k = cur, new, k + 1
-
-
-def _upper_rows(cur: list, lo: int, L: int, bits: int, top: int):
-    """A helper forked by kernel._forked that runs _serve_rows on the
-    entries l >= lo of every row: send((nb, na)) starts a row, receive()
-    returns the helper's (entry at lo, top magnitude)."""
-    return _forked(lambda receive, send: _serve_rows(receive, send, cur, lo, L, bits, top))
 
 
 def chebyshev_coeffs(z, n_max: int, ctx: PrecisionContext) -> RecurrenceTable:
@@ -268,15 +254,15 @@ def chebyshev_coeffs(z, n_max: int, ctx: PrecisionContext) -> RecurrenceTable:
     2^(-(2k+1)t): powers of two keep every rounded step exact, and the guard,
     which compares h_{k+1} with the largest moment, holds at extreme z.
 
-    From degree SPLIT_MIN_DEGREE on (see _splits) each row is split at
-    l = n_max + 1: this process computes the entries below, one forked
-    helper those above, both by _row.  The helper lives for this call only.
-    Every entry is rounded as in the serial loop, so the table has the same
-    bits either way; if no helper can be forked, this process computes the
-    whole row.  If the helper ends early, this process builds the whole table
-    again on its own once the helper is reaped, so the table and any
-    exception are the serial ones; the helper is killed and reaped whatever
-    ends the call.
+    From degree SPLIT_MIN_DEGREE on, where kernel._forked forks a helper,
+    each row is split at l = n_max + 1: this process computes the entries
+    below, the helper, running _serve_rows, those above, both by _row.  The
+    helper lives for this call only.  Every entry is rounded as in the
+    serial loop, so the table has the same bits either way; if no helper
+    can be forked, this process computes the whole row.  If the helper ends
+    early, this process builds the whole table again on its own once the
+    helper is reaped, so the table and any exception are the serial ones;
+    the helper is killed and reaped whatever ends the call.
     """
     if n_max < 0:
         raise DomainError(f"n_max must be >= 0, got {n_max}")
@@ -324,7 +310,8 @@ def chebyshev_coeffs(z, n_max: int, ctx: PrecisionContext) -> RecurrenceTable:
                 prev, cur = cur, new
             return a, b, h
 
-        with (_upper_rows(sigma0, mid, L, bits, top) if _splits(n_max) else nullcontext()) as link:
+        serve = partial(_serve_rows, cur=sigma0, lo=mid, L=L, bits=bits, top=top)
+        with _forked(serve) if n_max >= SPLIT_MIN_DEGREE else nullcontext() as link:
             try:
                 rows = eliminate(*(link or (None, None)))
             except (RuntimeError, BrokenPipeError):      # the helper ended early

@@ -14,17 +14,18 @@ precision-doubling rebuild, while the caller computes the z = 1 block and
 the shared records (moments, scaling laws, the z = 1 zeros, the density).
 Worst values cross the pipe as the exact bits of each mpf, and merge by
 the same max and min in the same order, so the report has the same bits
-on one CPU or two.  With no fault injected, the helper also sends back the
-zero sets of its sweeps that scaling-zeros reads."""
+on one CPU or two.  Each process sweeps the zeros of its tables once, the
+caller the z = 1 table's in every run.  scaling-zeros reads one zero set of
+each clean table: from that table's own sweep where one was made, else
+from zeros(), in the process that holds the z; the helper sends back the
+sets of its z."""
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
 import mpmath as mp
 
-from .kernel import (DomainError, PrecisionContext, _answer, _forked, _pack, _two_cpus, _unpack,
-                     default_bits)
+from .kernel import DomainError, PrecisionContext, _beside, _pack, _unpack, default_bits
 from .moments import MomentSequence, moment_recurrence_residual, stieltjes_residual
 from .operators import (beta_row, confluent_check, identity_i_residual, identity_ii_residual,
                         jacobi_matrix, ladder_residuals, lax_block_check, lowering_residuals,
@@ -196,11 +197,10 @@ def run_verification(z_values=(mp.mpf(1) / 4, 1, 4), n_max: int = 14,
     `z_values`, so a corrupted run must come back failing; the scaling
     records compare clean tables.
 
-    Once the tables are built, where the process may use two CPUs
-    (kernel._two_cpus), one forked helper takes the share the module
-    docstring names.  If it cannot be forked or ends without answering,
-    this process computes that share itself; the helper is killed and
-    reaped however the call ends."""
+    Once the tables are built, kernel._beside hands the share the module
+    docstring names to one forked helper.  If it cannot be forked or ends
+    without answering, this process computes that share itself; the helper
+    is killed and reaped however the call ends."""
     # the Lax block needs M >= 10 and M_lax = min(20, n_max + 3)
     if n_max < 8:
         raise DomainError(f"verification needs n_max >= 8, got {n_max}")
@@ -221,36 +221,30 @@ def run_verification(z_values=(mp.mpf(1) / 4, 1, 4), n_max: int = 14,
         tbl_one = clean[mp.mpf(1)]
         tables = {z: inject_fault(clean[z], fault_parsed) if fault_parsed else clean[z]
                   for z in zs}
+        tbl1 = tables.get(mp.mpf(1), tbl_one)
         far_zs = [z for z in zs if z != 1]
-        # scaling-zeros reads the degree-n_zero zeros of the clean tables;
-        # with no fault the sweeps of the far z in SCALE_Z hold them
+        far_scale = [z for z in SCALE_Z if z in far_zs]
+        # scaling-zeros reads the degree-n_zero zeros of the clean tables
         n_zero = min(n_max, 10)
-        swept = [z for z in far_zs if z in SCALE_Z] if fault_parsed is None else []
+
+        def clean_zeros(z, tbl, sweep):
+            """The degree-n_zero ZeroSet of clean[z]: from `sweep`, the zero
+            sets of tbl, if tbl is clean[z], else from zeros()."""
+            return sweep[n_zero - 1] if tbl is clean[z] else zeros(clean[z], n_zero, ctx)
 
         def far_share():
-            blocks, sets = [], []
+            blocks, sweeps = [], {}
             for z in far_zs:
-                sweep = zero_sweep(tables[z], n_top, ctx)
-                blocks.append(tuple(map(_pack, _z_records(z, tables[z], n_max, ctx, sweep))))
-                if z in swept:
-                    sets.append(sweep[n_zero - 1])
+                sweeps[z] = zero_sweep(tables[z], n_top, ctx)
+                blocks.append(tuple(map(_pack, _z_records(z, tables[z], n_max, ctx, sweeps[z]))))
+            sets = [clean_zeros(z, tables[z], sweeps[z]) for z in far_scale]
             return tuple(blocks), _doubling_stable(tbl_one, n_snap), _packed(sets)
 
-        helper = _forked(lambda receive, send: send(far_share())) if _two_cpus() else nullcontext()
-        with helper as link:
-            solved, blocks = {}, []
-            tbl1 = tables.get(mp.mpf(1), tbl_one)
-            if mp.mpf(1) in tables:
-                # the zeros of degrees 1..14 of the z = 1 table come from one
-                # sweep, which the interlacing and z = 1 zero records read
-                sweep = zero_sweep(tbl1, n_top, ctx)
-                solved.update(((tbl1, zset.n), zset) for zset in sweep)
-                blocks = [_z_records(mp.mpf(1), tbl1, n_max, ctx, sweep)]
-
-            def zero_set(tbl, n):
-                if (tbl, n) not in solved:
-                    solved[tbl, n] = zeros(tbl, n, ctx)
-                return solved[tbl, n]
+        with _beside(far_share) as answer:
+            # the zeros of degrees 1..n_top of the z = 1 table come from one
+            # sweep, which every z = 1 record reads
+            sweep = zero_sweep(tbl1, n_top, ctx)
+            blocks = [_z_records(mp.mpf(1), tbl1, n_max, ctx, sweep)] if mp.mpf(1) in tables else []
 
             zdesc = _zdesc(zs)
             nrange = f"1..{n_max}"
@@ -292,21 +286,19 @@ def run_verification(z_values=(mp.mpf(1) / 4, 1, 4), n_max: int = 14,
             scaling.append(_rec("scaling-sigma", nrange, sdesc, worst, tol1))
 
             # the zero sets scaling-zeros reads that the helper does not send
-            zs_one = zero_set(tbl_one, n_zero)
-            for z in SCALE_Z:
-                if z not in swept:
-                    zero_set(clean[z], n_zero)
+            zs_one = clean_zeros(mp.mpf(1), tbl1, sweep)
+            zsets = {z: zeros(clean[z], n_zero, ctx) for z in SCALE_Z if z not in far_scale}
 
             # the z = 1 zeros: equilibrium and the largest-zero bound
             worst = mp.mpf(0)
             for n in (6, min(12, n_max)):
-                worst = max(worst, stationarity_check(tbl1, zero_set(tbl1, n)))
+                worst = max(worst, stationarity_check(tbl1, sweep[n - 1]))
             rest = [_rec("stationarity", f"6,{min(12, n_max)}", "1", worst, mp.mpf("1e-8"))]
 
             worst_ratio = mp.mpf(0)
             for n in range(2, n_top + 1):
                 bound = largest_zero_bound(tbl1, n, eps=epsilon)
-                worst_ratio = max(worst_ratio, zero_set(tbl1, n)[n - 1] / bound)
+                worst_ratio = max(worst_ratio, sweep[n - 1][n - 1] / bound)
             rest.append(CheckRecord("largest-zero-bound", f"2..{n_top}", "1",
                                     worst_ratio, mp.mpf(1), bool(worst_ratio < 1)))
 
@@ -319,13 +311,11 @@ def run_verification(z_values=(mp.mpf(1) / 4, 1, 4), n_max: int = 14,
             worst = abs(density_normalization(1) - 1)
             rest.append(_rec("density-normalization", "-", "t=1", worst, mp.mpf("1e-6")))
 
-            far, stable, sets = _answer(link, far_share)
+            far, stable, sets = answer()
         blocks += [tuple(map(_unpack, block)) for block in far]
-        for z, packed in zip(swept, sets):
-            solved[clean[z], n_zero] = ZeroSet(n_zero, ctx.round(clean[z].z),
-                                               tuple(map(_unpack, packed)))
-        worst = max(zero_scaling_check(zero_set(clean[z], n_zero), zs_one, ctx)
-                    for z in SCALE_Z)
+        for z, packed in zip(far_scale, sets):
+            zsets[z] = ZeroSet(n_zero, ctx.round(clean[z].z), tuple(map(_unpack, packed)))
+        worst = max(zero_scaling_check(zsets[z], zs_one, ctx) for z in SCALE_Z)
         scaling.append(_rec("scaling-zeros", f"n={n_zero}", sdesc, worst,
                             ctx.verify_tol(zs_one[n_zero - 1])))
 

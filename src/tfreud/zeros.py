@@ -10,9 +10,9 @@
   which interlace with them, so a degree costs a few polishing steps per
   zero and no Sturm count.  Both return the same bits.  From degree
   SWEEP_SPLIT_MIN_DEGREE on, on a process that may use two CPUs,
-  zero_sweep cuts its degrees into two shares of about equal cost and one
-  forked helper solves the top share, its first degree as zeros() does;
-  the zeros come back with all their bits, so the sweep has the same bits
+  zero_sweep cuts its degrees into two shares of about equal cost, each
+  begun as zeros() begins it, and one forked helper solves the top share;
+  its zeros come back with all their bits, so the sweep has the same bits
   on one CPU or two.  Each polish starts from the same iteration run in
   binary64 (Python floats) and takes one step at each level of a precision
   ladder (150, 450, 1350, ... bits), so that usually one of its steps runs
@@ -51,14 +51,13 @@
 """
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import accumulate
 
 import mpmath as mp
 
-from .kernel import (DomainError, PrecisionContext, _answer, _div, _forked, _image, _mpf, _pack,
-                     _two_cpus, _unpack, positive_finite, tridiag_eigenvalues)
+from .kernel import (DomainError, PrecisionContext, _beside, _div, _image, _mpf, _pack, _two_cpus,
+                     _unpack, positive_finite, tridiag_eigenvalues)
 from .operators import _over_x, ladder_A, recurrence_passes
 from .recurrence import RecurrenceTable, chebyshev_coeffs
 
@@ -114,15 +113,13 @@ def zeros(tbl: RecurrenceTable, n: int, ctx: PrecisionContext) -> ZeroSet:
     return ZeroSet(n, ctx.round(tbl.z), tuple(eig))
 
 
-def _sweep(tbl: RecurrenceTable, ctx: PrecisionContext, prev, n_top: int) -> list:
-    """The ZeroSets of the degrees after the ZeroSet prev (None: from degree
-    1) up to n_top, each solved in the brackets that the zeros of the degree
-    before it cut."""
-    z, out = ctx.round(tbl.z), []
-    for n in range(prev.n + 1 if prev else 1, n_top + 1):
-        eig = tridiag_eigenvalues(tbl.b[:n], tbl.a[1:n], ctx, cuts=prev.values if prev else ())
-        prev = ZeroSet(n, z, tuple(eig))
-        out.append(prev)
+def _sweep(tbl: RecurrenceTable, ctx: PrecisionContext, lo: int, hi: int) -> list:
+    """The ZeroSets of degrees lo..hi: degree lo by zeros(), each later
+    degree in the brackets that the zeros of the degree before it cut."""
+    out = [zeros(tbl, lo, ctx)]
+    for n in range(lo + 1, hi + 1):
+        eig = tridiag_eigenvalues(tbl.b[:n], tbl.a[1:n], ctx, cuts=out[-1].values)
+        out.append(ZeroSet(n, out[0].z, tuple(eig)))
     return out
 
 
@@ -151,27 +148,24 @@ def zero_sweep(tbl: RecurrenceTable, n_max: int, ctx: PrecisionContext) -> list:
     The zeros of P_{n-1} interlace with those of P_n, so they cut the n
     brackets degree n is solved in.
 
-    Where the cut m = _sweep_cut(n_max) lies below n_max, one helper
-    forked by kernel._forked solves degrees m+1..n_max while this process
-    solves 1..m: degree m+1 on its own, as zeros() does, which gives the
-    same bits, and each later degree cut by the one before.  Its zeros come
-    back with all their bits in one message.  If it cannot be forked, fails or dies,
-    this process carries the sweep on from its own degree m, so the result
-    and any exception are those of the serial sweep; the helper is killed
-    and reaped however the call ends."""
+    Where the cut m = _sweep_cut(n_max) lies below n_max, this process runs
+    _sweep on degrees 1..m and kernel._beside on m+1..n_max: one forked
+    helper solves those, degree m+1 on its own, as zeros() does, which
+    gives the same bits, and sends its zeros back with all their bits in
+    one message.  If it cannot be forked, fails or dies, this process makes
+    the helper's call itself, so the result and any exception are those of
+    the serial sweep; the helper is killed and reaped however the call
+    ends."""
     if n_max < 1 or n_max > tbl.n_max:
         raise IndexError(f"need 1 <= n_max <= {tbl.n_max}, got {n_max}")
     m = _sweep_cut(n_max)
-
-    def top_share(receive, send):
-        first = zeros(tbl, m + 1, ctx)
-        send(_packed([first] + _sweep(tbl, ctx, first, n_max)))
-
-    with _forked(top_share) if m < n_max else nullcontext() as link:
-        out = _sweep(tbl, ctx, None, m)
-        top = _answer(link, lambda: _packed(_sweep(tbl, ctx, out[-1], n_max)))
-    z = ctx.round(tbl.z)
-    return out + [ZeroSet(n, z, tuple(map(_unpack, packed))) for n, packed in enumerate(top, m + 1)]
+    if m == n_max:
+        return _sweep(tbl, ctx, 1, n_max)
+    with _beside(lambda: _packed(_sweep(tbl, ctx, m + 1, n_max))) as top:
+        out = _sweep(tbl, ctx, 1, m)
+        packed = top()
+    z = out[0].z
+    return out + [ZeroSet(n, z, tuple(map(_unpack, zs))) for n, zs in enumerate(packed, m + 1)]
 
 
 def interlacing_margin(outer: ZeroSet, inner: ZeroSet) -> mp.mpf:

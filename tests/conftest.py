@@ -43,6 +43,46 @@ def no_child_left():
     assert_no_child()
 
 
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the helpers forked in the test, as the process that
+    forked them sees them: os.fork counted where it returns a child's pid."""
+    pids, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
+
+
+class CallLog:
+    """A count of calls made in this process and in any helper it forks:
+    each call appends one line to a file that a forked helper inherits."""
+
+    def __init__(self, path):
+        self.path, self.pid = path, os.getpid()
+        path.touch()
+
+    def __call__(self, text: str) -> None:
+        with open(self.path, "a") as fh:
+            fh.write(f"{os.getpid()} {text}\n")
+
+    def texts(self) -> list:
+        """The texts logged in this process, then those logged in helpers,
+        each in call order."""
+        rows = [line.split(" ", 1) for line in self.path.read_text().splitlines()]
+        return [text for pid, text in sorted(rows, key=lambda row: int(row[0]) != self.pid)]
+
+
+@pytest.fixture
+def call_log(tmp_path):
+    return CallLog(tmp_path / "calls")
+
+
 @contextmanager
 def deadline(seconds: int, what: str):
     """Raise TimeoutError(what) in this process if the block runs longer

@@ -151,7 +151,7 @@ def test_density_columns(capsys):
     assert all(mp.mpf(0) < mp.mpf(r["x"]) < beta for r in rows)
 
 
-def test_json_meta_reports_z_only_where_z_is_read(capsys):
+def test_json_meta_reports_z_only_where_z_is_read(capsys, tmp_path):
     # density takes no --z and its table does not depend on z
     code, out, _ = run_cli(capsys, "density", "--bits", "128", "--format", "json")
     assert code == 0
@@ -160,6 +160,14 @@ def test_json_meta_reports_z_only_where_z_is_read(capsys):
     code, out, _ = run_cli(capsys, "zeros", "--n-max", "2", "--z", "16", "--format", "json")
     assert code == 0
     assert json.loads(out)["meta"]["z"] == "16.0"
+    # verify reads --z where it is given and checks 1/4, 1 and 4 otherwise
+    for given, meta in (((), ["n_max", "bits", "version"]),
+                        (("--z", "4"), ["z", "n_max", "bits", "version"])):
+        path = tmp_path / "verify.json"
+        code, _, _ = run_cli(capsys, "verify", "--n-max", "8", *given, "--format", "json",
+                             "--out", str(path))
+        assert code == 0
+        assert list(json.loads(path.read_text())["meta"]) == meta
 
 
 def test_density_multiple_t_files(tmp_path, capsys):

@@ -13,7 +13,7 @@ from conftest import assert_no_child, horner, horner_d, poly_add, poly_diff, pol
     poly_trim, quotient_slope
 from mpmath.libmp import from_man_exp, mpf_add, mpf_cmp, mpf_div, mpf_mul, round_nearest
 
-from tfreud import kernel, recurrence, zeros as zeros_module
+from tfreud import kernel, zeros as zeros_module
 from tfreud.kernel import (
     RESIDUAL_GUARD_BITS,
     ConvergenceError,
@@ -811,20 +811,51 @@ def test_settled_needs_the_cubic_bound_and_no_tie():
     assert not kernel._settled((1, -200), (1, -100), ((-1, 0), (1, 0), True), 2, tol, 128)
 
 
-def test_no_helper_forks_another(monkeypatch):
+def _forks_a_helper() -> bool:
+    """Whether kernel._forked forks a helper here; the helper sends None."""
+    with kernel._forked(lambda receive, send: send(None)) as link:
+        return link is not None
+
+
+def test_no_helper_forks_another(monkeypatch, forks):
     # the process may use two CPUs; neither its helper nor the process while
-    # the helper lives may fork another: not the row split, not verify and
-    # not the zero sweep
+    # the helper lives may fork another: not through kernel._forked, which
+    # the row split, verify and the zero sweep fork by, and no zero sweep
+    # cut below its top
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    assert kernel._two_cpus() and recurrence._splits(160) and zeros_module._sweep_cut(48) < 48
+    assert kernel._two_cpus() and zeros_module._sweep_cut(48) < 48
     with kernel._forked(lambda receive, send:
-                        send((kernel._two_cpus(), recurrence._splits(160),
+                        send((kernel._two_cpus(), _forks_a_helper(),
                               zeros_module._sweep_cut(48)))) as link:
-        assert not kernel._two_cpus()
-        assert not recurrence._splits(160) and zeros_module._sweep_cut(48) == 48
+        assert not kernel._two_cpus() and not _forks_a_helper()
+        assert zeros_module._sweep_cut(48) == 48
         assert link[1]() == (False, False, 48)
+    assert len(forks) == 1
     assert_no_child()
-    assert kernel._two_cpus()
+    assert kernel._two_cpus() and _forks_a_helper() and len(forks) == 2
+
+
+def test_beside_answers_or_computes_here(monkeypatch, forks, call_log):
+    # one CPU forks nothing and works here; two CPUs take the helper's
+    # answer; a helper that dies leaves the work to this process
+    parent = os.getpid()
+
+    def work():
+        call_log("here" if os.getpid() == parent else "helper")
+        return 7
+
+    def dying():
+        if os.getpid() != parent:
+            os._exit(3)
+        return work()
+
+    for cpus, job in ((1, work), (2, work), (2, dying)):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        with kernel._beside(job) as answer:
+            assert answer() == 7
+    assert len(forks) == 2
+    assert call_log.texts() == ["here", "here", "helper"]
+    assert_no_child()
 
 
 def test_the_helper_leaves_the_callers_cpu(monkeypatch):

@@ -330,20 +330,12 @@ def test_elimination_exhausts_where_the_mpf_loop_does(monkeypatch):
 
 
 @pytest.fixture
-def split_rows(monkeypatch):
+def split_rows(monkeypatch, forks):
     """chebyshev_coeffs splits the rows of every table from degree 1 on, as
-    on a box with two CPUs, whatever this one has; yields the list of calls
-    to _upper_rows, one per helper forked."""
-    forks = []
-    upper_rows = recurrence._upper_rows
-
-    def counted(*args):
-        forks.append(args[1:3])
-        return upper_rows(*args)
-
+    on a box with two CPUs, whatever this one has; yields the pids of the
+    helpers forked (conftest's forks)."""
     monkeypatch.setattr(recurrence, "SPLIT_MIN_DEGREE", 1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    monkeypatch.setattr(recurrence, "_upper_rows", counted)
     yield forks
 
 
@@ -354,7 +346,7 @@ def test_split_exhausts_where_the_mpf_loop_does(monkeypatch, split_rows):
     monkeypatch.setattr(recurrence, "internal_bits_for", lambda ctx, n_max: 64)
     with pytest.raises(PrecisionExhaustionError) as got:
         chebyshev_coeffs(1, 40, ctx)
-    assert split_rows == [(41, 81)]
+    assert len(split_rows) == 1
     assert_no_child()
     with pytest.raises(PrecisionExhaustionError) as want:
         _chebyshev_mpf(1, 40, ctx)
@@ -364,64 +356,78 @@ def test_split_exhausts_where_the_mpf_loop_does(monkeypatch, split_rows):
 def test_split_matches_the_mpf_loop_and_reaps_its_helper(split_rows):
     ctx = PrecisionContext(default_bits(24))
     tbl = chebyshev_coeffs(1, 24, ctx)
-    assert split_rows == [(25, 49)]
+    assert len(split_rows) == 1
     assert_no_child()
     for got, ref in zip((tbl.a, tbl.b, tbl.h), _chebyshev_mpf(1, 24, ctx)):
         assert [v._mpf_ for v in got] == [ctx.round(v)._mpf_ for v in ref]
 
 
-def test_split_raises_when_the_helper_fails(monkeypatch, split_rows):
+def test_split_raises_when_the_helper_fails(monkeypatch, split_rows, call_log):
     # the helper's row function raises in the helper only: the caller reads
     # end of file where it would otherwise wait for the row, reaps the
     # helper and builds the whole table alone, with the serial bits
-    parent, row = os.getpid(), recurrence._row
+    parent, row, here = os.getpid(), recurrence._row, []
 
     def failing(*args):
         if os.getpid() != parent:
+            call_log("helper failed")
             raise ArithmeticError("fault injected into the helper")
+        here.append(args[4])
         return row(*args)
 
     monkeypatch.setattr(recurrence, "_row", failing)
     ctx = PrecisionContext(default_bits(24))
     with deadline(30, "chebyshev_coeffs waited on a dead helper"):
         tbl = chebyshev_coeffs(1, 24, ctx)
-    assert split_rows == [(25, 49)]
+    assert len(split_rows) == 1
+    assert call_log.texts() == ["helper failed"]
+    # this process's half of row 1, then rows 1..24 whole, by their first l
+    assert here == [1, *range(1, 25)]
     assert_no_child()
     for got, ref in zip((tbl.a, tbl.b, tbl.h), _chebyshev_mpf(1, 24, ctx)):
         assert [v._mpf_ for v in got] == [ctx.round(v)._mpf_ for v in ref]
 
 
-def test_coeffs_falls_back_when_the_helper_exits(monkeypatch, capsys, split_rows):
+def test_coeffs_falls_back_when_the_helper_exits(monkeypatch, capsys, split_rows, call_log):
     # the helper exits in its fourth row, so the caller's next send or
     # receive fails: the command still exits 0 with the serial table
-    parent, row, rows = os.getpid(), recurrence._row, []
+    parent, row, rows, here = os.getpid(), recurrence._row, [], []
 
     def exiting(*args):
         if os.getpid() != parent:
             rows.append(args[4])
             if len(rows) == 4:
+                call_log("helper exited")
                 os._exit(0)
+        else:
+            here.append(args[4])
         return row(*args)
 
     monkeypatch.setattr(recurrence, "_row", exiting)
     with deadline(30, "coeffs waited on a dead helper"):
         assert main(["coeffs", "--n-max", "24"]) == 0
     split = capsys.readouterr().out
-    assert split_rows == [(25, 49)]
+    assert len(split_rows) == 1
+    assert call_log.texts() == ["helper exited"]
+    # this process's halves of rows 1..4, then rows 1..24 whole
+    assert here == [*range(1, 5), *range(1, 25)]
     assert_no_child()
-    monkeypatch.setattr(recurrence, "_splits", lambda n_max: False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     assert main(["coeffs", "--n-max", "24"]) == 0
     assert capsys.readouterr().out == split
 
 
 def test_split_builds_whole_rows_where_fork_fails(monkeypatch, split_rows):
+    refusals = []
+
     def refused():
+        refusals.append(1)
         raise OSError("fork refused")
 
     monkeypatch.setattr(os, "fork", refused)
     ctx = PrecisionContext(default_bits(24))
     tbl = chebyshev_coeffs(1, 24, ctx)
-    assert split_rows == [(25, 49)]
+    assert len(refusals) == 1
     for got, ref in zip((tbl.a, tbl.b, tbl.h), _chebyshev_mpf(1, 24, ctx)):
         assert [v._mpf_ for v in got] == [ctx.round(v)._mpf_ for v in ref]
 
@@ -443,16 +449,16 @@ def test_split_guard_reads_the_helper_top(monkeypatch, split_rows):
 
 
 @pytest.mark.parametrize("z", ["0.25", "1", "4"])
-def test_table_does_not_depend_on_the_cpu_count(monkeypatch, z):
+def test_table_does_not_depend_on_the_cpu_count(monkeypatch, forks, z):
     # two CPUs split the rows of a degree-160 table and one CPU does not;
     # the bits are the same
     ctx = PrecisionContext(default_bits(160))
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    assert recurrence._splits(160)
     split = chebyshev_coeffs(mp.mpf(z), 160, ctx)
+    assert len(forks) == 1
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    assert not recurrence._splits(160)
     serial = chebyshev_coeffs(mp.mpf(z), 160, ctx)
+    assert len(forks) == 1
     for got, want in ((split.a, serial.a), (split.b, serial.b), (split.h, serial.h)):
         assert [v._mpf_ for v in got] == [v._mpf_ for v in want]
 
@@ -472,7 +478,7 @@ def test_scaled_moments_keep_the_mpf_loop_bits(z, n_max):
 def test_split_scaled_moments_keep_the_mpf_loop_bits(split_rows):
     ctx = PrecisionContext(default_bits(24))
     tbl = chebyshev_coeffs("1000", 24, ctx)
-    assert split_rows == [(25, 49)]
+    assert len(split_rows) == 1
     assert_no_child()
     for got, ref in zip((tbl.a, tbl.b, tbl.h), _chebyshev_mpf("1000", 24, ctx)):
         assert [v._mpf_ for v in got] == [ctx.round(v)._mpf_ for v in ref]

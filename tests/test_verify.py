@@ -121,30 +121,6 @@ def test_negative_residual_fails():
     assert not rep.overall
 
 
-class CallLog:
-    """A count of calls made in this process and in any helper it forks:
-    each call appends one line to a file that a forked helper inherits."""
-
-    def __init__(self, path):
-        self.path, self.pid = path, os.getpid()
-        path.touch()
-
-    def __call__(self, text: str) -> None:
-        with open(self.path, "a") as fh:
-            fh.write(f"{os.getpid()} {text}\n")
-
-    def texts(self) -> list:
-        """The texts logged in this process, then those logged in helpers,
-        each in call order."""
-        rows = [line.split(" ", 1) for line in self.path.read_text().splitlines()]
-        return [text for pid, text in sorted(rows, key=lambda row: int(row[0]) != self.pid)]
-
-
-@pytest.fixture
-def call_log(tmp_path):
-    return CallLog(tmp_path / "calls")
-
-
 def test_tables_and_zero_sets_built_once(monkeypatch, call_log):
     def counted_build(z, n_max, ctx, *rest):
         call_log(f"build {mp.mpf(z)}")
@@ -265,23 +241,8 @@ def test_sixteen_to_the_k_is_an_exact_image_of_z_one():
                 assert zero_scaling_check(zeros(tbl, 10, ctx), sweep[9], ctx) == 0
 
 
-@pytest.fixture
-def forks(monkeypatch):
-    """The helpers forked in the test, as seen by this process; cpus(k)
-    makes the process report k CPUs, so k = 1 takes the serial route."""
-    pids, fork = [], os.fork
-
-    def counted():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counted)
-    return pids
-
-
 def cpus(monkeypatch, count: int) -> None:
+    """The process reports `count` CPUs, so 1 takes the serial route."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
 
 
@@ -310,32 +271,40 @@ def test_helper_route_gives_the_serial_records(monkeypatch, forks, kwargs):
 def test_no_fork_gives_the_serial_records(monkeypatch):
     cpus(monkeypatch, 1)
     serial = run_verification(n_max=8)
+    refusals = []
 
     def refused():
+        refusals.append(1)
         raise OSError("fork refused")
 
     cpus(monkeypatch, 2)
     monkeypatch.setattr(os, "fork", refused)
     assert record_bits(run_verification(n_max=8)) == record_bits(serial)
+    assert len(refusals) == 1
 
 
-def test_a_failing_helper_leaves_the_serial_report(monkeypatch, forks):
+def test_a_failing_helper_leaves_the_serial_report(monkeypatch, forks, call_log):
     # the Lax check raises in the helper only: this process reads end of
     # file, computes the helper's share itself and returns the serial report
     cpus(monkeypatch, 1)
     serial = run_verification(n_max=8)
-    parent, check = os.getpid(), verify.lax_block_check
+    parent, check, here = os.getpid(), verify.lax_block_check, []
 
-    def failing(*args):
+    def failing(tbl, *rest):
         if os.getpid() != parent:
+            call_log("helper failed")
             raise ArithmeticError("fault injected into the helper")
-        return check(*args)
+        here.append(tbl.z)
+        return check(tbl, *rest)
 
     monkeypatch.setattr(verify, "lax_block_check", failing)
     cpus(monkeypatch, 2)
     with deadline(30, "run_verification waited on a dead helper"):
         helped = run_verification(n_max=8)
     assert len(forks) == 1
+    assert call_log.texts() == ["helper failed"]
+    # the z = 1 block, then the helper's z computed here
+    assert here == [1, mp.mpf(1) / 4, 4]
     assert record_bits(helped) == record_bits(serial)
     assert_no_child()
 

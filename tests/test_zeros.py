@@ -72,22 +72,13 @@ def one_cpu(monkeypatch) -> None:
 
 
 @pytest.fixture
-def split_sweep(monkeypatch):
+def split_sweep(monkeypatch, forks):
     """zero_sweep hands its top degrees to a forked helper from degree 2 on,
     as on a box with two CPUs, whatever this one has; yields the pids of
-    the helpers forked, as this process sees them."""
-    pids, fork = [], os.fork
-
-    def counted():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
+    the helpers forked (conftest's forks)."""
     monkeypatch.setattr(zeros_module, "SWEEP_SPLIT_MIN_DEGREE", 2)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    monkeypatch.setattr(os, "fork", counted)
-    yield pids
+    yield forks
 
 
 # ---------------------------------------------------------------------------
@@ -759,23 +750,28 @@ def test_split_sweep_gives_the_serial_bits(zq, monkeypatch, split_sweep):
         assert [_bits(zs) for zs in sets] == [_bits(zs) for zs in serial[:n]], n
 
 
-def test_a_failing_helper_leaves_the_serial_sweep(monkeypatch, split_sweep):
+def test_a_failing_helper_leaves_the_serial_sweep(monkeypatch, split_sweep, call_log):
     # the helper's degree on its own raises ConvergenceError in the helper
-    # only: this process reads end of file and carries the sweep on from
-    # its own top degree
+    # only: this process reads end of file and solves the helper's share
+    # itself, that degree on its own first
     ctx = PrecisionContext(default_bits(16))
     t = chebyshev_coeffs(1, 16, ctx)
-    parent, solve = os.getpid(), zeros_module.zeros
+    parent, solve, here = os.getpid(), zeros_module.zeros, []
 
-    def failing(*args):
+    def failing(tbl, n, ctx):
         if os.getpid() != parent:
+            call_log(f"helper failed at {n}")
             raise ConvergenceError("fault injected into the helper")
-        return solve(*args)
+        here.append(n)
+        return solve(tbl, n, ctx)
 
     monkeypatch.setattr(zeros_module, "zeros", failing)
     with deadline(30, "zero_sweep waited on a dead helper"):
         got = zero_sweep(t, 16, ctx)
+    m = zeros_module._sweep_cut(16)
     assert len(split_sweep) == 1
+    assert call_log.texts() == [f"helper failed at {m + 1}"]
+    assert here == [1, m + 1]
     one_cpu(monkeypatch)
     assert [_bits(zs) for zs in got] == [_bits(zs) for zs in zero_sweep(t, 16, ctx)]
 
@@ -810,13 +806,17 @@ def test_a_convergence_error_in_the_callers_share_is_the_serial_one(monkeypatch,
 
 
 def test_split_sweep_solves_every_degree_where_fork_fails(monkeypatch, split_sweep):
+    refusals = []
+
     def refused():
+        refusals.append(1)
         raise OSError("fork refused")
 
     ctx = PrecisionContext(default_bits(16))
     t = chebyshev_coeffs(1, 16, ctx)
     monkeypatch.setattr(os, "fork", refused)
     got = zero_sweep(t, 16, ctx)
+    assert len(refusals) == 1
     one_cpu(monkeypatch)
     assert [_bits(zs) for zs in got] == [_bits(zs) for zs in zero_sweep(t, 16, ctx)]
 
